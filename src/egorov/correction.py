@@ -32,10 +32,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flow import step_count, yoshida_coefficients
+from .flow import split_snapshots, step_count
 from .observables import Observable
 from .potentials import Hamiltonian, Potential
-from .tensor_ops import apply_J_triple, j_contract_axis, tilde_d3
+from .tensor_ops import apply_J_triple, j_contract_axis, tilde_d3, tilde_weights
 
 __all__ = [
     "CorrectionState",
@@ -227,7 +227,10 @@ def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> Cor
         lam23=state.lam23 + t * (-_mode3(w2, state.lam1) + state.lam32 + state.lam31),
         lam4=state.lam4 + t * (
             -_mode1(w2, state.lam31) - _mode2(w2, state.lam32)
-            - _mode3(w2, state.lam33) - tilde_d3(w3)
+            - _mode3(w2, state.lam33)
+            # third() is symmetric by construction (checked in the tests),
+            # so this skips tilde_d3's symmetry check on every sub-step.
+            - tilde_weights(state.d) * w3
         ),
         gam21=state.gam21 + t * (
             -_contract_w3(w3, state.lam1)
@@ -278,41 +281,26 @@ def f2_step(tau: float, state: CorrectionState, potential: Potential) -> Correct
     return replace(state, t=state.t + tau)
 
 
-_F4_COEFFS = yoshida_coefficients(4)
+def _snapshots(state: CorrectionState, times, tau: float, potential: Potential):
+    """Correction states at each snapshot time: the shared driver at order 4,
+    A = psi2 (which freezes its own right-hand side), B = psi1 psi3 psi1."""
+
+    def psi2(t, state):
+        return sub_flow_psi2(t, state, potential)
+
+    def psi1_psi3_psi1(s, state):
+        state = sub_flow_psi1(0.5 * s, state)
+        state = sub_flow_psi3(s, state, potential)
+        return sub_flow_psi1(0.5 * s, state)
+
+    return split_snapshots(state, times, tau, 4, psi2, psi1_psi3_psi1)
 
 
 def f4_step(tau: float, state: CorrectionState, potential: Potential) -> CorrectionState:
     """Fourth-order triple jump of :func:`f2_step`, with the adjacent psi2
-    half-flows merged (see :func:`_advance`); tau must be positive."""
-    return _advance(state, tau, tau, potential)
-
-
-def _advance(
-    state: CorrectionState, duration: float, tau: float, potential: Potential
-) -> CorrectionState:
-    """Yoshida triple jumps of :func:`f2_step` covering ``duration`` at
-    nominal step tau (rescaled to a whole number of steps).
-
-    The trailing psi2 half-flow of each second-order sub-step is merged with
-    the leading one of the next.  This is exact: :func:`sub_flow_psi2` leaves
-    its own right-hand side frozen, so psi2(a) followed by psi2(b) is
-    psi2(a + b), up to rounding.
-    """
-    n = step_count(duration, tau)
-    if n == 0:
-        return state
-    tau_eff = duration / n
-    subs = [c * tau_eff for c in _F4_COEFFS.tolist()]
-    pending = 0.0
-    for _ in range(n):
-        for s in subs:
-            state = sub_flow_psi2(pending + 0.5 * s, state, potential)
-            state = sub_flow_psi1(0.5 * s, state)
-            state = sub_flow_psi3(s, state, potential)
-            state = sub_flow_psi1(0.5 * s, state)
-            pending = 0.5 * s
-    state = sub_flow_psi2(pending, state, potential)
-    return replace(state, t=state.t + duration)
+    half-flows merged; tau must be positive."""
+    (out,) = _snapshots(state, [tau], tau, potential)
+    return replace(out, t=state.t + tau)
 
 
 def evolve_correction(
@@ -320,24 +308,15 @@ def evolve_correction(
 ) -> CorrectionState:
     """Correction state at time t from zero initial tensors at z0, composed
     fourth-order steps of nominal size tau."""
-    return _advance(CorrectionState.initial(z0), t, tau, potential)
+    return evolve_correction_snapshots(z0, [t], tau, potential)[0]
 
 
 def evolve_correction_snapshots(
     z0: np.ndarray, times, tau: float, potential: Potential
 ) -> list[CorrectionState]:
     """Correction states at each snapshot time, from one continuous run."""
-    state = CorrectionState.initial(z0)
-    out = []
-    t_prev = 0.0
-    for t_snap in times:
-        seg = t_snap - t_prev
-        if seg < 0:
-            raise ValueError("snapshot times must be nondecreasing")
-        state = _advance(state, seg, tau, potential)
-        t_prev = t_snap
-        out.append(state)
-    return out
+    states = _snapshots(CorrectionState.initial(z0), times, tau, potential)
+    return [replace(state, t=float(t)) for t, state in zip(times, states)]
 
 
 def a2_eval(observable: Observable, state: CorrectionState) -> np.ndarray:
@@ -487,27 +466,22 @@ def evolve_correction_dense(
         raise ValueError("dense evolution handles a single phase point")
     d = z0.shape[0] // 2
     state0 = CorrectionState.initial(z0)
-    q = state0.q.copy()
-    psi2 = state0.psi2_vector().copy()
-    psi3 = state0.psi3_vector().copy()
-    n = step_count(t, tau)
-    if n == 0:
-        return state0
-    tau_eff = t / n
 
-    def half_psi2(s):
+    def psi2_flow(s, state):
+        q, psi2, psi3 = state
         a2, _, b2 = assemble_blocks(potential, q)
-        return psi2 + s * (a2 @ psi3 + b2)
+        return q, psi2 + s * (a2 @ psi3 + b2), psi3
 
-    for _ in range(n):
-        for c in _F4_COEFFS:
-            s = c * tau_eff
-            psi2 = half_psi2(0.5 * s)
-            q = q + 0.5 * s * psi2[:d]
-            _, a3, _ = assemble_blocks(potential, q)
-            psi3 = psi3 + s * (a3 @ psi2)
-            q = q + 0.5 * s * psi2[:d]
-            psi2 = half_psi2(0.5 * s)
+    def psi1_psi3_psi1(s, state):
+        q, psi2, psi3 = state
+        q = q + 0.5 * s * psi2[:d]
+        _, a3, _ = assemble_blocks(potential, q)
+        return q + 0.5 * s * psi2[:d], psi2, psi3 + s * (a3 @ psi2)
+
+    ((q, psi2, psi3),) = split_snapshots(
+        (state0.q, state0.psi2_vector(), state0.psi3_vector()),
+        [t], tau, 4, psi2_flow, psi1_psi3_psi1,
+    )
     return _state_from_layout(q, psi2, psi3, t)
 
 

@@ -112,6 +112,11 @@ class RunConfig:
 
     def __post_init__(self):
         d = self.dimension
+        for name in ("epsilon", "center", "tau_flow", "tau_correction", "tau_reference",
+                     "t_final", "snapshot_stride", "stiffness", "grid_lo", "grid_hi",
+                     "sweep_values"):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), float))):
+                raise ValueError(f"{name} must be finite")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if d < 1:
@@ -474,16 +479,17 @@ def _correction_chunk_sums(config, potential, observables, times, start, stop):
 def _ensemble_mean(config, potential, observables, times, n, chunk_fn, threads):
     if n == 0:
         return np.zeros((len(times), len(observables)))
-    ranges = _chunk_ranges(n)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        sums = list(
-            pool.map(
-                lambda rng: chunk_fn(
-                    config, potential, observables, times, rng[0], rng[1]
-                ),
-                ranges,
-            )
-        )
+
+    def chunk(rng):
+        return chunk_fn(config, potential, observables, times, rng[0], rng[1])
+
+    # One thread maps the chunks inline, where profilers see the work; the
+    # reduction order is the same either way.
+    if threads == 1:
+        sums = [chunk(rng) for rng in _chunk_ranges(n)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            sums = list(pool.map(chunk, _chunk_ranges(n)))
     return _pairwise_combine(np.stack(sums)) / n
 
 
@@ -494,13 +500,20 @@ def run_corrected(config: RunConfig, threads: int | None = None) -> list[ResultR
     stream, so shrinking N2 never perturbs the transport term.  Row identity:
     corrected = egorov + epsilon^2 * correction, exactly as stored.
     """
+    return _run_corrected(config, threads)[0]
+
+
+def _run_corrected(config: RunConfig, threads, egorov_mean=None):
+    """run_corrected's rows and its transport mean; a given ``egorov_mean``
+    is reused, which holds while the packet, potential, N0 and tau0 do."""
     potential = build_potential(config)
     observables = [make_observable(name, potential) for name in config.observables]
     times = snapshot_times(config)
-    egorov_mean = _ensemble_mean(
-        config, potential, observables, times, config.n_samples,
-        _egorov_chunk_sums, threads,
-    )
+    if egorov_mean is None:
+        egorov_mean = _ensemble_mean(
+            config, potential, observables, times, config.n_samples,
+            _egorov_chunk_sums, threads,
+        )
     correction_mean = _ensemble_mean(
         config, potential, observables, times, config.n_correction,
         _correction_chunk_sums, threads,
@@ -520,7 +533,7 @@ def run_corrected(config: RunConfig, threads: int | None = None) -> list[ResultR
                     corrected=egorov + eps2 * corr,
                 )
             )
-    return rows
+    return rows, egorov_mean
 
 
 def run_egorov(config: RunConfig, threads: int | None = None) -> list[ResultRow]:
@@ -678,9 +691,12 @@ def sweep(
     if shared_baseline is None and axis != "epsilon":
         shared_baseline = run_reference(config, cache_dir=cache_dir)
     summary_rows = []
+    transport = None
     for value in values:
         cfg = _config_for_value(config, axis, value)
-        rows = run_corrected(cfg, threads=threads)
+        # Only the epsilon axis changes the transport term (packet and N0).
+        reuse = None if axis == "epsilon" else transport
+        rows, transport = _run_corrected(cfg, threads, reuse)
         baseline = shared_baseline
         if baseline is None:
             baseline = run_reference(cfg, cache_dir=cache_dir)

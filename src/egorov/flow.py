@@ -3,13 +3,14 @@ Hamiltonians.
 
 Phase points are numpy arrays of shape ``(..., 2d)``: positions in
 ``z[..., :d]``, momenta in ``z[..., d:]``.  Leading axes batch independent
-trajectories; every stepping function is pure, so trajectories for distinct
-sample points can be mapped over in parallel with no shared mutable state.
+trajectories; the propagators never modify their input, so trajectories for
+distinct sample points can be mapped over in parallel with no shared state.
 
 The building blocks are the exact kinetic flow (:func:`drift`) and the exact
 potential flow (:func:`kick`, with the Hamiltonian sign p <- p - t DV).
 Their Strang composition is second order; higher even orders come from the
-Yoshida triple jump.
+Yoshida triple jump, which :func:`split_snapshots` runs with adjacent
+half-drifts merged; the correction tensors step through it too.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ __all__ = [
     "kick",
     "strang_step",
     "yoshida_coefficients",
-    "compose_order",
     "step_count",
+    "split_snapshots",
     "propagate",
     "propagate_snapshots",
 ]
@@ -74,24 +75,6 @@ def yoshida_coefficients(order: int) -> np.ndarray:
     return coeffs
 
 
-def compose_order(base_step, order: int):
-    """Yoshida composition of a symmetric second-order one-step map.
-
-    ``base_step(tau, state)`` is applied with the triple-jump scalings;
-    order 2 returns the base step unchanged.
-    """
-    if order == 2:
-        return base_step
-    coeffs = yoshida_coefficients(order)
-
-    def stepped(tau, state):
-        for c in coeffs:
-            state = base_step(c * tau, state)
-        return state
-
-    return stepped
-
-
 def step_count(t: float, tau: float) -> int:
     """Number of steps covering [0, t] at nominal step tau.
 
@@ -112,19 +95,40 @@ def step_count(t: float, tau: float) -> int:
     return n
 
 
+def split_snapshots(state, times, tau: float, order: int, a_flow, b_flow):
+    """Symmetric split steps A(s/2) B(s) A(s/2), s = c tau over the Yoshida
+    scalings c of ``order``, yielding the state at each snapshot time.
+
+    Each trailing A half-flow merges with the next leading one, across steps
+    too, and is flushed only at a snapshot: exact when A leaves its own
+    right-hand side frozen, A(a) A(b) = A(a + b), up to rounding.  The flows
+    return the new state and may update it in place.
+    """
+    coeffs = yoshida_coefficients(order).tolist()
+    t_prev = 0.0
+    for t_snap in times:
+        seg = t_snap - t_prev
+        if seg < 0:
+            raise ValueError("snapshot times must be nondecreasing")
+        n = step_count(seg, tau)
+        if n:
+            subs = [c * (seg / n) for c in coeffs]
+            pending = 0.0
+            for _ in range(n):
+                for s in subs:
+                    state = a_flow(pending + 0.5 * s, state)
+                    state = b_flow(s, state)
+                    pending = 0.5 * s
+            state = a_flow(pending, state)
+        t_prev = t_snap
+        yield state
+
+
 def propagate(
     z0: np.ndarray, t: float, tau: float, order: int, potential: Potential
 ) -> np.ndarray:
     """Propagate phase points through the flow for duration t."""
-    n = step_count(t, tau)
-    if n == 0:
-        return np.asarray(z0, dtype=float).copy()
-    step = compose_order(lambda s, z: strang_step(s, z, potential), order)
-    tau_eff = t / n
-    z = z0
-    for _ in range(n):
-        z = step(tau_eff, z)
-    return z
+    return propagate_snapshots(z0, [t], tau, order, potential)[0]
 
 
 def propagate_snapshots(
@@ -134,20 +138,21 @@ def propagate_snapshots(
 
     ``times`` must be nondecreasing and start at >= 0; each segment between
     consecutive snapshot times is covered by whole steps of nominal size tau.
+    Drift (A) and kick (B) update contiguous copies of q and p in place.
     """
-    step = compose_order(lambda s, z: strang_step(s, z, potential), order)
-    z = np.asarray(z0, dtype=float).copy()
-    out = []
-    t_prev = 0.0
-    for t_snap in times:
-        seg = t_snap - t_prev
-        if seg < 0:
-            raise ValueError("snapshot times must be nondecreasing")
-        n = step_count(seg, tau)
-        if n:
-            tau_eff = seg / n
-            for _ in range(n):
-                z = step(tau_eff, z)
-        t_prev = t_snap
-        out.append(z.copy())
-    return out
+    z0 = np.asarray(z0, dtype=float)
+    d = z0.shape[-1] // 2
+
+    def drift_in_place(t, state):
+        q, p = state
+        q += t * p
+        return state
+
+    def kick_in_place(s, state):
+        q, p = state
+        p -= s * potential.gradient(q)
+        return state
+
+    state = (z0[..., :d].copy(), z0[..., d:].copy())
+    snaps = split_snapshots(state, times, tau, order, drift_in_place, kick_in_place)
+    return [np.concatenate(snap, axis=-1) for snap in snaps]

@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from egorov.correction import (
     CorrectionState,
@@ -22,7 +25,7 @@ from egorov.correction import (
     sub_flow_psi2,
     sub_flow_psi3,
 )
-from egorov.flow import drift, kick
+from egorov.flow import drift, kick, step_count, yoshida_coefficients
 from egorov.observables import Observable, make_observable
 from egorov.potentials import Hamiltonian, harmonic_potential, torsional_potential
 from egorov.tensor_ops import apply_J_triple, tilde_d3
@@ -374,6 +377,38 @@ class TestEvolveCorrection:
             for f in STATE_FIELDS:
                 np.testing.assert_allclose(
                     getattr(together, f)[i], getattr(single, f), atol=1e-14
+                )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    points=arrays(float, st.tuples(st.integers(2, 4), st.just(4)),
+                  elements=st.floats(-1.5, 1.5)),
+    gaps=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+)
+def test_fused_correction_matches_unfused_f2_and_per_point(points, gaps):
+    # The shared driver merges the psi2 half-flows of adjacent f2 steps;
+    # batched and per-point runs agree, and both match the unmerged triple
+    # jump of f2_step up to rounding.
+    pot = torsional_potential(2)
+    tau = 0.125
+    times = tau * np.cumsum(gaps)
+    batched = evolve_correction_snapshots(points, times, tau, pot)
+    for i, point in enumerate(points):
+        state, t_prev = CorrectionState.initial(point), 0.0
+        singles = evolve_correction_snapshots(point, times, tau, pot)
+        for t, got, single in zip(times, batched, singles):
+            n = step_count(t - t_prev, tau)
+            for _ in range(n):
+                for c in yoshida_coefficients(4):
+                    state = f2_step(c * ((t - t_prev) / n), state, pot)
+            t_prev = t
+            for f in STATE_FIELDS:
+                np.testing.assert_allclose(
+                    getattr(got, f)[i], getattr(single, f), rtol=0.0, atol=1e-14
+                )
+                np.testing.assert_allclose(
+                    getattr(single, f), getattr(state, f), rtol=0.0, atol=1e-13
                 )
 
 

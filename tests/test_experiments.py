@@ -166,6 +166,23 @@ class TestParseConfig:
         path.write_text(self.GOOD)
         assert load_config(path) == parse_config(self.GOOD)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("epsilon", "nan"), ("epsilon", "inf"), ("center", "nan, 0.5, 0.0, 0.0"),
+            ("tau_flow", "nan"), ("tau_correction", "inf"), ("tau_reference", "nan"),
+            ("t_final", "inf"), ("snapshot_stride", "nan"), ("stiffness", "inf"),
+            ("grid_lo", "-inf"), ("grid_hi", "nan"), ("sweep_values", "0.1, nan"),
+        ],
+    )
+    def test_non_finite_values_exit_one(self, key, value, tmp_path, capsys):
+        lines = [line for line in self.GOOD.splitlines() if line.split("=")[0].strip() != key]
+        path = tmp_path / "run.cfg"
+        path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+
 
 class TestTableRowConfig:
     def test_shipped_rows(self):
@@ -300,6 +317,16 @@ class TestRunCorrected:
             assert abs(rows[(t, "q1")].egorov - np.cos(t)) < bound
             assert abs(rows[(t, "p1")].egorov + np.sin(t)) < bound
 
+    def test_one_thread_runs_inline(self, monkeypatch):
+        # With one thread the chunks run in the caller, where profilers see
+        # them, not in a one-worker pool.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
+        assert run_corrected(tiny_config(), threads=1)
+
     def test_csv_bytes_identical_across_threads(self, tmp_path, monkeypatch):
         # Shrink the chunk size so several chunks exist, then check the
         # pairwise reduction is scheduling-independent.
@@ -423,6 +450,39 @@ class TestSweep:
         # a single point cannot support a slope fit
         for slope in result.slopes:
             assert slope["slope_max_corrected"] is None
+
+    @pytest.mark.parametrize(
+        "axis,values,propagations",
+        [("tau2", [0.0625, 0.125], 1), ("N2", [8.0, 16.0], 1), ("epsilon", [0.1, 0.2], 2)],
+    )
+    def test_transport_computed_once_unless_epsilon_moves(
+        self, monkeypatch, axis, values, propagations
+    ):
+        # The N0 transport mean depends on the packet and N0, which only the
+        # epsilon axis changes; every value's rows match its own full run.
+        config = tiny_config()
+        baseline = run_corrected(tiny_config(tau_correction=0.0625))
+        expected = [
+            summary
+            for value in values
+            for summary in compare(
+                run_corrected(_config_for_value(config, axis, value)), baseline
+            )[1]
+        ]
+        calls = []
+        original = experiments.propagate_snapshots
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "propagate_snapshots", counted)
+        result = sweep(config, axis, values, baseline_rows=baseline)
+        assert len(calls) == propagations
+        assert [
+            {k: v for k, v in row.items() if k not in ("axis", "value")}
+            for row in result.rows
+        ] == expected
 
     def test_sweep_csv_layout(self, tmp_path):
         config = tiny_config(observables=("q1",))

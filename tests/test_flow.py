@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from egorov.flow import (
-    compose_order,
     drift,
     kick,
     propagate,
@@ -124,9 +126,13 @@ class TestYoshidaCoefficients:
 
 
 class TestComposeOrder:
-    def test_order_two_returns_base(self):
-        base = lambda tau, z: z
-        assert compose_order(base, 2) is base
+    def test_order_two_is_one_strang_step(self, torsional_2d):
+        z = np.array([0.4, -0.2, 0.3, 0.8])
+        np.testing.assert_allclose(
+            propagate(z, 0.1, 0.1, 2, torsional_2d),
+            strang_step(0.1, z, torsional_2d),
+            rtol=0.0, atol=1e-15,
+        )
 
     def test_order_four_error_ratio_on_harmonic(self):
         pot = harmonic_potential(1, 1.0)
@@ -224,29 +230,82 @@ class TestPropagateSnapshots:
         np.testing.assert_array_equal(snaps[0], z0)
 
 
+def unfused_snapshots(z, times, tau, order, potential):
+    """The reference for the fused driver: whole Strang steps, each built
+    from separate drift/kick stages, with no half-drifts merged."""
+    out, t_prev = [], 0.0
+    for t in times:
+        n = step_count(t - t_prev, tau)
+        for _ in range(n):
+            for c in yoshida_coefficients(order):
+                z = strang_step(c * ((t - t_prev) / n), z, potential)
+        out.append(z)
+        t_prev = t
+    return out
+
+
+def one_step(z, order, potential, tau=0.1):
+    """One production (fused) step of size tau."""
+    return propagate(z, tau, tau, order, potential)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    points=arrays(float, st.tuples(st.integers(1, 6), st.just(4)),
+                  elements=st.floats(-2.0, 2.0)),
+    order=st.sampled_from([2, 4, 6, 8]),
+    gaps=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+)
+def test_fused_matches_unfused_strang_composition(points, order, gaps):
+    # Merging adjacent half-drifts changes results only by rounding, on any
+    # batch and any nondecreasing snapshot grid.
+    pot = torsional_potential(2)
+    times = 0.1 * np.cumsum(gaps)
+    fused = propagate_snapshots(points, times, 0.1, order, pot)
+    for got, want in zip(fused, unfused_snapshots(points, times, 0.1, order, pot)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    points=arrays(float, st.tuples(st.integers(2, 6), st.just(4)),
+                  elements=st.floats(-2.0, 2.0)),
+    order=st.sampled_from([2, 4, 6, 8]),
+)
+def test_batched_transport_equals_per_point(points, order):
+    pot = torsional_potential(2)
+    times = [0.0, 0.3, 0.5]
+    batched = propagate_snapshots(points, times, 0.1, order, pot)
+    for i, point in enumerate(points):
+        for snap, single in zip(batched, propagate_snapshots(point, times, 0.1, order, pot)):
+            np.testing.assert_allclose(snap[i], single, rtol=0.0, atol=1e-14)
+
+
 @pytest.mark.parametrize("order", [2, 4, 8])
 def test_step_jacobian_is_symplectic(order, torsional_2d):
-    # Finite-difference Jacobian M of one composed step satisfies
-    # M^T J M = J.
-    step = compose_order(lambda s, z: strang_step(s, z, torsional_2d), order)
+    # Finite-difference Jacobian M of one fused step satisfies M^T J M = J.
     z = np.array([0.4, -0.2, 0.3, 0.8])
-    tau = 0.1
     eps = 1e-6
     m = np.zeros((4, 4))
     for i in range(4):
         dz = np.zeros(4)
         dz[i] = eps
-        m[:, i] = (step(tau, z + dz) - step(tau, z - dz)) / (2.0 * eps)
+        m[:, i] = (
+            one_step(z + dz, order, torsional_2d) - one_step(z - dz, order, torsional_2d)
+        ) / (2.0 * eps)
     j = symplectic_j(2)
     np.testing.assert_allclose(m.T @ j @ m, j, atol=1e-6)
 
 
 @pytest.mark.parametrize("order", [4, 6, 8])
 def test_reversibility_high_order(order, torsional_2d):
-    step = compose_order(lambda s, z: strang_step(s, z, torsional_2d), order)
+    # With R(q, p) = (q, -p), a symmetric step of a kinetic-plus-potential
+    # flow satisfies step(-tau) = R step(tau) R, so R step R undoes a step.
+    flip = np.array([1.0, 1.0, -1.0, -1.0])
     rng = np.random.default_rng(3)
     z = rng.standard_normal(4)
-    np.testing.assert_allclose(step(-0.1, step(0.1, z)), z, atol=1e-12)
+    back = flip * one_step(flip * one_step(z, order, torsional_2d), order, torsional_2d)
+    np.testing.assert_allclose(back, z, atol=1e-12)
 
 
 def test_harmonic_energy_bounded_over_many_steps():

@@ -145,7 +145,11 @@ class TestFiniteDifferenceCheck:
             pot.derivative(np.zeros(1), 7)
 
 
-@pytest.mark.parametrize("make", [lambda: torsional_potential(2), lambda: harmonic_potential(2, (1.0, 2.0))])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: torsional_potential(2), lambda: harmonic_potential(2, (1.0, 2.0)),
+     lambda: free_potential(2)],
+)
 def test_derivative_tensors_are_permutation_symmetric(make):
     pot = make()
     rng = np.random.default_rng(42)
