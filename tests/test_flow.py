@@ -244,9 +244,9 @@ def unfused_snapshots(z, times, tau, order, potential):
     return out
 
 
-def one_step(z, order, potential, tau=0.1):
-    """One production (fused) step of size tau."""
-    return propagate(z, tau, tau, order, potential)
+def one_step(z, order, potential):
+    """One production (fused) step of size 0.1."""
+    return propagate(z, 0.1, 0.1, order, potential)
 
 
 @settings(max_examples=40, deadline=None)
