@@ -20,6 +20,7 @@ from .experiments import (
     compare,
     load_config,
     read_rows_csv,
+    reference_metadata,
     run_corrected,
     run_reference,
     selftest,
@@ -91,7 +92,9 @@ def _cmd_reference(args) -> int:
     rows = run_reference(config, cache_dir=cache)
     elapsed = time.perf_counter() - start
     write_rows_csv(rows, out / "reference.csv")
-    write_metadata(out, config, {"reference": elapsed})
+    write_metadata(
+        out, config, {"reference": elapsed}, reference=reference_metadata(config)
+    )
     print(f"wrote {out / 'reference.csv'} ({len(rows)} rows, {elapsed:.1f}s)")
     return 0
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import correction as _correction
 from .correction import a2_eval, evolve_correction_snapshots
-from .flow import propagate_snapshots
+from .flow import propagate_snapshots, step_count
 from .observables import make_observable
 from .potentials import (
     Potential,
@@ -35,7 +36,7 @@ from .potentials import (
     harmonic_potential,
     torsional_potential,
 )
-from .reference import GridSpec, reference_expectations
+from .reference import SCHEME, GridSpec, reference_expectations
 from .sampling import GaussianPacket, QmcSampler, sample_points
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "load_config",
     "parse_config",
     "read_rows_csv",
+    "reference_metadata",
     "run_corrected",
     "run_egorov",
     "run_reference",
@@ -84,8 +86,9 @@ class RunConfig:
 
     ``n_samples`` and ``tau_flow`` drive the plain transport term,
     ``n_correction`` and ``tau_correction`` the correction term; snapshot
-    times must land on whole steps of both.  ``tau_reference`` of zero means
-    "pick epsilon/800", the ratio of the reference tables.
+    times must land on whole steps of both.  ``tau_reference`` is the step
+    of the order-4 grid reference and must divide ``snapshot_stride``; zero
+    selects the largest step of at most epsilon/16 that does.
     """
 
     epsilon: float
@@ -146,6 +149,12 @@ class RunConfig:
             raise ValueError("t_final must be positive")
         if self.tau_reference < 0:
             raise ValueError("tau_reference must be nonnegative")
+        if self.tau_reference > 0 and not _is_multiple(
+            self.snapshot_stride, self.tau_reference
+        ):
+            raise ValueError(
+                "snapshot stride must be a whole multiple of tau_reference"
+            )
         if self.flow_order not in (2, 4, 6, 8):
             raise ValueError("flow_order must be one of 2, 4, 6, 8")
         if self.halton_skip < 0:
@@ -185,7 +194,10 @@ class RunConfig:
 
     @property
     def tau_reference_effective(self) -> float:
-        return self.tau_reference if self.tau_reference > 0 else self.epsilon / 800.0
+        if self.tau_reference > 0:
+            return self.tau_reference
+        stride = self.snapshot_stride
+        return stride / math.ceil(16.0 * stride / self.epsilon)
 
 
 def _default_observables(d: int) -> tuple[str, ...]:
@@ -413,14 +425,19 @@ def read_rows_csv(path) -> list[ResultRow]:
     return rows
 
 
-def write_metadata(out_dir, config: RunConfig | None, elapsed: dict) -> None:
-    """Wall-clock info and the config echo; the only place timestamps go."""
+def write_metadata(
+    out_dir, config: RunConfig | None, elapsed: dict, reference: dict | None = None
+) -> None:
+    """Wall-clock info and the config echo; the only place timestamps go.
+    ``reference`` (see :func:`reference_metadata`) is added as its own entry."""
     payload = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": {key: float(val) for key, val in elapsed.items()},
     }
     if config is not None:
         payload["config"] = config_to_dict(config)
+    if reference is not None:
+        payload["reference"] = reference
     path = Path(out_dir) / "metadata.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -568,6 +585,14 @@ def run_reference(config: RunConfig, cache_dir=None) -> list[ResultRow]:
         for i, t in enumerate(times)
         for name in config.observables
     ]
+
+
+def reference_metadata(config: RunConfig) -> dict:
+    """The scheme, step and step count behind :func:`run_reference`'s table."""
+    tau = config.tau_reference_effective
+    times = snapshot_times(config)
+    steps = sum(step_count(b - a, tau) for a, b in zip(times, times[1:]))
+    return {"scheme": SCHEME, "tau": tau, "steps": steps}
 
 
 # ---------------------------------------------------------------------------

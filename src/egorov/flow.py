@@ -10,7 +10,8 @@ The building blocks are the exact kinetic flow (:func:`drift`) and the exact
 potential flow (:func:`kick`, with the Hamiltonian sign p <- p - t DV).
 Their Strang composition is second order; higher even orders come from the
 Yoshida triple jump, which :func:`split_snapshots` runs with adjacent
-half-drifts merged; the correction tensors step through it too.
+half-drifts merged; the correction tensors and the grid reference
+(:func:`reference.reference_expectations`) step through it too.
 """
 
 from __future__ import annotations

@@ -1,33 +1,44 @@
 """Grid-based reference dynamics: split-step Fourier propagation.
 
-Solves i eps d_t psi = (-eps^2/2 Laplace + V) psi on a periodic tensor grid
-with Strang splitting: a half step of the potential phase, a full kinetic
-step applied in Fourier space, another half step of the potential.  Position
-observables are quadratures of |psi|^2 on the grid; momentum observables use
-Fourier multipliers (the momentum operator is eps k after transforming).
+Solves i eps d_t psi = (-eps^2/2 Laplace + V) psi on a periodic tensor grid.
+The Strang step is a half step of the potential phase, a full kinetic step
+applied in Fourier space, and another half step of the potential.
+:func:`reference_expectations` composes it to fourth order (Yoshida 1990)
+through the shared driver :func:`flow.split_snapshots`, which merges
+adjacent half-potential phases; :func:`schrodinger_step` is one plain
+Strang step of the same flows.  Position observables are quadratures of
+|psi|^2 on the grid; momentum observables use Fourier multipliers (the
+momentum operator is eps k after transforming).
 
 Steps are unitary, so the discrete norm is conserved to roundoff; the
 boundary shell of the (formally periodic) domain is monitored because the
 packet must stay essentially inside for the periodification to be harmless.
 
-Expectation tables are cached as CSV keyed by a hash of the full
-configuration, since reference runs dominate the cost of comparisons.
+Expectation tables are cached as CSV keyed by a hash of the scheme and the
+full configuration, since reference runs dominate the cost of comparisons;
+a table is written to a temporary file and renamed into place.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
+import os
+import uuid
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.fft import fftn, ifftn
 from scipy.special import erfc
 
-from .flow import step_count
+from .flow import split_snapshots
 from .potentials import Potential
 from .sampling import GaussianPacket
 
 __all__ = [
+    "SCHEME",
     "GridSpec",
     "WaveFunctionGrid",
     "init_packet",
@@ -39,6 +50,12 @@ __all__ = [
 _BOUNDARY_INIT_TOL = 1e-12
 _BOUNDARY_RUN_TOL = 1e-8
 _SHELL_WIDTH = 2
+
+# The reference propagation's splitting order, and its scheme's name and
+# version.  The scheme is part of every cache key, so a table made by another
+# scheme is never read back as this one's.
+_ORDER = 4
+SCHEME = f"split-step Fourier, Strang composed to order {_ORDER}, v1"
 
 
 @dataclass(frozen=True)
@@ -131,27 +148,51 @@ def init_packet(spec: GridSpec, packet: GaussianPacket) -> WaveFunctionGrid:
     return grid
 
 
-def _phases(spec: GridSpec, potential: Potential, eps: float, tau: float):
+def _grid_flows(
+    spec: GridSpec, potential: Potential, eps: float, workers: int | None = None
+):
+    """The A and B flows of the grid split step, for :func:`split_snapshots`.
+
+    A is the potential phase ``psi *= exp(-i V a / eps)``, applied in place.
+    B is the kinetic step ``ifftn(phase * fftn(psi))``, with the kinetic
+    phase applied as one 1-D factor per axis in place into ``psi_hat``.
+    """
     v = spec.mesh_value(potential)
-    half_potential = np.exp(-1j * v * tau / (2.0 * eps))
-    k = spec.wavenumbers()
-    k2 = np.zeros((spec.n,) * spec.d)
-    for j in range(spec.d):
-        shape = [1] * spec.d
-        shape[j] = spec.n
-        k2 = k2 + (k**2).reshape(shape)
-    kinetic = np.exp(-1j * eps * k2 * tau / 2.0)
-    return half_potential, kinetic
+    k2 = spec.wavenumbers() ** 2
+    axis_shapes = [(-1,) + (1,) * (spec.d - 1 - j) for j in range(spec.d)]
+
+    # An order-4 step has three distinct merged A lengths and two B lengths.
+    # The caches are bounded because segment lengths that differ in the last
+    # bit would otherwise add a grid-sized entry per snapshot.
+    @functools.lru_cache(maxsize=3)
+    def potential_phase(a):
+        return np.exp((-1j * a / eps) * v)
+
+    @functools.lru_cache(maxsize=2)
+    def kinetic_phase(s):
+        return np.exp((-0.5j * eps * s) * k2)
+
+    def potential_flow(a, psi):
+        psi *= potential_phase(a)
+        return psi
+
+    def kinetic_flow(s, psi):
+        psi_hat = fftn(psi, workers=workers, overwrite_x=True)
+        factor = kinetic_phase(s)
+        for shape in axis_shapes:
+            psi_hat *= factor.reshape(shape)
+        return ifftn(psi_hat, workers=workers, overwrite_x=True)
+
+    return potential_flow, kinetic_flow
 
 
 def schrodinger_step(
     grid: WaveFunctionGrid, tau: float, potential: Potential, workers: int | None = None
 ) -> WaveFunctionGrid:
-    """One Strang split step (potential half, kinetic full, potential half)."""
-    half_potential, kinetic = _phases(grid.spec, potential, grid.epsilon, tau)
-    psi = half_potential * grid.psi
-    psi = ifftn(kinetic * fftn(psi, workers=workers), workers=workers)
-    psi = half_potential * psi
+    """One Strang split step (potential half, kinetic full, potential half):
+    the order-2 step of the flows :func:`reference_expectations` uses."""
+    flows = _grid_flows(grid.spec, potential, grid.epsilon, workers)
+    (psi,) = split_snapshots(grid.psi.astype(complex), [tau], tau, 2, *flows)
     return WaveFunctionGrid(psi=psi, spec=grid.spec, epsilon=grid.epsilon, t=grid.t + tau)
 
 
@@ -204,6 +245,7 @@ def expectation(
 
 def _cache_key(spec, packet, potential, times, tau, names) -> str:
     parts = [
+        SCHEME,
         type(potential).__name__,
         repr(sorted(vars(potential).items())),
         repr(packet.epsilon),
@@ -217,11 +259,22 @@ def _cache_key(spec, packet, potential, times, tau, names) -> str:
 
 
 def _write_cache(path, names, times, table):
-    lines = ["time,observable,value"]
-    for i, t in enumerate(times):
-        for name in names:
-            lines.append(f"{float(t)!r},{name},{float(table[name][i])!r}")
-    path.write_text("\n".join(lines) + "\n")
+    """Write the table next to ``path`` and rename it into place, so the
+    final path never holds a partial table.  The temporary file is created
+    exclusively with the mode a plain write gives, so a shared cache
+    directory stays readable."""
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as out:
+            out.write("time,observable,value\n")
+            for i, t in enumerate(times):
+                for name in names:
+                    out.write(f"{float(t)!r},{name},{float(table[name][i])!r}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_cache(path, names, times):
@@ -250,9 +303,11 @@ def reference_expectations(
 ):
     """Expectation table {name: values over `times`} from one propagation.
 
-    Snapshot times must be nondecreasing and commensurate with tau.  With
-    ``cache_dir`` set, a previous run with the identical configuration is
-    reused from disk.
+    The wave function steps through :func:`flow.split_snapshots` with the
+    order-4 composition of the Strang step: A is the potential phase, B the
+    kinetic step in Fourier space.  Snapshot times must be nondecreasing and
+    commensurate with tau.  With ``cache_dir`` set, a previous run of the
+    same scheme with the identical configuration is reused from disk.
     """
     times = [float(t) for t in times]
     names = list(observable_names)
@@ -261,8 +316,6 @@ def reference_expectations(
 
     cache_path = None
     if cache_dir is not None:
-        from pathlib import Path
-
         cache_path = Path(cache_dir) / (
             _cache_key(spec, packet, potential, times, tau, names) + ".csv"
         )
@@ -270,18 +323,15 @@ def reference_expectations(
             return _read_cache(cache_path, names, times)
 
     grid = init_packet(spec, packet)
-    half_potential, kinetic = _phases(spec, potential, grid.epsilon, tau)
+    eps = grid.epsilon
+    flows = _grid_flows(spec, potential, eps, workers)
+
     table = {name: np.empty(len(times)) for name in names}
-    t_prev = 0.0
-    psi = grid.psi
-    for i, t_snap in enumerate(times):
-        n_steps = step_count(t_snap - t_prev, tau)
-        for _ in range(n_steps):
-            psi = half_potential * psi
-            psi = ifftn(kinetic * fftn(psi, workers=workers), workers=workers)
-            psi = half_potential * psi
-        t_prev = t_snap
-        grid = WaveFunctionGrid(psi=psi, spec=spec, epsilon=grid.epsilon, t=t_snap)
+    snaps = split_snapshots(grid.psi, times, tau, _ORDER, *flows)
+    for i, (t_snap, psi) in enumerate(zip(times, snaps)):
+        # A updates psi in place, so every reading happens before the
+        # generator resumes.
+        grid = WaveFunctionGrid(psi=psi, spec=spec, epsilon=eps, t=t_snap)
         drift = abs(grid.norm() - 1.0)
         if drift > 1e-10:
             raise RuntimeError(f"unitarity lost: norm drift {drift:.3e} at t={t_snap}")

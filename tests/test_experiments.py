@@ -5,10 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import egorov.cli as cli
 import egorov.correction as correction_mod
 import egorov.experiments as experiments
+import egorov.reference as reference
 from egorov.experiments import (
     CSV_HEADER,
     CheckResult,
@@ -31,6 +34,7 @@ from egorov.experiments import (
     write_sweep_csv,
 )
 from egorov.experiments import _config_for_value, _loglog_slope
+from egorov.flow import step_count
 from egorov.sampling import GaussianPacket, QmcSampler, sample_points
 
 
@@ -62,8 +66,19 @@ class TestRunConfig:
         )
 
     def test_tau_reference_default_scales_with_epsilon(self):
-        assert tiny_config().tau_reference_effective == pytest.approx(0.1 / 800)
+        assert tiny_config().tau_reference_effective == pytest.approx(0.1 / 16)
         assert tiny_config(tau_reference=1e-3).tau_reference_effective == 1e-3
+
+    @settings(max_examples=100, deadline=None)
+    @given(epsilon=st.floats(1e-3, 1.0), stride=st.floats(1e-3, 10.0))
+    def test_default_tau_reference_divides_stride(self, epsilon, stride):
+        config = tiny_config(
+            epsilon=epsilon, snapshot_stride=stride, t_final=stride,
+            tau_flow=stride, tau_correction=stride,
+        )
+        tau = config.tau_reference_effective
+        assert tau <= epsilon / 16 * (1 + 1e-12)
+        assert step_count(stride, tau) >= 1
 
     @pytest.mark.parametrize(
         "overrides,message",
@@ -87,6 +102,7 @@ class TestRunConfig:
             (dict(observables=("q3",)), "out of range"),
             (dict(observables=("spin",)), "unknown observable"),
             (dict(halton_skip=-1), "halton_skip"),
+            (dict(tau_reference=0.03), "multiple of tau_reference"),
         ],
     )
     def test_validation(self, overrides, message):
@@ -361,6 +377,16 @@ class TestRunReference:
         by_key = rows_by_key(rows)
         assert by_key[(0.0, "q1")].reference == pytest.approx(1.0, abs=1e-10)
 
+    def test_default_step_divides_any_stride(self):
+        # eps/800 = 8.75e-5 does not divide the stride 0.5; the default step
+        # 0.5/115 does.
+        config = tiny_config(
+            epsilon=0.07, snapshot_stride=0.5, t_final=0.5, grid_points=64,
+        )
+        rows = rows_by_key(run_reference(config))
+        assert rows[(0.0, "q1")].reference == pytest.approx(1.0, abs=1e-10)
+        assert np.isfinite(rows[(0.5, "q1")].reference)
+
 
 class TestCompare:
     def test_self_comparison_is_zero(self):
@@ -612,6 +638,21 @@ class TestCli:
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_incommensurate_tau_reference_exits_one(self, config_file, tmp_path, capsys):
+        config_file.write_text(self.CONFIG.replace("tau_reference = 0.01", "tau_reference = 0.03"))
+        code = cli.main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "tau_reference" in capsys.readouterr().err
+
+    def test_reference_metadata_names_scheme_and_step(self, config_file, tmp_path):
+        out = tmp_path / "ref"
+        assert cli.main(["reference", "--config", str(config_file), "--out", str(out)]) == 0
+        payload = json.loads((out / "metadata.json").read_text())
+        assert payload["reference"] == {"scheme": reference.SCHEME, "tau": 0.01, "steps": 20}
+        # The metadata goes beside the table, never into it.
+        write_rows_csv(run_reference(load_config(config_file)), tmp_path / "direct.csv")
+        assert (out / "reference.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = cli.main(["run", "--config", str(tmp_path / "nope.cfg")])

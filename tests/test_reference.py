@@ -1,5 +1,7 @@
 """Split-step Fourier reference solver on a periodic tensor grid."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -168,25 +170,43 @@ class TestExpectation:
         )
 
     def test_energy_constant_along_run(self):
-        # Strang conserves a modified energy, so <H> oscillates at O(tau^2)
-        # without secular growth; measured drift 1.5e-9 at this step size.
+        # The split step conserves a modified energy, so <H> oscillates at
+        # O(tau^4) without secular growth; measured drift 5.4e-11 at the
+        # default step eps/16.
         packet = GaussianPacket(np.array([1.0, 0.0]), EPS)
         table = reference_expectations(
             GridSpec(1, 256), packet, torsional_potential(1),
-            np.arange(0.0, 15.5, 2.5), 1.25e-4, ["total"],
+            np.arange(0.0, 15.5, 2.5), EPS / 16, ["total"],
         )
         drift = np.max(np.abs(table["total"] - table["total"][0]))
         assert drift <= 1e-8
 
     def test_self_convergence_second_order(self):
+        # schrodinger_step is the plain Strang step: halving tau divides
+        # the error by 4.
+        packet = GaussianPacket(np.array([1.0, 0.0]), EPS)
+        pot = torsional_potential(1)
+        vals = []
+        for tau in (4e-3, 2e-3, 1e-3):
+            grid = init_packet(GridSpec(1, 256), packet)
+            for _ in range(round(1.0 / tau)):
+                grid = schrodinger_step(grid, tau, pot)
+            vals.append(expectation(grid, "q1", pot))
+        ratio = (vals[0] - vals[1]) / (vals[1] - vals[2])
+        assert 2.8 < ratio < 5.2
+
+    def test_self_convergence_fourth_order(self):
+        # reference_expectations composes Strang to order 4: halving tau
+        # divides the error by 16 (measured 16.00).  At tau = 4e-3 the
+        # differences reach roundoff, so the steps stay coarser.
         packet = GaussianPacket(np.array([1.0, 0.0]), EPS)
         pot = torsional_potential(1)
         vals = [
             reference_expectations(GridSpec(1, 256), packet, pot, [1.0], tau, ["q1"])["q1"][0]
-            for tau in (4e-3, 2e-3, 1e-3)
+            for tau in (0.05, 0.025, 0.0125)
         ]
         ratio = (vals[0] - vals[1]) / (vals[1] - vals[2])
-        assert 2.8 < ratio < 5.2
+        assert 11.2 < ratio < 20.8
 
 
 class TestReferenceExpectations:
@@ -229,6 +249,52 @@ class TestReferenceExpectations:
         monkeypatch.setattr(reference, "init_packet", boom)
         cached = reference_expectations(*args, cache_dir=cache)
         np.testing.assert_array_equal(cached["q1"], expected["q1"])
+
+    def test_scheme_change_forces_recompute(self, packet_2d, grid_cache, monkeypatch):
+        # A table made by another scheme at the same tau is never read back.
+        cache = grid_cache / "scheme"
+        args = (GridSpec(2, 64), packet_2d, torsional_potential(2), [0.1], 1e-2, ["q1"])
+        reference_expectations(*args, cache_dir=cache)
+        monkeypatch.setattr(reference, "SCHEME", reference.SCHEME + ", changed")
+        calls = []
+        monkeypatch.setattr(
+            reference, "init_packet",
+            lambda *a: calls.append(a) or init_packet(*a),
+        )
+        reference_expectations(*args, cache_dir=cache)
+        assert len(calls) == 1
+        assert len(list(cache.glob("*.csv"))) == 2
+
+    def test_cache_file_mode_follows_umask(self, tmp_path):
+        # The temporary file is renamed into place, so the table keeps the
+        # mode a plain write would give it, not a private one.
+        path = tmp_path / "table.csv"
+        reference._write_cache(path, ["q1"], [0.0], {"q1": [0.5]})
+        umask = os.umask(0)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("failure", ["row", "rename"])
+    def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch, failure):
+        # The table goes to a temporary file that is renamed into place, so
+        # a write that fails mid-way leaves nothing at the final path.
+        class Unwritable:
+            def __float__(self):
+                raise OSError("disk full")
+
+        path = tmp_path / "table.csv"
+        table = {"q1": [0.5, 0.25]}
+        if failure == "row":
+            table["q1"][1] = Unwritable()
+        else:
+            def refuse(src, dst):
+                raise OSError("rename refused")
+
+            monkeypatch.setattr(reference.os, "replace", refuse)
+        with pytest.raises(OSError):
+            reference._write_cache(path, ["q1"], [0.0, 0.1], table)
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_cache_detected(self, packet_2d, grid_cache):
         cache = grid_cache / "corrupt"
