@@ -23,7 +23,6 @@ from .experiments import (
     reference_metadata,
     run_corrected,
     run_reference,
-    selftest,
     sweep,
     write_metadata,
     write_rows_csv,
@@ -145,6 +144,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_selftest(args) -> int:
     del args
+    # Imported here so that `egorov run` does not pay for the checks and the
+    # quadrature oracle they use.
+    from .checks import selftest
+
     results = selftest()
     failed = 0
     for check in results:

@@ -23,6 +23,13 @@ therefore exact (its right-hand side is frozen along it), and their
 symmetric composition gives the second-order step :func:`f2_step`; the
 Yoshida triple jump gives :func:`f4_step`.
 
+The sub-flows contract the coupling blocks directly; the block system has no
+materialized matrix form.  Its independent references are the unreordered
+flat form below (:func:`general_rhs`, integrated by classic RK4 in
+:func:`evolve_general`) and the bracket-quadrature oracle in
+:mod:`egorov.oracle`; :mod:`egorov.checks` compares the split-step tensors
+with both.
+
 All states are batched: every field carries leading sample axes.
 """
 
@@ -48,7 +55,6 @@ __all__ = [
     "evolve_correction",
     "evolve_correction_snapshots",
     "a2_eval",
-    "assemble_blocks",
     "general_rhs",
     "evolve_general",
 ]
@@ -162,24 +168,6 @@ class CorrectionState:
             xi1=xi[..., :d].copy(), xi2=xi[..., d:].copy(),
             t=t,
         )
-
-    # -- documented flat layouts (used by the dense block matrices) --
-
-    def psi2_vector(self) -> np.ndarray:
-        """Concatenation (p, lam21, lam22, lam23, lam4, gam21, gam22, xi2),
-        each tensor vec'd row-major; length 4d^3 + 2d^2 + 2d."""
-        batch = self.q.shape[:-1]
-        parts = (self.p, self.lam21, self.lam22, self.lam23, self.lam4,
-                 self.gam21, self.gam22, self.xi2)
-        return np.concatenate([p.reshape(batch + (-1,)) for p in parts], axis=-1)
-
-    def psi3_vector(self) -> np.ndarray:
-        """Concatenation (lam1, lam31, lam32, lam33, gam1, gam3, xi1);
-        length 4d^3 + 2d^2 + d."""
-        batch = self.q.shape[:-1]
-        parts = (self.lam1, self.lam31, self.lam32, self.lam33,
-                 self.gam1, self.gam3, self.xi1)
-        return np.concatenate([p.reshape(batch + (-1,)) for p in parts], axis=-1)
 
 
 def _mode1(w: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -338,151 +326,6 @@ def a2_eval(observable: Observable, state: CorrectionState) -> np.ndarray:
         + 3.0 * np.einsum("...ij,...ji->...", d2a, gam)
         + np.einsum("...i,...i->...", da, xi)
     )
-
-
-def assemble_blocks(potential: Potential, q: np.ndarray):
-    """Dense block operators (A2, A3, b2) of the split system at position q.
-
-    A2 maps a Psi3-layout vector to a Psi2-layout derivative, A3 the
-    reverse, and b2 is the Psi2 inhomogeneity.  This materialization exists
-    for validation; production stepping contracts the blocks implicitly.
-    """
-    q = np.asarray(q, dtype=float)
-    d = potential.d
-    w2 = potential.hessian(q)
-    w3m = potential.third(q).reshape(d, d * d)  # rows i, columns (j, k)
-    w4m = potential.fourth(q).reshape(d, d * d * d)
-    eye = np.eye(d)
-    eye2 = np.eye(d * d)
-    eye3 = np.eye(d**3)
-    zero3 = np.zeros((d**3, d**3))
-
-    m1 = -np.kron(np.kron(w2, eye), eye)
-    m2 = -np.kron(np.kron(eye, w2), eye)
-    m3 = -np.kron(np.kron(eye, eye), w2)
-
-    n2, n3 = 4 * d**3 + 2 * d**2 + 2 * d, 4 * d**3 + 2 * d**2 + d
-    a2 = np.zeros((n2, n3))
-    a3 = np.zeros((n3, n2))
-
-    # Psi2 layout offsets: p, lam21, lam22, lam23, lam4, gam21, gam22, xi2
-    o2 = np.cumsum([0, d, d**3, d**3, d**3, d**3, d*d, d*d])
-    # Psi3 layout offsets: lam1, lam31, lam32, lam33, gam1, gam3, xi1
-    o3 = np.cumsum([0, d**3, d**3, d**3, d**3, d*d, d*d])
-
-    def put(mat, ro, co, block):
-        mat[ro[0]:ro[1], co[0]:co[1]] = block
-
-    s2 = [(o2[i], o2[i] + n) for i, n in enumerate([d, d**3, d**3, d**3, d**3, d*d, d*d, d])]
-    s3 = [(o3[i], o3[i] + n) for i, n in enumerate([d**3, d**3, d**3, d**3, d*d, d*d, d])]
-
-    # rows lam21/22/23: mode contraction on lam1 plus pairs of lam3 blocks
-    for row, mode_block, pair in (
-        (1, m1, (2, 3)),   # lam21 <- lam32 + lam33
-        (2, m2, (1, 3)),   # lam22 <- lam31 + lam33
-        (3, m3, (1, 2)),   # lam23 <- lam31 + lam32
-    ):
-        put(a2, s2[row], s3[0], mode_block)
-        for col in pair:
-            put(a2, s2[row], s3[col], eye3)
-    # row lam4: modes on lam31/32/33
-    put(a2, s2[4], s3[1], m1)
-    put(a2, s2[4], s3[2], m2)
-    put(a2, s2[4], s3[3], m3)
-    # rows gam21/gam22
-    put(a2, s2[5], s3[0], -np.kron(w3m, eye))
-    put(a2, s2[5], s3[4], -np.kron(w2, eye))
-    put(a2, s2[5], s3[5], eye2)
-    put(a2, s2[6], s3[4], -np.kron(eye, w2))
-    put(a2, s2[6], s3[5], eye2)
-    # row xi2 (the Xi coupling block is -D2V, matching the Xi equation)
-    put(a2, s2[7], s3[0], -w4m)
-    put(a2, s2[7], s3[4], -3.0 * w3m)
-    put(a2, s2[7], s3[6], -w2)
-
-    # rows lam1 and lam31/32/33 of A3
-    for col in (1, 2, 3):
-        put(a3, s3[0], s2[col], eye3)
-    put(a3, s3[1], s2[2], m3)
-    put(a3, s3[1], s2[3], m2)
-    put(a3, s3[2], s2[1], m3)
-    put(a3, s3[2], s2[3], m1)
-    put(a3, s3[3], s2[1], m2)
-    put(a3, s3[3], s2[2], m1)
-    for row in (1, 2, 3):
-        put(a3, s3[row], s2[4], eye3)
-    # rows gam1, gam3, xi1
-    put(a3, s3[4], s2[5], eye2)
-    put(a3, s3[4], s2[6], eye2)
-    put(a3, s3[5], s2[3], -np.kron(w3m, eye))
-    put(a3, s3[5], s2[5], -np.kron(eye, w2))
-    put(a3, s3[5], s2[6], -np.kron(w2, eye))
-    put(a3, s3[6], s2[7], eye)
-
-    b2 = np.zeros(n2)
-    b2[s2[0][0]:s2[0][1]] = -potential.gradient(q)
-    b2[s2[4][0]:s2[4][1]] = -tilde_d3(potential.third(q)).ravel()
-    return a2, a3, b2
-
-
-def _state_from_layout(q, psi2, psi3, t):
-    """Rebuild a CorrectionState from the flat Psi2/Psi3 layout vectors."""
-    d = q.shape[-1]
-    c3, c2 = d**3, d * d
-
-    def cut(vec, sizes):
-        offs = np.cumsum([0] + sizes)
-        return [vec[a:b] for a, b in zip(offs[:-1], offs[1:])]
-
-    p, lam21, lam22, lam23, lam4, gam21, gam22, xi2 = cut(
-        psi2, [d, c3, c3, c3, c3, c2, c2, d])
-    lam1, lam31, lam32, lam33, gam1, gam3, xi1 = cut(
-        psi3, [c3, c3, c3, c3, c2, c2, d])
-    t3, t2 = (d, d, d), (d, d)
-    return CorrectionState(
-        q=q.copy(), p=p.copy(),
-        lam1=lam1.reshape(t3), lam21=lam21.reshape(t3),
-        lam22=lam22.reshape(t3), lam23=lam23.reshape(t3),
-        lam31=lam31.reshape(t3), lam32=lam32.reshape(t3),
-        lam33=lam33.reshape(t3), lam4=lam4.reshape(t3),
-        gam1=gam1.reshape(t2), gam21=gam21.reshape(t2),
-        gam22=gam22.reshape(t2), gam3=gam3.reshape(t2),
-        xi1=xi1.copy(), xi2=xi2.copy(), t=t,
-    )
-
-
-def evolve_correction_dense(
-    z0: np.ndarray, t: float, tau: float, potential: Potential
-) -> CorrectionState:
-    """Correction state computed through the materialized block matrices.
-
-    Same composition as :func:`evolve_correction`, but every sub-flow applies
-    the dense operators from :func:`assemble_blocks` to the flat layout
-    vectors.  Single trajectory only; exists so that a fault in any assembled
-    coupling block changes the result and gets caught by the cross-checks.
-    """
-    z0 = np.asarray(z0, dtype=float)
-    if z0.ndim != 1:
-        raise ValueError("dense evolution handles a single phase point")
-    d = z0.shape[0] // 2
-    state0 = CorrectionState.initial(z0)
-
-    def psi2_flow(s, state):
-        q, psi2, psi3 = state
-        a2, _, b2 = assemble_blocks(potential, q)
-        return q, psi2 + s * (a2 @ psi3 + b2), psi3
-
-    def psi1_psi3_psi1(s, state):
-        q, psi2, psi3 = state
-        q = q + 0.5 * s * psi2[:d]
-        _, a3, _ = assemble_blocks(potential, q)
-        return q + 0.5 * s * psi2[:d], psi2, psi3 + s * (a3 @ psi2)
-
-    ((q, psi2, psi3),) = split_snapshots(
-        (state0.q, state0.psi2_vector(), state0.psi3_vector()),
-        [t], tau, 4, psi2_flow, psi1_psi3_psi1,
-    )
-    return _state_from_layout(q, psi2, psi3, t)
 
 
 # ---------------------------------------------------------------------------

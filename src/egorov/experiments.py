@@ -4,8 +4,8 @@ Turns a flat key=value config into trajectory ensembles: the plain
 classical-transport estimate from N0 samples under the order-8 flow, the
 second-order correction from N2 samples of the split correction dynamics,
 their combination, and optionally the grid reference.  Also provides
-comparison tables (per-time errors plus mean/max summaries), parameter
-sweeps with log-log slope estimates, and a self-test battery.
+comparison tables (per-time errors plus mean/max summaries) and parameter
+sweeps with log-log slope estimates.
 
 Determinism contract: no RNG anywhere; sampling is Halton with a fixed
 skip, samples are processed in fixed chunks of 65536, each chunk is reduced
@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import correction as _correction
 from .correction import a2_eval, evolve_correction_snapshots
 from .flow import propagate_snapshots, step_count
 from .observables import make_observable
@@ -42,7 +41,6 @@ from .sampling import GaussianPacket, QmcSampler, sample_points
 __all__ = [
     "CHUNK_SIZE",
     "CSV_HEADER",
-    "CheckResult",
     "ResultRow",
     "RunConfig",
     "SweepResult",
@@ -55,7 +53,6 @@ __all__ = [
     "run_corrected",
     "run_egorov",
     "run_reference",
-    "selftest",
     "snapshot_times",
     "sweep",
     "table_row_config",
@@ -795,230 +792,3 @@ def write_sweep_csv(result: SweepResult, path) -> None:
             )
         )
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Self-test battery.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _check(name, fn) -> CheckResult:
-    try:
-        detail = fn()
-        return CheckResult(name, True, detail)
-    except AssertionError as exc:
-        return CheckResult(name, False, str(exc))
-    except Exception as exc:  # noqa: BLE001 - report, don't crash the battery
-        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
-
-
-def _selftest_oracle_equivalence() -> str:
-    from .oracle import a2_quadrature
-
-    pot = torsional_potential(2)
-    z0 = np.array([1.0, 0.5, 0.0, 0.0])
-    names = ("q1", "p1", "kinetic", "potential")
-    observables = [make_observable(name, pot) for name in names]
-    state = _correction.evolve_correction_dense(z0, 1.0, 1e-3, pot)
-    block_vals = [float(a2_eval(obs, state)) for obs in observables]
-    quad_vals = a2_quadrature(observables, z0, 1.0, 128, pot, tau_var=1e-3)
-    worst = 0.0
-    for name, block, quad in zip(names, block_vals, quad_vals):
-        rel = abs(block - quad) / max(abs(quad), 1e-30)
-        worst = max(worst, rel)
-        assert rel <= 1e-5, (
-            f"{name}: split {block:.6e} vs quadrature {quad:.6e} (rel {rel:.2e})"
-        )
-    return f"4 observables, worst relative difference {worst:.2e}"
-
-
-def _selftest_split_matches_dense() -> str:
-    pot = torsional_potential(2)
-    z0 = np.array([1.0, 0.5, 0.0, 0.0])
-    split = _correction.evolve_correction(z0, 1.0, 1e-2, pot)
-    dense = _correction.evolve_correction_dense(z0, 1.0, 1e-2, pot)
-    gap = max(
-        float(np.max(np.abs(split.lambda_full() - dense.lambda_full()))),
-        float(np.max(np.abs(split.gamma_full() - dense.gamma_full()))),
-        float(np.max(np.abs(split.xi_full() - dense.xi_full()))),
-    )
-    assert gap <= 1e-12, f"split vs dense tensors differ by {gap:.2e}"
-    return f"tensor gap {gap:.2e}"
-
-
-def _selftest_block_general() -> str:
-    from .potentials import Hamiltonian
-
-    pot = torsional_potential(2)
-    z0 = np.array([1.0, 0.5, 0.0, 0.0])
-    block = _correction.evolve_correction(z0, 1.0, 1e-3, pot)
-    general = _correction.evolve_general(z0, 1.0, 1e-3, Hamiltonian(pot))
-    gap = max(
-        float(np.max(np.abs(block.lambda_full() - general.lam))),
-        float(np.max(np.abs(block.gamma_full() - general.gam))),
-        float(np.max(np.abs(block.xi_full() - general.xi))),
-    )
-    assert gap <= 1e-8, f"block vs general tensors differ by {gap:.2e}"
-    return f"tensor gap {gap:.2e}"
-
-
-def _selftest_symmetry() -> str:
-    from .tensor_ops import apply_J_triple, tilde_d3
-
-    raw = np.linspace(-1.0, 1.0, 200 * 64).reshape(200, 4, 4, 4)
-    sym = (
-        raw
-        + raw.transpose(0, 1, 3, 2)
-        + raw.transpose(0, 2, 1, 3)
-        + raw.transpose(0, 2, 3, 1)
-        + raw.transpose(0, 3, 1, 2)
-        + raw.transpose(0, 3, 2, 1)
-    )
-    weighted = tilde_d3(sym)
-    lifted = apply_J_triple(weighted)
-    for tensor in (weighted, lifted):
-        for perm in ((0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)):
-            gap = float(np.max(np.abs(tensor - tensor.transpose(perm))))
-            assert gap <= 1e-12, f"symmetry broken by {gap:.2e}"
-    return "200 tensors, both maps preserve symmetry"
-
-
-def _selftest_vectorization() -> str:
-    from .tensor_ops import kron, mode_matrix, mode_multiply, vec
-
-    base = np.linspace(0.2, 1.8, 9).reshape(3, 3)
-    other = np.linspace(-1.0, 1.0, 9).reshape(3, 3)[::-1].copy()
-    mat = np.linspace(0.5, 2.0, 9).reshape(3, 3)
-    ten = np.linspace(-2.0, 2.0, 27).reshape(3, 3, 3)
-    worst = 0.0
-    for order, tensor in ((2, mat), (3, ten)):
-        for mode in range(order):
-            direct = vec(mode_multiply(base, tensor, mode))
-            via = mode_matrix(base, order, mode) @ vec(tensor)
-            worst = max(worst, float(np.max(np.abs(direct - via))))
-    gap = float(
-        np.max(np.abs(kron(base, other) @ vec(mat) - vec(base @ mat @ other.T)))
-    )
-    worst = max(worst, gap)
-    assert worst <= 1e-12, f"vectorization identities off by {worst:.2e}"
-    return f"orders 2-3, all modes, worst gap {worst:.2e}"
-
-
-def _selftest_bracket_antisymmetry() -> str:
-    from .oracle import JetFunction, poisson_k
-
-    def f(z):
-        return np.sin(z[..., 0]) * z[..., 2] + 0.3 * z[..., 1] * z[..., 3] ** 2
-
-    def g(z):
-        return np.cos(z[..., 1]) + z[..., 0] ** 2 * z[..., 3]
-
-    jet_f = JetFunction.from_callable(f, 4)
-    jet_g = JetFunction.from_callable(g, 4)
-    z = np.array([0.4, -0.3, 0.8, 0.6])
-    worst = 0.0
-    for k, sign in ((1, 1.0), (2, -1.0), (3, 1.0)):
-        fg = poisson_k(jet_f, jet_g, k, z)
-        gf = poisson_k(jet_g, jet_f, k, z)
-        gap = abs(fg + sign * gf)
-        worst = max(worst, gap)
-        assert gap <= 1e-5, f"order-{k} bracket symmetry off by {gap:.2e}"
-    return f"k=1,2,3 worst residual {worst:.2e}"
-
-
-def _selftest_flow_integral() -> str:
-    from .oracle import flow_integral
-
-    pot = torsional_potential(2)
-    z0 = np.array([0.8, 0.3, 0.2, -0.4])
-
-    def integrand(s, z):
-        return np.sin(z[..., 0]) * np.cos(s) + z[..., 2] ** 2
-
-    t, dt = 1.0, 1e-3
-    plus = flow_integral(integrand, z0, t + dt, 128, pot)
-    minus = flow_integral(integrand, z0, t - dt, 128, pot)
-    derivative = (plus - minus) / (2 * dt)
-
-    def integrand_ds(s, z):
-        return -np.sin(z[..., 0]) * np.sin(s)
-
-    from .flow import propagate
-
-    inner = flow_integral(integrand_ds, z0, t, 128, pot)
-    z_t = propagate(z0, t, 1e-3, 8, pot)
-    boundary = float(integrand(0.0, z_t))
-    gap = abs(derivative - (inner + boundary))
-    assert gap <= 1e-4, f"transport-derivative identity off by {gap:.2e}"
-    return f"residual {gap:.2e}"
-
-
-def _selftest_flow_orders() -> str:
-    from .flow import propagate
-    from .potentials import Hamiltonian
-
-    pot = torsional_potential(2)
-    z0 = np.array([1.0, 0.5, 0.0, 0.0])
-    fine = propagate(z0, 1.0, 1e-4, 2, pot)
-    errs = [
-        float(np.max(np.abs(propagate(z0, 1.0, tau, 2, pot) - fine)))
-        for tau in (2e-2, 1e-2)
-    ]
-    ratio = errs[0] / errs[1]
-    assert 3.0 <= ratio <= 5.0, f"second-order ratio {ratio:.2f} outside [3, 5]"
-    ham = Hamiltonian(pot)
-    drift = abs(float(ham.value(propagate(z0, 15.0, 0.1, 8, pot)) - ham.value(z0)))
-    assert drift <= 5e-10, f"order-8 energy drift {drift:.2e}"
-    fine_c = _correction.evolve_correction(z0, 1.0, 1e-4, pot)
-    errs_c = []
-    for tau in (2e-2, 1e-2):
-        state = _correction.evolve_correction(z0, 1.0, tau, pot)
-        errs_c.append(
-            float(np.max(np.abs(state.lambda_full() - fine_c.lambda_full())))
-        )
-    ratio_c = errs_c[0] / errs_c[1]
-    assert 12.0 <= ratio_c <= 20.0, (
-        f"fourth-order ratio {ratio_c:.2f} outside [12, 20]"
-    )
-    return f"order ratios {ratio:.2f} (transport), {ratio_c:.2f} (correction)"
-
-
-def _selftest_harmonic_zero() -> str:
-    pot = harmonic_potential(2, (1.0, 2.0))
-    z0 = np.array([0.7, -0.2, 0.1, 0.5])
-    state = _correction.evolve_correction(z0, 1.0, 0.05, pot)
-    peak = max(
-        float(np.max(np.abs(state.lambda_full()))),
-        float(np.max(np.abs(state.gamma_full()))),
-        float(np.max(np.abs(state.xi_full()))),
-    )
-    assert peak == 0.0, f"harmonic correction tensors reach {peak:.2e}"
-    values = [
-        float(a2_eval(make_observable(name, pot), state))
-        for name in ("q1", "p2", "kinetic", "potential", "total")
-    ]
-    assert all(v == 0.0 for v in values), f"harmonic corrections {values}"
-    return "all correction tensors and values exactly zero"
-
-
-def selftest() -> list[CheckResult]:
-    """Named numerical cross-checks; all must pass on a healthy build."""
-    battery = (
-        ("oracle-equivalence", _selftest_oracle_equivalence),
-        ("split-matches-dense", _selftest_split_matches_dense),
-        ("block-general-equivalence", _selftest_block_general),
-        ("symmetry-preservation", _selftest_symmetry),
-        ("vectorization-identities", _selftest_vectorization),
-        ("bracket-antisymmetry", _selftest_bracket_antisymmetry),
-        ("transport-integral-identity", _selftest_flow_integral),
-        ("integrator-orders", _selftest_flow_orders),
-        ("harmonic-zero-correction", _selftest_harmonic_zero),
-    )
-    return [_check(name, fn) for name, fn in battery]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import ndtri
 
 __all__ = [
     "GaussianPacket",
@@ -107,65 +107,14 @@ def halton_sequence(n: int, dim: int, skip: int = 64) -> np.ndarray:
     return np.stack([halton(indices, b) for b in bases], axis=-1)
 
 
-# Rational approximation of the standard normal quantile (relative error
-# below 1.15e-9 on its own), then a single Newton step through the
-# complementary error function pushes the absolute error under 1e-9.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_U_LOW = 0.02425
-
-
-def _quantile_raw(u: np.ndarray) -> np.ndarray:
-    x = np.empty_like(u)
-    low = u < _U_LOW
-    high = u > 1.0 - _U_LOW
-    mid = ~(low | high)
-
-    if np.any(mid):
-        q = u[mid] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        x[mid] = q * num / den
-    if np.any(low):
-        q = np.sqrt(-2.0 * np.log(u[low]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        x[low] = num / den
-    if np.any(high):
-        q = np.sqrt(-2.0 * np.log(1.0 - u[high]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        x[high] = -num / den
-    return x
-
-
 def inverse_normal_cdf(u):
-    """Standard normal quantile, absolute error below 1e-9 on (0,1)."""
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    """Standard normal quantile (scipy's ``ndtri``) on (0, 1); a float for
+    scalar input, an array of the input's shape otherwise."""
+    arr = np.asarray(u, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("quantile argument must lie strictly in (0, 1)")
-    x = _quantile_raw(arr)
-    # Newton polish of Phi(x) - u.  The residual is formed on the near side
-    # of the distribution: against the CDF below the median, against the
-    # survival function and the exactly representable 1 - u above it, so no
-    # cancellation occurs in either tail.
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    upper = arr >= 0.5
-    resid = np.empty_like(x)
-    resid[~upper] = 0.5 * erfc(-x[~upper] / np.sqrt(2.0)) - arr[~upper]
-    resid[upper] = (1.0 - arr[upper]) - 0.5 * erfc(x[upper] / np.sqrt(2.0))
-    safe = pdf > 1e-300
-    x[safe] -= resid[safe] / pdf[safe]
-    if np.ndim(u) == 0:
-        return float(x[0])
-    return x.reshape(np.shape(u))
+    x = ndtri(arr)
+    return float(x) if x.ndim == 0 else x
 
 
 def sample_points(packet: GaussianPacket, sampler: QmcSampler) -> np.ndarray:

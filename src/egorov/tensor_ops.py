@@ -19,12 +19,10 @@ import numpy as np
 __all__ = [
     "kron",
     "vec",
-    "unvec",
     "mode_multiply",
     "mode_matrix",
     "tilde_weights",
     "tilde_d3",
-    "tilde_d3h",
     "symplectic_j",
     "j_contract_axis",
     "apply_J_triple",
@@ -50,11 +48,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def vec(tensor: np.ndarray) -> np.ndarray:
     """Flatten a tensor in row-major order (last index fastest)."""
     return np.ravel(np.asarray(tensor))
-
-
-def unvec(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`vec` for a known shape."""
-    return np.reshape(np.asarray(x), shape)
 
 
 def mode_multiply(a: np.ndarray, b: np.ndarray, mode: int) -> np.ndarray:
@@ -113,21 +106,6 @@ def tilde_d3(d3v: np.ndarray) -> np.ndarray:
         if not np.allclose(d3v, np.transpose(d3v, axes), atol=1e-10, rtol=0.0):
             raise ValueError("third-derivative tensor is not symmetric")
     return tilde_weights(n) * d3v
-
-
-def tilde_d3h(d3v: np.ndarray) -> np.ndarray:
-    """Weighted third derivative of a kinetic-plus-potential Hamiltonian,
-    embedded in the position block of a full phase-space tensor.
-
-    ``d3v`` has shape ``(..., d, d, d)``; the result has shape
-    ``(..., 2d, 2d, 2d)`` and vanishes on any index touching the momentum
-    block.
-    """
-    d3v = np.asarray(d3v)
-    d = d3v.shape[-1]
-    out = np.zeros(d3v.shape[:-3] + (2 * d, 2 * d, 2 * d))
-    out[..., :d, :d, :d] = tilde_d3(d3v)
-    return out
 
 
 def symplectic_j(d: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Correction-tensor dynamics: block layout, exact sub-flows, splitting
-steps, the dense-matrix cross-check, and a2 evaluation."""
+"""Correction-tensor dynamics: block layout, exact sub-flows against the
+flat general-form derivative, splitting steps, and a2 evaluation."""
 
 from __future__ import annotations
 
@@ -13,9 +13,7 @@ from egorov.correction import (
     CorrectionState,
     GeneralCorrectionState,
     a2_eval,
-    assemble_blocks,
     evolve_correction,
-    evolve_correction_dense,
     evolve_correction_snapshots,
     evolve_general,
     f2_step,
@@ -35,6 +33,9 @@ STATE_FIELDS = (
     "lam1", "lam21", "lam22", "lam23", "lam31", "lam32", "lam33", "lam4",
     "gam1", "gam21", "gam22", "gam3", "xi1", "xi2",
 )
+# The fields each exact sub-flow advances (psi1 advances q alone).
+PSI2_FIELDS = ("p", "lam21", "lam22", "lam23", "lam4", "gam21", "gam22", "xi2")
+PSI3_FIELDS = ("lam1", "lam31", "lam32", "lam33", "gam1", "gam3", "xi1")
 
 
 def state_gap(a: CorrectionState, b: CorrectionState) -> float:
@@ -68,12 +69,6 @@ class TestCorrectionState:
         for f in STATE_FIELDS[2:]:
             np.testing.assert_array_equal(getattr(s, f), 0.0)
 
-    def test_layout_vector_lengths(self, z0):
-        s = CorrectionState.initial(z0)
-        d = 2
-        assert s.psi2_vector().shape == (4 * d**3 + 2 * d**2 + 2 * d,)
-        assert s.psi3_vector().shape == (4 * d**3 + 2 * d**2 + d,)
-
     def test_full_tensor_round_trip(self):
         rng = np.random.default_rng(21)
         s = random_state(rng)
@@ -93,84 +88,6 @@ class TestCorrectionState:
         s = CorrectionState.initial(z)
         assert s.q.shape == (5, 3, 2)
         assert s.lam1.shape == (5, 3, 2, 2, 2)
-        assert s.psi2_vector().shape == (5, 3, 44)
-
-
-class TestAssembleBlocks:
-    def test_shapes(self, torsional_2d):
-        d = 2
-        a2, a3, b2 = assemble_blocks(torsional_2d, np.array([1.0, 0.5]))
-        n2, n3 = 4 * d**3 + 2 * d**2 + 2 * d, 4 * d**3 + 2 * d**2 + d
-        assert a2.shape == (n2, n3)
-        assert a3.shape == (n3, n2)
-        assert b2.shape == (n2,)
-
-    def test_operators_compose_with_layout_vectors(self, torsional_2d):
-        rng = np.random.default_rng(23)
-        s = random_state(rng)
-        a2, a3, b2 = assemble_blocks(torsional_2d, s.q)
-        assert (a2 @ s.psi3_vector() + b2).shape == s.psi2_vector().shape
-        assert (a3 @ s.psi2_vector()).shape == s.psi3_vector().shape
-
-    def test_harmonic_third_and_fourth_blocks_vanish(self):
-        # For a quadratic potential every coupling built from D3V or D4V is
-        # zero, as is the weighted-third-derivative part of the
-        # inhomogeneity; only -DV and the D2V blocks survive.
-        pot = harmonic_potential(2, (1.0, 2.0))
-        q = np.array([0.7, -0.4])
-        d = 2
-        a2, a3, b2 = assemble_blocks(pot, q)
-        o2 = np.cumsum([0, d, d**3, d**3, d**3, d**3, d * d, d * d])
-        o3 = np.cumsum([0, d**3, d**3, d**3, d**3, d * d, d * d])
-        # gam21 row x lam1 column: -(D3V)_m kron Id
-        np.testing.assert_array_equal(a2[o2[5]:o2[6], o3[0]:o3[1]], 0.0)
-        # xi2 row x lam1 column: -(D4V)_m ; xi2 row x gam1 column: -3 (D3V)_m
-        np.testing.assert_array_equal(a2[o2[7]:, o3[0]:o3[1]], 0.0)
-        np.testing.assert_array_equal(a2[o2[7]:, o3[4]:o3[5]], 0.0)
-        # gam3 row x lam23 column of A3
-        np.testing.assert_array_equal(a3[o3[5]:o3[6], o2[3]:o2[4]], 0.0)
-        # b2: momentum part is -DV, weighted-third part is zero
-        np.testing.assert_allclose(b2[:d], -pot.gradient(q))
-        np.testing.assert_array_equal(b2[o2[4]:o2[5]], 0.0)
-
-    def test_torsional_1d_quarter_turn_blocks(self):
-        # At q = pi/2 the hessian cos(q) vanishes, so every -D2V block is
-        # zero, while D3V = -sin(pi/2) = -1 makes the third-derivative
-        # couplings +1 (or +3 with the factor on the xi row) and the
-        # weighted inhomogeneity entry +1/6.
-        pot = torsional_potential(1)
-        a2, a3, b2 = assemble_blocks(pot, np.array([np.pi / 2]))
-        d = 1
-        o2 = np.cumsum([0, d, 1, 1, 1, 1, 1, 1])
-        o3 = np.cumsum([0, 1, 1, 1, 1, 1, 1])
-        # -D2V blocks: lam21 row x lam1 column is the mode-1 contraction
-        assert a2[o2[1], o3[0]] == pytest.approx(0.0, abs=1e-16)
-        assert a3[o3[5], o2[5]] == pytest.approx(0.0, abs=1e-16)
-        # -D3V blocks
-        assert a2[o2[5], o3[0]] == pytest.approx(1.0)
-        assert a2[o2[7], o3[4]] == pytest.approx(3.0)
-        assert a3[o3[5], o2[3]] == pytest.approx(1.0)
-        # inhomogeneity: -tilde(D3V) = -(1/6)(-1)
-        assert b2[o2[4]] == pytest.approx(1.0 / 6.0)
-
-    def test_rhs_matches_sub_flow_updates(self, torsional_2d):
-        # One explicit-Euler application of the dense operators equals the
-        # corresponding exact sub-flow update at small t (the sub-flows are
-        # linear in t, so equality is exact, not just first order).
-        rng = np.random.default_rng(24)
-        s = random_state(rng)
-        t = 0.37
-        a2, a3, b2 = assemble_blocks(torsional_2d, s.q)
-        stepped2 = sub_flow_psi2(t, s, torsional_2d)
-        np.testing.assert_allclose(
-            stepped2.psi2_vector(), s.psi2_vector() + t * (a2 @ s.psi3_vector() + b2),
-            atol=1e-12,
-        )
-        stepped3 = sub_flow_psi3(t, s, torsional_2d)
-        np.testing.assert_allclose(
-            stepped3.psi3_vector(), s.psi3_vector() + t * (a3 @ s.psi2_vector()),
-            atol=1e-12,
-        )
 
 
 class TestGeneralRhs:
@@ -193,8 +110,12 @@ class TestGeneralRhs:
 
     def test_matches_block_rhs_after_reordering(self, torsional_2d, ham_torsional_2d):
         # The flat-form derivative, split into the block layout, must equal
-        # A2 Psi3 + b2 / A3 Psi2 at an arbitrary (even asymmetric) state.
+        # the increments (sub_flow(t, s) - s) / t of the exact sub-flows,
+        # which are linear in t: psi1 moves q, psi2 the momentum-type fields
+        # and psi3 the position-type ones, at an arbitrary (even asymmetric)
+        # state.
         rng = np.random.default_rng(25)
+        t = 0.37
         for _ in range(5):
             s = random_state(rng)
             gen = GeneralCorrectionState.from_block(s)
@@ -202,14 +123,17 @@ class TestGeneralRhs:
             dblock = CorrectionState.from_full(
                 dz, dlam.reshape(4, 4, 4), dgam.reshape(4, 4), dxi
             )
-            a2, a3, b2 = assemble_blocks(torsional_2d, s.q)
-            np.testing.assert_allclose(
-                dblock.psi2_vector(), a2 @ s.psi3_vector() + b2, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                dblock.psi3_vector(), a3 @ s.psi2_vector(), atol=1e-12
-            )
-            np.testing.assert_allclose(dz[:2], s.p, atol=1e-15)
+            for stepped, fields in (
+                (sub_flow_psi1(t, s), ("q",)),
+                (sub_flow_psi2(t, s, torsional_2d), PSI2_FIELDS),
+                (sub_flow_psi3(t, s, torsional_2d), PSI3_FIELDS),
+            ):
+                for f in fields:
+                    np.testing.assert_allclose(
+                        getattr(dblock, f),
+                        (getattr(stepped, f) - getattr(s, f)) / t,
+                        rtol=0.0, atol=1e-12, err_msg=f,
+                    )
 
 
 class TestSubFlows:
@@ -357,17 +281,6 @@ class TestEvolveCorrection:
         with pytest.raises(ValueError, match="nondecreasing"):
             evolve_correction_snapshots(z0, [0.5, 0.25], 1e-2, torsional_2d)
 
-    def test_dense_matrix_path_agrees(self, torsional_2d, z0):
-        # Every coupling block materialized and applied as a dense matrix;
-        # any wrong block placement would show up here.
-        fast = evolve_correction(z0, 1.0, 1e-2, torsional_2d)
-        dense = evolve_correction_dense(z0, 1.0, 1e-2, torsional_2d)
-        assert state_gap(dense, fast) <= 1e-12
-
-    def test_dense_path_rejects_batched_input(self, torsional_2d):
-        with pytest.raises(ValueError, match="single"):
-            evolve_correction_dense(np.zeros((3, 4)), 1.0, 1e-2, torsional_2d)
-
     def test_batched_evolution_matches_loop(self, torsional_2d):
         rng = np.random.default_rng(34)
         batch = rng.uniform(-1.0, 1.0, size=(4, 4))
@@ -466,9 +379,18 @@ class TestA2Eval:
         s = evolve_correction(z0, 1.0, 1e-2, torsional_2d)
         assert a2_eval(constant_observable(2), s) == 0.0
 
-    def test_harmonic_corrections_all_zero(self, z0):
-        pot = harmonic_potential(2, (1.0, 2.0))
-        s = evolve_correction(z0, 2.0, 1e-2, pot)
+    @settings(max_examples=20, deadline=None)
+    @given(
+        point=arrays(float, 4, elements=st.floats(-2.0, 2.0)),
+        stiffness=st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0)),
+    )
+    def test_harmonic_corrections_all_zero(self, point, stiffness):
+        # A quadratic potential has D3V = D4V = 0, so the tensors have no
+        # source: they and every a2 vanish exactly, not just to rounding.
+        pot = harmonic_potential(2, stiffness)
+        s = evolve_correction(point, 2.0, 1e-2, pot)
+        for f in STATE_FIELDS[2:]:
+            np.testing.assert_array_equal(getattr(s, f), 0.0)
         for name in ("q1", "p2", "kinetic", "potential", "total"):
             assert a2_eval(make_observable(name, pot), s) == 0.0
 

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import egorov.checks as checks
 import egorov.cli as cli
 import egorov.correction as correction_mod
 import egorov.experiments as experiments
 import egorov.reference as reference
 from egorov.experiments import (
     CSV_HEADER,
-    CheckResult,
     ResultRow,
     RunConfig,
     build_potential,
@@ -25,7 +25,6 @@ from egorov.experiments import (
     run_corrected,
     run_egorov,
     run_reference,
-    selftest,
     snapshot_times,
     sweep,
     table_row_config,
@@ -543,29 +542,20 @@ class TestMetadata:
 
 class TestSelftest:
     def test_battery_passes(self):
-        results = selftest()
+        results = checks.selftest()
         failures = [r for r in results if not r.passed]
         assert not failures, "; ".join(f"{r.name}: {r.detail}" for r in failures)
-        assert len(results) == 9
+        assert len(results) == 8
 
     def test_sign_mutation_detected(self, monkeypatch):
-        # Flip the sign of one coupling block of the correction dynamics
-        # (the second-moment rows driven by the third-moment tensor) and the
-        # oracle-equivalence check must notice.
-        original = correction_mod.assemble_blocks
-        d = 2
-
-        def corrupted(potential, q):
-            a2, a3, b2 = original(potential, q)
-            a2 = a2.copy()
-            row = d + 4 * d**3
-            a2[row : row + d * d, 0 : d**3] *= -1.0
-            return a2, a3, b2
-
-        monkeypatch.setattr(correction_mod, "assemble_blocks", corrupted)
-        results = {r.name: r for r in selftest()}
-        assert not results["oracle-equivalence"].passed
-        assert "rel" in results["oracle-equivalence"].detail
+        # Flip the sign of one coupling of the production sub-flows (the
+        # w3:Lambda contraction that drives the second-moment blocks); the
+        # comparison with the general form must fail.
+        original = correction_mod._contract_w3
+        monkeypatch.setattr(
+            correction_mod, "_contract_w3", lambda w3, lam: -original(w3, lam)
+        )
+        assert not checks.run_check("block-general-equivalence").passed
 
 
 class TestCli:
@@ -669,11 +659,13 @@ class TestCli:
         assert "numerical check failed" in capsys.readouterr().err
 
     def test_selftest_exit_codes(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "selftest", lambda: [CheckResult("ok", True, "fine")])
+        monkeypatch.setattr(
+            checks, "selftest", lambda: [checks.CheckResult("ok", True, "fine")]
+        )
         assert cli.main(["selftest"]) == 0
         assert "PASS ok" in capsys.readouterr().out
         monkeypatch.setattr(
-            cli, "selftest", lambda: [CheckResult("broken", False, "boom")]
+            checks, "selftest", lambda: [checks.CheckResult("broken", False, "boom")]
         )
         assert cli.main(["selftest"]) == 2
         captured = capsys.readouterr()
