@@ -11,11 +11,9 @@ grid provides reference quantum dynamics for validation.
 
 from .correction import (
     CorrectionState,
-    GeneralCorrectionState,
     a2_eval,
     evolve_correction,
     evolve_correction_snapshots,
-    evolve_general,
 )
 from .flow import propagate, propagate_snapshots, strang_step
 from .observables import make_observable, OBSERVABLE_NAMES
@@ -30,19 +28,12 @@ from .potentials import (
     torsional_potential,
 )
 from .reference import GridSpec, init_packet, reference_expectations
-from .sampling import (
-    GaussianPacket,
-    QmcSampler,
-    qmc_expectation,
-    sample_points,
-    wigner_density,
-)
+from .sampling import GaussianPacket, QmcSampler, sample_points
 
 __all__ = [
     "CorrectionState",
     "FreePotential",
     "GaussianPacket",
-    "GeneralCorrectionState",
     "GridSpec",
     "Hamiltonian",
     "HarmonicPotential",
@@ -53,17 +44,14 @@ __all__ = [
     "a2_eval",
     "evolve_correction",
     "evolve_correction_snapshots",
-    "evolve_general",
     "free_potential",
     "harmonic_potential",
     "init_packet",
     "make_observable",
     "propagate",
     "propagate_snapshots",
-    "qmc_expectation",
     "reference_expectations",
     "sample_points",
     "strang_step",
     "torsional_potential",
-    "wigner_density",
 ]

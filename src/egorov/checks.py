@@ -1,9 +1,11 @@
 """Numerical cross-checks, each defined once.
 
 Every check is one function that runs production code on fixed inputs and
-returns its measured numbers by name; it asserts nothing.  ``egorov
-selftest`` runs the :data:`BATTERY`, which holds the band each number must
-lie in.  The acceptance tests call the same functions (criteria 1, 2, 7 and
+returns its measured numbers by name; it asserts nothing.  Production is
+held against the references in :mod:`egorov.oracle`, or against Kronecker
+matrices built with numpy for the correction stepper's mode products.
+``egorov selftest`` runs the :data:`BATTERY`, which holds the band each
+number must lie in.  The acceptance tests call the same functions (criteria 1, 2, 7 and
 8) and assert their own literal bounds.
 
 Inputs follow the acceptance criteria: the torsional trajectory from
@@ -16,15 +18,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .correction import a2_eval, evolve_correction, evolve_general
+from . import correction
+from .correction import a2_eval, evolve_correction
 from .flow import propagate
 from .observables import make_observable
-from .oracle import JetFunction, a2_quadrature, flow_integral, poisson_k
+from .oracle import JetFunction, a2_quadrature, evolve_general, flow_integral, poisson_k
 from .potentials import Hamiltonian, harmonic_potential, torsional_potential
-from .tensor_ops import apply_J_triple, kron, mode_matrix, mode_multiply, tilde_d3, vec
+from .tensor_ops import apply_J_triple, tilde_d3
 
 __all__ = [
     "BATTERY",
@@ -109,15 +113,25 @@ def symmetry_preservation() -> dict[str, float]:
 
 
 def vectorization_identities() -> dict[str, float]:
-    """Largest gap in vec(A X B^T) = (A kron B) vec(X) and in the mode
-    products against their Kronecker matrices, orders 2 and 3, all modes."""
+    """Largest gap in vec(A X B^T) = (A kron B) vec(X), and between the
+    correction stepper's mode products and their Kronecker matrices.
+
+    The mode products are looked up on :mod:`egorov.correction` when the
+    check runs, and apply the three seeded matrices to the seeded 3-tensor
+    as one batch; vec is the row-major ravel.
+    """
     _, (base, other, mat, ten) = _identity_inputs()
-    residuals = [kron(base, other) @ vec(mat) - vec(base @ mat @ other.T)]
-    for order, tensor in ((2, mat), (3, ten)):
-        for mode in range(order):
-            direct = vec(mode_multiply(base, tensor, mode))
-            via = mode_matrix(base, order, mode) @ vec(tensor)
-            residuals.append(direct - via)
+    residuals = [np.kron(base, other) @ mat.ravel() - (base @ mat @ other.T).ravel()]
+    weights = np.stack((base, other, mat))
+    tensors = np.broadcast_to(ten, (len(weights),) + ten.shape)
+    eye = np.eye(ten.shape[-1])
+    products = (correction._mode1, correction._mode2, correction._mode3)
+    for mode, product in enumerate(products):
+        direct = product(weights, tensors).reshape(len(weights), -1)
+        for w, row in zip(weights, direct):
+            factors = [eye, eye, eye]
+            factors[mode] = w
+            residuals.append(row - reduce(np.kron, factors) @ ten.ravel())
     return {"gap": _peak(*residuals)}
 
 

@@ -24,11 +24,11 @@ symmetric composition gives the second-order step :func:`f2_step`; the
 Yoshida triple jump gives :func:`f4_step`.
 
 The sub-flows contract the coupling blocks directly; the block system has no
-materialized matrix form.  Its independent references are the unreordered
-flat form below (:func:`general_rhs`, integrated by classic RK4 in
-:func:`evolve_general`) and the bracket-quadrature oracle in
-:mod:`egorov.oracle`; :mod:`egorov.checks` compares the split-step tensors
-with both.
+materialized matrix form.  This module holds only what a run executes.  The
+independent references, the unreordered flat form integrated by classic RK4
+and the bracket quadrature, live in :mod:`egorov.oracle`;
+:mod:`egorov.checks` compares the split-step tensors with both, and holds
+the mode products below against their Kronecker matrices.
 
 All states are batched: every field carries leading sample axes.
 """
@@ -39,14 +39,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flow import split_snapshots, step_count
+from .flow import split_snapshots
 from .observables import Observable
-from .potentials import Hamiltonian, Potential
-from .tensor_ops import apply_J_triple, j_contract_axis, tilde_d3, tilde_weights
+from .potentials import Potential
+# benchmark/tracing.py wraps egorov.correction.tilde_d3 by attribute.
+from .tensor_ops import tilde_d3, tilde_weights  # noqa: F401
 
 __all__ = [
     "CorrectionState",
-    "GeneralCorrectionState",
     "sub_flow_psi1",
     "sub_flow_psi2",
     "sub_flow_psi3",
@@ -55,8 +55,6 @@ __all__ = [
     "evolve_correction",
     "evolve_correction_snapshots",
     "a2_eval",
-    "general_rhs",
-    "evolve_general",
 ]
 
 
@@ -326,142 +324,3 @@ def a2_eval(observable: Observable, state: CorrectionState) -> np.ndarray:
         + 3.0 * np.einsum("...ij,...ji->...", d2a, gam)
         + np.einsum("...i,...i->...", da, xi)
     )
-
-
-# ---------------------------------------------------------------------------
-# Unreordered phase-space form, kept as an independent cross-check.  It works
-# with the full (2d)-index tensors and a generic one-step integrator, sharing
-# no code path with the split-step blocks above.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeneralCorrectionState:
-    """Correction tensors in flat phase-space form.
-
-    ``lam_vec`` and ``gam_vec`` hold the row-major vectorizations of the full
-    (2d)^3 tensor and (2d)^2 matrix; ``xi`` is the 2d-vector.  Batched like
-    :class:`CorrectionState`.
-    """
-
-    z: np.ndarray
-    lam_vec: np.ndarray
-    gam_vec: np.ndarray
-    xi: np.ndarray
-    t: float = 0.0
-
-    @classmethod
-    def initial(cls, z0: np.ndarray) -> "GeneralCorrectionState":
-        z0 = np.asarray(z0, dtype=float)
-        n = z0.shape[-1]
-        batch = z0.shape[:-1]
-        return cls(
-            z=z0.copy(),
-            lam_vec=np.zeros(batch + (n**3,)),
-            gam_vec=np.zeros(batch + (n**2,)),
-            xi=np.zeros(batch + (n,)),
-        )
-
-    @property
-    def lam(self) -> np.ndarray:
-        n = self.z.shape[-1]
-        return self.lam_vec.reshape(self.z.shape[:-1] + (n, n, n))
-
-    @property
-    def gam(self) -> np.ndarray:
-        n = self.z.shape[-1]
-        return self.gam_vec.reshape(self.z.shape[:-1] + (n, n))
-
-    def to_block(self) -> CorrectionState:
-        return CorrectionState.from_full(self.z, self.lam, self.gam, self.xi, self.t)
-
-    @classmethod
-    def from_block(cls, s: CorrectionState) -> "GeneralCorrectionState":
-        batch = s.q.shape[:-1]
-        return cls(
-            z=s.z,
-            lam_vec=s.lambda_full().reshape(batch + (-1,)),
-            gam_vec=s.gamma_full().reshape(batch + (-1,)),
-            xi=s.xi_full(),
-            t=s.t,
-        )
-
-
-def general_rhs(state: GeneralCorrectionState, h: Hamiltonian):
-    """Time derivative (dz, dlam_vec, dgam_vec, dxi) of the flat-form system.
-
-    The tensor equations, with M the symplectic contraction of the Hessian
-    of h at z and the inhomogeneities built from third/fourth derivatives:
-
-        dLam = M on each of the three modes of Lam + tilde-weighted,
-               triply contracted third-derivative source
-        dGam = (single-contraction third-derivative source) : Lam
-               + M Gam + Gam M^T
-        dXi  = (fourth-derivative source) : Lam + 3 source : Gam + M Xi
-    """
-    z = state.z
-    lam, gam, xi = state.lam, state.gam, state.xi
-    batch = z.shape[:-1]
-
-    dh = h.gradient(z)
-    m = j_contract_axis(h.hessian(z), axis=-2)
-    c1 = apply_J_triple(tilde_d3(h.third(z)))
-    c2 = j_contract_axis(h.third(z), axis=-3)
-    c3 = j_contract_axis(h.fourth(z), axis=-4)
-
-    dz = j_contract_axis(dh, axis=-1)
-    dlam = (
-        np.einsum("...il,...ljk->...ijk", m, lam)
-        + np.einsum("...jl,...ilk->...ijk", m, lam)
-        + np.einsum("...kl,...ijl->...ijk", m, lam)
-        + c1
-    )
-    dgam = (
-        np.einsum("...ikl,...lkj->...ij", c2, lam)
-        + np.einsum("...il,...lj->...ij", m, gam)
-        + np.einsum("...jl,...il->...ij", m, gam)
-    )
-    dxi = (
-        np.einsum("...ijkl,...lkj->...i", c3, lam)
-        + 3.0 * np.einsum("...ijk,...kj->...i", c2, gam)
-        + np.einsum("...il,...l->...i", m, xi)
-    )
-    return dz, dlam.reshape(batch + (-1,)), dgam.reshape(batch + (-1,)), dxi
-
-
-def _general_axpy(s: GeneralCorrectionState, c: float, rhs) -> GeneralCorrectionState:
-    dz, dlam, dgam, dxi = rhs
-    return GeneralCorrectionState(
-        z=s.z + c * dz,
-        lam_vec=s.lam_vec + c * dlam,
-        gam_vec=s.gam_vec + c * dgam,
-        xi=s.xi + c * dxi,
-        t=s.t,
-    )
-
-
-def evolve_general(
-    z0: np.ndarray, t: float, tau: float, h: Hamiltonian
-) -> GeneralCorrectionState:
-    """Classic fixed-step RK4 integration of the flat-form system.
-
-    Deliberately not the splitting integrator, so that agreement with
-    :func:`evolve_correction` validates both.
-    """
-    state = GeneralCorrectionState.initial(z0)
-    n = step_count(t, tau)
-    if n == 0:
-        return state
-    dt = t / n
-    for i in range(n):
-        k1 = general_rhs(state, h)
-        k2 = general_rhs(_general_axpy(state, 0.5 * dt, k1), h)
-        k3 = general_rhs(_general_axpy(state, 0.5 * dt, k2), h)
-        k4 = general_rhs(_general_axpy(state, dt, k3), h)
-        combo = tuple(
-            (a + 2.0 * b + 2.0 * c + e) / 6.0
-            for a, b, c, e in zip(k1, k2, k3, k4)
-        )
-        state = _general_axpy(state, dt, combo)
-        state = replace(state, t=(i + 1) * dt)
-    return state

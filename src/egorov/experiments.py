@@ -179,7 +179,7 @@ class RunConfig:
             )
         names = self.observables or _default_observables(d)
         for name in names:
-            _check_observable_name(name, d)
+            make_observable(name, free_potential(d))
         object.__setattr__(self, "observables", tuple(names))
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(
@@ -202,16 +202,6 @@ def _default_observables(d: int) -> tuple[str, ...]:
     names += [f"p{j}" for j in range(1, d + 1)]
     names += ["kinetic", "potential", "total"]
     return tuple(names)
-
-
-def _check_observable_name(name: str, d: int) -> None:
-    if name in ("kinetic", "potential", "total"):
-        return
-    if name[:1] in ("q", "p") and name[1:].isdigit():
-        if 1 <= int(name[1:]) <= d:
-            return
-        raise ValueError(f"observable {name!r} out of range for dimension {d}")
-    raise ValueError(f"unknown observable {name!r}")
 
 
 def build_potential(config: RunConfig) -> Potential:

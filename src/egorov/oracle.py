@@ -1,4 +1,5 @@
-"""Ground-truth machinery: generalized brackets and a quadrature route to a2.
+"""Ground-truth machinery: generalized brackets, a quadrature route to a2,
+and the flat general form of the correction system.
 
 The correction tensors have an integral representation: each is a time
 integral over contractions of flow derivatives with the symplectically
@@ -8,6 +9,10 @@ evaluates that representation by brute force (variational equations
 integrated with a generic Runge-Kutta method, composite Simpson in the
 integration variable), independent of the split-step block propagation, so
 the two routes validate each other.
+
+The correction system itself has a second reference here: its unreordered
+flat form over full phase-space tensors (:func:`general_rhs`), integrated
+by classic RK4 (:func:`evolve_general`) rather than by splitting.
 
 Also here: the generalized Poisson brackets
 
@@ -21,7 +26,7 @@ with jets supplied analytically or by finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from typing import Callable
 
@@ -34,6 +39,7 @@ from .potentials import Hamiltonian, Potential
 from .tensor_ops import apply_J_triple, j_contract_axis, tilde_d3
 
 __all__ = [
+    "GeneralCorrectionState",
     "JetFunction",
     "VariationalState",
     "multi_indices",
@@ -43,6 +49,8 @@ __all__ = [
     "a2_quadrature",
     "flow_integral",
     "composed_third_derivative",
+    "general_rhs",
+    "evolve_general",
 ]
 
 
@@ -216,9 +224,11 @@ def _contract_first(m: np.ndarray, tensor: np.ndarray) -> np.ndarray:
 
 
 def _variational_rhs(state: VariationalState, h: Hamiltonian):
-    # contractions kept pairwise: multi-operand einsum without a path is
-    # exponential in the index count and dominates the runtime otherwise
+    # every contraction is one batched matmul on an unfolding: matrices act
+    # on the last two axes, with the Jacobian transposed for middle indices
     z, dphi, d2phi, d3phi = state.z, state.dphi, state.d2phi, state.d3phi
+    n = z.shape[-1]
+    batch = z.shape[:-1]
     m = j_contract_axis(h.hessian(z), axis=-2)
     jd3 = j_contract_axis(h.third(z), axis=-3)
     jd4 = j_contract_axis(h.fourth(z), axis=-4)
@@ -226,21 +236,27 @@ def _variational_rhs(state: VariationalState, h: Hamiltonian):
     dz = j_contract_axis(h.gradient(z), axis=-1)
     d_dphi = m @ dphi
 
-    jd3_k = np.einsum("...imn,...nk->...imk", jd3, dphi)
-    d_d2phi = (
-        np.einsum("...imk,...mj->...ijk", jd3_k, dphi)
-        + _contract_first(m, d2phi)
-    )
+    dphi_t = np.swapaxes(dphi, -1, -2)[..., None, :, :]
+    jd3_k = jd3 @ dphi[..., None, :, :]  # jd3_imn dphi_nk
+    d_d2phi = dphi_t @ jd3_k + _contract_first(m, d2phi)
 
-    t = np.einsum("...imnu,...ul->...imnl", jd4, dphi)
-    t = np.einsum("...imnl,...nk->...imkl", t, dphi)
-    term1 = np.einsum("...imkl,...mj->...ijkl", t, dphi)
-    jd3_j = np.einsum("...imn,...mj->...ijn", jd3, dphi)
+    t = jd4 @ dphi[..., None, None, :, :]  # jd4_imnu dphi_ul
+    t = dphi_t[..., None, :, :] @ t  # contract n with dphi_nk
+    term1 = (dphi_t @ t.reshape(batch + (n, n, n * n))).reshape(t.shape)
+    jd3_j = dphi_t @ jd3  # jd3_imn dphi_mj
+    # pair[i, a, b, c] = jd3_k_ima d2phi_mbc; the middle terms of d_d3phi
+    # at ijkl are pair[i, k, j, l] and pair[i, l, j, k]
+    pair = (
+        np.swapaxes(jd3_k, -1, -2).reshape(batch + (n * n, n))
+        @ d2phi.reshape(batch + (n, n * n))
+    ).reshape(t.shape)
     d_d3phi = (
         term1
-        + np.einsum("...ijn,...nkl->...ijkl", jd3_j, d2phi)
-        + np.einsum("...imk,...mjl->...ijkl", jd3_k, d2phi)
-        + np.einsum("...iml,...mjk->...ijkl", jd3_k, d2phi)
+        + (jd3_j.reshape(batch + (n * n, n)) @ d2phi.reshape(batch + (n, n * n))).reshape(
+            t.shape
+        )
+        + np.swapaxes(pair, -3, -2)
+        + np.moveaxis(pair, -3, -1)
         + _contract_first(m, d3phi)
     )
     return dz, d_dphi, d_d2phi, d_d3phi
@@ -452,3 +468,143 @@ def composed_third_derivative(
         + np.einsum("ij,imn,jl->lmn", d2a, d2phi, dphi)
         + np.einsum("i,ilmn->lmn", da, d3phi)
     )
+
+
+# ---------------------------------------------------------------------------
+# Unreordered phase-space form of the correction system, the reference for
+# the split-step blocks of egorov.correction.  It works with the full
+# (2d)-index tensors and a generic one-step integrator, sharing no code path
+# with the blocks.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GeneralCorrectionState:
+    """Correction tensors in flat phase-space form.
+
+    ``lam_vec`` and ``gam_vec`` hold the row-major vectorizations of the full
+    (2d)^3 tensor and (2d)^2 matrix; ``xi`` is the 2d-vector.  Batched like
+    :class:`CorrectionState`.
+    """
+
+    z: np.ndarray
+    lam_vec: np.ndarray
+    gam_vec: np.ndarray
+    xi: np.ndarray
+    t: float = 0.0
+
+    @classmethod
+    def initial(cls, z0: np.ndarray) -> "GeneralCorrectionState":
+        z0 = np.asarray(z0, dtype=float)
+        n = z0.shape[-1]
+        batch = z0.shape[:-1]
+        return cls(
+            z=z0.copy(),
+            lam_vec=np.zeros(batch + (n**3,)),
+            gam_vec=np.zeros(batch + (n**2,)),
+            xi=np.zeros(batch + (n,)),
+        )
+
+    @property
+    def lam(self) -> np.ndarray:
+        n = self.z.shape[-1]
+        return self.lam_vec.reshape(self.z.shape[:-1] + (n, n, n))
+
+    @property
+    def gam(self) -> np.ndarray:
+        n = self.z.shape[-1]
+        return self.gam_vec.reshape(self.z.shape[:-1] + (n, n))
+
+    def to_block(self) -> CorrectionState:
+        return CorrectionState.from_full(self.z, self.lam, self.gam, self.xi, self.t)
+
+    @classmethod
+    def from_block(cls, s: CorrectionState) -> "GeneralCorrectionState":
+        batch = s.q.shape[:-1]
+        return cls(
+            z=s.z,
+            lam_vec=s.lambda_full().reshape(batch + (-1,)),
+            gam_vec=s.gamma_full().reshape(batch + (-1,)),
+            xi=s.xi_full(),
+            t=s.t,
+        )
+
+
+def general_rhs(state: GeneralCorrectionState, h: Hamiltonian):
+    """Time derivative (dz, dlam_vec, dgam_vec, dxi) of the flat-form system.
+
+    The tensor equations, with M the symplectic contraction of the Hessian
+    of h at z and the inhomogeneities built from third/fourth derivatives:
+
+        dLam = M on each of the three modes of Lam + tilde-weighted,
+               triply contracted third-derivative source
+        dGam = (single-contraction third-derivative source) : Lam
+               + M Gam + Gam M^T
+        dXi  = (fourth-derivative source) : Lam + 3 source : Gam + M Xi
+    """
+    z = state.z
+    lam, gam, xi = state.lam, state.gam, state.xi
+    batch = z.shape[:-1]
+
+    dh = h.gradient(z)
+    m = j_contract_axis(h.hessian(z), axis=-2)
+    c1 = apply_J_triple(tilde_d3(h.third(z)))
+    c2 = j_contract_axis(h.third(z), axis=-3)
+    c3 = j_contract_axis(h.fourth(z), axis=-4)
+
+    dz = j_contract_axis(dh, axis=-1)
+    dlam = (
+        np.einsum("...il,...ljk->...ijk", m, lam)
+        + np.einsum("...jl,...ilk->...ijk", m, lam)
+        + np.einsum("...kl,...ijl->...ijk", m, lam)
+        + c1
+    )
+    dgam = (
+        np.einsum("...ikl,...lkj->...ij", c2, lam)
+        + np.einsum("...il,...lj->...ij", m, gam)
+        + np.einsum("...jl,...il->...ij", m, gam)
+    )
+    dxi = (
+        np.einsum("...ijkl,...lkj->...i", c3, lam)
+        + 3.0 * np.einsum("...ijk,...kj->...i", c2, gam)
+        + np.einsum("...il,...l->...i", m, xi)
+    )
+    return dz, dlam.reshape(batch + (-1,)), dgam.reshape(batch + (-1,)), dxi
+
+
+def _general_axpy(s: GeneralCorrectionState, c: float, rhs) -> GeneralCorrectionState:
+    dz, dlam, dgam, dxi = rhs
+    return GeneralCorrectionState(
+        z=s.z + c * dz,
+        lam_vec=s.lam_vec + c * dlam,
+        gam_vec=s.gam_vec + c * dgam,
+        xi=s.xi + c * dxi,
+        t=s.t,
+    )
+
+
+def evolve_general(
+    z0: np.ndarray, t: float, tau: float, h: Hamiltonian
+) -> GeneralCorrectionState:
+    """Classic fixed-step RK4 integration of the flat-form system.
+
+    Deliberately not the splitting integrator, so that agreement with
+    :func:`evolve_correction` validates both.
+    """
+    state = GeneralCorrectionState.initial(z0)
+    n = step_count(t, tau)
+    if n == 0:
+        return state
+    dt = t / n
+    for i in range(n):
+        k1 = general_rhs(state, h)
+        k2 = general_rhs(_general_axpy(state, 0.5 * dt, k1), h)
+        k3 = general_rhs(_general_axpy(state, 0.5 * dt, k2), h)
+        k4 = general_rhs(_general_axpy(state, dt, k3), h)
+        combo = tuple(
+            (a + 2.0 * b + 2.0 * c + e) / 6.0
+            for a, b, c, e in zip(k1, k2, k3, k4)
+        )
+        state = _general_axpy(state, dt, combo)
+        state = replace(state, t=(i + 1) * dt)
+    return state

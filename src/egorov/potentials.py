@@ -3,8 +3,7 @@
 Every evaluator is batched: positions have shape ``(..., d)`` and the
 order-k derivative tensor comes back with shape ``(..., d, ..., d)`` (k
 trailing axes).  Derivatives are supplied analytically because the
-correction dynamics consume third and fourth derivatives at every step;
-finite differences exist only as a test aid (:func:`finite_difference_check`).
+correction dynamics consume third and fourth derivatives at every step.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "harmonic_potential",
     "free_potential",
     "Hamiltonian",
-    "finite_difference_check",
 ]
 
 
@@ -49,13 +47,6 @@ class Potential:
 
     def fourth(self, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def derivative(self, q: np.ndarray, order: int) -> np.ndarray:
-        """Order-k derivative tensor, k = 0..4."""
-        evaluators = (self.value, self.gradient, self.hessian, self.third, self.fourth)
-        if not 0 <= order < len(evaluators):
-            raise ValueError(f"derivative order {order} not available")
-        return evaluators[order](q)
 
 
 def _diagonal_tensor(diag: np.ndarray, order: int) -> np.ndarray:
@@ -232,24 +223,3 @@ class Hamiltonian:
         out = np.zeros(z.shape[:-1] + (2 * d,) * 4)
         out[..., :d, :d, :d, :d] = self.potential.fourth(z[..., :d])
         return out
-
-
-def finite_difference_check(
-    potential: Potential, q: np.ndarray, order: int, step: float = 1e-5
-) -> float:
-    """Max absolute difference between the analytic order-k derivative and a
-    central difference of the order-(k-1) evaluator.  O(step^2) accurate."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if not 1 <= order <= 4:
-        raise ValueError("order must be between 1 and 4")
-    q = np.asarray(q, dtype=float)
-    analytic = potential.derivative(q, order)
-    fd = np.empty_like(analytic)
-    for j in range(potential.d):
-        dq = np.zeros_like(q)
-        dq[..., j] = step
-        plus = potential.derivative(q + dq, order - 1)
-        minus = potential.derivative(q - dq, order - 1)
-        fd[..., j] = (plus - minus) / (2.0 * step)
-    return float(np.max(np.abs(analytic - fd)))

@@ -6,8 +6,8 @@ The Wigner function of the Gaussian packet used throughout,
 
 is a normal density with mean (q0, p0) and covariance (eps/2) Id on R^(2d).
 Expectation values are quadratures against W, computed quasi-Monte Carlo
-style: Halton points in (0,1)^(2d), mapped coordinate-wise through the
-inverse normal CDF, scaled and shifted.  Everything is deterministic for
+style: means over Halton points in (0,1)^(2d), mapped coordinate-wise
+through the inverse normal CDF, scaled and shifted.  Everything is deterministic for
 fixed (N, skip).
 """
 
@@ -21,13 +21,11 @@ from scipy.special import ndtri
 __all__ = [
     "GaussianPacket",
     "QmcSampler",
-    "wigner_density",
     "first_primes",
     "halton",
     "halton_sequence",
     "inverse_normal_cdf",
     "sample_points",
-    "qmc_expectation",
 ]
 
 
@@ -63,13 +61,6 @@ class QmcSampler:
             raise ValueError(f"need at least one sample point, got {self.count}")
         if self.skip < 0:
             raise ValueError("skip must be nonnegative")
-
-
-def wigner_density(packet: GaussianPacket, z: np.ndarray) -> np.ndarray:
-    """Wigner function of the packet at phase point(s) z."""
-    z = np.asarray(z, dtype=float)
-    dist2 = np.sum((z - packet.center) ** 2, axis=-1)
-    return (np.pi * packet.epsilon) ** (-packet.d) * np.exp(-dist2 / packet.epsilon)
 
 
 def first_primes(count: int) -> list[int]:
@@ -125,9 +116,3 @@ def sample_points(packet: GaussianPacket, sampler: QmcSampler) -> np.ndarray:
     """
     u = halton_sequence(sampler.count, 2 * packet.d, sampler.skip)
     return packet.center + np.sqrt(packet.epsilon / 2.0) * inverse_normal_cdf(u)
-
-
-def qmc_expectation(f, points: np.ndarray):
-    """Plain average of f over the sample points (f batched over rows)."""
-    values = np.asarray(f(points), dtype=float)
-    return values.mean(axis=0)

@@ -1,5 +1,6 @@
-"""Shared fixtures: the standard torsional/harmonic setups used across the
-suite and a session cache directory for grid-reference results."""
+"""Shared fixtures and helpers: the standard torsional/harmonic setups used
+across the suite, a session cache directory for grid-reference results, the
+symplectic matrix, and a finite-difference check of potential derivatives."""
 
 from __future__ import annotations
 
@@ -7,7 +8,40 @@ import numpy as np
 import pytest
 
 from egorov import harmonic_potential, torsional_potential
-from egorov.potentials import Hamiltonian
+from egorov.potentials import Hamiltonian, Potential
+
+
+def symplectic_j(d: int) -> np.ndarray:
+    """The standard symplectic matrix [[0, Id], [-Id, 0]] of size 2d."""
+    j = np.zeros((2 * d, 2 * d))
+    j[:d, d:] = np.eye(d)
+    j[d:, :d] = -np.eye(d)
+    return j
+
+
+def finite_difference_check(
+    potential: Potential, q: np.ndarray, order: int, step: float = 1e-5
+) -> float:
+    """Max absolute difference between the analytic order-k derivative and a
+    central difference of the order-(k-1) evaluator.  O(step^2) accurate."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if not 1 <= order <= 4:
+        raise ValueError("order must be between 1 and 4")
+    evaluators = (
+        potential.value, potential.gradient, potential.hessian,
+        potential.third, potential.fourth,
+    )
+    q = np.asarray(q, dtype=float)
+    analytic = evaluators[order](q)
+    fd = np.empty_like(analytic)
+    for j in range(potential.d):
+        dq = np.zeros_like(q)
+        dq[..., j] = step
+        plus = evaluators[order - 1](q + dq)
+        minus = evaluators[order - 1](q - dq)
+        fd[..., j] = (plus - minus) / (2.0 * step)
+    return float(np.max(np.abs(analytic - fd)))
 
 
 @pytest.fixture

@@ -338,7 +338,9 @@ def test_criterion_6_energy_conservation(capsys):
 
 
 def test_criterion_7_identity_suites(capsys):
-    """Symmetry, vectorization, bracket exchange, and transport-integral identities."""
+    """Symmetry, vectorization, bracket exchange, and transport-integral
+    identities; the vectorization gap measures the correction stepper's own
+    mode products against their Kronecker matrices."""
     t0 = time.perf_counter()
     sym_gap = checks.symmetry_preservation()["gap"]
     vec_gap = checks.vectorization_identities()["gap"]

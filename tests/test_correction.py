@@ -11,20 +11,18 @@ from hypothesis.extra.numpy import arrays
 
 from egorov.correction import (
     CorrectionState,
-    GeneralCorrectionState,
     a2_eval,
     evolve_correction,
     evolve_correction_snapshots,
-    evolve_general,
     f2_step,
     f4_step,
-    general_rhs,
     sub_flow_psi1,
     sub_flow_psi2,
     sub_flow_psi3,
 )
 from egorov.flow import drift, kick, step_count, yoshida_coefficients
 from egorov.observables import Observable, make_observable
+from egorov.oracle import GeneralCorrectionState, evolve_general, general_rhs
 from egorov.potentials import Hamiltonian, harmonic_potential, torsional_potential
 from egorov.tensor_ops import apply_J_triple, tilde_d3
 

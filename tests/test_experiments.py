@@ -2,12 +2,18 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import egorov
 import egorov.checks as checks
 import egorov.cli as cli
 import egorov.correction as correction_mod
@@ -19,6 +25,7 @@ from egorov.experiments import (
     RunConfig,
     build_potential,
     compare,
+    config_to_dict,
     load_config,
     parse_config,
     read_rows_csv,
@@ -56,6 +63,13 @@ def tiny_config(**overrides):
 
 def rows_by_key(rows):
     return {(row.time, row.observable): row for row in rows}
+
+
+def _csv_bytes(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        write_rows_csv(rows, path)
+        return path.read_bytes()
 
 
 class TestRunConfig:
@@ -149,6 +163,42 @@ class TestParseConfig:
         assert config.center == (1.0, 0.5, 0.0, 0.0)
         assert config.observables == ("q1", "total")
         assert config == tiny_config(observables=("q1", "total"))
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_echo_round_trip(self, data):
+        # The key=value text of config_to_dict parses back to the same config.
+        row = data.draw(st.integers(1, 4))
+        base = table_row_config(row)
+        d, names = base.dimension, base.observables
+        finite = st.floats(-1e3, 1e3)
+        n_samples = data.draw(st.integers(1, 10**8))
+        overrides = dict(
+            epsilon=data.draw(st.floats(1e-3, 1.0)),
+            center=tuple(data.draw(st.lists(finite, min_size=2 * d, max_size=2 * d))),
+            n_samples=n_samples,
+            n_correction=data.draw(st.integers(0, n_samples)),
+            t_final=data.draw(st.integers(1, 40)) * 0.5,
+            stiffness=tuple(data.draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=d))),
+            observables=tuple(data.draw(
+                st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True)
+            )),
+            grid_points=2 ** data.draw(st.integers(1, 10)),
+            grid_lo=data.draw(st.floats(-10.0, -0.5)),
+            grid_hi=data.draw(st.floats(0.5, 10.0)),
+            tau_reference=data.draw(st.sampled_from((0.0, 0.5, 0.125, 2.0**-10))),
+            halton_skip=data.draw(st.integers(0, 10**4)),
+            output_dir=data.draw(st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
+            sweep_axis=data.draw(st.sampled_from(("", "epsilon", "N2", "tau2"))),
+            sweep_values=tuple(data.draw(st.lists(finite, max_size=4))),
+        )
+        config = table_row_config(row, **overrides)
+        lines = []
+        for key, value in config_to_dict(config).items():
+            if isinstance(value, list):
+                value = ", ".join(str(v) for v in value)
+            lines.append(f"{key} = {value}")
+        assert parse_config("\n".join(lines)) == config
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ValueError, match="line 2: unknown config key 'colour'"):
@@ -342,18 +392,24 @@ class TestRunCorrected:
         monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
         assert run_corrected(tiny_config(), threads=1)
 
-    def test_csv_bytes_identical_across_threads(self, tmp_path, monkeypatch):
-        # Shrink the chunk size so several chunks exist, then check the
-        # pairwise reduction is scheduling-independent.
-        monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
-        config = tiny_config()
-        paths = []
-        for threads in (1, 4):
-            rows = run_corrected(config, threads=threads)
-            path = tmp_path / f"threads{threads}.csv"
-            write_rows_csv(rows, path)
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+    @settings(max_examples=20, deadline=None)
+    @given(
+        chunk=st.integers(3, 40),
+        n_samples=st.integers(1, 64),
+        n_correction=st.integers(0, 64),
+        threads=st.integers(2, 4),
+    )
+    def test_csv_bytes_identical_across_threads(self, chunk, n_samples, n_correction, threads):
+        # Shrink the chunk size so several chunks exist, with the pool larger
+        # or smaller than the chunk count; the pairwise reduction must give
+        # the inline run's bytes.
+        config = tiny_config(n_samples=n_samples, n_correction=min(n_correction, n_samples))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "CHUNK_SIZE", chunk)
+            one, many = (
+                _csv_bytes(run_corrected(config, threads=count)) for count in (1, threads)
+            )
+        assert one == many
 
 
 class TestRunReference:
@@ -557,6 +613,15 @@ class TestSelftest:
         )
         assert not checks.run_check("block-general-equivalence").passed
 
+    def test_mode_product_mutation_detected(self, monkeypatch):
+        # Contract the wrong index of the production mode-2 product
+        # (w_aj t_iak instead of w_ja t_iak); criterion 7's vectorization
+        # check must see it.
+        monkeypatch.setattr(
+            correction_mod, "_mode2", lambda w, t: np.swapaxes(w, -1, -2)[..., None, :, :] @ t
+        )
+        assert not checks.run_check("vectorization-identities").passed
+
 
 class TestCli:
     CONFIG = """
@@ -671,6 +736,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert "FAIL broken" in captured.out
         assert "1 of 1 checks failed" in captured.err
+
+    def test_import_loads_neither_checks_nor_oracle(self):
+        # `egorov run` must not pay for the checks or the quadrature oracle;
+        # only `egorov selftest` imports them.
+        code = (
+            "import sys, egorov.cli; "
+            "print(sorted(m for m in ('egorov.checks', 'egorov.oracle') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(egorov.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_long_run_flag_upscales_grid(self, config_file, tmp_path, monkeypatch):
         seen = {}

@@ -19,7 +19,8 @@ from egorov.flow import (
     yoshida_coefficients,
 )
 from egorov.potentials import Hamiltonian, harmonic_potential, torsional_potential
-from egorov.tensor_ops import symplectic_j
+
+from conftest import symplectic_j
 
 
 class TestDrift:

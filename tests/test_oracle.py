@@ -23,7 +23,9 @@ from egorov.oracle import (
     variational_flow,
 )
 from egorov.potentials import Hamiltonian, free_potential, harmonic_potential, torsional_potential
-from egorov.tensor_ops import apply_J_triple, symplectic_j, tilde_d3
+from egorov.tensor_ops import apply_J_triple, tilde_d3
+
+from conftest import symplectic_j
 
 
 def quadratic_jet(rng, n=4):
@@ -220,6 +222,19 @@ class TestVariationalFlow:
             minus = variational_flow(z0 - dz, t, 1e-3, torsional_2d).dphi
             fd = (plus - minus) / (2.0 * eps)
             np.testing.assert_allclose(s.d2phi[:, :, k], fd, atol=1e-5)
+
+    def test_third_derivative_matches_second_derivative_perturbation(self, torsional_2d, z0):
+        # D3Phi equals the derivative of D2Phi in the initial point.
+        t = 0.5
+        s = variational_flow(z0, t, 1e-3, torsional_2d)
+        eps = 1e-5
+        for l in range(4):
+            dz = np.zeros(4)
+            dz[l] = eps
+            plus = variational_flow(z0 + dz, t, 1e-3, torsional_2d).d2phi
+            minus = variational_flow(z0 - dz, t, 1e-3, torsional_2d).d2phi
+            fd = (plus - minus) / (2.0 * eps)
+            np.testing.assert_allclose(s.d3phi[..., l], fd, atol=1e-5)
 
 
 class TestQuadratureTensors:

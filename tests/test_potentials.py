@@ -10,11 +10,12 @@ from egorov.potentials import (
     Hamiltonian,
     HarmonicPotential,
     TorsionalPotential,
-    finite_difference_check,
     free_potential,
     harmonic_potential,
     torsional_potential,
 )
+
+from conftest import finite_difference_check
 
 
 class TestTorsional:
@@ -104,8 +105,8 @@ class TestFree:
         pot = free_potential(2)
         q = np.array([1.3, -0.4])
         assert pot.value(q) == 0.0
-        for order in range(1, 5):
-            np.testing.assert_array_equal(pot.derivative(q, order), 0.0)
+        for evaluate in (pot.gradient, pot.hessian, pot.third, pot.fourth):
+            np.testing.assert_array_equal(evaluate(q), 0.0)
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
@@ -141,8 +142,6 @@ class TestFiniteDifferenceCheck:
             finite_difference_check(pot, np.zeros(1), order=1, step=0.0)
         with pytest.raises(ValueError):
             finite_difference_check(pot, np.zeros(1), order=5, step=1e-4)
-        with pytest.raises(ValueError):
-            pot.derivative(np.zeros(1), 7)
 
 
 @pytest.mark.parametrize(

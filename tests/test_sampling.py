@@ -1,4 +1,5 @@
-"""Halton points, the normal quantile, and Wigner-density quadrature."""
+"""Halton points, the normal quantile, and QMC means over the sampled
+Wigner density."""
 
 import numpy as np
 import pytest
@@ -12,9 +13,7 @@ from egorov.sampling import (
     halton,
     halton_sequence,
     inverse_normal_cdf,
-    qmc_expectation,
     sample_points,
-    wigner_density,
 )
 
 EPS = 0.1
@@ -131,35 +130,6 @@ class TestInverseNormalCdf:
         assert inverse_normal_cdf(np.full((3, 2), 0.3)).shape == (3, 2)
 
 
-class TestWignerDensity:
-    def test_center_value(self, packet):
-        assert wigner_density(packet, CENTER) == pytest.approx(
-            (np.pi * EPS) ** -2, rel=1e-14
-        )
-
-    def test_unit_exponent_displacement(self, packet):
-        z = CENTER + np.array([np.sqrt(EPS), 0.0, 0.0, 0.0])
-        assert wigner_density(packet, z) == pytest.approx(
-            (np.pi * EPS) ** -2 * np.exp(-1.0), rel=1e-14
-        )
-
-    def test_batched(self, packet):
-        z = np.stack([CENTER, CENTER + 0.1])
-        out = wigner_density(packet, z)
-        assert out.shape == (2,)
-        assert out[0] > out[1] > 0
-
-    def test_normalization_box_quadrature(self, packet):
-        # Uniform Halton points over center +- 6 sigma, density times box
-        # volume.  Truncation outside the box is ~1e-9; the QMC error at
-        # N=1e5 measures at 3.0e-3.
-        half = 6.0 * np.sqrt(EPS / 2.0)
-        u = halton_sequence(100_000, 4, skip=64)
-        box = CENTER + (2.0 * u - 1.0) * half
-        integral = (2.0 * half) ** 4 * wigner_density(packet, box).mean()
-        assert integral == pytest.approx(1.0, abs=5e-3)
-
-
 class TestSamplePoints:
     def test_shape(self, packet):
         assert sample_points(packet, QmcSampler(50)).shape == (50, 4)
@@ -190,13 +160,11 @@ class TestSamplePoints:
 
 
 class TestQmcExpectation:
-    def test_constant_is_exact(self, packet):
-        pts = sample_points(packet, QmcSampler(777))
-        assert qmc_expectation(lambda z: np.ones(len(z)), pts) == 1.0
+    """Plain means over sample_points, as the ensemble runs take them."""
 
     def test_coordinate_mean(self, packet):
         pts = sample_points(packet, QmcSampler(10_000))
-        assert qmc_expectation(lambda z: z[:, 0], pts) == pytest.approx(1.0, abs=1e-2)
+        assert pts[:, 0].mean() == pytest.approx(1.0, abs=1e-2)
 
     def test_energy_moment_expansion(self):
         # Gaussian moments of the torsional Hamiltonian are exact:
@@ -207,7 +175,7 @@ class TestQmcExpectation:
         pot = torsional_potential(2)
         ham = Hamiltonian(pot)
         pts = sample_points(GaussianPacket(CENTER, eps), QmcSampler(10_000))
-        got = qmc_expectation(ham.value, pts)
+        got = ham.value(pts).mean()
         exact = 2 * eps / 4 + 2.0 - (np.cos(1.0) + np.cos(0.5)) * np.exp(-eps / 4)
         expansion = (
             2 * eps / 4
@@ -216,12 +184,6 @@ class TestQmcExpectation:
         )
         assert exact == pytest.approx(expansion, abs=1e-5)
         assert got == pytest.approx(exact, abs=5e-4)
-
-    def test_vector_valued(self, packet):
-        pts = sample_points(packet, QmcSampler(2000))
-        out = qmc_expectation(lambda z: z, pts)
-        assert out.shape == (4,)
-        np.testing.assert_allclose(out, pts.mean(axis=0))
 
     @pytest.mark.parametrize(
         "f,truth",
@@ -236,6 +198,6 @@ class TestQmcExpectation:
         errs = []
         for n in (1000, 10_000, 100_000):
             pts = sample_points(packet, QmcSampler(n))
-            errs.append(abs(qmc_expectation(f, pts) - truth))
+            errs.append(abs(f(pts).mean() - truth))
         slope = np.polyfit(np.log([1e3, 1e4, 1e5]), np.log(errs), 1)[0]
         assert -1.1 < slope < -0.7

@@ -1,36 +1,17 @@
-"""Tensor utilities: Kronecker/vec/mode products, the weighted third
-derivative, and symplectic contractions, each checked against brute-force
-loop oracles."""
+"""Tensor utilities: the weighted third derivative, symplectic
+contractions, and the correction stepper's mode products, each checked
+against brute-force loop oracles."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from egorov.tensor_ops import (
-    apply_J_triple,
-    j_contract_axis,
-    kron,
-    mode_matrix,
-    mode_multiply,
-    symplectic_j,
-    tilde_d3,
-    tilde_weights,
-    vec,
-)
+from egorov import correction
 from egorov.potentials import torsional_potential
+from egorov.tensor_ops import apply_J_triple, j_contract_axis, tilde_d3, tilde_weights
 
-
-def kron_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Brute-force Kronecker product straight from the index formula."""
-    m, n = a.shape[0], b.shape[0]
-    out = np.zeros((m * n, m * n))
-    for i1 in range(m):
-        for i2 in range(n):
-            for j1 in range(m):
-                for j2 in range(n):
-                    out[i1 * n + i2, j1 * n + j2] = a[i1, j1] * b[i2, j2]
-    return out
+from conftest import symplectic_j
 
 
 def mode_multiply_loops(a: np.ndarray, b: np.ndarray, mode: int) -> np.ndarray:
@@ -44,109 +25,31 @@ def mode_multiply_loops(a: np.ndarray, b: np.ndarray, mode: int) -> np.ndarray:
     return out
 
 
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_hand_expansion(self):
-        # A has a single 1 in the upper-right corner; with B = Id the result
-        # keeps ones at (row, col) = (0, 2) and (1, 3) in 0-based indexing.
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        out = kron(a, np.eye(2))
-        expected = np.zeros((4, 4))
-        expected[0, 2] = 1.0
-        expected[1, 3] = 1.0
-        np.testing.assert_array_equal(out, expected)
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((2, 2))
-        np.testing.assert_allclose(kron(a, b), kron_loops(a, b), atol=1e-14)
-
-    @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))])
-    def test_rejects_non_square(self, bad):
-        with pytest.raises(ValueError):
-            kron(bad, np.eye(2))
-        with pytest.raises(ValueError):
-            kron(np.eye(2), bad)
-
-
-class TestVec:
-    def test_matrix_row_major(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(vec(m), [1.0, 2.0, 3.0, 4.0])
-
-    def test_single_entry_position(self):
-        # Entry (1,2,1) in 1-based convention sits at flat position 3
-        # (1-based), i.e. index 2 after the 0-based shift.
-        t = np.zeros((2, 2, 2))
-        t[0, 1, 0] = 5.0
-        v = vec(t)
-        assert v[2] == 5.0
-        assert np.count_nonzero(v) == 1
-
-    def test_scalar_shape(self):
-        assert vec(np.array(3.0)).shape == (1,)
-
-    def test_index_formula_enumeration(self):
-        # Independent nested-loop enumeration of the row-major flat index
-        # i = i1*(n2*n3) + i2*n3 + i3 (0-based) that vec flattens to.
-        rng = np.random.default_rng(11)
-        t = rng.standard_normal((2, 3, 4))
-        v = vec(t)
-        for i1 in range(2):
-            for i2 in range(3):
-                for i3 in range(4):
-                    assert v[i1 * 12 + i2 * 4 + i3] == t[i1, i2, i3]
+MODE_PRODUCTS = (correction._mode1, correction._mode2, correction._mode3)
 
 
 class TestModeMultiply:
+    """The batched mode products of :mod:`egorov.correction`."""
+
     def test_identity_matrix_is_noop(self):
         rng = np.random.default_rng(2)
-        b = rng.standard_normal((3, 3, 3))
-        for mode in range(3):
-            np.testing.assert_array_equal(mode_multiply(np.eye(3), b, mode), b)
+        b = rng.standard_normal((5, 3, 3, 3))
+        for product in MODE_PRODUCTS:
+            np.testing.assert_array_equal(product(np.eye(3), b), b)
 
     def test_scaling(self):
         rng = np.random.default_rng(3)
         b = rng.standard_normal((2, 2, 2))
-        np.testing.assert_allclose(mode_multiply(2.0 * np.eye(2), b, 1), 2.0 * b)
-
-    def test_mode_two_matches_kronecker_path(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2, 2))
-        direct = vec(mode_multiply(a, b, 1))
-        via_matrix = mode_matrix(a, 3, 1) @ vec(b)
-        np.testing.assert_allclose(direct, via_matrix, atol=1e-12)
+        np.testing.assert_allclose(correction._mode2(2.0 * np.eye(2), b), 2.0 * b)
 
     def test_matches_loop_oracle_all_modes(self):
+        # a batch of distinct matrices and tensors, one loop oracle per entry
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3, 3))
-        for mode in range(3):
-            np.testing.assert_allclose(
-                mode_multiply(a, b, mode), mode_multiply_loops(a, b, mode), atol=1e-12
-            )
-
-    def test_kronecker_equivalence_orders_two_and_three(self):
-        # vec(A x_k B) = (Id (x) ... A ... (x) Id) vec(B) for every slot of
-        # order-2 and order-3 tensors.
-        rng = np.random.default_rng(6)
-        for order in (2, 3):
-            b = rng.standard_normal((2,) * order)
-            a = rng.standard_normal((2, 2))
-            for mode in range(order):
-                lhs = vec(mode_multiply(a, b, mode))
-                rhs = mode_matrix(a, order, mode) @ vec(b)
-                np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mode_multiply(np.eye(3), np.zeros((2, 2, 2)), 0)
-        with pytest.raises(ValueError):
-            mode_multiply(np.eye(2), np.zeros((2, 2)), 2)
+        a = rng.standard_normal((4, 3, 3))
+        b = rng.standard_normal((4, 3, 3, 3))
+        for mode, product in enumerate(MODE_PRODUCTS):
+            expected = [mode_multiply_loops(ai, bi, mode) for ai, bi in zip(a, b)]
+            np.testing.assert_allclose(product(a, b), expected, atol=1e-12)
 
 
 class TestTildeWeights:
