@@ -117,20 +117,21 @@ def vectorization_identities() -> dict[str, float]:
     correction stepper's mode products and their Kronecker matrices.
 
     The mode products are looked up on :mod:`egorov.correction` when the
-    check runs, and apply the three seeded matrices to the seeded 3-tensor
-    as one batch; vec is the row-major ravel.
+    check runs, and apply the diagonals of the three seeded matrices to the
+    seeded 3-tensor as one batch; each is held against the Kronecker matrix
+    with diag(c) in its mode slot.  vec is the row-major ravel.
     """
     _, (base, other, mat, ten) = _identity_inputs()
     residuals = [np.kron(base, other) @ mat.ravel() - (base @ mat @ other.T).ravel()]
-    weights = np.stack((base, other, mat))
-    tensors = np.broadcast_to(ten, (len(weights),) + ten.shape)
+    diagonals = np.diagonal(np.stack((base, other, mat)), axis1=-2, axis2=-1)
+    tensors = np.broadcast_to(ten, (len(diagonals),) + ten.shape)
     eye = np.eye(ten.shape[-1])
     products = (correction._mode1, correction._mode2, correction._mode3)
     for mode, product in enumerate(products):
-        direct = product(weights, tensors).reshape(len(weights), -1)
-        for w, row in zip(weights, direct):
+        direct = product(diagonals, tensors).reshape(len(diagonals), -1)
+        for c, row in zip(diagonals, direct):
             factors = [eye, eye, eye]
-            factors[mode] = w
+            factors[mode] = np.diag(c)
             residuals.append(row - reduce(np.kron, factors) @ ten.ravel())
     return {"gap": _peak(*residuals)}
 

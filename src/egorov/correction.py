@@ -24,7 +24,13 @@ symmetric composition gives the second-order step :func:`f2_step`; the
 Yoshida triple jump gives :func:`f4_step`.
 
 The sub-flows contract the coupling blocks directly; the block system has no
-materialized matrix form.  This module holds only what a run executes.  The
+materialized matrix form.  They read the potential's derivatives once per
+sub-flow, as the main diagonals returned by ``Potential.diagonals``: every
+derivative tensor of the shipped potentials is diagonal, so each mode product
+is a broadcast of a diagonal over one slot and each contraction with the
+third or fourth derivative picks out the diagonal of a block.  A potential
+with coupled derivatives raises NotImplementedError there.  This module
+holds only what a run executes.  The
 independent references, the unreordered flat form integrated by classic RK4
 and the bracket quadrature, live in :mod:`egorov.oracle`;
 :mod:`egorov.checks` compares the split-step tensors with both, and holds
@@ -43,7 +49,7 @@ from .flow import split_snapshots
 from .observables import Observable
 from .potentials import Potential
 # benchmark/tracing.py wraps egorov.correction.tilde_d3 by attribute.
-from .tensor_ops import tilde_d3, tilde_weights  # noqa: F401
+from .tensor_ops import tilde_d3  # noqa: F401
 
 __all__ = [
     "CorrectionState",
@@ -168,29 +174,24 @@ class CorrectionState:
         )
 
 
-def _mode1(w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(w x_1 t)_ijk = w_ia t_ajk, as one batched matmul."""
-    d = t.shape[-1]
-    return (w @ t.reshape(t.shape[:-3] + (d, d * d))).reshape(t.shape)
+def _mode1(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(diag(c) x_1 t)_ijk = c_i t_ijk."""
+    return c[..., :, None, None] * t
 
 
-def _mode2(w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(w x_2 t)_ijk = w_ja t_iak: w applied to each slice t_i."""
-    return w[..., None, :, :] @ t
+def _mode2(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(diag(c) x_2 t)_ijk = c_j t_ijk."""
+    return c[..., None, :, None] * t
 
 
-def _mode3(w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(w x_3 t)_ijk = w_ka t_ija: the (ij, a) unfolding times w^T."""
-    d = t.shape[-1]
-    return (t.reshape(t.shape[:-3] + (d * d, d)) @ np.swapaxes(w, -1, -2)).reshape(t.shape)
+def _mode3(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(diag(c) x_3 t)_ijk = c_k t_ijk."""
+    return c[..., None, None, :] * t
 
 
-def _contract_w3(w3: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """w3_ikl lam_lkj -> (..., i, j), as one batched matmul over (k, l)."""
-    d = lam.shape[-1]
-    return w3.reshape(w3.shape[:-3] + (d, d * d)) @ np.swapaxes(lam, -3, -2).reshape(
-        lam.shape[:-3] + (d * d, d)
-    )
+def _contract_w3(c3: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """w3_ikl lam_lkj for the diagonal w3 = diag(c3): c3_i lam_iij."""
+    return c3[..., :, None] * np.einsum("...iij->...ij", lam)
 
 
 def sub_flow_psi1(t: float, state: CorrectionState) -> CorrectionState:
@@ -201,32 +202,29 @@ def sub_flow_psi1(t: float, state: CorrectionState) -> CorrectionState:
 def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> CorrectionState:
     """Exact sub-flow updating the momentum-type blocks from the frozen
     position-type blocks (plus the inhomogeneity at q)."""
-    q = state.q
-    w2 = potential.hessian(q)
-    w3 = potential.third(q)
-    w4 = potential.fourth(q)
+    g, c2, c3, c4 = potential.diagonals(state.q)
+    lam4_source = (
+        -_mode1(c2, state.lam31) - _mode2(c2, state.lam32) - _mode3(c2, state.lam33)
+    )
+    # The tilde-weighted third derivative is c3 / 6 on the main diagonal.
+    diag = np.arange(state.d)
+    lam4_source[..., diag, diag, diag] -= (1.0 / 6.0) * c3
     return replace(
         state,
-        p=state.p - t * potential.gradient(q),
-        lam21=state.lam21 + t * (-_mode1(w2, state.lam1) + state.lam33 + state.lam32),
-        lam22=state.lam22 + t * (-_mode2(w2, state.lam1) + state.lam33 + state.lam31),
-        lam23=state.lam23 + t * (-_mode3(w2, state.lam1) + state.lam32 + state.lam31),
-        lam4=state.lam4 + t * (
-            -_mode1(w2, state.lam31) - _mode2(w2, state.lam32)
-            - _mode3(w2, state.lam33)
-            # third() is symmetric by construction (checked in the tests),
-            # so this skips tilde_d3's symmetry check on every sub-step.
-            - tilde_weights(state.d) * w3
-        ),
+        p=state.p - t * g,
+        lam21=state.lam21 + t * (-_mode1(c2, state.lam1) + state.lam33 + state.lam32),
+        lam22=state.lam22 + t * (-_mode2(c2, state.lam1) + state.lam33 + state.lam31),
+        lam23=state.lam23 + t * (-_mode3(c2, state.lam1) + state.lam32 + state.lam31),
+        lam4=state.lam4 + t * lam4_source,
         gam21=state.gam21 + t * (
-            -_contract_w3(w3, state.lam1)
-            - w2 @ state.gam1 + state.gam3
+            -_contract_w3(c3, state.lam1)
+            - c2[..., :, None] * state.gam1 + state.gam3
         ),
-        gam22=state.gam22 + t * (-state.gam1 @ w2 + state.gam3),
+        gam22=state.gam22 + t * (-state.gam1 * c2[..., None, :] + state.gam3),
         xi2=state.xi2 + t * (
-            -np.einsum("...ijkl,...lkj->...i", w4, state.lam1)
-            - 3.0 * np.einsum("...ijk,...kj->...i", w3, state.gam1)
-            - np.einsum("...ij,...j->...i", w2, state.xi1)
+            -c4 * np.einsum("...iii->...i", state.lam1)
+            - 3.0 * (c3 * np.einsum("...ii->...i", state.gam1))
+            - c2 * state.xi1
         ),
     )
 
@@ -234,24 +232,23 @@ def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> Cor
 def sub_flow_psi3(t: float, state: CorrectionState, potential: Potential) -> CorrectionState:
     """Exact sub-flow updating the position-type blocks from the frozen
     momentum-type blocks."""
-    w2 = potential.hessian(state.q)
-    w3 = potential.third(state.q)
+    _, c2, c3, _ = potential.diagonals(state.q)
     return replace(
         state,
         lam1=state.lam1 + t * (state.lam21 + state.lam22 + state.lam23),
         lam31=state.lam31 + t * (
-            state.lam4 - _mode2(w2, state.lam23) - _mode3(w2, state.lam22)
+            state.lam4 - _mode2(c2, state.lam23) - _mode3(c2, state.lam22)
         ),
         lam32=state.lam32 + t * (
-            state.lam4 - _mode1(w2, state.lam23) - _mode3(w2, state.lam21)
+            state.lam4 - _mode1(c2, state.lam23) - _mode3(c2, state.lam21)
         ),
         lam33=state.lam33 + t * (
-            state.lam4 - _mode1(w2, state.lam22) - _mode2(w2, state.lam21)
+            state.lam4 - _mode1(c2, state.lam22) - _mode2(c2, state.lam21)
         ),
         gam1=state.gam1 + t * (state.gam21 + state.gam22),
         gam3=state.gam3 + t * (
-            -_contract_w3(w3, state.lam23)
-            - w2 @ state.gam22 - state.gam21 @ w2
+            -_contract_w3(c3, state.lam23)
+            - c2[..., :, None] * state.gam22 - state.gam21 * c2[..., None, :]
         ),
         xi1=state.xi1 + t * state.xi2,
     )
@@ -305,22 +302,25 @@ def evolve_correction_snapshots(
     return [replace(state, t=float(t)) for t, state in zip(times, states)]
 
 
-def a2_eval(observable: Observable, state: CorrectionState) -> np.ndarray:
-    """Second-order correction value(s) for one observable.
+def a2_eval(observables, state: CorrectionState) -> np.ndarray:
+    """Second-order correction values, one row per observable.
 
-    Contracts the observable's derivative tensors at the transported phase
-    point against the reassembled correction tensors, with the reversed
-    index order (kji / ji) of the defining formula.
+    Contracts each observable's derivative tensors at the transported phase
+    point against the correction tensors, reassembled once for all of them,
+    with the reversed index order (kji / ji) of the defining formula.  A
+    single :class:`Observable` gives its row alone.
     """
+    single = isinstance(observables, Observable)
     z = state.z
     lam = state.lambda_full()
     gam = state.gamma_full()
     xi = state.xi_full()
-    d3a = observable.third(z)
-    d2a = observable.hess(z)
-    da = observable.grad(z)
-    return -0.25 * (
-        np.einsum("...ijk,...kji->...", d3a, lam)
-        + 3.0 * np.einsum("...ij,...ji->...", d2a, gam)
-        + np.einsum("...i,...i->...", da, xi)
-    )
+    rows = np.stack([
+        -0.25 * (
+            np.einsum("...ijk,...kji->...", obs.third(z), lam)
+            + 3.0 * np.einsum("...ij,...ji->...", obs.hess(z), gam)
+            + np.einsum("...i,...i->...", obs.grad(z), xi)
+        )
+        for obs in ([observables] if single else observables)
+    ])
+    return rows[0] if single else rows

@@ -473,11 +473,7 @@ def _correction_chunk_sums(config, potential, observables, times, start, stop):
     states = evolve_correction_snapshots(
         points, times, config.tau_correction, potential
     )
-    sums = np.empty((len(times), len(observables)))
-    for i, state in enumerate(states):
-        for j, obs in enumerate(observables):
-            sums[i, j] = np.sum(a2_eval(obs, state))
-    return sums
+    return np.stack([np.sum(a2_eval(observables, state), axis=-1) for state in states])
 
 
 def _ensemble_mean(config, potential, observables, times, n, chunk_fn, threads):

@@ -4,6 +4,12 @@ Every evaluator is batched: positions have shape ``(..., d)`` and the
 order-k derivative tensor comes back with shape ``(..., d, ..., d)`` (k
 trailing axes).  Derivatives are supplied analytically because the
 correction dynamics consume third and fourth derivatives at every step.
+
+Subclasses supply ``value``, ``gradient`` and ``diagonals``: the gradient and
+the main diagonals of the second to fourth derivative tensors, all of which
+are diagonal for the shipped models.  The correction stepper reads only the
+diagonals; the base class builds the dense tensors from them for the
+observables and the references.
 """
 
 from __future__ import annotations
@@ -27,7 +33,10 @@ __all__ = [
 class Potential:
     """Base class bundling a potential's value and derivative tensors.
 
-    Subclasses set ``d`` and implement ``value`` through ``fourth``.
+    Subclasses set ``d`` and implement ``value``, ``gradient`` and
+    ``diagonals``.  A potential whose derivative tensors are not diagonal
+    cannot implement ``diagonals``; it raises NotImplementedError there, and
+    the correction stepper, which reads nothing else, does not run on it.
     Evaluators are pure and re-entrant; instances carry no mutable state.
     """
 
@@ -39,14 +48,19 @@ class Potential:
     def gradient(self, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def hessian(self, q: np.ndarray) -> np.ndarray:
+    def diagonals(self, q: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(g, c2, c3, c4), each (..., d): the gradient, then the main
+        diagonals of the second, third and fourth derivative tensors."""
         raise NotImplementedError
+
+    def hessian(self, q: np.ndarray) -> np.ndarray:
+        return _diagonal_tensor(self.diagonals(q)[1], 2)
 
     def third(self, q: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return _diagonal_tensor(self.diagonals(q)[2], 3)
 
     def fourth(self, q: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return _diagonal_tensor(self.diagonals(q)[3], 4)
 
 
 def _diagonal_tensor(diag: np.ndarray, order: int) -> np.ndarray:
@@ -80,14 +94,10 @@ class TorsionalPotential(Potential):
     def gradient(self, q):
         return np.sin(np.asarray(q))
 
-    def hessian(self, q):
-        return _diagonal_tensor(np.cos(q), 2)
-
-    def third(self, q):
-        return _diagonal_tensor(-np.sin(q), 3)
-
-    def fourth(self, q):
-        return _diagonal_tensor(-np.cos(q), 4)
+    def diagonals(self, q):
+        q = np.asarray(q)
+        sin, cos = np.sin(q), np.cos(q)
+        return sin, cos, -sin, -cos
 
 
 @dataclass(frozen=True)
@@ -112,18 +122,10 @@ class HarmonicPotential(Potential):
     def gradient(self, q):
         return self.omega**2 * np.asarray(q)
 
-    def hessian(self, q):
+    def diagonals(self, q):
         q = np.asarray(q)
-        hess = np.diag(self.omega**2)
-        return np.broadcast_to(hess, q.shape[:-1] + hess.shape).copy()
-
-    def third(self, q):
-        q = np.asarray(q)
-        return np.zeros(q.shape[:-1] + (self.d,) * 3)
-
-    def fourth(self, q):
-        q = np.asarray(q)
-        return np.zeros(q.shape[:-1] + (self.d,) * 4)
+        zeros = np.zeros(q.shape)
+        return self.gradient(q), np.broadcast_to(self.omega**2, q.shape), zeros, zeros
 
 
 @dataclass(frozen=True)
@@ -143,17 +145,9 @@ class FreePotential(Potential):
     def gradient(self, q):
         return np.zeros_like(np.asarray(q, dtype=float))
 
-    def hessian(self, q):
-        q = np.asarray(q)
-        return np.zeros(q.shape[:-1] + (self.d,) * 2)
-
-    def third(self, q):
-        q = np.asarray(q)
-        return np.zeros(q.shape[:-1] + (self.d,) * 3)
-
-    def fourth(self, q):
-        q = np.asarray(q)
-        return np.zeros(q.shape[:-1] + (self.d,) * 4)
+    def diagonals(self, q):
+        zeros = np.zeros(np.shape(q))
+        return zeros, zeros, zeros, zeros
 
 
 def torsional_potential(d: int) -> TorsionalPotential:

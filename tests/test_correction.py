@@ -106,32 +106,37 @@ class TestGeneralRhs:
         np.testing.assert_array_equal(dgam, 0.0)
         np.testing.assert_array_equal(dxi, 0.0)
 
-    def test_matches_block_rhs_after_reordering(self, torsional_2d, ham_torsional_2d):
+    def test_matches_block_rhs_after_reordering(self):
         # The flat-form derivative, split into the block layout, must equal
         # the increments (sub_flow(t, s) - s) / t of the exact sub-flows,
         # which are linear in t: psi1 moves q, psi2 the momentum-type fields
         # and psi3 the position-type ones, at an arbitrary (even asymmetric)
-        # state.
+        # state.  A random state couples every index pair, so a diagonal
+        # broadcast on the wrong axis shows here in d >= 2; from zero tensors
+        # the separable torsional flow keeps each tensor on same-coordinate
+        # entries, where the axes cannot be told apart.
         rng = np.random.default_rng(25)
         t = 0.37
-        for _ in range(5):
-            s = random_state(rng)
-            gen = GeneralCorrectionState.from_block(s)
-            dz, dlam, dgam, dxi = general_rhs(gen, ham_torsional_2d)
-            dblock = CorrectionState.from_full(
-                dz, dlam.reshape(4, 4, 4), dgam.reshape(4, 4), dxi
-            )
-            for stepped, fields in (
-                (sub_flow_psi1(t, s), ("q",)),
-                (sub_flow_psi2(t, s, torsional_2d), PSI2_FIELDS),
-                (sub_flow_psi3(t, s, torsional_2d), PSI3_FIELDS),
-            ):
-                for f in fields:
-                    np.testing.assert_allclose(
-                        getattr(dblock, f),
-                        (getattr(stepped, f) - getattr(s, f)) / t,
-                        rtol=0.0, atol=1e-12, err_msg=f,
-                    )
+        for d in (1, 2, 3):
+            pot, n = torsional_potential(d), 2 * d
+            for _ in range(5):
+                s = random_state(rng, d)
+                gen = GeneralCorrectionState.from_block(s)
+                dz, dlam, dgam, dxi = general_rhs(gen, Hamiltonian(pot))
+                dblock = CorrectionState.from_full(
+                    dz, dlam.reshape((n,) * 3), dgam.reshape(n, n), dxi
+                )
+                for stepped, fields in (
+                    (sub_flow_psi1(t, s), ("q",)),
+                    (sub_flow_psi2(t, s, pot), PSI2_FIELDS),
+                    (sub_flow_psi3(t, s, pot), PSI3_FIELDS),
+                ):
+                    for f in fields:
+                        np.testing.assert_allclose(
+                            getattr(dblock, f),
+                            (getattr(stepped, f) - getattr(s, f)) / t,
+                            rtol=0.0, atol=1e-12, err_msg=f"d={d} {f}",
+                        )
 
 
 class TestSubFlows:
@@ -260,6 +265,38 @@ class TestEvolveCorrection:
         block = evolve_correction(z0, 1.0, 1e-3, torsional_2d)
         general = evolve_general(z0, 1.0, 1e-4, ham_torsional_2d)
         assert state_gap(general.to_block(), block) <= 1e-8
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        point=st.integers(1, 3).flatmap(
+            lambda d: arrays(float, 2 * d, elements=st.floats(-2.0, 2.0))
+        ),
+        steps=st.integers(0, 50),
+    )
+    def test_matches_general_form_in_dimensions_1_to_3(self, point, steps):
+        # Criterion 8's bound in d = 1, 2 and 3, to t <= 0.5 in steps of
+        # 1e-2: the integrated tensors of every dimension agree.
+        pot = torsional_potential(point.size // 2)
+        t = steps * 1e-2
+        block = evolve_correction(point, t, 1e-2, pot)
+        general = evolve_general(point, t, 1e-2, Hamiltonian(pot))
+        assert state_gap(general.to_block(), block) <= 1e-8
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        point=arrays(float, 6, elements=st.floats(-2.0, 2.0)),
+        stiffness=st.lists(st.floats(0.1, 4.0), min_size=3, max_size=3, unique=True),
+        steps=st.integers(0, 50),
+    )
+    def test_harmonic_3d_both_forms_stay_exactly_zero(self, point, stiffness, steps):
+        pot = harmonic_potential(3, stiffness)
+        t = steps * 1e-2
+        block = evolve_correction(point, t, 1e-2, pot)
+        general = evolve_general(point, t, 1e-2, Hamiltonian(pot))
+        for f in STATE_FIELDS[2:]:
+            np.testing.assert_array_equal(getattr(block, f), 0.0)
+        for tensor in (general.lam_vec, general.gam_vec, general.xi):
+            np.testing.assert_array_equal(tensor, 0.0)
 
     def test_lambda_symmetric_at_t5(self, torsional_2d, z0):
         s = evolve_correction(z0, 5.0, 1e-2, torsional_2d)

@@ -609,17 +609,15 @@ class TestSelftest:
         # comparison with the general form must fail.
         original = correction_mod._contract_w3
         monkeypatch.setattr(
-            correction_mod, "_contract_w3", lambda w3, lam: -original(w3, lam)
+            correction_mod, "_contract_w3", lambda c3, lam: -original(c3, lam)
         )
         assert not checks.run_check("block-general-equivalence").passed
 
     def test_mode_product_mutation_detected(self, monkeypatch):
-        # Contract the wrong index of the production mode-2 product
-        # (w_aj t_iak instead of w_ja t_iak); criterion 7's vectorization
-        # check must see it.
-        monkeypatch.setattr(
-            correction_mod, "_mode2", lambda w, t: np.swapaxes(w, -1, -2)[..., None, :, :] @ t
-        )
+        # Broadcast the diagonal over the wrong axis in the production mode-2
+        # product (c_i t_ijk instead of c_j t_ijk); criterion 7's
+        # vectorization check must see it.
+        monkeypatch.setattr(correction_mod, "_mode2", lambda c, t: c[..., :, None, None] * t)
         assert not checks.run_check("vectorization-identities").passed
 
 

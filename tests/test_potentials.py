@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from egorov.correction import evolve_correction
 from egorov.potentials import (
     FreePotential,
     Hamiltonian,
     HarmonicPotential,
+    Potential,
     TorsionalPotential,
     free_potential,
     harmonic_potential,
@@ -144,11 +146,43 @@ class TestFiniteDifferenceCheck:
             finite_difference_check(pot, np.zeros(1), order=5, step=1e-4)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [lambda: torsional_potential(2), lambda: harmonic_potential(2, (1.0, 2.0)),
-     lambda: free_potential(2)],
-)
+MAKERS = [
+    lambda: torsional_potential(2), lambda: harmonic_potential(2, (1.0, 2.0)),
+    lambda: free_potential(2),
+]
+
+
+@pytest.mark.parametrize("make", MAKERS)
+def test_diagonals_lead_with_the_gradient(make):
+    # The correction's kick reads g from diagonals(), the transport's from
+    # gradient(); both must be the same force.
+    pot = make()
+    q = np.random.default_rng(7).uniform(-np.pi, np.pi, size=(5, 3, 2))
+    diagonals = pot.diagonals(q)
+    np.testing.assert_array_equal(diagonals[0], pot.gradient(q))
+    assert [c.shape for c in diagonals] == [q.shape] * 4
+
+
+def test_potential_without_diagonals_is_rejected():
+    class Coupled(Potential):
+        """V = q1 q2, whose hessian is not diagonal."""
+
+        d = 2
+
+        def value(self, q):
+            return q[..., 0] * q[..., 1]
+
+        def gradient(self, q):
+            return q[..., ::-1]
+
+    pot = Coupled()
+    with pytest.raises(NotImplementedError):
+        pot.hessian(np.zeros(2))
+    with pytest.raises(NotImplementedError):
+        evolve_correction(np.zeros(4), 0.1, 0.1, pot)
+
+
+@pytest.mark.parametrize("make", MAKERS)
 def test_derivative_tensors_are_permutation_symmetric(make):
     pot = make()
     rng = np.random.default_rng(42)
