@@ -3,7 +3,8 @@
 Every check is one function that runs production code on fixed inputs and
 returns its measured numbers by name; it asserts nothing.  Production is
 held against the references in :mod:`egorov.oracle`, or against Kronecker
-matrices built with numpy for the correction stepper's mode products.
+matrices built with numpy for the mode products the correction stepper
+takes elementwise.
 ``egorov selftest`` runs the :data:`BATTERY`, which holds the band each
 number must lie in.  The acceptance tests call the same functions (criteria 1, 2, 7 and
 8) and assert their own literal bounds.
@@ -113,26 +114,29 @@ def symmetry_preservation() -> dict[str, float]:
 
 
 def vectorization_identities() -> dict[str, float]:
-    """Largest gap in vec(A X B^T) = (A kron B) vec(X), and between the
-    correction stepper's mode products and their Kronecker matrices.
+    """Largest gap in vec(A X B^T) = (A kron B) vec(X), and in the identity
+    the correction stepper rests on: the Kronecker matrix with diag(c) in
+    slot k, applied to vec(scatter(v)), gives vec(scatter(c v)).
 
-    The mode products are looked up on :mod:`egorov.correction` when the
-    check runs, and apply the diagonals of the three seeded matrices to the
-    seeded 3-tensor as one batch; each is held against the Kronecker matrix
-    with diag(c) in its mode slot.  vec is the row-major ravel.
+    v is the diagonal of the seeded 3-tensor and c runs over the diagonals
+    of the three seeded matrices, for k = 1, 2 and 3.  The scatter is the
+    one that builds the full correction tensors, looked up on
+    :mod:`egorov.correction` when the check runs.  vec is the row-major
+    ravel.
     """
     _, (base, other, mat, ten) = _identity_inputs()
     residuals = [np.kron(base, other) @ mat.ravel() - (base @ mat @ other.T).ravel()]
-    diagonals = np.diagonal(np.stack((base, other, mat)), axis1=-2, axis2=-1)
-    tensors = np.broadcast_to(ten, (len(diagonals),) + ten.shape)
-    eye = np.eye(ten.shape[-1])
-    products = (correction._mode1, correction._mode2, correction._mode3)
-    for mode, product in enumerate(products):
-        direct = product(diagonals, tensors).reshape(len(diagonals), -1)
-        for c, row in zip(diagonals, direct):
+    v = np.einsum("iii->i", ten)
+    eye = np.eye(len(v))
+
+    def scatter(diagonal):
+        return correction._scatter(diagonal, np.zeros(ten.shape)).ravel()
+
+    for c in np.diagonal(np.stack((base, other, mat)), axis1=-2, axis2=-1):
+        for mode in range(3):
             factors = [eye, eye, eye]
             factors[mode] = np.diag(c)
-            residuals.append(row - reduce(np.kron, factors) @ ten.ravel())
+            residuals.append(reduce(np.kron, factors) @ scatter(v) - scatter(c * v))
     return {"gap": _peak(*residuals)}
 
 

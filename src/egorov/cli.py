@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .experiments import (
     compare,
+    format_cell,
     load_config,
     read_rows_csv,
     reference_metadata,
@@ -35,10 +36,6 @@ _SUMMARY_HEADER = (
 )
 
 
-def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def _write_summary_csv(summaries, path) -> None:
     lines = [_SUMMARY_HEADER]
     for s in summaries:
@@ -46,10 +43,10 @@ def _write_summary_csv(summaries, path) -> None:
             ",".join(
                 [
                     s["observable"],
-                    _fmt(s["mean_err_egorov"]),
-                    _fmt(s["max_err_egorov"]),
-                    _fmt(s["mean_err_corrected"]),
-                    _fmt(s["max_err_corrected"]),
+                    format_cell(s["mean_err_egorov"]),
+                    format_cell(s["max_err_egorov"]),
+                    format_cell(s["mean_err_corrected"]),
+                    format_cell(s["max_err_corrected"]),
                 ]
             )
         )
@@ -108,8 +105,8 @@ def _cmd_compare(args) -> int:
     write_metadata(out, None, {})
     for s in summaries:
         print(
-            f"{s['observable']}: mean {_fmt(s['mean_err_corrected'])} "
-            f"max {_fmt(s['max_err_corrected'])} (corrected)"
+            f"{s['observable']}: mean {format_cell(s['mean_err_corrected'])} "
+            f"max {format_cell(s['max_err_corrected'])} (corrected)"
         )
     print(f"wrote {out / 'errors.csv'} and {out / 'summary.csv'}")
     return 0
@@ -136,7 +133,7 @@ def _cmd_sweep(args) -> int:
     for slope in result.slopes:
         print(
             f"{slope['observable']}: log-log slope "
-            f"{_fmt(slope['slope_max_corrected'])} (max corrected error)"
+            f"{format_cell(slope['slope_max_corrected'])} (max corrected error)"
         )
     print(f"wrote {out / 'sweep.csv'} ({elapsed:.1f}s)")
     return 0
@@ -171,23 +168,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="key=value config file")
+    def common(p, long_run=True, threads=True):
+        p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument(
-            "--long-run",
-            action="store_true",
-            help="full-size reference grid (1024 per axis)",
-        )
-        p.add_argument("--threads", type=int, help="worker threads for ensembles")
+        if long_run:
+            p.add_argument(
+                "--long-run",
+                action="store_true",
+                help="full-size reference grid (1024 per axis)",
+            )
+        if threads:
+            p.add_argument("--threads", type=int, help="worker threads for ensembles")
 
     run_p = sub.add_parser("run", help="transport + correction ensemble run")
-    common(run_p)
+    common(run_p, long_run=False)
     run_p.set_defaults(handler=_cmd_run)
 
     ref_p = sub.add_parser("reference", help="grid reference expectations")
-    common(ref_p)
+    common(ref_p, threads=False)
     ref_p.set_defaults(handler=_cmd_reference)
 
     cmp_p = sub.add_parser("compare", help="error table from two result files")

@@ -23,18 +23,22 @@ therefore exact (its right-hand side is frozen along it), and their
 symmetric composition gives the second-order step :func:`f2_step`; the
 Yoshida triple jump gives :func:`f4_step`.
 
-The sub-flows contract the coupling blocks directly; the block system has no
-materialized matrix form.  They read the potential's derivatives once per
-sub-flow, as the main diagonals returned by ``Potential.diagonals``: every
-derivative tensor of the shipped potentials is diagonal, so each mode product
-is a broadcast of a diagonal over one slot and each contraction with the
-third or fourth derivative picks out the diagonal of a block.  A potential
-with coupled derivatives raises NotImplementedError there.  This module
-holds only what a run executes.  The
-independent references, the unreordered flat form integrated by classic RK4
-and the bracket quadrature, live in :mod:`egorov.oracle`;
-:mod:`egorov.checks` compares the split-step tensors with both, and holds
-the mode products below against their Kronecker matrices.
+The sub-flows read the potential's derivatives once per sub-flow, as the
+main diagonals returned by ``Potential.diagonals``.  Diagonal derivative
+tensors mean a separable potential, V(q) = sum_j V_j(q_j), whose flow
+never couples two coordinates: from the zero start every Lambda and Gamma
+entry that mixes coordinates stays exactly zero.  So each block is stored as
+its same-coordinate diagonal, d numbers, and every mode product becomes an
+elementwise product: diag(c) in any slot of the block with diagonal v is the
+block with diagonal c v.  :meth:`CorrectionState.lambda_full` and
+:meth:`CorrectionState.gamma_full` scatter the diagonals into the full
+phase-space tensors that ``a2_eval`` and the references read.  A potential
+with coupled derivatives raises NotImplementedError in ``diagonals``.  This
+module holds only what a run executes.  The independent references, the
+unreordered flat form integrated by classic RK4 and the bracket quadrature,
+live in :mod:`egorov.oracle`; :mod:`egorov.checks` compares the split-step
+tensors with both, and holds the scatter against the Kronecker matrices of
+the mode products it replaces.
 
 All states are batched: every field carries leading sample axes.
 """
@@ -64,17 +68,42 @@ __all__ = [
 ]
 
 
+# The slots of each block's entries that address momenta (1) rather than
+# positions (0), in field order.
+_LAMBDA_BLOCKS = {
+    "lam1": (0, 0, 0), "lam21": (1, 0, 0), "lam22": (0, 1, 0), "lam23": (0, 0, 1),
+    "lam31": (0, 1, 1), "lam32": (1, 0, 1), "lam33": (1, 1, 0), "lam4": (1, 1, 1),
+}
+_GAMMA_BLOCKS = {"gam1": (0, 0), "gam21": (1, 0), "gam22": (0, 1), "gam3": (1, 1)}
+
+
+def _block(full: np.ndarray, pattern, d: int) -> np.ndarray:
+    """View of the block of a full phase-space tensor whose slots run over
+    the momenta where ``pattern`` is 1 and over the positions where it is 0."""
+    return full[(..., *(slice(m * d, (m + 1) * d) for m in pattern))]
+
+
+def _scatter(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the same-coordinate diagonal v (..., d) onto the main diagonal of
+    out (..., d, ..., d), in place, and return out."""
+    idx = np.arange(v.shape[-1])
+    out[(..., *[idx] * (out.ndim - v.ndim + 1))] = v
+    return out
+
+
 @dataclass(frozen=True)
 class CorrectionState:
-    """Trajectory-attached correction tensors in the reordered block layout.
+    """Trajectory-attached correction tensors in the reordered block layout,
+    each block stored as its same-coordinate diagonal.
 
     Block naming: ``lam1`` is the all-position 3-tensor block; ``lam21/22/23``
     carry one momentum index (in slot 1/2/3), ``lam31/32/33`` two momentum
     indices (complement slot 1/2/3), ``lam4`` all momentum.  ``gam21/gam22``
     are the momentum-row / momentum-column matrix blocks, ``gam1/gam3`` the
     pure blocks; ``xi1/xi2`` are the position/momentum vector parts.
-    Shapes: ``q, p, xi1, xi2`` are (..., d); lam blocks (..., d, d, d);
-    gam blocks (..., d, d).
+    Every field has shape (..., d): entry j of a lam block is the block's
+    (j, j, j) entry and entry j of a gam block its (j, j) entry.  The block
+    entries that mix two coordinates are zero and not stored.
     """
 
     q: np.ndarray
@@ -100,17 +129,10 @@ class CorrectionState:
         """Zero correction tensors attached to phase points z0 (..., 2d)."""
         z0 = np.asarray(z0, dtype=float)
         d = z0.shape[-1] // 2
-        batch = z0.shape[:-1]
-        t3 = np.zeros(batch + (d, d, d))
-        t2 = np.zeros(batch + (d, d))
-        t1 = np.zeros(batch + (d,))
+        zero = np.zeros(z0.shape[:-1] + (d,))
         return cls(
-            q=z0[..., :d].copy(),
-            p=z0[..., d:].copy(),
-            lam1=t3, lam21=t3.copy(), lam22=t3.copy(), lam23=t3.copy(),
-            lam31=t3.copy(), lam32=t3.copy(), lam33=t3.copy(), lam4=t3.copy(),
-            gam1=t2, gam21=t2.copy(), gam22=t2.copy(), gam3=t2.copy(),
-            xi1=t1, xi2=t1.copy(),
+            q=z0[..., :d].copy(), p=z0[..., d:].copy(),
+            **{f: zero.copy() for f in (*_LAMBDA_BLOCKS, *_GAMMA_BLOCKS, "xi1", "xi2")},
         )
 
     @property
@@ -124,74 +146,49 @@ class CorrectionState:
 
     # -- conversions between the block layout and full phase-space tensors --
 
-    def lambda_full(self) -> np.ndarray:
-        """Reassembled 3-tensor over phase-space indices, (..., 2d, 2d, 2d)."""
+    def _full(self, blocks) -> np.ndarray:
         d = self.d
-        out = np.zeros(self.q.shape[:-1] + (2 * d,) * 3)
-        out[..., :d, :d, :d] = self.lam1
-        out[..., d:, :d, :d] = self.lam21
-        out[..., :d, d:, :d] = self.lam22
-        out[..., :d, :d, d:] = self.lam23
-        out[..., :d, d:, d:] = self.lam31
-        out[..., d:, :d, d:] = self.lam32
-        out[..., d:, d:, :d] = self.lam33
-        out[..., d:, d:, d:] = self.lam4
+        order = len(next(iter(blocks.values())))
+        out = np.zeros(self.q.shape[:-1] + (2 * d,) * order)
+        for name, pattern in blocks.items():
+            _scatter(getattr(self, name), _block(out, pattern, d))
         return out
 
+    def lambda_full(self) -> np.ndarray:
+        """Reassembled 3-tensor over phase-space indices, (..., 2d, 2d, 2d)."""
+        return self._full(_LAMBDA_BLOCKS)
+
     def gamma_full(self) -> np.ndarray:
-        d = self.d
-        out = np.zeros(self.q.shape[:-1] + (2 * d, 2 * d))
-        out[..., :d, :d] = self.gam1
-        out[..., d:, :d] = self.gam21
-        out[..., :d, d:] = self.gam22
-        out[..., d:, d:] = self.gam3
-        return out
+        return self._full(_GAMMA_BLOCKS)
 
     def xi_full(self) -> np.ndarray:
         return np.concatenate((self.xi1, self.xi2), axis=-1)
 
     @classmethod
     def from_full(cls, z, lam, gam, xi, t: float = 0.0) -> "CorrectionState":
-        """Split full phase-space tensors into the block layout."""
+        """Gather full phase-space tensors into the block layout.
+
+        Raises ValueError if lam or gam has a nonzero entry that mixes two
+        coordinates: the layout has no place for it.
+        """
         z = np.asarray(z, dtype=float)
         d = z.shape[-1] // 2
-        return cls(
+        idx = np.arange(d)
+        blocks = {
+            name: _block(full, pattern, d)[(..., *[idx] * len(pattern))]
+            for full, table in ((lam, _LAMBDA_BLOCKS), (gam, _GAMMA_BLOCKS))
+            for name, pattern in table.items()
+        }
+        state = cls(
             q=z[..., :d].copy(), p=z[..., d:].copy(),
-            lam1=lam[..., :d, :d, :d].copy(),
-            lam21=lam[..., d:, :d, :d].copy(),
-            lam22=lam[..., :d, d:, :d].copy(),
-            lam23=lam[..., :d, :d, d:].copy(),
-            lam31=lam[..., :d, d:, d:].copy(),
-            lam32=lam[..., d:, :d, d:].copy(),
-            lam33=lam[..., d:, d:, :d].copy(),
-            lam4=lam[..., d:, d:, d:].copy(),
-            gam1=gam[..., :d, :d].copy(),
-            gam21=gam[..., d:, :d].copy(),
-            gam22=gam[..., :d, d:].copy(),
-            gam3=gam[..., d:, d:].copy(),
-            xi1=xi[..., :d].copy(), xi2=xi[..., d:].copy(),
-            t=t,
+            **blocks, xi1=xi[..., :d].copy(), xi2=xi[..., d:].copy(), t=t,
         )
-
-
-def _mode1(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(diag(c) x_1 t)_ijk = c_i t_ijk."""
-    return c[..., :, None, None] * t
-
-
-def _mode2(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(diag(c) x_2 t)_ijk = c_j t_ijk."""
-    return c[..., None, :, None] * t
-
-
-def _mode3(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(diag(c) x_3 t)_ijk = c_k t_ijk."""
-    return c[..., None, None, :] * t
-
-
-def _contract_w3(c3: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """w3_ikl lam_lkj for the diagonal w3 = diag(c3): c3_i lam_iij."""
-    return c3[..., :, None] * np.einsum("...iij->...ij", lam)
+        for full, rebuilt in ((lam, state.lambda_full()), (gam, state.gamma_full())):
+            if not np.array_equal(full, rebuilt, equal_nan=True):
+                raise ValueError(
+                    "correction tensor has a nonzero entry that mixes two coordinates"
+                )
+        return state
 
 
 def sub_flow_psi1(t: float, state: CorrectionState) -> CorrectionState:
@@ -203,28 +200,22 @@ def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> Cor
     """Exact sub-flow updating the momentum-type blocks from the frozen
     position-type blocks (plus the inhomogeneity at q)."""
     g, c2, c3, c4 = potential.diagonals(state.q)
-    lam4_source = (
-        -_mode1(c2, state.lam31) - _mode2(c2, state.lam32) - _mode3(c2, state.lam33)
-    )
-    # The tilde-weighted third derivative is c3 / 6 on the main diagonal.
-    diag = np.arange(state.d)
-    lam4_source[..., diag, diag, diag] -= (1.0 / 6.0) * c3
+    c2_lam1 = c2 * state.lam1
     return replace(
         state,
         p=state.p - t * g,
-        lam21=state.lam21 + t * (-_mode1(c2, state.lam1) + state.lam33 + state.lam32),
-        lam22=state.lam22 + t * (-_mode2(c2, state.lam1) + state.lam33 + state.lam31),
-        lam23=state.lam23 + t * (-_mode3(c2, state.lam1) + state.lam32 + state.lam31),
-        lam4=state.lam4 + t * lam4_source,
-        gam21=state.gam21 + t * (
-            -_contract_w3(c3, state.lam1)
-            - c2[..., :, None] * state.gam1 + state.gam3
+        lam21=state.lam21 + t * (-c2_lam1 + state.lam33 + state.lam32),
+        lam22=state.lam22 + t * (-c2_lam1 + state.lam33 + state.lam31),
+        lam23=state.lam23 + t * (-c2_lam1 + state.lam32 + state.lam31),
+        # The tilde-weighted third derivative is c3 / 6 on the main diagonal.
+        lam4=state.lam4 + t * (
+            -(c2 * state.lam31) - c2 * state.lam32 - c2 * state.lam33
+            - (1.0 / 6.0) * c3
         ),
-        gam22=state.gam22 + t * (-state.gam1 * c2[..., None, :] + state.gam3),
+        gam21=state.gam21 + t * (-(c3 * state.lam1) - c2 * state.gam1 + state.gam3),
+        gam22=state.gam22 + t * (-(state.gam1 * c2) + state.gam3),
         xi2=state.xi2 + t * (
-            -c4 * np.einsum("...iii->...i", state.lam1)
-            - 3.0 * (c3 * np.einsum("...ii->...i", state.gam1))
-            - c2 * state.xi1
+            -c4 * state.lam1 - 3.0 * (c3 * state.gam1) - c2 * state.xi1
         ),
     )
 
@@ -236,19 +227,12 @@ def sub_flow_psi3(t: float, state: CorrectionState, potential: Potential) -> Cor
     return replace(
         state,
         lam1=state.lam1 + t * (state.lam21 + state.lam22 + state.lam23),
-        lam31=state.lam31 + t * (
-            state.lam4 - _mode2(c2, state.lam23) - _mode3(c2, state.lam22)
-        ),
-        lam32=state.lam32 + t * (
-            state.lam4 - _mode1(c2, state.lam23) - _mode3(c2, state.lam21)
-        ),
-        lam33=state.lam33 + t * (
-            state.lam4 - _mode1(c2, state.lam22) - _mode2(c2, state.lam21)
-        ),
+        lam31=state.lam31 + t * (state.lam4 - c2 * state.lam23 - c2 * state.lam22),
+        lam32=state.lam32 + t * (state.lam4 - c2 * state.lam23 - c2 * state.lam21),
+        lam33=state.lam33 + t * (state.lam4 - c2 * state.lam22 - c2 * state.lam21),
         gam1=state.gam1 + t * (state.gam21 + state.gam22),
         gam3=state.gam3 + t * (
-            -_contract_w3(c3, state.lam23)
-            - c2[..., :, None] * state.gam22 - state.gam21 * c2[..., None, :]
+            -(c3 * state.lam23) - c2 * state.gam22 - state.gam21 * c2
         ),
         xi1=state.xi1 + t * state.xi2,
     )

@@ -46,6 +46,7 @@ __all__ = [
     "SweepResult",
     "build_potential",
     "compare",
+    "format_cell",
     "load_config",
     "parse_config",
     "read_rows_csv",
@@ -372,7 +373,8 @@ class ResultRow:
     err_corrected: float | None = None
 
 
-def _format_cell(value) -> str:
+def format_cell(value) -> str:
+    """A CSV cell: the float's repr, or empty for None."""
     return "" if value is None else repr(float(value))
 
 
@@ -383,7 +385,7 @@ def write_rows_csv(rows, path) -> None:
             ",".join(
                 [repr(float(row.time)), row.observable]
                 + [
-                    _format_cell(getattr(row, name))
+                    format_cell(getattr(row, name))
                     for name in (
                         "egorov",
                         "correction",
@@ -752,10 +754,10 @@ def write_sweep_csv(result: SweepResult, path) -> None:
                     result.axis,
                     repr(float(row["value"])),
                     row["observable"],
-                    _format_cell(row["mean_err_egorov"]),
-                    _format_cell(row["max_err_egorov"]),
-                    _format_cell(row["mean_err_corrected"]),
-                    _format_cell(row["max_err_corrected"]),
+                    format_cell(row["mean_err_egorov"]),
+                    format_cell(row["max_err_egorov"]),
+                    format_cell(row["mean_err_corrected"]),
+                    format_cell(row["max_err_corrected"]),
                     "",
                     "",
                 ]
@@ -772,8 +774,8 @@ def write_sweep_csv(result: SweepResult, path) -> None:
                     "",
                     "",
                     "",
-                    _format_cell(slope["slope_mean_corrected"]),
-                    _format_cell(slope["slope_max_corrected"]),
+                    format_cell(slope["slope_mean_corrected"]),
+                    format_cell(slope["slope_max_corrected"]),
                 ]
             )
         )

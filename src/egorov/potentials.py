@@ -7,9 +7,12 @@ correction dynamics consume third and fourth derivatives at every step.
 
 Subclasses supply ``value``, ``gradient`` and ``diagonals``: the gradient and
 the main diagonals of the second to fourth derivative tensors, all of which
-are diagonal for the shipped models.  The correction stepper reads only the
-diagonals; the base class builds the dense tensors from them for the
-observables and the references.
+are diagonal for the shipped models.  Diagonal derivatives mean a separable
+potential, V(q) = sum_j V_j(q_j): no coordinate's force depends on another
+coordinate, so the correction tensors never couple two coordinates either,
+and the correction stepper stores each of its blocks per coordinate, exactly.
+The stepper reads only the diagonals; the base class builds the dense
+tensors from them for the observables and the references.
 """
 
 from __future__ import annotations

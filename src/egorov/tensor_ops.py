@@ -3,8 +3,8 @@ with the standard symplectic matrix J = [[0, Id], [-Id, 0]].
 
 All tensors are dense numpy arrays, batched over leading axes.  Phase-space
 tensors have every extent equal to ``2d``, with indices ``0..d-1``
-addressing positions and ``d..2d-1`` momenta.  The mode products the
-correction stepper runs live in :mod:`egorov.correction`.
+addressing positions and ``d..2d-1`` momenta.  The correction stepper
+takes its mode products elementwise, in :mod:`egorov.correction`.
 """
 
 from __future__ import annotations

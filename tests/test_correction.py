@@ -1,7 +1,10 @@
-"""Correction-tensor dynamics: block layout, exact sub-flows against the
-flat general-form derivative, splitting steps, and a2 evaluation."""
+"""Correction-tensor dynamics: the per-coordinate block layout, exact
+sub-flows against the flat general-form derivative, splitting steps, and a2
+evaluation."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,11 +46,16 @@ def state_gap(a: CorrectionState, b: CorrectionState) -> float:
 
 
 def random_state(rng, d=2) -> CorrectionState:
-    z = rng.standard_normal(2 * d)
-    lam = rng.standard_normal((2 * d,) * 3)
-    gam = rng.standard_normal((2 * d,) * 2)
-    xi = rng.standard_normal(2 * d)
-    return CorrectionState.from_full(z, lam, gam, xi)
+    """Random phase point and random per-coordinate blocks, (d,) each."""
+    return CorrectionState(**{f: rng.standard_normal(d) for f in STATE_FIELDS})
+
+
+def cross_coordinate(n_slots: int, d: int) -> np.ndarray:
+    """Mask of the entries of a (2d)^n_slots phase-space tensor whose
+    indices address more than one coordinate (index j and j + d share
+    coordinate j)."""
+    coord = np.indices((2 * d,) * n_slots) % d
+    return np.any(coord != coord[0], axis=0)
 
 
 @pytest.fixture(scope="module")
@@ -68,24 +76,56 @@ class TestCorrectionState:
             np.testing.assert_array_equal(getattr(s, f), 0.0)
 
     def test_full_tensor_round_trip(self):
+        # Scatter the per-coordinate blocks into full tensors and gather
+        # them back, in d = 1, 2 and 3: nothing is lost.
         rng = np.random.default_rng(21)
-        s = random_state(rng)
-        rebuilt = CorrectionState.from_full(s.z, s.lambda_full(), s.gamma_full(), s.xi_full())
-        assert state_gap(s, rebuilt) == 0.0
+        for d in (1, 2, 3):
+            s = random_state(rng, d)
+            lam, gam = s.lambda_full(), s.gamma_full()
+            assert lam.shape == (2 * d,) * 3 and gam.shape == (2 * d,) * 2
+            rebuilt = CorrectionState.from_full(s.z, lam, gam, s.xi_full())
+            assert state_gap(s, rebuilt) == 0.0
 
     def test_block_split_covers_everything(self):
-        # Writing the blocks back into the full tensor must reproduce it
-        # exactly: no overlaps, no gaps.
-        rng = np.random.default_rng(22)
-        lam = rng.standard_normal((4, 4, 4))
-        s = CorrectionState.from_full(np.zeros(4), lam, np.zeros((4, 4)), np.zeros(4))
-        np.testing.assert_array_equal(s.lambda_full(), lam)
+        # Every same-coordinate entry of a full tensor belongs to exactly one
+        # block: distinct values on all of them come back through the blocks
+        # once each and reassemble the tensor exactly; no overlaps, no gaps.
+        for d in (1, 2, 3):
+            for n_slots, fields in ((3, STATE_FIELDS[2:10]), (2, STATE_FIELDS[10:14])):
+                same = ~cross_coordinate(n_slots, d)
+                full = np.zeros((2 * d,) * n_slots)
+                full[same] = np.arange(1.0, same.sum() + 1.0)
+                lam = full if n_slots == 3 else np.zeros((2 * d,) * 3)
+                gam = full if n_slots == 2 else np.zeros((2 * d,) * 2)
+                s = CorrectionState.from_full(np.zeros(2 * d), lam, gam, np.zeros(2 * d))
+                gathered = np.concatenate([getattr(s, f) for f in fields])
+                np.testing.assert_array_equal(np.sort(gathered), full[same])
+                rebuilt = s.lambda_full() if n_slots == 3 else s.gamma_full()
+                np.testing.assert_array_equal(rebuilt, full)
+
+    def test_from_full_rejects_cross_coordinate_entry(self):
+        # The layout has no place for an entry that mixes two coordinates,
+        # so a single nonzero one is an error, not silently dropped.
+        s = random_state(np.random.default_rng(23))
+        for index in ((0, 1, 0), (0, 3, 2), (3, 2, 2)):
+            lam = s.lambda_full()
+            lam[index] = 1e-300
+            with pytest.raises(ValueError, match="mixes two coordinates"):
+                CorrectionState.from_full(s.z, lam, s.gamma_full(), s.xi_full())
+        for index in ((2, 1), (0, 1)):
+            gam = s.gamma_full()
+            gam[index] = -0.5
+            with pytest.raises(ValueError, match="mixes two coordinates"):
+                CorrectionState.from_full(s.z, s.lambda_full(), gam, s.xi_full())
 
     def test_batched_initial(self):
         z = np.zeros((5, 3, 4))
         s = CorrectionState.initial(z)
         assert s.q.shape == (5, 3, 2)
-        assert s.lam1.shape == (5, 3, 2, 2, 2)
+        for f in STATE_FIELDS[2:]:
+            assert getattr(s, f).shape == (5, 3, 2)
+        assert s.lambda_full().shape == (5, 3, 4, 4, 4)
+        assert s.gamma_full().shape == (5, 3, 4, 4)
 
 
 class TestGeneralRhs:
@@ -110,11 +150,9 @@ class TestGeneralRhs:
         # The flat-form derivative, split into the block layout, must equal
         # the increments (sub_flow(t, s) - s) / t of the exact sub-flows,
         # which are linear in t: psi1 moves q, psi2 the momentum-type fields
-        # and psi3 the position-type ones, at an arbitrary (even asymmetric)
-        # state.  A random state couples every index pair, so a diagonal
-        # broadcast on the wrong axis shows here in d >= 2; from zero tensors
-        # the separable torsional flow keeps each tensor on same-coordinate
-        # entries, where the axes cannot be told apart.
+        # and psi3 the position-type ones, at an arbitrary per-coordinate
+        # state.  Random blocks make every coupling act, and with d >= 2 a
+        # derivative diagonal applied to the wrong coordinate shows here.
         rng = np.random.default_rng(25)
         t = 0.37
         for d in (1, 2, 3):
@@ -138,6 +176,31 @@ class TestGeneralRhs:
                             rtol=0.0, atol=1e-12, err_msg=f"d={d} {f}",
                         )
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        potential=st.one_of(
+            st.integers(1, 3).map(torsional_potential),
+            st.lists(st.floats(0.1, 4.0), min_size=3, max_size=3, unique=True).map(
+                lambda stiffness: harmonic_potential(3, stiffness)
+            ),
+        ),
+        data=st.data(),
+    )
+    def test_separable_rhs_keeps_coordinates_apart(self, potential, data):
+        # The invariant the per-coordinate layout rests on: at any
+        # per-coordinate state the flat-form derivative of a separable
+        # potential has exactly zero entries that mix two coordinates, so
+        # the flow never leaves the layout.
+        d = potential.d
+        values = data.draw(arrays(float, (len(STATE_FIELDS), d), elements=st.floats(-2.0, 2.0)))
+        s = CorrectionState(**dict(zip(STATE_FIELDS, values)))
+        _, dlam, dgam, _ = general_rhs(
+            GeneralCorrectionState.from_block(s), Hamiltonian(potential)
+        )
+        n = 2 * d
+        np.testing.assert_array_equal(dlam.reshape((n,) * 3)[cross_coordinate(3, d)], 0.0)
+        np.testing.assert_array_equal(dgam.reshape(n, n)[cross_coordinate(2, d)], 0.0)
+
 
 class TestSubFlows:
     def test_psi1_zero_time_identity(self):
@@ -159,12 +222,14 @@ class TestSubFlows:
 
     def test_psi2_from_initial_state(self, torsional_2d, z0):
         # With Psi3 = 0 only the inhomogeneity acts: the momentum picks up
-        # -t DV and the all-momentum block -t vec(tilde D3V).
+        # -t DV and the all-momentum block of the full tensor -t tilde D3V.
         s = CorrectionState.initial(z0)
         t = 0.3
         out = sub_flow_psi2(t, s, torsional_2d)
         np.testing.assert_allclose(out.p, -t * np.sin(z0[:2]))
-        np.testing.assert_allclose(out.lam4, -t * tilde_d3(torsional_2d.third(z0[:2])))
+        np.testing.assert_allclose(
+            out.lambda_full()[2:, 2:, 2:], -t * tilde_d3(torsional_2d.third(z0[:2]))
+        )
         np.testing.assert_array_equal(out.q, s.q)
         for f in ("lam1", "lam21", "lam22", "lam23", "lam31", "lam32", "lam33",
                   "gam1", "gam21", "gam22", "gam3", "xi1", "xi2"):
@@ -176,19 +241,13 @@ class TestSubFlows:
 
     def test_psi3_ignores_momentum(self, torsional_2d, z0):
         # A state whose Psi2 tensor blocks vanish feeds nothing into Psi3:
-        # no A3 column acts on the momentum entries.
-        s = CorrectionState.initial(np.array([1.0, 0.5, 0.8, -0.3]))
+        # no A3 column acts on the momentum entries.  The Psi3 blocks are
+        # random, to rule out trivial passing.
         rng = np.random.default_rng(30)
-        s = CorrectionState.from_full(
-            s.z,
-            np.zeros((4, 4, 4)),
-            np.zeros((4, 4)),
-            np.zeros(4),
+        s = replace(
+            CorrectionState.initial(np.array([1.0, 0.5, 0.8, -0.3])),
+            **{f: rng.standard_normal(2) for f in PSI3_FIELDS},
         )
-        # give the Psi3 side nonzero content to rule out trivial passing
-        lam = np.zeros((4, 4, 4))
-        lam[:2, :2, :2] = rng.standard_normal((2, 2, 2))
-        s = CorrectionState.from_full(s.z, lam, np.zeros((4, 4)), np.zeros(4))
         out = sub_flow_psi3(0.7, s, torsional_2d)
         assert state_gap(out, s) == 0.0
 
@@ -448,9 +507,10 @@ class TestGeneralCorrectionState:
 
     def test_block_round_trip(self):
         rng = np.random.default_rng(36)
-        s = random_state(rng)
-        back = GeneralCorrectionState.from_block(s).to_block()
-        assert state_gap(back, s) == 0.0
+        for d in (1, 2, 3):
+            s = random_state(rng, d)
+            back = GeneralCorrectionState.from_block(s).to_block()
+            assert state_gap(back, s) == 0.0
 
     def test_zero_duration(self, ham_torsional_2d, z0):
         s = evolve_general(z0, 0.0, 1e-3, ham_torsional_2d)

@@ -604,20 +604,29 @@ class TestSelftest:
         assert len(results) == 8
 
     def test_sign_mutation_detected(self, monkeypatch):
-        # Flip the sign of one coupling of the production sub-flows (the
-        # w3:Lambda contraction that drives the second-moment blocks); the
-        # comparison with the general form must fail.
-        original = correction_mod._contract_w3
-        monkeypatch.setattr(
-            correction_mod, "_contract_w3", lambda c3, lam: -original(c3, lam)
-        )
+        # Flip the sign of one coupling of the production sub-flows: the gam3
+        # increment of psi3, driven by the w3:Lambda contraction and the
+        # second-derivative terms.  The comparison with the general form
+        # must fail.
+        original = correction_mod.sub_flow_psi3
+
+        def flipped(t, state, potential):
+            out = original(t, state, potential)
+            return dataclasses.replace(out, gam3=2.0 * state.gam3 - out.gam3)
+
+        monkeypatch.setattr(correction_mod, "sub_flow_psi3", flipped)
         assert not checks.run_check("block-general-equivalence").passed
 
     def test_mode_product_mutation_detected(self, monkeypatch):
-        # Broadcast the diagonal over the wrong axis in the production mode-2
-        # product (c_i t_ijk instead of c_j t_ijk); criterion 7's
-        # vectorization check must see it.
-        monkeypatch.setattr(correction_mod, "_mode2", lambda c, t: c[..., :, None, None] * t)
+        # Write the diagonal one index off in the scatter that builds the full
+        # correction tensors ((j, j, j + 1) instead of (j, j, j)); criterion
+        # 7's vectorization check must see it.
+        def shifted(v, out):
+            idx = np.arange(v.shape[-1])
+            out[..., idx, idx, np.roll(idx, -1)] = v
+            return out
+
+        monkeypatch.setattr(correction_mod, "_scatter", shifted)
         assert not checks.run_check("vectorization-identities").passed
 
 
@@ -762,3 +771,15 @@ class TestCli:
         ])
         assert code == 0
         assert seen["grid"] == 1024
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("reference", ["--threads", "2"]), ("run", ["--long-run"])],
+    )
+    def test_flag_without_effect_is_rejected(self, command, flag, config_file, tmp_path, capsys):
+        # `reference` runs no ensemble and `run` builds no grid, so neither
+        # accepts the flag that would only be echoed.
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--config", str(config_file), "--out", str(tmp_path / "o"), *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

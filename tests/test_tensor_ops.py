@@ -1,6 +1,6 @@
 """Tensor utilities: the weighted third derivative, symplectic
-contractions, and the correction stepper's mode products, each checked
-against brute-force loop oracles."""
+contractions, and the identity behind the correction stepper's elementwise
+mode products, each checked against brute-force loop oracles."""
 
 from __future__ import annotations
 
@@ -25,32 +25,43 @@ def mode_multiply_loops(a: np.ndarray, b: np.ndarray, mode: int) -> np.ndarray:
     return out
 
 
-MODE_PRODUCTS = (correction._mode1, correction._mode2, correction._mode3)
+def scatter(v: np.ndarray) -> np.ndarray:
+    """The 3-tensors (..., d, d, d) that production's scatter builds from
+    same-coordinate diagonals v (..., d)."""
+    return correction._scatter(v, np.zeros(v.shape + v.shape[-1:] * 2))
 
 
 class TestModeMultiply:
-    """The diagonal mode products of :mod:`egorov.correction`: the diagonal
-    c stands for the matrix diag(c)."""
+    """The identity the per-coordinate correction kernel rests on: diag(c)
+    in any slot of the tensor scattered from v is the tensor scattered from
+    c v."""
 
     def test_identity_matrix_is_noop(self):
-        rng = np.random.default_rng(2)
-        b = rng.standard_normal((5, 3, 3, 3))
-        for product in MODE_PRODUCTS:
-            np.testing.assert_array_equal(product(np.ones(3), b), b)
+        v = np.random.default_rng(2).standard_normal(3)
+        for mode in range(3):
+            np.testing.assert_array_equal(
+                mode_multiply_loops(np.eye(3), scatter(v), mode), scatter(v)
+            )
 
     def test_scaling(self):
-        rng = np.random.default_rng(3)
-        b = rng.standard_normal((2, 2, 2))
-        np.testing.assert_allclose(correction._mode2(np.full(2, 2.0), b), 2.0 * b)
+        v = np.random.default_rng(3).standard_normal(2)
+        np.testing.assert_allclose(
+            mode_multiply_loops(2.0 * np.eye(2), scatter(v), 1), scatter(2.0 * v)
+        )
 
     def test_matches_loop_oracle_all_modes(self):
-        # a batch of distinct diagonals and tensors, one loop oracle per entry
+        # a batch of distinct diagonals, scattered at once and one at a time
         rng = np.random.default_rng(5)
-        c = np.diagonal(rng.standard_normal((4, 3, 3)), axis1=-2, axis2=-1)
-        b = rng.standard_normal((4, 3, 3, 3))
-        for mode, product in enumerate(MODE_PRODUCTS):
-            expected = [mode_multiply_loops(np.diag(ci), bi, mode) for ci, bi in zip(c, b)]
-            np.testing.assert_allclose(product(c, b), expected, atol=1e-12)
+        c = rng.standard_normal((4, 3))
+        v = rng.standard_normal((4, 3))
+        batched = scatter(v)
+        for ci, vi, bi in zip(c, v, batched):
+            np.testing.assert_array_equal(bi, scatter(vi))
+            for mode in range(3):
+                np.testing.assert_allclose(
+                    mode_multiply_loops(np.diag(ci), bi, mode), scatter(ci * vi),
+                    rtol=0.0, atol=1e-12,
+                )
 
 
 class TestTildeWeights:
