@@ -25,6 +25,7 @@ from .experiments import (
     run_corrected,
     run_reference,
     sweep,
+    transport_metadata,
     write_metadata,
     write_rows_csv,
     write_sweep_csv,
@@ -74,7 +75,7 @@ def _cmd_run(args) -> int:
     rows = run_corrected(config, threads=args.threads)
     elapsed = time.perf_counter() - start
     write_rows_csv(rows, out / "results.csv")
-    write_metadata(out, config, {"run": elapsed})
+    write_metadata(out, config, {"run": elapsed}, transport=transport_metadata(config))
     print(f"wrote {out / 'results.csv'} ({len(rows)} rows, {elapsed:.1f}s)")
     return 0
 
@@ -129,7 +130,7 @@ def _cmd_sweep(args) -> int:
     )
     elapsed = time.perf_counter() - start
     write_sweep_csv(result, out / "sweep.csv")
-    write_metadata(out, config, {"sweep": elapsed})
+    write_metadata(out, config, {"sweep": elapsed}, transport=transport_metadata(config))
     for slope in result.slopes:
         print(
             f"{slope['observable']}: log-log slope "

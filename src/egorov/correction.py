@@ -32,9 +32,11 @@ its same-coordinate diagonal, d numbers, and every mode product becomes an
 elementwise product: diag(c) in any slot of the block with diagonal v is the
 block with diagonal c v.  :meth:`CorrectionState.lambda_full` and
 :meth:`CorrectionState.gamma_full` scatter the diagonals into the full
-phase-space tensors that ``a2_eval`` and the references read.  A potential
-with coupled derivatives raises NotImplementedError in ``diagonals``.  This
-module holds only what a run executes.  The independent references, the
+phase-space tensors that the references read; ``a2_eval`` contracts the
+diagonals alone with the matching derivative entries of each observable.  A
+potential with coupled derivatives raises NotImplementedError in
+``diagonals``.  Beside the run path, this module holds only the conversions
+between the block layout and the full tensors.  The independent references, the
 unreordered flat form integrated by classic RK4 and the bracket quadrature,
 live in :mod:`egorov.oracle`; :mod:`egorov.checks` compares the split-step
 tensors with both, and holds the scatter against the Kronecker matrices of
@@ -81,6 +83,15 @@ def _block(full: np.ndarray, pattern, d: int) -> np.ndarray:
     """View of the block of a full phase-space tensor whose slots run over
     the momenta where ``pattern`` is 1 and over the positions where it is 0."""
     return full[(..., *(slice(m * d, (m + 1) * d) for m in pattern))]
+
+
+def _diagonal_index(patterns, d: int) -> tuple[np.ndarray, ...]:
+    """Index arrays, one per slot, of the same-coordinate diagonals of the
+    blocks with the given slot patterns: ``full[(..., *index)]`` holds them
+    as (..., n_blocks, d)."""
+    patterns = np.asarray(list(patterns))
+    j = np.arange(d)
+    return tuple(patterns[:, slot, None] * d + j for slot in range(patterns.shape[1]))
 
 
 def _scatter(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -173,12 +184,10 @@ class CorrectionState:
         """
         z = np.asarray(z, dtype=float)
         d = z.shape[-1] // 2
-        idx = np.arange(d)
-        blocks = {
-            name: _block(full, pattern, d)[(..., *[idx] * len(pattern))]
-            for full, table in ((lam, _LAMBDA_BLOCKS), (gam, _GAMMA_BLOCKS))
-            for name, pattern in table.items()
-        }
+        blocks = {}
+        for full, table in ((lam, _LAMBDA_BLOCKS), (gam, _GAMMA_BLOCKS)):
+            diagonals = full[(..., *_diagonal_index(table.values(), d))]
+            blocks.update({name: diagonals[..., b, :] for b, name in enumerate(table)})
         state = cls(
             q=z[..., :d].copy(), p=z[..., d:].copy(),
             **blocks, xi1=xi[..., :d].copy(), xi2=xi[..., d:].copy(), t=t,
@@ -289,20 +298,24 @@ def evolve_correction_snapshots(
 def a2_eval(observables, state: CorrectionState) -> np.ndarray:
     """Second-order correction values, one row per observable.
 
-    Contracts each observable's derivative tensors at the transported phase
-    point against the correction tensors, reassembled once for all of them,
-    with the reversed index order (kji / ji) of the defining formula.  A
-    single :class:`Observable` gives its row alone.
+    Only the stored same-coordinate entries of Lambda and Gamma can be
+    nonzero, so each block diagonal is contracted with the matching entries
+    of the observable's derivative tensors at the transported phase point.
+    Those sit on the reversed slot pattern, after the index order (kji / ji)
+    of the defining formula.  A single :class:`Observable` gives its row
+    alone.
     """
     single = isinstance(observables, Observable)
     z = state.z
-    lam = state.lambda_full()
-    gam = state.gamma_full()
     xi = state.xi_full()
+    lam = np.stack([getattr(state, name) for name in _LAMBDA_BLOCKS], axis=-2)
+    gam = np.stack([getattr(state, name) for name in _GAMMA_BLOCKS], axis=-2)
+    lam_index = _diagonal_index((p[::-1] for p in _LAMBDA_BLOCKS.values()), state.d)
+    gam_index = _diagonal_index((p[::-1] for p in _GAMMA_BLOCKS.values()), state.d)
     rows = np.stack([
         -0.25 * (
-            np.einsum("...ijk,...kji->...", obs.third(z), lam)
-            + 3.0 * np.einsum("...ij,...ji->...", obs.hess(z), gam)
+            np.einsum("...bj,...bj->...", obs.third(z)[(..., *lam_index)], lam)
+            + 3.0 * np.einsum("...bj,...bj->...", obs.hess(z)[(..., *gam_index)], gam)
             + np.einsum("...i,...i->...", obs.grad(z), xi)
         )
         for obs in ([observables] if single else observables)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .correction import a2_eval, evolve_correction_snapshots
-from .flow import propagate_snapshots, step_count
+from .flow import propagate_snapshots, step_count, yoshida_coefficients
 from .observables import make_observable
 from .potentials import (
     Potential,
@@ -57,6 +57,7 @@ __all__ = [
     "snapshot_times",
     "sweep",
     "table_row_config",
+    "transport_metadata",
     "write_metadata",
     "write_rows_csv",
     "write_sweep_csv",
@@ -414,19 +415,17 @@ def read_rows_csv(path) -> list[ResultRow]:
     return rows
 
 
-def write_metadata(
-    out_dir, config: RunConfig | None, elapsed: dict, reference: dict | None = None
-) -> None:
+def write_metadata(out_dir, config: RunConfig | None, elapsed: dict, **entries) -> None:
     """Wall-clock info and the config echo; the only place timestamps go.
-    ``reference`` (see :func:`reference_metadata`) is added as its own entry."""
+    Each keyword entry, such as ``reference`` (:func:`reference_metadata`) or
+    ``transport`` (:func:`transport_metadata`), is added under its name."""
     payload = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": {key: float(val) for key, val in elapsed.items()},
+        **entries,
     }
     if config is not None:
         payload["config"] = config_to_dict(config)
-    if reference is not None:
-        payload["reference"] = reference
     path = Path(out_dir) / "metadata.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -572,12 +571,30 @@ def run_reference(config: RunConfig, cache_dir=None) -> list[ResultRow]:
     ]
 
 
+def _total_steps(config: RunConfig, tau: float) -> int:
+    times = snapshot_times(config)
+    return sum(step_count(b - a, tau) for a, b in zip(times, times[1:]))
+
+
 def reference_metadata(config: RunConfig) -> dict:
     """The scheme, step and step count behind :func:`run_reference`'s table."""
     tau = config.tau_reference_effective
-    times = snapshot_times(config)
-    steps = sum(step_count(b - a, tau) for a, b in zip(times, times[1:]))
-    return {"scheme": SCHEME, "tau": tau, "steps": steps}
+    return {"scheme": SCHEME, "tau": tau, "steps": _total_steps(config, tau)}
+
+
+def transport_metadata(config: RunConfig) -> dict:
+    """The splitting order, Strang stages per step, step count and force
+    evaluations (N0 x steps x stages) behind the transport column.  A sweep
+    reuses its config's transport on every value except along epsilon, where
+    each value runs its own with N0 scaled by (epsilon / value)^2."""
+    stages = len(yoshida_coefficients(config.flow_order))
+    steps = _total_steps(config, config.tau_flow)
+    return {
+        "order": config.flow_order,
+        "stages_per_step": stages,
+        "steps": steps,
+        "force_evaluations": config.n_samples * steps * stages,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ distinct sample points can be mapped over in parallel with no shared state.
 
 The building blocks are the exact kinetic flow (:func:`drift`) and the exact
 potential flow (:func:`kick`, with the Hamiltonian sign p <- p - t DV).
-Their Strang composition is second order; higher even orders come from the
-Yoshida triple jump, which :func:`split_snapshots` runs with adjacent
-half-drifts merged; the correction tensors and the grid reference
-(:func:`reference.reference_expectations`) step through it too.
+Their Strang composition is second order.  Higher even orders compose it
+symmetrically (Yoshida, Phys. Lett. A 150, 262 (1990)): order 4 is the
+triple jump, and orders 6 and 8 are the minimal compositions of Yoshida's
+Table 2, solutions A (7 stages) and D (15 stages).  :func:`split_snapshots`
+runs a composition with adjacent half-drifts merged; the correction tensors
+and the grid reference (:func:`reference.reference_expectations`) step
+through it too, both at order 4.
 """
 
 from __future__ import annotations
@@ -57,23 +60,34 @@ def strang_step(tau: float, z: np.ndarray, potential: Potential) -> np.ndarray:
     return drift(0.5 * tau, z)
 
 
-def yoshida_coefficients(order: int) -> np.ndarray:
-    """Sub-step scalings of the triple-jump composition for a symmetric
-    second-order base step.
+# Yoshida (1990), Table 2: w_1 .. w_m of the symmetric compositions
+# [w_m .. w_1, w_0, w_1 .. w_m] of a second-order step, w_0 = 1 - 2 sum w_i.
+# The order-4 entry is the triple jump, gamma = 1 / (2 - 2^(1/3)).
+_YOSHIDA_W = {
+    2: (),
+    4: (1.0 / (2.0 - 2.0 ** (1.0 / 3.0)),),
+    # Solution A.
+    6: (-0.117767998417887e1, 0.235573213359357e0, 0.784513610477560e0),
+    # Solution D.
+    8: (
+        0.102799849391985e0, -0.196061023297549e1, 0.193813913762276e1,
+        -0.158240635368243e0, -0.144485223686048e1, 0.253693336566229e0,
+        0.914844246229740e0,
+    ),
+}
 
-    Level k -> k+2 uses (gamma, 1 - 2 gamma, gamma) with
-    gamma = 1 / (2 - 2^(1/(k+1))), so order 2k has 3^(k-1) entries, summing
-    to 1 at every level.
+
+def yoshida_coefficients(order: int) -> np.ndarray:
+    """Sub-step scalings of the symmetric composition of a second-order base
+    step: 1, 3, 7 and 15 entries for orders 2, 4, 6 and 8, summing to 1.
+
+    Order 4 is the triple jump; orders 6 and 8 are Yoshida's minimal
+    compositions (Phys. Lett. A 150, 262 (1990), Table 2, solutions A and D).
     """
-    if order not in (2, 4, 6, 8):
+    if order not in _YOSHIDA_W:
         raise ValueError(f"order must be one of 2, 4, 6, 8, got {order}")
-    coeffs = np.array([1.0])
-    k = 2
-    while k < order:
-        gamma = 1.0 / (2.0 - 2.0 ** (1.0 / (k + 1)))
-        coeffs = np.concatenate((gamma * coeffs, (1 - 2 * gamma) * coeffs, gamma * coeffs))
-        k += 2
-    return coeffs
+    w = np.array(_YOSHIDA_W[order])
+    return np.concatenate((w[::-1], [1.0 - 2.0 * np.sum(w)], w))
 
 
 def step_count(t: float, tau: float) -> int:

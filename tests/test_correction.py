@@ -488,6 +488,28 @@ class TestA2Eval:
         for name in ("q1", "p2", "kinetic", "potential", "total"):
             assert a2_eval(make_observable(name, pot), s) == 0.0
 
+    def test_gather_matches_dense_scatter_formula(self):
+        # a2_eval reads only the stored diagonals; the defining formula
+        # contracts the scattered full tensors with index order kji / ji.
+        # Unsymmetric random derivative tensors tell the slot orders apart.
+        rng = np.random.default_rng(37)
+        for d in (1, 2, 3):
+            state = CorrectionState(
+                **{f: rng.standard_normal((5, d)) for f in STATE_FIELDS}
+            )
+            tensors = [rng.standard_normal((5,) + (2 * d,) * k) for k in (1, 2, 3)]
+            obs = Observable(
+                name="random", dim=d, value=lambda z: np.zeros(z.shape[:-1]),
+                grad=lambda z: tensors[0], hess=lambda z: tensors[1],
+                third=lambda z: tensors[2],
+            )
+            dense = -0.25 * (
+                np.einsum("...ijk,...kji->...", tensors[2], state.lambda_full())
+                + 3.0 * np.einsum("...ij,...ji->...", tensors[1], state.gamma_full())
+                + np.einsum("...i,...i->...", tensors[0], state.xi_full())
+            )
+            np.testing.assert_allclose(a2_eval(obs, state), dense, rtol=0.0, atol=1e-14)
+
     def test_batched_evaluation(self, torsional_2d):
         batch = np.random.default_rng(35).uniform(-1.0, 1.0, size=(6, 4))
         s = evolve_correction(batch, 0.5, 1e-2, torsional_2d)

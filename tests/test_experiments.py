@@ -41,6 +41,7 @@ from egorov.experiments import (
 )
 from egorov.experiments import _config_for_value, _loglog_slope
 from egorov.flow import step_count
+from egorov.potentials import TorsionalPotential
 from egorov.sampling import GaussianPacket, QmcSampler, sample_points
 
 
@@ -661,6 +662,28 @@ class TestCli:
         assert rows
         assert json.loads((out / "metadata.json").read_text())["config"]["n_samples"] == 64
 
+    def test_run_metadata_counts_transport_work(self, config_file, tmp_path, monkeypatch):
+        # N0 x steps x stages = 64 x 4 x 15, and it equals the sample rows
+        # the kicks hand to the gradient (no correction samples here, so
+        # nothing else asks for the gradient).
+        config_file.write_text(self.CONFIG.replace("n_correction = 16", "n_correction = 0"))
+        rows = []
+        original = TorsionalPotential.gradient
+
+        def counted(self, q):
+            rows.append(np.shape(q)[0])
+            return original(self, q)
+
+        monkeypatch.setattr(TorsionalPotential, "gradient", counted)
+        out = tmp_path / "out"
+        args = ["run", "--config", str(config_file), "--out", str(out), "--threads", "1"]
+        assert cli.main(args) == 0
+        transport = json.loads((out / "metadata.json").read_text())["transport"]
+        assert transport == {
+            "order": 8, "stages_per_step": 15, "steps": 4, "force_evaluations": 3840,
+        }
+        assert sum(rows) == transport["force_evaluations"]
+
     def test_reference_compare_pipeline(self, config_file, tmp_path, capsys):
         run_dir = tmp_path / "run"
         ref_dir = tmp_path / "ref"
@@ -688,6 +711,8 @@ class TestCli:
         assert code == 0
         assert (out / "sweep.csv").exists()
         assert "slope" in capsys.readouterr().out
+        transport = json.loads((out / "metadata.json").read_text())["transport"]
+        assert transport == experiments.transport_metadata(load_config(config_file))
 
     def test_sweep_without_axis_fails_validation(self, config_file, tmp_path, capsys):
         code = cli.main(["sweep", "--config", str(config_file), "--out", str(tmp_path / "x")])

@@ -103,17 +103,29 @@ class TestYoshidaCoefficients:
         np.testing.assert_array_equal(yoshida_coefficients(2), [1.0])
 
     def test_triple_jump_structure(self):
-        # Each level k -> k+2 maps c to (gamma c, (1 - 2 gamma) c, gamma c)
-        # with gamma = 1 / (2 - 2^(1/(k+1))).
-        for order, size in ((4, 3), (6, 9), (8, 27)):
+        # Symmetric compositions [w_m .. w_1, w_0, w_1 .. w_m] summing to 1.
+        # Order 4 is the triple jump of order 2; orders 6 and 8 are Yoshida's
+        # (1990, Table 2) minimal solutions A and D, not triple jumps.
+        published = {
+            6: [-0.117767998417887e1, 0.235573213359357e0, 0.784513610477560e0],
+            8: [0.102799849391985e0, -0.196061023297549e1, 0.193813913762276e1,
+                -0.158240635368243e0, -0.144485223686048e1, 0.253693336566229e0,
+                0.914844246229740e0],
+        }
+        for order, size in ((2, 1), (4, 3), (6, 7), (8, 15)):
             coeffs = yoshida_coefficients(order)
             assert coeffs.size == size
-            assert np.sum(coeffs) == pytest.approx(1.0)
-            lower = yoshida_coefficients(order - 2)
-            gamma = 1.0 / (2.0 - 2.0 ** (1.0 / (order - 1)))
-            np.testing.assert_allclose(coeffs[:lower.size], gamma * lower)
-            np.testing.assert_allclose(coeffs[lower.size:2 * lower.size], (1 - 2 * gamma) * lower)
-            np.testing.assert_allclose(coeffs[2 * lower.size:], gamma * lower)
+            np.testing.assert_array_equal(coeffs, coeffs[::-1])
+            assert np.sum(coeffs) == pytest.approx(1.0, abs=1e-14)
+        gamma = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+        lower = yoshida_coefficients(2)
+        np.testing.assert_array_equal(
+            yoshida_coefficients(4),
+            np.concatenate((gamma * lower, (1 - 2 * gamma) * lower, gamma * lower)),
+        )
+        for order, w in published.items():
+            m = len(w)
+            np.testing.assert_array_equal(yoshida_coefficients(order)[m + 1:], w)
 
     def test_order_four_leading_coefficient(self):
         coeffs = yoshida_coefficients(4)
@@ -149,9 +161,22 @@ class TestComposeOrder:
             errs.append(np.max(np.abs(propagate(z0, 1.0, tau, 4, pot) - ref)))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
+    def test_order_six_and_eight_error_ratio_on_harmonic(self):
+        # Against the exact rotation, halving tau divides the error by about
+        # 2^6 = 64 (read 64.0) and 2^8 = 256 (read 258.6).
+        pot = harmonic_potential(1, 1.0)
+        z0 = np.array([1.0, 0.0])
+        ref = np.array([np.cos(4.0), -np.sin(4.0)])
+
+        def err(tau, order):
+            return np.max(np.abs(propagate(z0, 4.0, tau, order, pot) - ref))
+
+        assert 48.0 <= err(0.2, 6) / err(0.1, 6) <= 80.0
+        assert 200.0 <= err(0.1, 8) / err(0.05, 8) <= 320.0
+
     def test_order_eight_substep_lengths_telescope(self):
         coeffs = yoshida_coefficients(8)
-        assert coeffs.size == 27  # 9 sub-steps of the order-6 map, each 3 Strang steps
+        assert coeffs.size == 15  # Yoshida's solution D: 15 Strang steps
         tau = 0.37
         assert np.sum(coeffs * tau) == pytest.approx(tau)
 
@@ -182,14 +207,12 @@ class TestPropagate:
         np.testing.assert_array_equal(propagate(z0, 0.0, 0.1, 8, torsional_2d), z0)
 
     def test_order_eight_energy_drift(self, torsional_2d, z0):
-        # The triple-jump order-8 method carries a truncation constant of
-        # 2.34e-10 at tau = 0.1 on this trajectory (verified tau^8: 9.2e-13
-        # at tau = 0.05), so the bound is 5e-10 rather than the 1e-10 a
-        # tuned coefficient set could reach.
+        # Yoshida's order-8 solution D drifts by 4.1e-12 at tau = 0.1 on this
+        # trajectory, a truncation constant that scales as tau^8.
         ham = Hamiltonian(torsional_2d)
         h0 = ham.value(z0)
         drift_at = lambda tau: abs(ham.value(propagate(z0, 15.0, tau, 8, torsional_2d)) - h0)
-        assert drift_at(0.1) <= 5e-10
+        assert drift_at(0.1) <= 2e-11
 
     def test_order_eight_tau_scaling(self, torsional_2d, z0):
         ham = Hamiltonian(torsional_2d)

@@ -129,12 +129,12 @@ def test_batched_evaluation(torsional_2d):
 
 
 def test_total_energy_drift_along_numerical_flow(torsional_2d, z0):
-    # Exact trajectories conserve h; the order-8 integrator at tau = 0.1
-    # leaves a truncation-constant drift measured at 2.34e-10 over [0, 15]
-    # (scales as tau^8), hence the 5e-10 bound here.
+    # Exact trajectories conserve h; the order-8 integrator (Yoshida's
+    # solution D) at tau = 0.1 leaves a truncation-constant drift measured at
+    # 4.4e-12 over [0, 15] (scales as tau^8), hence the 2e-11 bound here.
     obs = total_energy(torsional_2d)
     times = np.arange(16.0)
     points = np.array(propagate_snapshots(z0, times, 0.1, 8, torsional_2d))
     energies = obs.value(points)
     drift = np.max(np.abs(energies - energies[0]))
-    assert drift <= 5e-10
+    assert drift <= 2e-11
