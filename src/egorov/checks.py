@@ -241,7 +241,7 @@ BATTERY = {
         integrator_orders,
         {
             "transport_ratio": (3.0, 5.0),
-            "energy_drift": (0.0, 5e-10),
+            "energy_drift": (0.0, 2e-11),
             "correction_ratio": (12.0, 20.0),
         },
     ),

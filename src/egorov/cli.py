@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .experiments import (
     compare,
+    correction_metadata,
     format_cell,
     load_config,
     read_rows_csv,
@@ -75,7 +76,10 @@ def _cmd_run(args) -> int:
     rows = run_corrected(config, threads=args.threads)
     elapsed = time.perf_counter() - start
     write_rows_csv(rows, out / "results.csv")
-    write_metadata(out, config, {"run": elapsed}, transport=transport_metadata(config))
+    write_metadata(
+        out, config, {"run": elapsed},
+        transport=transport_metadata(config), correction=correction_metadata(config),
+    )
     print(f"wrote {out / 'results.csv'} ({len(rows)} rows, {elapsed:.1f}s)")
     return 0
 

@@ -8,10 +8,15 @@ comparison tables (per-time errors plus mean/max summaries) and parameter
 sweeps with log-log slope estimates.
 
 Determinism contract: no RNG anywhere; sampling is Halton with a fixed
-skip, samples are processed in fixed chunks of 65536, each chunk is reduced
-by numpy's pairwise summation, and chunk totals are combined pairwise in
-chunk order.  Two runs with the same config produce byte-identical CSV;
-wall-clock data lives only in the metadata file.
+skip.  An ensemble of n samples is split into ceil(n / CHUNK_SIZE)
+contiguous chunks whose sizes differ by at most one, so the chunks depend on
+n alone, never on the thread count.  Each chunk is reduced by numpy's
+pairwise summation, and an ensemble's chunk totals are combined pairwise in
+chunk order.  The chunks of the correction and the transport ensembles share
+one thread pool, the correction's first, so the correction stepper (which
+mostly holds the interpreter lock) runs beside transport chunks (mostly
+``np.sin``, which releases it).  Two runs with the same config produce
+byte-identical CSV; wall-clock data lives only in the metadata file.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ __all__ = [
     "SweepResult",
     "build_potential",
     "compare",
+    "correction_metadata",
     "format_cell",
     "load_config",
     "parse_config",
@@ -63,7 +69,7 @@ __all__ = [
     "write_sweep_csv",
 ]
 
-CHUNK_SIZE = 65536
+CHUNK_SIZE = 8192
 CSV_HEADER = (
     "time,observable,egorov,correction,corrected,reference,"
     "err_egorov,err_corrected"
@@ -436,7 +442,10 @@ def write_metadata(out_dir, config: RunConfig | None, elapsed: dict, **entries) 
 
 
 def _chunk_ranges(n: int) -> list[tuple[int, int]]:
-    return [(a, min(a + CHUNK_SIZE, n)) for a in range(0, n, CHUNK_SIZE)]
+    """ceil(n / CHUNK_SIZE) contiguous (start, stop) ranges covering [0, n),
+    their sizes differing by at most one."""
+    m = -(-n // CHUNK_SIZE)
+    return [(i * n // m, (i + 1) * n // m) for i in range(m)]
 
 
 def _pairwise_combine(stack: np.ndarray) -> np.ndarray:
@@ -477,21 +486,39 @@ def _correction_chunk_sums(config, potential, observables, times, start, stop):
     return np.stack([np.sum(a2_eval(observables, state), axis=-1) for state in states])
 
 
-def _ensemble_mean(config, potential, observables, times, n, chunk_fn, threads):
-    if n == 0:
-        return np.zeros((len(times), len(observables)))
+def _ensemble_means(config, potential, observables, times, jobs, threads):
+    """The mean of each job's ensemble, for ``jobs`` of (n, chunk_fn) pairs.
 
-    def chunk(rng):
-        return chunk_fn(config, potential, observables, times, rng[0], rng[1])
+    All chunks of all jobs go through one map, in job order, so a later
+    job's chunks run beside an earlier job's; each job's chunk sums are then
+    reduced on their own, whatever the thread count."""
+    tasks = [(chunk_fn, rng) for n, chunk_fn in jobs for rng in _chunk_ranges(n)]
+
+    def run(task):
+        chunk_fn, (start, stop) = task
+        return chunk_fn(config, potential, observables, times, start, stop)
 
     # One thread maps the chunks inline, where profilers see the work; the
     # reduction order is the same either way.
     if threads == 1:
-        sums = [chunk(rng) for rng in _chunk_ranges(n)]
+        sums = [run(task) for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(chunk, _chunk_ranges(n)))
-    return _pairwise_combine(np.stack(sums)) / n
+            sums = list(pool.map(run, tasks))
+    means = []
+    for n, _ in jobs:
+        count = len(_chunk_ranges(n))
+        if count:
+            means.append(_pairwise_combine(np.stack(sums[:count])) / n)
+        else:
+            means.append(np.zeros((len(times), len(observables))))
+        sums = sums[count:]
+    return means
+
+
+def _check_threads(threads) -> None:
+    if threads is not None and threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {threads}")
 
 
 def run_corrected(config: RunConfig, threads: int | None = None) -> list[ResultRow]:
@@ -501,6 +528,7 @@ def run_corrected(config: RunConfig, threads: int | None = None) -> list[ResultR
     stream, so shrinking N2 never perturbs the transport term.  Row identity:
     corrected = egorov + epsilon^2 * correction, exactly as stored.
     """
+    _check_threads(threads)
     return _run_corrected(config, threads)[0]
 
 
@@ -510,15 +538,16 @@ def _run_corrected(config: RunConfig, threads, egorov_mean=None):
     potential = build_potential(config)
     observables = [make_observable(name, potential) for name in config.observables]
     times = snapshot_times(config)
+    # The correction job goes first: its one chunk, mostly holding the
+    # interpreter lock, then runs beside the transport chunks.
+    jobs = [(config.n_correction, _correction_chunk_sums)]
     if egorov_mean is None:
-        egorov_mean = _ensemble_mean(
-            config, potential, observables, times, config.n_samples,
-            _egorov_chunk_sums, threads,
-        )
-    correction_mean = _ensemble_mean(
-        config, potential, observables, times, config.n_correction,
-        _correction_chunk_sums, threads,
+        jobs.append((config.n_samples, _egorov_chunk_sums))
+    correction_mean, *transport = _ensemble_means(
+        config, potential, observables, times, jobs, threads
     )
+    if transport:
+        egorov_mean = transport[0]
     eps2 = config.epsilon**2
     rows = []
     for i, t in enumerate(times):
@@ -583,10 +612,11 @@ def reference_metadata(config: RunConfig) -> dict:
 
 
 def transport_metadata(config: RunConfig) -> dict:
-    """The splitting order, Strang stages per step, step count and force
-    evaluations (N0 x steps x stages) behind the transport column.  A sweep
-    reuses its config's transport on every value except along epsilon, where
-    each value runs its own with N0 scaled by (epsilon / value)^2."""
+    """The splitting order, Strang stages per step, step count, force
+    evaluations (N0 x steps x stages) and chunks behind the transport column.
+    A sweep reuses its config's transport on every value except along
+    epsilon, where each value runs its own with N0 scaled by
+    (epsilon / value)^2."""
     stages = len(yoshida_coefficients(config.flow_order))
     steps = _total_steps(config, config.tau_flow)
     return {
@@ -594,6 +624,17 @@ def transport_metadata(config: RunConfig) -> dict:
         "stages_per_step": stages,
         "steps": steps,
         "force_evaluations": config.n_samples * steps * stages,
+        "chunks": len(_chunk_ranges(config.n_samples)),
+    }
+
+
+def correction_metadata(config: RunConfig) -> dict:
+    """The samples (N2), order-4 step count and chunks behind the correction
+    column of :func:`run_corrected`."""
+    return {
+        "samples": config.n_correction,
+        "steps": _total_steps(config, config.tau_correction),
+        "chunks": len(_chunk_ranges(config.n_correction)),
     }
 
 
@@ -707,6 +748,7 @@ def sweep(
     carry mean/max errors per (value, observable); slopes are least-squares
     log-log fits of the errors against the axis values.
     """
+    _check_threads(threads)
     if axis not in _SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
     values = [float(v) for v in values]

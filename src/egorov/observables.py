@@ -40,9 +40,13 @@ class Observable:
 
 
 def _constant(tensor: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The tensor at every point of a batch, as a read-only broadcast view:
+    no caller writes into a derivative, and a copy per call would cost more
+    than the contractions that read it."""
+
     def evaluate(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z)
-        return np.broadcast_to(tensor, z.shape[:-1] + tensor.shape).copy()
+        return np.broadcast_to(tensor, z.shape[:-1] + tensor.shape)
 
     return evaluate
 

@@ -62,6 +62,24 @@ def tiny_config(**overrides):
     return RunConfig(**base)
 
 
+def _recording_pool(pools):
+    """A ThreadPoolExecutor class that appends each instance to ``pools`` and
+    records, in order, the chunk function of every task it maps."""
+
+    class RecordingPool(experiments.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.mapped = []
+            pools.append(self)
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            self.mapped += [chunk_fn for chunk_fn, _ in tasks]
+            return super().map(fn, tasks)
+
+    return RecordingPool
+
+
 def rows_by_key(rows):
     return {(row.time, row.observable): row for row in rows}
 
@@ -412,6 +430,39 @@ class TestRunCorrected:
             )
         assert one == many
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10**6))
+    def test_chunk_ranges_are_even_and_cover(self, n):
+        ranges = experiments._chunk_ranges(n)
+        assert len(ranges) == -(-n // experiments.CHUNK_SIZE)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        sizes = [stop - start for start, stop in ranges]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+    def test_one_pool_maps_correction_chunks_first(self, monkeypatch):
+        # Both ensembles share one pool, the correction's chunks first, so the
+        # correction stepper runs beside the transport chunks.
+        pools = []
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", _recording_pool(pools))
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
+        run_corrected(tiny_config(n_samples=64, n_correction=16), threads=2)
+        assert len(pools) == 1
+        assert pools[0].mapped == (
+            [experiments._correction_chunk_sums] * 3 + [experiments._egorov_chunk_sums] * 10
+        )
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_bad_thread_count_rejected_before_sampling(self, monkeypatch, threads):
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking --threads")
+
+        monkeypatch.setattr(experiments, "sample_points", no_sampling)
+        with pytest.raises(ValueError, match="--threads"):
+            run_corrected(tiny_config(), threads=threads)
+        with pytest.raises(ValueError, match="--threads"):
+            sweep(tiny_config(), "tau2", [0.125], threads=threads)
+
 
 class TestRunReference:
     def test_rows_carry_reference_only(self, grid_cache):
@@ -566,6 +617,17 @@ class TestSweep:
             for row in result.rows
         ] == expected
 
+    def test_reused_transport_maps_only_correction_chunks(self, monkeypatch):
+        pools = []
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", _recording_pool(pools))
+        config = tiny_config()
+        baseline = run_corrected(tiny_config(tau_correction=0.0625), threads=1)
+        sweep(config, "tau2", [0.0625, 0.125, 0.25], threads=2, baseline_rows=baseline)
+        correction, transport = experiments._correction_chunk_sums, experiments._egorov_chunk_sums
+        assert [pool.mapped for pool in pools] == [
+            [correction, transport], [correction], [correction],
+        ]
+
     def test_sweep_csv_layout(self, tmp_path):
         config = tiny_config(observables=("q1",))
         baseline = run_corrected(tiny_config(observables=("q1",), tau_correction=0.03125))
@@ -675,14 +737,20 @@ class TestCli:
             return original(self, q)
 
         monkeypatch.setattr(TorsionalPotential, "gradient", counted)
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 30)
         out = tmp_path / "out"
         args = ["run", "--config", str(config_file), "--out", str(out), "--threads", "1"]
         assert cli.main(args) == 0
-        transport = json.loads((out / "metadata.json").read_text())["transport"]
+        metadata = json.loads((out / "metadata.json").read_text())
+        transport = metadata["transport"]
         assert transport == {
             "order": 8, "stages_per_step": 15, "steps": 4, "force_evaluations": 3840,
+            "chunks": 3,
         }
         assert sum(rows) == transport["force_evaluations"]
+        # Three chunks of 21, 21 and 22 samples reach the kicks.
+        assert sorted(set(rows)) == [21, 22]
+        assert metadata["correction"] == {"samples": 0, "steps": 8, "chunks": 0}
 
     def test_reference_compare_pipeline(self, config_file, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -718,6 +786,12 @@ class TestCli:
         code = cli.main(["sweep", "--config", str(config_file), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_threads_exits_one(self, config_file, tmp_path, capsys):
+        args = ["run", "--config", str(config_file), "--out", str(tmp_path / "o"), "--threads", "0"]
+        assert cli.main(args) == 1
+        assert "--threads must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "results.csv").exists()
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
