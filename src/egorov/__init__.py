@@ -15,7 +15,7 @@ from .correction import (
     evolve_correction,
     evolve_correction_snapshots,
 )
-from .flow import propagate, propagate_snapshots, strang_step
+from .flow import propagate, propagate_snapshots
 from .observables import make_observable, OBSERVABLE_NAMES
 from .potentials import (
     FreePotential,
@@ -52,6 +52,5 @@ __all__ = [
     "propagate_snapshots",
     "reference_expectations",
     "sample_points",
-    "strang_step",
     "torsional_potential",
 ]

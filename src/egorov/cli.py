@@ -29,31 +29,9 @@ from .experiments import (
     transport_metadata,
     write_metadata,
     write_rows_csv,
+    write_summary_csv,
     write_sweep_csv,
 )
-
-_SUMMARY_HEADER = (
-    "observable,mean_err_egorov,max_err_egorov,"
-    "mean_err_corrected,max_err_corrected"
-)
-
-
-def _write_summary_csv(summaries, path) -> None:
-    lines = [_SUMMARY_HEADER]
-    for s in summaries:
-        lines.append(
-            ",".join(
-                [
-                    s["observable"],
-                    format_cell(s["mean_err_egorov"]),
-                    format_cell(s["max_err_egorov"]),
-                    format_cell(s["mean_err_corrected"]),
-                    format_cell(s["max_err_corrected"]),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
 
 def _load(args):
     config = load_config(args.config)
@@ -106,7 +84,7 @@ def _cmd_compare(args) -> int:
     merged, summaries = compare(rows_a, rows_b)
     out = _out_dir(args)
     write_rows_csv(merged, out / "errors.csv")
-    _write_summary_csv(summaries, out / "summary.csv")
+    write_summary_csv(summaries, out / "summary.csv")
     write_metadata(out, None, {})
     for s in summaries:
         print(

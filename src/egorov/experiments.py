@@ -33,7 +33,7 @@ import numpy as np
 
 from .correction import a2_eval, evolve_correction_snapshots
 from .flow import propagate_snapshots, step_count, yoshida_coefficients
-from .observables import make_observable
+from .observables import default_names, make_observable, parse_name
 from .potentials import (
     Potential,
     free_potential,
@@ -58,22 +58,19 @@ __all__ = [
     "read_rows_csv",
     "reference_metadata",
     "run_corrected",
-    "run_egorov",
     "run_reference",
     "snapshot_times",
     "sweep",
     "table_row_config",
     "transport_metadata",
+    "write_csv",
     "write_metadata",
     "write_rows_csv",
+    "write_summary_csv",
     "write_sweep_csv",
 ]
 
 CHUNK_SIZE = 8192
-CSV_HEADER = (
-    "time,observable,egorov,correction,corrected,reference,"
-    "err_egorov,err_corrected"
-)
 
 _POTENTIALS = ("torsional", "harmonic", "free")
 _SWEEP_AXES = ("epsilon", "N2", "tau2")
@@ -185,9 +182,9 @@ class RunConfig:
             raise ValueError(
                 f"sweep_axis must be one of {_SWEEP_AXES}, got {self.sweep_axis!r}"
             )
-        names = self.observables or _default_observables(d)
+        names = self.observables or default_names(d)
         for name in names:
-            make_observable(name, free_potential(d))
+            parse_name(name, d)
         object.__setattr__(self, "observables", tuple(names))
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(
@@ -203,13 +200,6 @@ class RunConfig:
             return self.tau_reference
         stride = self.snapshot_stride
         return stride / math.ceil(16.0 * stride / self.epsilon)
-
-
-def _default_observables(d: int) -> tuple[str, ...]:
-    names = [f"q{j}" for j in range(1, d + 1)]
-    names += [f"p{j}" for j in range(1, d + 1)]
-    names += ["kinetic", "potential", "total"]
-    return tuple(names)
 
 
 def build_potential(config: RunConfig) -> Potential:
@@ -236,7 +226,9 @@ def snapshot_times(config: RunConfig) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Config file parsing: flat key=value lines, '#' comments, blank lines.
+# Config file parsing: flat key=value lines, '#' comments, blank lines.  The
+# keys are RunConfig's fields, each parsed by its annotation; the fields
+# without a default are required.
 # ---------------------------------------------------------------------------
 
 
@@ -256,44 +248,20 @@ def _parse_names(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
-_CONFIG_PARSERS = {
-    "epsilon": float,
-    "dimension": _parse_int,
-    "potential": str,
-    "center": _parse_floats,
-    "n_samples": _parse_int,
-    "tau_flow": float,
-    "n_correction": _parse_int,
-    "tau_correction": float,
-    "t_final": float,
-    "snapshot_stride": float,
-    "flow_order": _parse_int,
-    "stiffness": _parse_floats,
-    "observables": _parse_names,
-    "grid_points": _parse_int,
-    "grid_lo": float,
-    "grid_hi": float,
-    "tau_reference": float,
-    "halton_skip": _parse_int,
-    "output_dir": str,
-    "sweep_axis": str,
-    "sweep_values": _parse_floats,
+# Keyed by the annotation's text, which is what ``dataclasses.fields`` holds
+# under ``from __future__ import annotations``.
+_PARSERS = {
+    "float": float,
+    "int": _parse_int,
+    "str": str,
+    "tuple[float, ...]": _parse_floats,
+    "tuple[str, ...]": _parse_names,
 }
-
-_REQUIRED_KEYS = (
-    "epsilon",
-    "dimension",
-    "potential",
-    "center",
-    "n_samples",
-    "tau_flow",
-    "n_correction",
-    "tau_correction",
-)
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse flat key=value config text into a validated RunConfig."""
+    fields = {field.name: field for field in dataclasses.fields(RunConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -303,15 +271,18 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in fields:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate config key {key!r}")
         try:
-            values[key] = _CONFIG_PARSERS[key](value)
+            values[key] = _PARSERS[fields[key].type](value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    missing = [key for key in _REQUIRED_KEYS if key not in values]
+    missing = [
+        name for name, field in fields.items()
+        if field.default is dataclasses.MISSING and name not in values
+    ]
     if missing:
         raise ValueError(f"missing required config keys: {', '.join(missing)}")
     return RunConfig(**values)
@@ -319,14 +290,6 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     return parse_config(Path(path).read_text())
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    out = {}
-    for field in dataclasses.fields(config):
-        value = getattr(config, field.name)
-        out[field.name] = list(value) if isinstance(value, tuple) else value
-    return out
 
 
 def table_row_config(row: int, **overrides) -> RunConfig:
@@ -380,31 +343,30 @@ class ResultRow:
     err_corrected: float | None = None
 
 
+_ROW_COLUMNS = tuple(field.name for field in dataclasses.fields(ResultRow))
+CSV_HEADER = ",".join(_ROW_COLUMNS)
+
+
 def format_cell(value) -> str:
     """A CSV cell: the float's repr, or empty for None."""
     return "" if value is None else repr(float(value))
 
 
-def write_rows_csv(rows, path) -> None:
-    lines = [CSV_HEADER]
+def write_csv(path, header, rows) -> None:
+    """A table with the columns ``header``, one line per row.  Each row is a
+    mapping, and a column it lacks is an empty cell; strings are written as
+    they are, everything else by :func:`format_cell`."""
+    lines = [",".join(header)]
     for row in rows:
+        cells = (row.get(name) for name in header)
         lines.append(
-            ",".join(
-                [repr(float(row.time)), row.observable]
-                + [
-                    format_cell(getattr(row, name))
-                    for name in (
-                        "egorov",
-                        "correction",
-                        "corrected",
-                        "reference",
-                        "err_egorov",
-                        "err_corrected",
-                    )
-                ]
-            )
+            ",".join(c if isinstance(c, str) else format_cell(c) for c in cells)
         )
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_rows_csv(rows, path) -> None:
+    write_csv(path, _ROW_COLUMNS, map(vars, rows))
 
 
 def read_rows_csv(path) -> list[ResultRow]:
@@ -414,7 +376,7 @@ def read_rows_csv(path) -> list[ResultRow]:
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != 8:
+        if len(parts) != len(_ROW_COLUMNS):
             raise ValueError(f"malformed results row: {line!r}")
         cells = [None if cell == "" else float(cell) for cell in parts[2:]]
         rows.append(ResultRow(float(parts[0]), parts[1], *cells))
@@ -431,7 +393,7 @@ def write_metadata(out_dir, config: RunConfig | None, elapsed: dict, **entries) 
         **entries,
     }
     if config is not None:
-        payload["config"] = config_to_dict(config)
+        payload["config"] = dataclasses.asdict(config)
     path = Path(out_dir) / "metadata.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -566,13 +528,6 @@ def _run_corrected(config: RunConfig, threads, egorov_mean=None):
     return rows, egorov_mean
 
 
-def run_egorov(config: RunConfig, threads: int | None = None) -> list[ResultRow]:
-    """Plain transport estimate; the correction term is the empty sum 0."""
-    return run_corrected(
-        dataclasses.replace(config, n_correction=0), threads=threads
-    )
-
-
 def run_reference(config: RunConfig, cache_dir=None) -> list[ResultRow]:
     """Grid-solver expectations on the config's snapshot grid."""
     potential = build_potential(config)
@@ -698,6 +653,17 @@ def compare(rows_a, rows_b):
     return merged, summaries
 
 
+_SUMMARY_COLUMNS = (
+    "observable", "mean_err_egorov", "max_err_egorov",
+    "mean_err_corrected", "max_err_corrected",
+)
+
+
+def write_summary_csv(summaries, path) -> None:
+    """:func:`compare`'s per-observable summaries as a table."""
+    write_csv(path, _SUMMARY_COLUMNS, summaries)
+
+
 def _config_for_value(config: RunConfig, axis: str, value: float) -> RunConfig:
     if axis == "epsilon":
         # Sampling sizes follow the 1/epsilon^2 scaling of the shipped rows.
@@ -724,7 +690,9 @@ class SweepResult:
 
 
 def _loglog_slope(xs, ys) -> float | None:
-    pairs = [(x, y) for x, y in zip(xs, ys) if y is not None and y > 0]
+    """The least-squares slope of log y against log x, over the pairs with
+    both positive; None when fewer than two remain."""
+    pairs = [(x, y) for x, y in zip(xs, ys) if x > 0 and y is not None and y > 0]
     if len(pairs) < 2:
         return None
     lx = np.log([p[0] for p in pairs])
@@ -797,45 +765,13 @@ def sweep(
     )
 
 
-_SWEEP_HEADER = (
-    "axis,value,observable,mean_err_egorov,max_err_egorov,"
-    "mean_err_corrected,max_err_corrected,slope_mean_corrected,"
-    "slope_max_corrected"
+_SWEEP_COLUMNS = (
+    "axis", "value", *_SUMMARY_COLUMNS, "slope_mean_corrected", "slope_max_corrected",
 )
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    lines = [_SWEEP_HEADER]
-    for row in result.rows:
-        lines.append(
-            ",".join(
-                [
-                    result.axis,
-                    repr(float(row["value"])),
-                    row["observable"],
-                    format_cell(row["mean_err_egorov"]),
-                    format_cell(row["max_err_egorov"]),
-                    format_cell(row["mean_err_corrected"]),
-                    format_cell(row["max_err_corrected"]),
-                    "",
-                    "",
-                ]
-            )
-        )
-    for slope in result.slopes:
-        lines.append(
-            ",".join(
-                [
-                    result.axis,
-                    "",
-                    slope["observable"],
-                    "",
-                    "",
-                    "",
-                    "",
-                    format_cell(slope["slope_mean_corrected"]),
-                    format_cell(slope["slope_max_corrected"]),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One line per (value, observable) summary, then one slope line per
+    observable."""
+    slopes = ({"axis": result.axis, **slope} for slope in result.slopes)
+    write_csv(path, _SWEEP_COLUMNS, [*result.rows, *slopes])

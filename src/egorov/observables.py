@@ -24,6 +24,8 @@ __all__ = [
     "kinetic",
     "potential_energy",
     "total_energy",
+    "default_names",
+    "parse_name",
     "make_observable",
     "OBSERVABLE_NAMES",
 ]
@@ -132,20 +134,47 @@ def total_energy(potential: Potential) -> Observable:
     return Observable("total", potential.d, ham.value, ham.gradient, ham.hessian, ham.third)
 
 
-OBSERVABLE_NAMES = ("q1", "q2", "p1", "p2", "kinetic", "potential", "total")
+def default_names(d: int) -> tuple[str, ...]:
+    """The observables a run reports by default: q1..qd, p1..pd, kinetic,
+    potential, total."""
+    return (
+        *(f"q{j}" for j in range(1, d + 1)),
+        *(f"p{j}" for j in range(1, d + 1)),
+        "kinetic",
+        "potential",
+        "total",
+    )
+
+
+OBSERVABLE_NAMES = default_names(2)
+
+
+def parse_name(name: str, d: int) -> tuple[str, int]:
+    """The kind of a configuration name and its 1-based index: ("q", j) or
+    ("p", j) for q<j> and p<j>, (name, 0) for kinetic, potential and total.
+    Any other name, or an index outside 1..d, raises."""
+    kind, index = name[:1], name[1:]
+    if kind in ("q", "p") and index.isdigit():
+        j = int(index)
+        if not 1 <= j <= d:
+            coordinate = "position" if kind == "q" else "momentum"
+            raise ValueError(f"{coordinate} index {j} out of range for d={d}")
+        return kind, j
+    if name in ("kinetic", "potential", "total"):
+        return name, 0
+    raise ValueError(f"unknown observable {name!r}")
 
 
 def make_observable(name: str, potential: Potential) -> Observable:
     """Look up an observable by its configuration name (q1, p2, kinetic, ...)."""
     d = potential.d
-    if name.startswith("q") and name[1:].isdigit():
-        return position(int(name[1:]), d)
-    if name.startswith("p") and name[1:].isdigit():
-        return momentum(int(name[1:]), d)
-    if name == "kinetic":
+    kind, j = parse_name(name, d)
+    if kind == "q":
+        return position(j, d)
+    if kind == "p":
+        return momentum(j, d)
+    if kind == "kinetic":
         return kinetic(d)
-    if name == "potential":
+    if kind == "potential":
         return potential_energy(potential)
-    if name == "total":
-        return total_energy(potential)
-    raise ValueError(f"unknown observable {name!r}")
+    return total_energy(potential)

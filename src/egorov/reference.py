@@ -34,6 +34,7 @@ from scipy.fft import fftn, ifftn
 from scipy.special import erfc
 
 from .flow import split_snapshots
+from .observables import parse_name
 from .potentials import Potential
 from .sampling import GaussianPacket
 
@@ -207,40 +208,29 @@ def expectation(
 ) -> float:
     """Expectation value of a built-in observable in the current state."""
     spec = grid.spec
-    name = obs_name.strip().lower()
-    if name in ("kinetic", "total") or (name.startswith("p") and name[1:].isdigit()):
-        w = _fourier_weights(grid, workers)
-        k = spec.wavenumbers()
+    kind, j = parse_name(obs_name, spec.d)
 
-        def k_moment(axis_values, axis):
-            shape = [1] * spec.d
-            shape[axis] = spec.n
-            return float(np.sum(axis_values.reshape(shape) * w))
-
-        if name.startswith("p") and name[1:].isdigit():
-            j = int(name[1:])
-            if not 1 <= j <= spec.d:
-                raise ValueError(f"momentum index out of range: {obs_name}")
-            return grid.epsilon * k_moment(k, j - 1)
-        kinetic = 0.5 * grid.epsilon**2 * sum(
-            k_moment(k**2, axis) for axis in range(spec.d)
-        )
-        if name == "kinetic":
-            return kinetic
-        return kinetic + expectation(grid, "potential", potential, workers)
-
-    density = np.abs(grid.psi) ** 2
-    density = density / density.sum()
-    if name.startswith("q") and name[1:].isdigit():
-        j = int(name[1:])
-        if not 1 <= j <= spec.d:
-            raise ValueError(f"position index out of range: {obs_name}")
+    def along(axis_values, axis):
         shape = [1] * spec.d
-        shape[j - 1] = spec.n
-        return float(np.sum(spec.axis().reshape(shape) * density))
-    if name == "potential":
+        shape[axis] = spec.n
+        return axis_values.reshape(shape)
+
+    if kind in ("q", "potential"):
+        density = np.abs(grid.psi) ** 2
+        density = density / density.sum()
+        if kind == "q":
+            return float(np.sum(along(spec.axis(), j - 1) * density))
         return float(np.sum(spec.mesh_value(potential) * density))
-    raise ValueError(f"unknown observable: {obs_name}")
+    w = _fourier_weights(grid, workers)
+    k = spec.wavenumbers()
+    if kind == "p":
+        return grid.epsilon * float(np.sum(along(k, j - 1) * w))
+    kinetic = 0.5 * grid.epsilon**2 * sum(
+        float(np.sum(along(k**2, axis) * w)) for axis in range(spec.d)
+    )
+    if kind == "kinetic":
+        return kinetic
+    return kinetic + expectation(grid, "potential", potential, workers)
 
 
 def _cache_key(spec, packet, potential, times, tau, names) -> str:

@@ -32,7 +32,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from egorov import checks
 from egorov.correction import a2_eval, evolve_correction_snapshots
-from egorov.experiments import compare, run_corrected, run_egorov, run_reference
+from egorov.experiments import compare, run_corrected, run_reference
 from egorov.experiments import (
     ResultRow,
     RunConfig,
@@ -103,7 +103,7 @@ def test_criterion_2_harmonic_exactness(capsys):
         )
         bound = 3.0 * np.sqrt(eps / 2.0) / np.sqrt(n0)
         q0, p0 = np.array([1.0, 0.5]), np.array([0.0, 0.0])
-        for row in run_egorov(cfg):
+        for row in run_corrected(cfg):
             wt = omega * row.time
             j = int(row.observable[1]) - 1
             if row.observable.startswith("q"):

@@ -25,12 +25,10 @@ from egorov.experiments import (
     RunConfig,
     build_potential,
     compare,
-    config_to_dict,
     load_config,
     parse_config,
     read_rows_csv,
     run_corrected,
-    run_egorov,
     run_reference,
     snapshot_times,
     sweep,
@@ -186,7 +184,8 @@ class TestParseConfig:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_echo_round_trip(self, data):
-        # The key=value text of config_to_dict parses back to the same config.
+        # The key=value text of the config's fields parses back to the same
+        # config.
         row = data.draw(st.integers(1, 4))
         base = table_row_config(row)
         d, names = base.dimension, base.observables
@@ -213,8 +212,8 @@ class TestParseConfig:
         )
         config = table_row_config(row, **overrides)
         lines = []
-        for key, value in config_to_dict(config).items():
-            if isinstance(value, list):
+        for key, value in dataclasses.asdict(config).items():
+            if isinstance(value, tuple):
                 value = ", ".join(str(v) for v in value)
             lines.append(f"{key} = {value}")
         assert parse_config("\n".join(lines)) == config
@@ -327,6 +326,18 @@ class TestRowsCsv:
         assert ",q1,,,,,," in path.read_text()
         assert read_rows_csv(path)[0].egorov is None
 
+    def test_write_csv_cells(self, tmp_path):
+        # Strings as they are, None and absent columns empty, numbers by repr.
+        path = tmp_path / "t.csv"
+        experiments.write_csv(
+            path, ("name", "x", "y", "z"),
+            [{"name": "q1", "x": 1, "y": None}, {"name": "p1", "x": np.float64(0.1), "z": 2.5}],
+        )
+        assert path.read_text() == "name,x,y,z\nq1,1.0,,\np1,0.1,,2.5\n"
+        assert CSV_HEADER == (
+            "time,observable,egorov,correction,corrected,reference,err_egorov,err_corrected"
+        )
+
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("time,observable,value\n0.0,q1,1.0\n")
@@ -374,12 +385,12 @@ class TestRunCorrected:
             assert row_a.egorov == row_b.egorov
 
     def test_run_egorov_degenerate(self):
-        rows_plain = run_egorov(tiny_config())
-        rows_zero = run_corrected(tiny_config(n_correction=0))
-        assert rows_plain == rows_zero
-        for row in rows_plain:
+        # N2 = 0 is plain transport: the correction is the empty sum 0.
+        config = tiny_config()
+        rows_plain = run_corrected(dataclasses.replace(config, n_correction=0))
+        for row, row_full in zip(rows_plain, run_corrected(config), strict=True):
             assert row.correction == 0.0
-            assert row.corrected == row.egorov
+            assert row.corrected == row.egorov == row_full.egorov
 
     def test_harmonic_transport_is_rotation(self):
         # Quadratic Hamiltonian: the transported expectation equals the
@@ -557,6 +568,12 @@ class TestSweepHelpers:
         assert _loglog_slope(xs, [x**2 for x in xs]) == pytest.approx(2.0)
         assert _loglog_slope(xs, [1.0, None, None]) is None
         assert _loglog_slope(xs, [0.0, 0.0, 0.0]) is None
+
+    def test_loglog_slope_skips_nonpositive_values(self):
+        # An N2 sweep may include 0; log(0) must not reach the fit.
+        xs = [0.0, 1.0, 2.0, 4.0]
+        assert _loglog_slope(xs, [5.0] + [x**-0.5 for x in xs[1:]]) == pytest.approx(-0.5)
+        assert _loglog_slope([0.0, 1.0], [1.0, 1.0]) is None
 
 
 class TestSweep:
@@ -781,6 +798,50 @@ class TestCli:
         assert "slope" in capsys.readouterr().out
         transport = json.loads((out / "metadata.json").read_text())["transport"]
         assert transport == experiments.transport_metadata(load_config(config_file))
+
+    def test_sweep_along_n2_through_zero(self, config_file, tmp_path):
+        # N2 = 0 is plain transport; the slope fit skips it instead of
+        # taking log(0).
+        config_file.write_text(self.CONFIG + "sweep_axis = N2\nsweep_values = 0, 8, 16\n")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3 * 5 + 5
+        for line in lines[-5:]:
+            assert all(np.isfinite(float(cell)) for cell in line.split(",")[-2:])
+
+    def test_benchmark_tracer_wraps_live_names(self, config_file, tmp_path, monkeypatch):
+        # benchmark/tracing.py wraps program names by attribute; removing or
+        # renaming one of them breaks `benchmark/run.py --trace 1`.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+        import tracing
+
+        owners = [
+            cli, experiments, reference, correction_mod, egorov.flow,
+            TorsionalPotential, reference.WaveFunctionGrid,
+        ]
+        before = [dict(vars(owner)) for owner in owners]
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            patched = [
+                name for owner, names in zip(owners, before)
+                for name, value in names.items() if vars(owner)[name] is not value
+            ]
+            run = cli.main(["run", "--config", str(config_file),
+                            "--out", str(tmp_path / "run"), "--threads", "1"])
+            ref = cli.main(["reference", "--config", str(config_file),
+                            "--out", str(tmp_path / "ref")])
+        finally:
+            tracer.remove()
+        assert run == ref == 0
+        assert {"load_config", "write_rows_csv", "drift", "kick", "expectation"} <= set(patched)
+        for owner, names in zip(owners, before):
+            assert all(vars(owner).get(name) is value for name, value in names.items())
+        metrics = tracer.layer_metrics()
+        for name in ("flow.propagate_snapshots_s", "correction.evolve_correction_snapshots_s",
+                     "reference.fftn_calls"):
+            assert metrics[name][0] > 0, name
 
     def test_sweep_without_axis_fails_validation(self, config_file, tmp_path, capsys):
         code = cli.main(["sweep", "--config", str(config_file), "--out", str(tmp_path / "x")])

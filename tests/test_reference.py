@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import egorov.reference as reference
+from egorov.observables import OBSERVABLE_NAMES, make_observable
 from egorov.potentials import free_potential, harmonic_potential, torsional_potential
 from egorov.reference import (
     GridSpec,
@@ -160,6 +161,20 @@ class TestExpectation:
             expectation(grid, "q3", pot)
         with pytest.raises(ValueError, match="out of range"):
             expectation(grid, "p0", pot)
+
+    def test_names_parsed_as_a_run_parses_them(self, packet_2d):
+        # One grammar for observable names: the reference accepts exactly
+        # the names an ensemble run accepts.
+        grid = init_packet(GridSpec(2, 64), packet_2d)
+        pot = torsional_potential(2)
+        for name in ("Q1", " q1", "Total", "q3", "p0", "spin"):
+            with pytest.raises(ValueError):
+                make_observable(name, pot)
+            with pytest.raises(ValueError):
+                expectation(grid, name, pot)
+        for name in OBSERVABLE_NAMES:
+            make_observable(name, pot)
+            assert np.isfinite(expectation(grid, name, pot))
 
     def test_total_is_kinetic_plus_potential(self, packet_2d):
         grid = init_packet(GridSpec(2, 64), packet_2d)
