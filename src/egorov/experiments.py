@@ -234,10 +234,9 @@ def snapshot_times(config: RunConfig) -> list[float]:
 
 def _parse_int(value: str) -> int:
     number = float(value)
-    rounded = round(number)
-    if number != rounded:
+    if not math.isfinite(number) or number != round(number):
         raise ValueError(f"expected an integer, got {value!r}")
-    return int(rounded)
+    return int(number)
 
 
 def _parse_floats(value: str) -> tuple[float, ...]:

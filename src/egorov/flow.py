@@ -7,14 +7,16 @@ trajectories; the propagators never modify their input, so trajectories for
 distinct sample points can be mapped over in parallel with no shared state.
 
 The building blocks are the exact kinetic flow (:func:`drift`) and the exact
-potential flow (:func:`kick`, with the Hamiltonian sign p <- p - t DV).
-Their Strang composition is second order.  Higher even orders compose it
-symmetrically (Yoshida, Phys. Lett. A 150, 262 (1990)): order 4 is the
-triple jump, and orders 6 and 8 are the minimal compositions of Yoshida's
-Table 2, solutions A (7 stages) and D (15 stages).  :func:`split_snapshots`
-runs a composition with adjacent half-drifts merged; the correction tensors
-and the grid reference (:func:`reference.reference_expectations`) step
-through it too, both at order 4.
+potential flow (:func:`kick`, with the Hamiltonian sign p <- p - t DV), each
+updating a ``(q, p)`` pair of arrays in place; the propagators run them on
+copies of the input's halves.  Their Strang composition is second order.
+Higher even orders compose it symmetrically (Yoshida, Phys. Lett. A 150, 262
+(1990)): order 4 is the triple jump, and orders 6 and 8 are the minimal
+compositions of Yoshida's Table 2, solutions A (7 stages) and D (15 stages).
+:func:`split_snapshots` runs a composition with adjacent half-drifts merged;
+the correction tensors and the grid reference
+(:func:`reference.reference_expectations`) step through it too, both at
+order 4.
 """
 
 from __future__ import annotations
@@ -35,29 +37,31 @@ __all__ = [
 ]
 
 
-def drift(t: float, z: np.ndarray) -> np.ndarray:
-    """Exact kinetic flow: q += t p, p unchanged."""
-    z = np.asarray(z, dtype=float)
-    d = z.shape[-1] // 2
-    out = z.copy()
-    out[..., :d] += t * z[..., d:]
-    return out
+def drift(t: float, state):
+    """Exact kinetic flow on a (q, p) pair: q += t p, p unchanged.  Updates
+    q in place and returns the pair."""
+    q, p = state
+    q += t * p
+    return state
 
 
-def kick(t: float, z: np.ndarray, potential: Potential) -> np.ndarray:
-    """Exact potential flow: p -= t DV(q), q unchanged."""
-    z = np.asarray(z, dtype=float)
-    d = z.shape[-1] // 2
-    out = z.copy()
-    out[..., d:] -= t * potential.gradient(z[..., :d])
-    return out
+def kick(t: float, state, potential: Potential):
+    """Exact potential flow on a (q, p) pair: p -= t DV(q), q unchanged.
+    Updates p in place and returns the pair."""
+    q, p = state
+    p -= t * potential.gradient(q)
+    return state
 
 
 def strang_step(tau: float, z: np.ndarray, potential: Potential) -> np.ndarray:
-    """Symmetric second-order step: half drift, full kick, half drift."""
-    z = drift(0.5 * tau, z)
-    z = kick(tau, z, potential)
-    return drift(0.5 * tau, z)
+    """Symmetric second-order step: half drift, full kick, half drift.  It
+    composes the flows :func:`propagate_snapshots` runs, on copies of z's
+    halves."""
+    z = np.asarray(z, dtype=float)
+    d = z.shape[-1] // 2
+    state = drift(0.5 * tau, (z[..., :d].copy(), z[..., d:].copy()))
+    state = kick(tau, state, potential)
+    return np.concatenate(drift(0.5 * tau, state), axis=-1)
 
 
 # Yoshida (1990), Table 2: w_1 .. w_m of the symmetric compositions
@@ -157,17 +161,8 @@ def propagate_snapshots(
     """
     z0 = np.asarray(z0, dtype=float)
     d = z0.shape[-1] // 2
-
-    def drift_in_place(t, state):
-        q, p = state
-        q += t * p
-        return state
-
-    def kick_in_place(s, state):
-        q, p = state
-        p -= s * potential.gradient(q)
-        return state
-
     state = (z0[..., :d].copy(), z0[..., d:].copy())
-    snaps = split_snapshots(state, times, tau, order, drift_in_place, kick_in_place)
+    snaps = split_snapshots(
+        state, times, tau, order, drift, lambda s, state: kick(s, state, potential)
+    )
     return [np.concatenate(snap, axis=-1) for snap in snaps]

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import Hamiltonian, Potential
+from .potentials import Hamiltonian, Potential, position_block
 
 __all__ = [
     "Observable",
@@ -105,26 +105,16 @@ def potential_energy(potential: Potential) -> Observable:
     """V(q) lifted to phase space; reuses the potential's tensors."""
     d = potential.d
 
-    def grad(z):
-        z = np.asarray(z)
-        out = np.zeros_like(z, dtype=float)
-        out[..., :d] = potential.gradient(z[..., :d])
-        return out
-
-    def hess(z):
-        z = np.asarray(z)
-        out = np.zeros(z.shape[:-1] + (2 * d, 2 * d))
-        out[..., :d, :d] = potential.hessian(z[..., :d])
-        return out
-
-    def third(z):
-        z = np.asarray(z)
-        out = np.zeros(z.shape[:-1] + (2 * d,) * 3)
-        out[..., :d, :d, :d] = potential.third(z[..., :d])
-        return out
+    def lifted(evaluate, order):
+        return lambda z: position_block(evaluate(np.asarray(z)[..., :d]), order)
 
     return Observable(
-        "potential", d, lambda z: potential.value(np.asarray(z)[..., :d]), grad, hess, third
+        "potential",
+        d,
+        lambda z: potential.value(np.asarray(z)[..., :d]),
+        lifted(potential.gradient, 1),
+        lifted(potential.hessian, 2),
+        lifted(potential.third, 3),
     )
 
 
@@ -152,10 +142,13 @@ OBSERVABLE_NAMES = default_names(2)
 def parse_name(name: str, d: int) -> tuple[str, int]:
     """The kind of a configuration name and its 1-based index: ("q", j) or
     ("p", j) for q<j> and p<j>, (name, 0) for kinetic, potential and total.
-    Any other name, or an index outside 1..d, raises."""
+    Any other name, an index outside 1..d, or one not written in its
+    canonical form (q01 for q1) raises, since the name labels the results."""
     kind, index = name[:1], name[1:]
-    if kind in ("q", "p") and index.isdigit():
+    if kind in ("q", "p") and index.isdecimal():
         j = int(index)
+        if index != str(j):
+            raise ValueError(f"observable {name!r}: write its index as {j}")
         if not 1 <= j <= d:
             coordinate = "position" if kind == "q" else "momentum"
             raise ValueError(f"{coordinate} index {j} out of range for d={d}")

@@ -26,7 +26,7 @@ with jets supplied analytically or by finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable
 
@@ -223,10 +223,26 @@ def _contract_first(m: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     return (m @ flat).reshape(tensor.shape)
 
 
-def _variational_rhs(state: VariationalState, h: Hamiltonian):
+def _rk4_step(rhs: Callable, y: tuple, dt: float) -> tuple:
+    """One classic RK4 step of y' = rhs(y), y a tuple of arrays."""
+
+    def at(c, k):
+        return tuple(yi + c * ki for yi, ki in zip(y, k))
+
+    k1 = rhs(y)
+    k2 = rhs(at(0.5 * dt, k1))
+    k3 = rhs(at(0.5 * dt, k2))
+    k4 = rhs(at(dt, k3))
+    return tuple(
+        yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + e)
+        for yi, a, b, c, e in zip(y, k1, k2, k3, k4)
+    )
+
+
+def _variational_rhs(y: tuple, h: Hamiltonian):
     # every contraction is one batched matmul on an unfolding: matrices act
     # on the last two axes, with the Jacobian transposed for middle indices
-    z, dphi, d2phi, d3phi = state.z, state.dphi, state.d2phi, state.d3phi
+    z, dphi, d2phi, d3phi = y
     n = z.shape[-1]
     batch = z.shape[:-1]
     m = j_contract_axis(h.hessian(z), axis=-2)
@@ -264,19 +280,9 @@ def _variational_rhs(state: VariationalState, h: Hamiltonian):
 
 def _variational_rk4(state: VariationalState, dt: float, h: Hamiltonian) -> VariationalState:
     y = (state.z, state.dphi, state.d2phi, state.d3phi)
-    k1 = _variational_rhs(state, h)
-
-    def at(c, k):
-        return VariationalState(*(yi + c * ki for yi, ki in zip(y, k)), t=state.t)
-
-    k2 = _variational_rhs(at(0.5 * dt, k1), h)
-    k3 = _variational_rhs(at(0.5 * dt, k2), h)
-    k4 = _variational_rhs(at(dt, k3), h)
-    new = tuple(
-        yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + e)
-        for yi, a, b, c, e in zip(y, k1, k2, k3, k4)
+    return VariationalState(
+        *_rk4_step(lambda y: _variational_rhs(y, h), y, dt), t=state.t + dt
     )
-    return VariationalState(*new, t=state.t + dt)
 
 
 def variational_flow(
@@ -299,27 +305,20 @@ def variational_flow(
 # ---------------------------------------------------------------------------
 
 
-def _rk4_flow_step(z: np.ndarray, dt: float, h: Hamiltonian) -> np.ndarray:
-    def rhs(y):
-        return j_contract_axis(h.gradient(y), axis=-1)
-
-    k1 = rhs(z)
-    k2 = rhs(z + 0.5 * dt * k1)
-    k3 = rhs(z + 0.5 * dt * k2)
-    k4 = rhs(z + dt * k3)
-    return z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _flow_snapshots(z0: np.ndarray, n: int, delta: float, tau: float, h: Hamiltonian):
     """States of the trajectory from z0 at times 0, delta, ..., n*delta."""
     steps = max(1, math.ceil(delta / tau)) if delta > 0 else 1
     dt = delta / steps if steps else 0.0
     snaps = [np.asarray(z0, dtype=float).copy()]
-    z = snaps[0]
+    y = (snaps[0],)
+
+    def rhs(y):
+        return (j_contract_axis(h.gradient(y[0]), axis=-1),)
+
     for _ in range(n):
         for _ in range(steps):
-            z = _rk4_flow_step(z, dt, h)
-        snaps.append(z)
+            y = _rk4_step(rhs, y, dt)
+        snaps.append(y[0])
     return snaps
 
 
@@ -572,17 +571,6 @@ def general_rhs(state: GeneralCorrectionState, h: Hamiltonian):
     return dz, dlam.reshape(batch + (-1,)), dgam.reshape(batch + (-1,)), dxi
 
 
-def _general_axpy(s: GeneralCorrectionState, c: float, rhs) -> GeneralCorrectionState:
-    dz, dlam, dgam, dxi = rhs
-    return GeneralCorrectionState(
-        z=s.z + c * dz,
-        lam_vec=s.lam_vec + c * dlam,
-        gam_vec=s.gam_vec + c * dgam,
-        xi=s.xi + c * dxi,
-        t=s.t,
-    )
-
-
 def evolve_general(
     z0: np.ndarray, t: float, tau: float, h: Hamiltonian
 ) -> GeneralCorrectionState:
@@ -596,15 +584,7 @@ def evolve_general(
     if n == 0:
         return state
     dt = t / n
-    for i in range(n):
-        k1 = general_rhs(state, h)
-        k2 = general_rhs(_general_axpy(state, 0.5 * dt, k1), h)
-        k3 = general_rhs(_general_axpy(state, 0.5 * dt, k2), h)
-        k4 = general_rhs(_general_axpy(state, dt, k3), h)
-        combo = tuple(
-            (a + 2.0 * b + 2.0 * c + e) / 6.0
-            for a, b, c, e in zip(k1, k2, k3, k4)
-        )
-        state = _general_axpy(state, dt, combo)
-        state = replace(state, t=(i + 1) * dt)
-    return state
+    y = (state.z, state.lam_vec, state.gam_vec, state.xi)
+    for _ in range(n):
+        y = _rk4_step(lambda y: general_rhs(GeneralCorrectionState(*y), h), y, dt)
+    return GeneralCorrectionState(*y, t=n * dt)

@@ -30,6 +30,7 @@ __all__ = [
     "harmonic_potential",
     "free_potential",
     "Hamiltonian",
+    "position_block",
 ]
 
 
@@ -171,6 +172,17 @@ def free_potential(d: int) -> FreePotential:
     return FreePotential(d)
 
 
+def position_block(tensor: np.ndarray, order: int) -> np.ndarray:
+    """A (..., d, ..., d) tensor with ``order`` trailing axes, placed in the
+    position block of an otherwise zero (..., 2d, ..., 2d) phase-space
+    tensor: the lift of a function of q alone to phase space."""
+    tensor = np.asarray(tensor)
+    d = tensor.shape[-1]
+    out = np.zeros(tensor.shape[:-order] + (2 * d,) * order)
+    out[(..., *[slice(d)] * order)] = tensor
+    return out
+
+
 @dataclass(frozen=True)
 class Hamiltonian:
     """h(q, p) = |p|^2 / 2 + V(q) with phase-space derivative tensors.
@@ -200,23 +212,13 @@ class Hamiltonian:
         return out
 
     def hessian(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z)
         d = self.d
-        out = np.zeros(z.shape[:-1] + (2 * d, 2 * d))
-        out[..., :d, :d] = self.potential.hessian(z[..., :d])
+        out = position_block(self.potential.hessian(np.asarray(z)[..., :d]), 2)
         out[..., d:, d:] = np.eye(d)
         return out
 
     def third(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z)
-        d = self.d
-        out = np.zeros(z.shape[:-1] + (2 * d,) * 3)
-        out[..., :d, :d, :d] = self.potential.third(z[..., :d])
-        return out
+        return position_block(self.potential.third(np.asarray(z)[..., : self.d]), 3)
 
     def fourth(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z)
-        d = self.d
-        out = np.zeros(z.shape[:-1] + (2 * d,) * 4)
-        out[..., :d, :d, :d, :d] = self.potential.fourth(z[..., :d])
-        return out
+        return position_block(self.potential.fourth(np.asarray(z)[..., : self.d]), 4)

@@ -149,9 +149,7 @@ def init_packet(spec: GridSpec, packet: GaussianPacket) -> WaveFunctionGrid:
     return grid
 
 
-def _grid_flows(
-    spec: GridSpec, potential: Potential, eps: float, workers: int | None = None
-):
+def _grid_flows(spec: GridSpec, potential: Potential, eps: float):
     """The A and B flows of the grid split step, for :func:`split_snapshots`.
 
     A is the potential phase ``psi *= exp(-i V a / eps)``, applied in place.
@@ -178,34 +176,32 @@ def _grid_flows(
         return psi
 
     def kinetic_flow(s, psi):
-        psi_hat = fftn(psi, workers=workers, overwrite_x=True)
+        psi_hat = fftn(psi, overwrite_x=True)
         factor = kinetic_phase(s)
         for shape in axis_shapes:
             psi_hat *= factor.reshape(shape)
-        return ifftn(psi_hat, workers=workers, overwrite_x=True)
+        return ifftn(psi_hat, overwrite_x=True)
 
     return potential_flow, kinetic_flow
 
 
 def schrodinger_step(
-    grid: WaveFunctionGrid, tau: float, potential: Potential, workers: int | None = None
+    grid: WaveFunctionGrid, tau: float, potential: Potential
 ) -> WaveFunctionGrid:
     """One Strang split step (potential half, kinetic full, potential half):
     the order-2 step of the flows :func:`reference_expectations` uses."""
-    flows = _grid_flows(grid.spec, potential, grid.epsilon, workers)
+    flows = _grid_flows(grid.spec, potential, grid.epsilon)
     (psi,) = split_snapshots(grid.psi.astype(complex), [tau], tau, 2, *flows)
     return WaveFunctionGrid(psi=psi, spec=grid.spec, epsilon=grid.epsilon, t=grid.t + tau)
 
 
-def _fourier_weights(grid: WaveFunctionGrid, workers: int | None = None):
-    psi_hat = fftn(grid.psi, workers=workers)
+def _fourier_weights(grid: WaveFunctionGrid):
+    psi_hat = fftn(grid.psi)
     w = np.abs(psi_hat) ** 2
     return w / w.sum()
 
 
-def expectation(
-    grid: WaveFunctionGrid, obs_name: str, potential: Potential, workers: int | None = None
-) -> float:
+def expectation(grid: WaveFunctionGrid, obs_name: str, potential: Potential) -> float:
     """Expectation value of a built-in observable in the current state."""
     spec = grid.spec
     kind, j = parse_name(obs_name, spec.d)
@@ -221,7 +217,7 @@ def expectation(
         if kind == "q":
             return float(np.sum(along(spec.axis(), j - 1) * density))
         return float(np.sum(spec.mesh_value(potential) * density))
-    w = _fourier_weights(grid, workers)
+    w = _fourier_weights(grid)
     k = spec.wavenumbers()
     if kind == "p":
         return grid.epsilon * float(np.sum(along(k, j - 1) * w))
@@ -230,7 +226,7 @@ def expectation(
     )
     if kind == "kinetic":
         return kinetic
-    return kinetic + expectation(grid, "potential", potential, workers)
+    return kinetic + expectation(grid, "potential", potential)
 
 
 def _cache_key(spec, packet, potential, times, tau, names) -> str:
@@ -289,7 +285,6 @@ def reference_expectations(
     tau: float,
     observable_names,
     cache_dir=None,
-    workers: int | None = None,
 ):
     """Expectation table {name: values over `times`} from one propagation.
 
@@ -314,7 +309,7 @@ def reference_expectations(
 
     grid = init_packet(spec, packet)
     eps = grid.epsilon
-    flows = _grid_flows(spec, potential, eps, workers)
+    flows = _grid_flows(spec, potential, eps)
 
     table = {name: np.empty(len(times)) for name in names}
     snaps = split_snapshots(grid.psi, times, tau, _ORDER, *flows)
@@ -331,7 +326,7 @@ def reference_expectations(
                 f"boundary mass {shell:.3e} at t={t_snap}: packet reached the domain edge"
             )
         for name in names:
-            table[name][i] = expectation(grid, name, potential, workers)
+            table[name][i] = expectation(grid, name, potential)
 
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)

@@ -19,6 +19,19 @@ def symplectic_j(d: int) -> np.ndarray:
     return j
 
 
+def phase_pair(z) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of z's position and momentum halves: the (q, p) pair that
+    flow.drift and flow.kick update in place."""
+    z = np.asarray(z, dtype=float)
+    d = z.shape[-1] // 2
+    return z[..., :d].copy(), z[..., d:].copy()
+
+
+def phase_point(pair) -> np.ndarray:
+    """The phase point of a (q, p) pair."""
+    return np.concatenate(pair, axis=-1)
+
+
 def finite_difference_check(
     potential: Potential, q: np.ndarray, order: int, step: float = 1e-5
 ) -> float:

@@ -240,6 +240,18 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="expected an integer"):
             parse_config(text)
 
+    @pytest.mark.parametrize("value", ["1e400", "inf", "-inf"])
+    def test_integer_keys_reject_infinity(self, value):
+        text = self.GOOD.replace("n_samples = 64", f"n_samples = {value}")
+        with pytest.raises(ValueError, match="bad value for n_samples: expected an integer"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("name", ["q01", "p007"])
+    def test_observables_reject_non_canonical_index(self, name):
+        text = self.GOOD.replace("observables = q1, total", f"observables = {name}, total")
+        with pytest.raises(ValueError, match="write its index as"):
+            parse_config(text)
+
     def test_scientific_notation_counts(self):
         text = self.GOOD.replace("n_samples = 64", "n_samples = 1e2")
         assert parse_config(text).n_samples == 100
@@ -840,7 +852,7 @@ class TestCli:
             assert all(vars(owner).get(name) is value for name, value in names.items())
         metrics = tracer.layer_metrics()
         for name in ("flow.propagate_snapshots_s", "correction.evolve_correction_snapshots_s",
-                     "reference.fftn_calls"):
+                     "flow.drift_calls", "flow.kick_calls", "reference.fftn_calls"):
             assert metrics[name][0] > 0, name
 
     def test_sweep_without_axis_fails_validation(self, config_file, tmp_path, capsys):

@@ -12,6 +12,7 @@ from egorov.observables import (
     kinetic,
     make_observable,
     momentum,
+    parse_name,
     position,
     potential_energy,
     total_energy,
@@ -93,6 +94,13 @@ class TestMakeObservable:
             make_observable("angular", torsional_2d)
         with pytest.raises(ValueError):
             make_observable("q3", torsional_2d)
+
+    @pytest.mark.parametrize("name", ["q01", "p007"])
+    def test_parse_name_rejects_non_canonical_index(self, name):
+        # The name labels the result rows, and the grid reference and the run
+        # must label them alike: make_observable names index 1 "q1".
+        with pytest.raises(ValueError, match="write its index as"):
+            parse_name(name, 8)
 
 
 @pytest.mark.parametrize("name", OBSERVABLE_NAMES)
