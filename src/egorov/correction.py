@@ -33,21 +33,35 @@ elementwise product: diag(c) in any slot of the block with diagonal v is the
 block with diagonal c v.  :meth:`CorrectionState.lambda_full` and
 :meth:`CorrectionState.gamma_full` scatter the diagonals into the full
 phase-space tensors that the references read; ``a2_eval`` contracts the
-diagonals alone with the matching derivative entries of each observable.  A
+diagonals alone with the matching derivative entries that each observable's
+``diagonals`` gives, so no dense tensor is built on the run path.  A
 potential with coupled derivatives raises NotImplementedError in
-``diagonals``.  Beside the run path, this module holds only the conversions
-between the block layout and the full tensors.  The independent references, the
+``diagonals``.
+
+The 16 per-coordinate fields are the rows of one (16, ..., d) array, in the
+order of :data:`FIELDS`: q, then the rows psi2 advances (p, lam21, lam22,
+lam23, lam4, gam21, gam22, xi2), then the rows psi3 advances (lam1, lam31,
+lam32, lam33, gam1, gam3, xi1).  Each sub-flow updates its own rows in
+place: it writes the group's increments into one scratch block of the
+state's shape, scales them by t and adds them to the group's rows, in the
+rounding order of the expression x + t * (increment).  The scratch block is
+made per call, so chunks of an ensemble stepped in different threads share
+nothing.  :class:`CorrectionState` names the rows; its fields are views of
+them.  Beside the run path, this module holds only the conversions between
+the block layout and the full tensors.  The independent references, the
 unreordered flat form integrated by classic RK4 and the bracket quadrature,
 live in :mod:`egorov.oracle`; :mod:`egorov.checks` compares the split-step
 tensors with both, and holds the scatter against the Kronecker matrices of
 the mode products it replaces.
 
-All states are batched: every field carries leading sample axes.
+All states are batched: every field carries leading sample axes.  The
+sub-flows update the state they are given; :func:`f2_step`, :func:`f4_step`
+and the evolutions step a copy and leave their input as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +72,7 @@ from .potentials import Potential
 from .tensor_ops import tilde_d3  # noqa: F401
 
 __all__ = [
+    "FIELDS",
     "CorrectionState",
     "sub_flow_psi1",
     "sub_flow_psi2",
@@ -70,8 +85,20 @@ __all__ = [
 ]
 
 
+# The rows of the stacked state: q, the rows psi2 advances, then the rows
+# psi3 advances.
+FIELDS = (
+    "q",
+    "p", "lam21", "lam22", "lam23", "lam4", "gam21", "gam22", "xi2",
+    "lam1", "lam31", "lam32", "lam33", "gam1", "gam3", "xi1",
+)
+(Q, P, LAM21, LAM22, LAM23, LAM4, GAM21, GAM22, XI2,
+ LAM1, LAM31, LAM32, LAM33, GAM1, GAM3, XI1) = range(len(FIELDS))
+_PSI2_ROWS = slice(P, XI2 + 1)
+_PSI3_ROWS = slice(LAM1, XI1 + 1)
+
 # The slots of each block's entries that address momenta (1) rather than
-# positions (0), in field order.
+# positions (0), in the order a2_eval stacks the blocks.
 _LAMBDA_BLOCKS = {
     "lam1": (0, 0, 0), "lam21": (1, 0, 0), "lam22": (0, 1, 0), "lam23": (0, 0, 1),
     "lam31": (0, 1, 1), "lam32": (1, 0, 1), "lam33": (1, 1, 0), "lam4": (1, 1, 1),
@@ -115,36 +142,61 @@ class CorrectionState:
     Every field has shape (..., d): entry j of a lam block is the block's
     (j, j, j) entry and entry j of a gam block its (j, j) entry.  The block
     entries that mix two coordinates are zero and not stored.
+
+    The fields are views of the rows of ``rows``, (16, ..., d) in the order
+    of :data:`FIELDS`.  Built from fields, a state stacks copies of them;
+    :meth:`from_rows` wraps an existing array.
     """
 
     q: np.ndarray
     p: np.ndarray
-    lam1: np.ndarray
     lam21: np.ndarray
     lam22: np.ndarray
     lam23: np.ndarray
+    lam4: np.ndarray
+    gam21: np.ndarray
+    gam22: np.ndarray
+    xi2: np.ndarray
+    lam1: np.ndarray
     lam31: np.ndarray
     lam32: np.ndarray
     lam33: np.ndarray
-    lam4: np.ndarray
     gam1: np.ndarray
-    gam21: np.ndarray
-    gam22: np.ndarray
     gam3: np.ndarray
     xi1: np.ndarray
-    xi2: np.ndarray
     t: float = 0.0
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._attach(np.stack([np.asarray(getattr(self, name), dtype=float) for name in FIELDS]))
+
+    def _attach(self, rows: np.ndarray) -> None:
+        object.__setattr__(self, "rows", rows)
+        for name, row in zip(FIELDS, rows):
+            object.__setattr__(self, name, row)
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, t: float = 0.0) -> "CorrectionState":
+        """The state whose fields are the rows of ``rows`` (16, ..., d),
+        sharing its memory."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "t", t)
+        state._attach(rows)
+        return state
 
     @classmethod
     def initial(cls, z0: np.ndarray) -> "CorrectionState":
         """Zero correction tensors attached to phase points z0 (..., 2d)."""
         z0 = np.asarray(z0, dtype=float)
         d = z0.shape[-1] // 2
-        zero = np.zeros(z0.shape[:-1] + (d,))
-        return cls(
-            q=z0[..., :d].copy(), p=z0[..., d:].copy(),
-            **{f: zero.copy() for f in (*_LAMBDA_BLOCKS, *_GAMMA_BLOCKS, "xi1", "xi2")},
-        )
+        rows = np.zeros((len(FIELDS),) + z0.shape[:-1] + (d,))
+        rows[Q] = z0[..., :d]
+        rows[P] = z0[..., d:]
+        return cls.from_rows(rows)
+
+    def copy(self) -> "CorrectionState":
+        """A state with its own copy of the rows."""
+        return self.from_rows(self.rows.copy(), self.t)
 
     @property
     def d(self) -> int:
@@ -189,8 +241,7 @@ class CorrectionState:
             diagonals = full[(..., *_diagonal_index(table.values(), d))]
             blocks.update({name: diagonals[..., b, :] for b, name in enumerate(table)})
         state = cls(
-            q=z[..., :d].copy(), p=z[..., d:].copy(),
-            **blocks, xi1=xi[..., :d].copy(), xi2=xi[..., d:].copy(), t=t,
+            q=z[..., :d], p=z[..., d:], **blocks, xi1=xi[..., :d], xi2=xi[..., d:], t=t
         )
         for full, rebuilt in ((lam, state.lambda_full()), (gam, state.gamma_full())):
             if not np.array_equal(full, rebuilt, equal_nan=True):
@@ -201,65 +252,115 @@ class CorrectionState:
 
 
 def sub_flow_psi1(t: float, state: CorrectionState) -> CorrectionState:
-    """Exact drift: q += t p; everything else untouched."""
-    return replace(state, q=state.q + t * state.p)
+    """Exact drift: q += t p, in place; everything else untouched."""
+    x = state.rows
+    x[Q] += t * x[P]
+    return state
 
 
 def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> CorrectionState:
     """Exact sub-flow updating the momentum-type blocks from the frozen
-    position-type blocks (plus the inhomogeneity at q)."""
-    g, c2, c3, c4 = potential.diagonals(state.q)
-    c2_lam1 = c2 * state.lam1
-    return replace(
-        state,
-        p=state.p - t * g,
-        lam21=state.lam21 + t * (-c2_lam1 + state.lam33 + state.lam32),
-        lam22=state.lam22 + t * (-c2_lam1 + state.lam33 + state.lam31),
-        lam23=state.lam23 + t * (-c2_lam1 + state.lam32 + state.lam31),
-        # The tilde-weighted third derivative is c3 / 6 on the main diagonal.
-        lam4=state.lam4 + t * (
-            -(c2 * state.lam31) - c2 * state.lam32 - c2 * state.lam33
-            - (1.0 / 6.0) * c3
-        ),
-        gam21=state.gam21 + t * (-(c3 * state.lam1) - c2 * state.gam1 + state.gam3),
-        gam22=state.gam22 + t * (-(state.gam1 * c2) + state.gam3),
-        xi2=state.xi2 + t * (
-            -c4 * state.lam1 - 3.0 * (c3 * state.gam1) - c2 * state.xi1
-        ),
-    )
+    position-type blocks (plus the inhomogeneity at q), in place.
+
+    Each row x moves to x + t * dx, with the increments summed left to right:
+
+        dp     = -g
+        dlam21 = -c2 lam1 + lam33 + lam32
+        dlam22 = -c2 lam1 + lam33 + lam31
+        dlam23 = -c2 lam1 + lam32 + lam31
+        dlam4  = -c2 lam31 - c2 lam32 - c2 lam33 - c3 / 6
+        dgam21 = -c3 lam1 - c2 gam1 + gam3
+        dgam22 = -c2 gam1 + gam3
+        dxi2   = -c4 lam1 - 3 c3 gam1 - c2 xi1
+    """
+    x = state.rows
+    g, c2, c3, c4 = potential.diagonals(x[Q])
+    # dx holds the increments of the psi2 rows; its psi3 rows hold c2 times
+    # the matching rows of x, and its q row a product in passing.
+    dx = np.empty_like(x)
+    np.multiply(c2, x[_PSI3_ROWS], out=dx[_PSI3_ROWS])
+    np.negative(g, out=dx[P])
+    # -(c2 lam1) and -(c2 lam31), into rows lam23 and lam4.
+    np.negative(dx[LAM1:LAM31 + 1], out=dx[LAM23:LAM4 + 1])
+    np.add(dx[LAM23], x[LAM33], out=dx[LAM21:LAM23])
+    dx[LAM23] += x[LAM32]
+    dx[LAM21] += x[LAM32]
+    dx[LAM22:LAM23 + 1] += x[LAM31]
+    dx[LAM4] -= dx[LAM32]
+    dx[LAM4] -= dx[LAM33]
+    # The tilde-weighted third derivative is c3 / 6 on the main diagonal.
+    dx[LAM4] -= (1.0 / 6.0) * c3
+    np.multiply(c3, x[LAM1], out=dx[GAM21])
+    dx[GAM22] = dx[GAM1]
+    np.multiply(c4, x[LAM1], out=dx[XI2])
+    # -(c3 lam1), -(c2 gam1) and -(c4 lam1).
+    np.negative(dx[GAM21:XI2 + 1], out=dx[GAM21:XI2 + 1])
+    dx[GAM21] -= dx[GAM1]
+    dx[GAM21:GAM22 + 1] += x[GAM3]
+    np.multiply(c3, x[GAM1], out=dx[Q])
+    dx[Q] *= 3.0
+    dx[XI2] -= dx[Q]
+    dx[XI2] -= dx[XI1]
+    increments = dx[_PSI2_ROWS]
+    increments *= t
+    x[_PSI2_ROWS] += increments
+    return state
 
 
 def sub_flow_psi3(t: float, state: CorrectionState, potential: Potential) -> CorrectionState:
     """Exact sub-flow updating the position-type blocks from the frozen
-    momentum-type blocks."""
-    _, c2, c3, _ = potential.diagonals(state.q)
-    return replace(
-        state,
-        lam1=state.lam1 + t * (state.lam21 + state.lam22 + state.lam23),
-        lam31=state.lam31 + t * (state.lam4 - c2 * state.lam23 - c2 * state.lam22),
-        lam32=state.lam32 + t * (state.lam4 - c2 * state.lam23 - c2 * state.lam21),
-        lam33=state.lam33 + t * (state.lam4 - c2 * state.lam22 - c2 * state.lam21),
-        gam1=state.gam1 + t * (state.gam21 + state.gam22),
-        gam3=state.gam3 + t * (
-            -(c3 * state.lam23) - c2 * state.gam22 - state.gam21 * c2
-        ),
-        xi1=state.xi1 + t * state.xi2,
-    )
+    momentum-type blocks, in place.
+
+    Each row x moves to x + t * dx, with the increments summed left to right:
+
+        dlam1  = lam21 + lam22 + lam23
+        dlam31 = lam4 - c2 lam23 - c2 lam22
+        dlam32 = lam4 - c2 lam23 - c2 lam21
+        dlam33 = lam4 - c2 lam22 - c2 lam21
+        dgam1  = gam21 + gam22
+        dgam3  = -c3 lam23 - c2 gam22 - c2 gam21
+        dxi1   = xi2
+    """
+    x = state.rows
+    _, c2, c3, _ = potential.diagonals(x[Q])
+    # dx holds the increments of the psi3 rows; its rows lam21 .. gam22 hold
+    # c2 times the matching rows of x.
+    dx = np.empty_like(x)
+    np.multiply(c2, x[LAM21:GAM22 + 1], out=dx[LAM21:GAM22 + 1])
+    np.add(x[LAM21], x[LAM22], out=dx[LAM1])
+    dx[LAM1] += x[LAM23]
+    np.subtract(x[LAM4], dx[LAM23], out=dx[LAM31:LAM33])
+    np.subtract(x[LAM4], dx[LAM22], out=dx[LAM33])
+    dx[LAM31] -= dx[LAM22]
+    dx[LAM32:LAM33 + 1] -= dx[LAM21]
+    np.add(x[GAM21], x[GAM22], out=dx[GAM1])
+    np.multiply(c3, x[LAM23], out=dx[GAM3])
+    np.negative(dx[GAM3], out=dx[GAM3])
+    dx[GAM3] -= dx[GAM22]
+    dx[GAM3] -= dx[GAM21]
+    dx[XI1] = x[XI2]
+    increments = dx[_PSI3_ROWS]
+    increments *= t
+    x[_PSI3_ROWS] += increments
+    return state
 
 
 def f2_step(tau: float, state: CorrectionState, potential: Potential) -> CorrectionState:
-    """Symmetric second-order step (Strang composition of the sub-flows)."""
-    state = sub_flow_psi2(0.5 * tau, state, potential)
+    """Symmetric second-order step (Strang composition of the sub-flows), on
+    a copy of the state."""
+    t = state.t + tau
+    state = sub_flow_psi2(0.5 * tau, state.copy(), potential)
     state = sub_flow_psi1(0.5 * tau, state)
     state = sub_flow_psi3(tau, state, potential)
     state = sub_flow_psi1(0.5 * tau, state)
     state = sub_flow_psi2(0.5 * tau, state, potential)
-    return replace(state, t=state.t + tau)
+    return CorrectionState.from_rows(state.rows, t)
 
 
 def _snapshots(state: CorrectionState, times, tau: float, potential: Potential):
-    """Correction states at each snapshot time: the shared driver at order 4,
-    A = psi2 (which freezes its own right-hand side), B = psi1 psi3 psi1."""
+    """The live state at each snapshot time, stepped in place by the shared
+    driver at order 4, A = psi2 (which freezes its own right-hand side),
+    B = psi1 psi3 psi1."""
 
     def psi2(t, state):
         return sub_flow_psi2(t, state, potential)
@@ -274,9 +375,9 @@ def _snapshots(state: CorrectionState, times, tau: float, potential: Potential):
 
 def f4_step(tau: float, state: CorrectionState, potential: Potential) -> CorrectionState:
     """Fourth-order triple jump of :func:`f2_step`, with the adjacent psi2
-    half-flows merged; tau must be positive."""
-    (out,) = _snapshots(state, [tau], tau, potential)
-    return replace(out, t=state.t + tau)
+    half-flows merged, on a copy of the state; tau must be positive."""
+    (out,) = _snapshots(state.copy(), [tau], tau, potential)
+    return CorrectionState.from_rows(out.rows, state.t + tau)
 
 
 def evolve_correction(
@@ -290,9 +391,30 @@ def evolve_correction(
 def evolve_correction_snapshots(
     z0: np.ndarray, times, tau: float, potential: Potential
 ) -> list[CorrectionState]:
-    """Correction states at each snapshot time, from one continuous run."""
+    """Correction states at each snapshot time, from one continuous run.
+
+    One state is stepped in place; each snapshot is a copy of its rows."""
     states = _snapshots(CorrectionState.initial(z0), times, tau, potential)
-    return [replace(state, t=float(t)) for t, state in zip(times, states)]
+    return [
+        CorrectionState.from_rows(state.rows.copy(), float(t))
+        for t, state in zip(times, states)
+    ]
+
+
+def _read_entries(entries: dict, blocks: dict, batch: tuple, d: int) -> np.ndarray:
+    """The entries of a derivative that a2_eval pairs with one tensor's
+    blocks, (..., n_blocks, d): row b is the derivative's same-coordinate
+    diagonal on block b's reversed slot pattern, taken from ``entries``
+    ({pattern: (..., d)}), or zero where ``entries`` has none.  It is laid
+    out block-major, as numpy lays out a gather of the same entries from a
+    dense tensor, so the contraction sums as it did on the gather."""
+    out = np.zeros((len(blocks), d) + batch)
+    view = np.moveaxis(out, (0, 1), (-2, -1))
+    for b, pattern in enumerate(blocks.values()):
+        entry = entries.get(pattern[::-1])
+        if entry is not None:
+            view[..., b, :] = entry
+    return view
 
 
 def a2_eval(observables, state: CorrectionState) -> np.ndarray:
@@ -302,22 +424,25 @@ def a2_eval(observables, state: CorrectionState) -> np.ndarray:
     nonzero, so each block diagonal is contracted with the matching entries
     of the observable's derivative tensors at the transported phase point.
     Those sit on the reversed slot pattern, after the index order (kji / ji)
-    of the defining formula.  A single :class:`Observable` gives its row
-    alone.
+    of the defining formula, and come from the observable's ``diagonals``:
+    no dense derivative tensor is built.  A single :class:`Observable` gives
+    its row alone.
     """
     single = isinstance(observables, Observable)
     z = state.z
     xi = state.xi_full()
     lam = np.stack([getattr(state, name) for name in _LAMBDA_BLOCKS], axis=-2)
     gam = np.stack([getattr(state, name) for name in _GAMMA_BLOCKS], axis=-2)
-    lam_index = _diagonal_index((p[::-1] for p in _LAMBDA_BLOCKS.values()), state.d)
-    gam_index = _diagonal_index((p[::-1] for p in _GAMMA_BLOCKS.values()), state.d)
-    rows = np.stack([
-        -0.25 * (
-            np.einsum("...bj,...bj->...", obs.third(z)[(..., *lam_index)], lam)
-            + 3.0 * np.einsum("...bj,...bj->...", obs.hess(z)[(..., *gam_index)], gam)
-            + np.einsum("...i,...i->...", obs.grad(z), xi)
-        )
-        for obs in ([observables] if single else observables)
-    ])
+    batch, d = z.shape[:-1], state.d
+    rows = []
+    for obs in [observables] if single else observables:
+        grad, hess, third = obs.diagonals(z)
+        third = _read_entries(third, _LAMBDA_BLOCKS, batch, d)
+        hess = _read_entries(hess, _GAMMA_BLOCKS, batch, d)
+        rows.append(-0.25 * (
+            np.einsum("...bj,...bj->...", third, lam)
+            + 3.0 * np.einsum("...bj,...bj->...", hess, gam)
+            + np.einsum("...i,...i->...", grad, xi)
+        ))
+    rows = np.stack(rows)
     return rows[0] if single else rows

@@ -2,7 +2,10 @@
 
 An observable bundles evaluators over phase space z = (q, p): the value
 ``a(z)`` and tensors ``Da``, ``D2a``, ``D3a``.  All evaluators accept batched
-input of shape ``(..., 2d)``.  The built-ins are the experiment observables
+input of shape ``(..., 2d)``.  The built-ins also give ``diagonals``: the
+gradient and the same-coordinate entries of the nonzero blocks of ``D2a``
+and ``D3a``, which is all the correction reads, so a run builds no dense
+derivative tensor.  The built-ins are the experiment observables
 (positions, momenta, kinetic/potential/total energy); they are polynomials or
 potential compositions rather than Schwartz functions, so error constants
 are validated empirically against the grid solver rather than proved.
@@ -39,6 +42,11 @@ class Observable:
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
     third: Callable[[np.ndarray], np.ndarray]
+    # (Da, D2a, D3a) at z, the last two as {slot pattern: (..., d)}: the
+    # same-coordinate diagonal of each block that can be nonzero, where a
+    # pattern's slots are 0 for positions and 1 for momenta; (0, 0, 0) holds
+    # the (j, j, j) entries.  The entries of D2a and D3a it leaves out are 0.
+    diagonals: Callable[[np.ndarray], tuple]
 
 
 def _constant(tensor: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -60,13 +68,15 @@ def _zeros(d: int, order: int) -> Callable[[np.ndarray], np.ndarray]:
 def _coordinate(name: str, d: int, index: int) -> Observable:
     e = np.zeros(2 * d)
     e[index] = 1.0
+    grad = _constant(e)
     return Observable(
         name=name,
         dim=d,
         value=lambda z: np.asarray(z)[..., index] + 0.0,
-        grad=_constant(e),
+        grad=grad,
         hess=_zeros(d, 2),
         third=_zeros(d, 3),
+        diagonals=lambda z: (grad(z), {}, {}),
     )
 
 
@@ -98,7 +108,31 @@ def kinetic(d: int) -> Observable:
         out[..., d:] = z[..., d:]
         return out
 
-    return Observable("kinetic", d, value, grad, _constant(hess), _zeros(d, 3))
+    ones = np.ones(d)
+    return Observable(
+        "kinetic", d, value, grad, _constant(hess), _zeros(d, 3),
+        lambda z: (grad(z), {(1, 1): ones}, {}),
+    )
+
+
+def _energy_diagonals(potential: Potential, kinetic: bool):
+    """The diagonals of V(q), plus those of |p|^2 / 2 if ``kinetic``, from
+    one ``Potential.diagonals`` evaluation."""
+    d = potential.d
+    ones = np.ones(d)
+
+    def diagonals(z):
+        z = np.asarray(z)
+        g, c2, c3, _ = potential.diagonals(z[..., :d])
+        grad = np.zeros(z.shape)
+        grad[..., :d] = g
+        hess = {(0, 0): c2}
+        if kinetic:
+            grad[..., d:] = z[..., d:]
+            hess[(1, 1)] = ones
+        return grad, hess, {(0, 0, 0): c3}
+
+    return diagonals
 
 
 def potential_energy(potential: Potential) -> Observable:
@@ -115,13 +149,17 @@ def potential_energy(potential: Potential) -> Observable:
         lifted(potential.gradient, 1),
         lifted(potential.hessian, 2),
         lifted(potential.third, 3),
+        _energy_diagonals(potential, kinetic=False),
     )
 
 
 def total_energy(potential: Potential) -> Observable:
     """h(q, p) = |p|^2 / 2 + V(q)."""
     ham = Hamiltonian(potential)
-    return Observable("total", potential.d, ham.value, ham.gradient, ham.hessian, ham.third)
+    return Observable(
+        "total", potential.d, ham.value, ham.gradient, ham.hessian, ham.third,
+        _energy_diagonals(potential, kinetic=True),
+    )
 
 
 def default_names(d: int) -> tuple[str, ...]:

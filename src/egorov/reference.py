@@ -149,14 +149,14 @@ def init_packet(spec: GridSpec, packet: GaussianPacket) -> WaveFunctionGrid:
     return grid
 
 
-def _grid_flows(spec: GridSpec, potential: Potential, eps: float):
-    """The A and B flows of the grid split step, for :func:`split_snapshots`.
+def _grid_flows(spec: GridSpec, v: np.ndarray, eps: float):
+    """The A and B flows of the grid split step, for :func:`split_snapshots`,
+    with the potential ``v`` on the mesh.
 
     A is the potential phase ``psi *= exp(-i V a / eps)``, applied in place.
     B is the kinetic step ``ifftn(phase * fftn(psi))``, with the kinetic
     phase applied as one 1-D factor per axis in place into ``psi_hat``.
     """
-    v = spec.mesh_value(potential)
     k2 = spec.wavenumbers() ** 2
     axis_shapes = [(-1,) + (1,) * (spec.d - 1 - j) for j in range(spec.d)]
 
@@ -190,34 +190,60 @@ def schrodinger_step(
 ) -> WaveFunctionGrid:
     """One Strang split step (potential half, kinetic full, potential half):
     the order-2 step of the flows :func:`reference_expectations` uses."""
-    flows = _grid_flows(grid.spec, potential, grid.epsilon)
+    flows = _grid_flows(grid.spec, grid.spec.mesh_value(potential), grid.epsilon)
     (psi,) = split_snapshots(grid.psi.astype(complex), [tau], tau, 2, *flows)
     return WaveFunctionGrid(psi=psi, spec=grid.spec, epsilon=grid.epsilon, t=grid.t + tau)
 
 
-def _fourier_weights(grid: WaveFunctionGrid):
-    psi_hat = fftn(grid.psi)
-    w = np.abs(psi_hat) ** 2
-    return w / w.sum()
+class _Readings:
+    """What the expectations of one state read: the normalized density, the
+    normalized Fourier weights and the potential on the mesh, each computed
+    once, on first use.  A given ``v`` is the potential on the mesh."""
+
+    def __init__(self, grid: WaveFunctionGrid, potential: Potential, v=None):
+        self.grid = grid
+        self.potential = potential
+        if v is not None:
+            self.v = v
+
+    @functools.cached_property
+    def density(self) -> np.ndarray:
+        density = np.abs(self.grid.psi) ** 2
+        return density / density.sum()
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        w = np.abs(fftn(self.grid.psi)) ** 2
+        return w / w.sum()
+
+    @functools.cached_property
+    def v(self) -> np.ndarray:
+        return self.grid.spec.mesh_value(self.potential)
 
 
-def expectation(grid: WaveFunctionGrid, obs_name: str, potential: Potential) -> float:
-    """Expectation value of a built-in observable in the current state."""
+def expectation(
+    grid: WaveFunctionGrid, obs_name: str, potential: Potential, readings=None
+) -> float:
+    """Expectation value of a built-in observable in the current state.
+
+    The readings of one snapshot share ``readings``, a ``_Readings`` of this
+    grid and potential; without it they are computed for this call alone.
+    """
     spec = grid.spec
     kind, j = parse_name(obs_name, spec.d)
+    if readings is None:
+        readings = _Readings(grid, potential)
 
     def along(axis_values, axis):
         shape = [1] * spec.d
         shape[axis] = spec.n
         return axis_values.reshape(shape)
 
-    if kind in ("q", "potential"):
-        density = np.abs(grid.psi) ** 2
-        density = density / density.sum()
-        if kind == "q":
-            return float(np.sum(along(spec.axis(), j - 1) * density))
-        return float(np.sum(spec.mesh_value(potential) * density))
-    w = _fourier_weights(grid)
+    if kind == "q":
+        return float(np.sum(along(spec.axis(), j - 1) * readings.density))
+    if kind == "potential":
+        return float(np.sum(readings.v * readings.density))
+    w = readings.weights
     k = spec.wavenumbers()
     if kind == "p":
         return grid.epsilon * float(np.sum(along(k, j - 1) * w))
@@ -226,7 +252,7 @@ def expectation(grid: WaveFunctionGrid, obs_name: str, potential: Potential) -> 
     )
     if kind == "kinetic":
         return kinetic
-    return kinetic + expectation(grid, "potential", potential)
+    return kinetic + expectation(grid, "potential", potential, readings)
 
 
 def _cache_key(spec, packet, potential, times, tau, names) -> str:
@@ -309,7 +335,8 @@ def reference_expectations(
 
     grid = init_packet(spec, packet)
     eps = grid.epsilon
-    flows = _grid_flows(spec, potential, eps)
+    v = spec.mesh_value(potential)
+    flows = _grid_flows(spec, v, eps)
 
     table = {name: np.empty(len(times)) for name in names}
     snaps = split_snapshots(grid.psi, times, tau, _ORDER, *flows)
@@ -325,8 +352,9 @@ def reference_expectations(
             raise RuntimeError(
                 f"boundary mass {shell:.3e} at t={t_snap}: packet reached the domain edge"
             )
+        readings = _Readings(grid, potential, v)
         for name in names:
-            table[name][i] = expectation(grid, name, potential)
+            table[name][i] = expectation(grid, name, potential, readings)
 
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)

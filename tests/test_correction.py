@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import egorov.correction as correction_mod
 from egorov.correction import (
     CorrectionState,
     a2_eval,
@@ -24,9 +25,14 @@ from egorov.correction import (
     sub_flow_psi3,
 )
 from egorov.flow import drift, kick, step_count, yoshida_coefficients
-from egorov.observables import Observable, make_observable
+from egorov.observables import Observable, default_names, make_observable
 from egorov.oracle import GeneralCorrectionState, evolve_general, general_rhs
-from egorov.potentials import Hamiltonian, harmonic_potential, torsional_potential
+from egorov.potentials import (
+    Hamiltonian,
+    free_potential,
+    harmonic_potential,
+    torsional_potential,
+)
 from egorov.tensor_ops import apply_J_triple, tilde_d3
 
 from conftest import phase_pair, phase_point
@@ -39,6 +45,17 @@ STATE_FIELDS = (
 # The fields each exact sub-flow advances (psi1 advances q alone).
 PSI2_FIELDS = ("p", "lam21", "lam22", "lam23", "lam4", "gam21", "gam22", "xi2")
 PSI3_FIELDS = ("lam1", "lam31", "lam32", "lam33", "gam1", "gam3", "xi1")
+# The slots of each block that address momenta (1) rather than positions (0).
+LAMBDA_PATTERNS = {
+    "lam1": (0, 0, 0), "lam21": (1, 0, 0), "lam22": (0, 1, 0), "lam23": (0, 0, 1),
+    "lam31": (0, 1, 1), "lam32": (1, 0, 1), "lam33": (1, 1, 0), "lam4": (1, 1, 1),
+}
+GAMMA_PATTERNS = {"gam1": (0, 0), "gam21": (1, 0), "gam22": (0, 1), "gam3": (1, 1)}
+POTENTIALS = {
+    "torsional": torsional_potential,
+    "harmonic": lambda d: harmonic_potential(d, (1.0, 2.0, 0.5)[:d]),
+    "free": free_potential,
+}
 
 
 def state_gap(a: CorrectionState, b: CorrectionState) -> float:
@@ -155,6 +172,7 @@ class TestGeneralRhs:
         # and psi3 the position-type ones, at an arbitrary per-coordinate
         # state.  Random blocks make every coupling act, and with d >= 2 a
         # derivative diagonal applied to the wrong coordinate shows here.
+        # The sub-flows update in place, so each steps a copy of s.
         rng = np.random.default_rng(25)
         t = 0.37
         for d in (1, 2, 3):
@@ -167,9 +185,9 @@ class TestGeneralRhs:
                     dz, dlam.reshape((n,) * 3), dgam.reshape(n, n), dxi
                 )
                 for stepped, fields in (
-                    (sub_flow_psi1(t, s), ("q",)),
-                    (sub_flow_psi2(t, s, pot), PSI2_FIELDS),
-                    (sub_flow_psi3(t, s, pot), PSI3_FIELDS),
+                    (sub_flow_psi1(t, s.copy()), ("q",)),
+                    (sub_flow_psi2(t, s.copy(), pot), PSI2_FIELDS),
+                    (sub_flow_psi3(t, s.copy(), pot), PSI3_FIELDS),
                 ):
                     for f in fields:
                         np.testing.assert_allclose(
@@ -207,27 +225,28 @@ class TestGeneralRhs:
 class TestSubFlows:
     def test_psi1_zero_time_identity(self):
         s = random_state(np.random.default_rng(26))
-        out = sub_flow_psi1(0.0, s)
+        out = sub_flow_psi1(0.0, s.copy())
         assert state_gap(out, s) == 0.0
 
     def test_psi1_agrees_with_drift(self):
         s = random_state(np.random.default_rng(27))
+        before = s.copy()
         out = sub_flow_psi1(0.4, s)
-        np.testing.assert_array_equal(out.z, phase_point(drift(0.4, phase_pair(s.z))))
+        np.testing.assert_array_equal(out.z, phase_point(drift(0.4, phase_pair(before.z))))
         # tensors are passed through without copying
         for f in STATE_FIELDS[2:]:
             assert getattr(out, f) is getattr(s, f)
 
     def test_psi2_zero_time_identity(self, torsional_2d):
         s = random_state(np.random.default_rng(28))
-        assert state_gap(sub_flow_psi2(0.0, s, torsional_2d), s) == 0.0
+        assert state_gap(sub_flow_psi2(0.0, s.copy(), torsional_2d), s) == 0.0
 
     def test_psi2_from_initial_state(self, torsional_2d, z0):
         # With Psi3 = 0 only the inhomogeneity acts: the momentum picks up
         # -t DV and the all-momentum block of the full tensor -t tilde D3V.
         s = CorrectionState.initial(z0)
         t = 0.3
-        out = sub_flow_psi2(t, s, torsional_2d)
+        out = sub_flow_psi2(t, s.copy(), torsional_2d)
         np.testing.assert_allclose(out.p, -t * np.sin(z0[:2]))
         np.testing.assert_allclose(
             out.lambda_full()[2:, 2:, 2:], -t * tilde_d3(torsional_2d.third(z0[:2]))
@@ -239,7 +258,7 @@ class TestSubFlows:
 
     def test_psi3_zero_time_identity(self, torsional_2d):
         s = random_state(np.random.default_rng(29))
-        assert state_gap(sub_flow_psi3(0.0, s, torsional_2d), s) == 0.0
+        assert state_gap(sub_flow_psi3(0.0, s.copy(), torsional_2d), s) == 0.0
 
     def test_psi3_ignores_momentum(self, torsional_2d, z0):
         # A state whose Psi2 tensor blocks vanish feeds nothing into Psi3:
@@ -250,13 +269,13 @@ class TestSubFlows:
             CorrectionState.initial(np.array([1.0, 0.5, 0.8, -0.3])),
             **{f: rng.standard_normal(2) for f in PSI3_FIELDS},
         )
-        out = sub_flow_psi3(0.7, s, torsional_2d)
+        out = sub_flow_psi3(0.7, s.copy(), torsional_2d)
         assert state_gap(out, s) == 0.0
 
     def test_psi3_time_linearity(self, torsional_2d):
         s = random_state(np.random.default_rng(31))
-        once = sub_flow_psi3(0.8, s, torsional_2d)
-        twice = sub_flow_psi3(0.4, sub_flow_psi3(0.4, s, torsional_2d), torsional_2d)
+        once = sub_flow_psi3(0.8, s.copy(), torsional_2d)
+        twice = sub_flow_psi3(0.4, sub_flow_psi3(0.4, s.copy(), torsional_2d), torsional_2d)
         assert state_gap(once, twice) <= 1e-14
 
     def test_psi2_psi3_commute_with_batching(self, torsional_2d):
@@ -421,6 +440,110 @@ def test_fused_correction_matches_unfused_f2_and_per_point(points, gaps):
                 )
 
 
+def per_field_psi1(t, s):
+    return {**{f: getattr(s, f) for f in STATE_FIELDS}, "q": s.q + t * s.p}
+
+
+def per_field_psi2(t, s, potential):
+    """psi2 field by field, each update written as x + t * (increment)."""
+    g, c2, c3, c4 = potential.diagonals(s.q)
+    c2_lam1 = c2 * s.lam1
+    return {
+        **{f: getattr(s, f) for f in STATE_FIELDS},
+        "p": s.p - t * g,
+        "lam21": s.lam21 + t * (-c2_lam1 + s.lam33 + s.lam32),
+        "lam22": s.lam22 + t * (-c2_lam1 + s.lam33 + s.lam31),
+        "lam23": s.lam23 + t * (-c2_lam1 + s.lam32 + s.lam31),
+        "lam4": s.lam4 + t * (
+            -(c2 * s.lam31) - c2 * s.lam32 - c2 * s.lam33 - (1.0 / 6.0) * c3
+        ),
+        "gam21": s.gam21 + t * (-(c3 * s.lam1) - c2 * s.gam1 + s.gam3),
+        "gam22": s.gam22 + t * (-(s.gam1 * c2) + s.gam3),
+        "xi2": s.xi2 + t * (-c4 * s.lam1 - 3.0 * (c3 * s.gam1) - c2 * s.xi1),
+    }
+
+
+def per_field_psi3(t, s, potential):
+    """psi3 field by field, each update written as x + t * (increment)."""
+    _, c2, c3, _ = potential.diagonals(s.q)
+    return {
+        **{f: getattr(s, f) for f in STATE_FIELDS},
+        "lam1": s.lam1 + t * (s.lam21 + s.lam22 + s.lam23),
+        "lam31": s.lam31 + t * (s.lam4 - c2 * s.lam23 - c2 * s.lam22),
+        "lam32": s.lam32 + t * (s.lam4 - c2 * s.lam23 - c2 * s.lam21),
+        "lam33": s.lam33 + t * (s.lam4 - c2 * s.lam22 - c2 * s.lam21),
+        "gam1": s.gam1 + t * (s.gam21 + s.gam22),
+        "gam3": s.gam3 + t * (-(c3 * s.lam23) - c2 * s.gam22 - s.gam21 * c2),
+        "xi1": s.xi1 + t * s.xi2,
+    }
+
+
+class TestInPlaceStepper:
+    @pytest.mark.parametrize("n", [0, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(POTENTIALS))
+    def test_snapshots_own_their_memory(self, name, d, n, monkeypatch):
+        # One state is stepped in place: z0 stays as it was, every snapshot
+        # (repeated times too) is a copy apart from the others and from the
+        # live state, and a second run gives the same arrays.
+        pot = POTENTIALS[name](d)
+        z0 = np.random.default_rng(40 + d).uniform(-1.5, 1.5, (n, 2 * d))
+        kept = z0.copy()
+        times = [0.0, 0.25, 0.25, 0.75]
+        live = []
+
+        def recording_psi2(t, state, potential):
+            live.append(state.rows)
+            return sub_flow_psi2(t, state, potential)
+
+        monkeypatch.setattr(correction_mod, "sub_flow_psi2", recording_psi2)
+        snaps = evolve_correction_snapshots(z0, times, 0.125, pot)
+        assert z0.tobytes() == kept.tobytes()
+        assert live and all(rows is live[0] for rows in live)
+        for i, snap in enumerate(snaps):
+            assert snap.t == times[i]
+            assert not np.shares_memory(snap.rows, live[0])
+            assert not np.shares_memory(snap.rows, z0)
+            for other in snaps[i + 1:]:
+                assert not np.shares_memory(snap.rows, other.rows)
+        again = evolve_correction_snapshots(z0, times, 0.125, pot)
+        for snap, repeat in zip(snaps, again, strict=True):
+            assert snap.t == repeat.t
+            assert snap.rows.tobytes() == repeat.rows.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(POTENTIALS))
+    def test_sub_flows_keep_per_field_rounding(self, name, d):
+        # The in-place row-group updates give the bits of the per-field
+        # expressions x + t * (increment), signed zeros included; a quarter
+        # of the entries are +0 or -0 so the signs of zero sums act.
+        pot = POTENTIALS[name](d)
+        rng = np.random.default_rng(43 + d)
+        values = rng.standard_normal((len(STATE_FIELDS), 6, d))
+        signed_zero = rng.integers(0, 8, values.shape)
+        values[signed_zero == 0] = 0.0
+        values[signed_zero == 1] = -0.0
+        s = CorrectionState(**dict(zip(STATE_FIELDS, values)))
+        for t in (0.3, -0.7):
+            for flow, per_field in (
+                (lambda s: sub_flow_psi1(t, s), lambda s: per_field_psi1(t, s)),
+                (lambda s: sub_flow_psi2(t, s, pot), lambda s: per_field_psi2(t, s, pot)),
+                (lambda s: sub_flow_psi3(t, s, pot), lambda s: per_field_psi3(t, s, pot)),
+            ):
+                want = per_field(s)
+                got = flow(s.copy())
+                for f in STATE_FIELDS:
+                    assert getattr(got, f).tobytes() == want[f].tobytes(), f
+
+    def test_fields_are_rows_of_one_array(self):
+        s = random_state(np.random.default_rng(41), 3)
+        assert s.rows.shape == (16, 3)
+        for i, name in enumerate(correction_mod.FIELDS):
+            assert np.shares_memory(getattr(s, name), s.rows)
+            np.testing.assert_array_equal(getattr(s, name), s.rows[i])
+        assert sorted(correction_mod.FIELDS) == sorted(STATE_FIELDS)
+
+
 def constant_observable(d: int) -> Observable:
     zeros2, zeros3 = np.zeros((2 * d, 2 * d)), np.zeros((2 * d,) * 3)
     return Observable(
@@ -430,6 +553,39 @@ def constant_observable(d: int) -> Observable:
         grad=lambda z: np.zeros(np.asarray(z).shape),
         hess=lambda z: np.broadcast_to(zeros2, np.asarray(z).shape[:-1] + zeros2.shape),
         third=lambda z: np.broadcast_to(zeros3, np.asarray(z).shape[:-1] + zeros3.shape),
+        diagonals=lambda z: (np.zeros(np.asarray(z).shape), {}, {}),
+    )
+
+
+def gather_diagonals(full: np.ndarray, order: int, d: int) -> dict:
+    """{slot pattern: (..., d)}: the same-coordinate diagonal of every block
+    of a (..., 2d, ..., 2d) tensor with ``order`` trailing axes."""
+    j = np.arange(d)
+    return {
+        pattern: full[(..., *(s * d + j for s in pattern))]
+        for pattern in np.ndindex((2,) * order)
+    }
+
+
+def dense_a2(obs: Observable, state: CorrectionState) -> np.ndarray:
+    """a2 read off the dense derivative tensors: the entries of obs.third
+    and obs.hess on each block's reversed slot pattern, gathered with one
+    index per slot, contracted with the stacked block diagonals."""
+    d, z = state.d, state.z
+    j = np.arange(d)
+
+    def read(full, patterns):
+        index = np.array([pattern[::-1] for pattern in patterns.values()])
+        return full[(..., *(index[:, slot, None] * d + j for slot in range(index.shape[1])))]
+
+    def stack(patterns):
+        return np.stack([getattr(state, name) for name in patterns], axis=-2)
+
+    return -0.25 * (
+        np.einsum("...bj,...bj->...", read(obs.third(z), LAMBDA_PATTERNS), stack(LAMBDA_PATTERNS))
+        + 3.0 * np.einsum("...bj,...bj->...", read(obs.hess(z), GAMMA_PATTERNS),
+                          stack(GAMMA_PATTERNS))
+        + np.einsum("...i,...i->...", obs.grad(z), state.xi_full())
     )
 
 
@@ -493,17 +649,20 @@ class TestA2Eval:
     def test_gather_matches_dense_scatter_formula(self):
         # a2_eval reads only the stored diagonals; the defining formula
         # contracts the scattered full tensors with index order kji / ji.
-        # Unsymmetric random derivative tensors tell the slot orders apart.
+        # Unsymmetric random derivative tensors tell the slot orders apart,
+        # and the observable's diagonals, keyed by its own slot patterns, are
+        # read on each block's reversed pattern.
         rng = np.random.default_rng(37)
         for d in (1, 2, 3):
             state = CorrectionState(
                 **{f: rng.standard_normal((5, d)) for f in STATE_FIELDS}
             )
             tensors = [rng.standard_normal((5,) + (2 * d,) * k) for k in (1, 2, 3)]
+            diagonals = (tensors[0], *(gather_diagonals(tensors[k - 1], k, d) for k in (2, 3)))
             obs = Observable(
                 name="random", dim=d, value=lambda z: np.zeros(z.shape[:-1]),
                 grad=lambda z: tensors[0], hess=lambda z: tensors[1],
-                third=lambda z: tensors[2],
+                third=lambda z: tensors[2], diagonals=lambda z: diagonals,
             )
             dense = -0.25 * (
                 np.einsum("...ijk,...kji->...", tensors[2], state.lambda_full())
@@ -511,6 +670,22 @@ class TestA2Eval:
                 + np.einsum("...i,...i->...", tensors[0], state.xi_full())
             )
             np.testing.assert_allclose(a2_eval(obs, state), dense, rtol=0.0, atol=1e-14)
+            np.testing.assert_array_equal(a2_eval(obs, state), dense_a2(obs, state))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(POTENTIALS))
+    def test_matches_dense_contraction(self, name, d):
+        # The built-in observables hand a2_eval their block diagonals; the
+        # values, signed zeros included, are those of the gather from the
+        # dense derivative tensors.
+        pot = POTENTIALS[name](d)
+        z0 = np.random.default_rng(42 + d).uniform(-1.5, 1.5, (40, 2 * d))
+        for state in evolve_correction_snapshots(z0, [0.0, 0.5, 1.5], 2.0**-5, pot):
+            for obs_name in default_names(d):
+                obs = make_observable(obs_name, pot)
+                got, want = a2_eval(obs, state), dense_a2(obs, state)
+                np.testing.assert_array_equal(got, want, err_msg=obs_name)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
     def test_batched_evaluation(self, torsional_2d):
         batch = np.random.default_rng(35).uniform(-1.0, 1.0, size=(6, 4))

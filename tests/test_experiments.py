@@ -18,6 +18,8 @@ import egorov.checks as checks
 import egorov.cli as cli
 import egorov.correction as correction_mod
 import egorov.experiments as experiments
+import egorov.observables as observables
+import egorov.potentials as potentials
 import egorov.reference as reference
 from egorov.experiments import (
     CSV_HEADER,
@@ -39,7 +41,7 @@ from egorov.experiments import (
 )
 from egorov.experiments import _config_for_value, _loglog_slope
 from egorov.flow import step_count
-from egorov.potentials import TorsionalPotential
+from egorov.potentials import Potential, TorsionalPotential
 from egorov.sampling import GaussianPacket, QmcSampler, sample_points
 
 
@@ -475,6 +477,27 @@ class TestRunCorrected:
             [experiments._correction_chunk_sums] * 3 + [experiments._egorov_chunk_sums] * 10
         )
 
+    def test_run_path_builds_no_dense_tensor(self, monkeypatch):
+        # The correction reads the potential's diagonals and the
+        # observables' block diagonals only: with every dense derivative
+        # tensor refused, the rows keep their bytes.
+        configs = [
+            tiny_config(),
+            tiny_config(potential="harmonic", stiffness=(1.0, 2.0)),
+            tiny_config(dimension=1, potential="free", center=(0.5, 0.25)),
+        ]
+        expected = [repr(run_corrected(config, threads=1)) for config in configs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense derivative tensor was built")
+
+        for name in ("hessian", "third", "fourth"):
+            monkeypatch.setattr(Potential, name, refuse)
+        monkeypatch.setattr(potentials, "position_block", refuse)
+        monkeypatch.setattr(observables, "position_block", refuse)
+        for config, rows in zip(configs, expected):
+            assert repr(run_corrected(config, threads=1)) == rows
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_bad_thread_count_rejected_before_sampling(self, monkeypatch, threads):
         def no_sampling(*args):
@@ -699,12 +722,14 @@ class TestSelftest:
         # Flip the sign of one coupling of the production sub-flows: the gam3
         # increment of psi3, driven by the w3:Lambda contraction and the
         # second-derivative terms.  The comparison with the general form
-        # must fail.
+        # must fail.  The sub-flow updates in place, so the state is copied
+        # first.
         original = correction_mod.sub_flow_psi3
 
         def flipped(t, state, potential):
+            before = state.copy()
             out = original(t, state, potential)
-            return dataclasses.replace(out, gam3=2.0 * state.gam3 - out.gam3)
+            return dataclasses.replace(out, gam3=2.0 * before.gam3 - out.gam3)
 
         monkeypatch.setattr(correction_mod, "sub_flow_psi3", flipped)
         assert not checks.run_check("block-general-equivalence").passed
@@ -852,7 +877,9 @@ class TestCli:
             assert all(vars(owner).get(name) is value for name, value in names.items())
         metrics = tracer.layer_metrics()
         for name in ("flow.propagate_snapshots_s", "correction.evolve_correction_snapshots_s",
-                     "flow.drift_calls", "flow.kick_calls", "reference.fftn_calls"):
+                     "flow.drift_calls", "flow.kick_calls", "reference.fftn_calls",
+                     "correction.sub_flow_psi1_calls", "correction.sub_flow_psi2_calls",
+                     "correction.sub_flow_psi3_calls", "correction.a2_eval_calls"):
             assert metrics[name][0] > 0, name
 
     def test_sweep_without_axis_fails_validation(self, config_file, tmp_path, capsys):

@@ -239,6 +239,33 @@ class TestReferenceExpectations:
         single = reference_expectations(spec, packet_2d, pot, [0.2], 1e-2, ["q1"])
         assert both["q1"][1] == pytest.approx(single["q1"][0], rel=1e-13)
 
+    def test_readings_computed_once_per_snapshot(self, packet_2d, monkeypatch):
+        # The seven observables of a snapshot share one Fourier transform,
+        # one density and the potential mesh the flows already hold; each
+        # value has the bits it has when read alone.
+        pot = torsional_potential(2)
+        spec = GridSpec(2, 64)
+        args = (spec, packet_2d, pot, [0.0, 0.02, 0.04], 1e-2)
+        alone = {name: reference_expectations(*args, [name])[name] for name in OBSERVABLE_NAMES}
+        counts = {"fftn": 0, "mesh_value": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def call(*a, **k):
+                counts[name] += 1
+                return original(*a, **k)
+
+            monkeypatch.setattr(owner, name, call)
+
+        counted(reference, "fftn")
+        counted(GridSpec, "mesh_value")
+        together = reference_expectations(*args, OBSERVABLE_NAMES)
+        # 4 order-4 steps of 3 FFT pairs, and one transform per snapshot.
+        assert counts == {"fftn": 4 * 3 + 3, "mesh_value": 1}
+        for name in OBSERVABLE_NAMES:
+            assert together[name].tobytes() == alone[name].tobytes(), name
+
     def test_cache_round_trip(self, packet_2d, grid_cache):
         cache = grid_cache / "round_trip"
         pot = torsional_potential(2)
