@@ -23,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from . import correction
+from . import potentials
 from .correction import a2_eval, evolve_correction
 from .flow import propagate
 from .observables import make_observable
@@ -119,9 +119,10 @@ def vectorization_identities() -> dict[str, float]:
     slot k, applied to vec(scatter(v)), gives vec(scatter(c v)).
 
     v is the diagonal of the seeded 3-tensor and c runs over the diagonals
-    of the three seeded matrices, for k = 1, 2 and 3.  The scatter is the
-    one that builds the full correction tensors, looked up on
-    :mod:`egorov.correction` when the check runs.  vec is the row-major
+    of the three seeded matrices, for k = 1, 2 and 3.  The scatter is
+    :func:`egorov.potentials.scatter_diagonals`, which builds every dense
+    derivative and correction tensor; it is looked up on
+    :mod:`egorov.potentials` when the check runs.  vec is the row-major
     ravel.
     """
     _, (base, other, mat, ten) = _identity_inputs()
@@ -130,7 +131,8 @@ def vectorization_identities() -> dict[str, float]:
     eye = np.eye(len(v))
 
     def scatter(diagonal):
-        return correction._scatter(diagonal, np.zeros(ten.shape)).ravel()
+        out = np.zeros(ten.shape)
+        return potentials.scatter_diagonals({(0, 0, 0): diagonal}, out).ravel()
 
     for c in np.diagonal(np.stack((base, other, mat)), axis1=-2, axis2=-1):
         for mode in range(3):

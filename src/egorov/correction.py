@@ -32,7 +32,8 @@ its same-coordinate diagonal, d numbers, and every mode product becomes an
 elementwise product: diag(c) in any slot of the block with diagonal v is the
 block with diagonal c v.  :meth:`CorrectionState.lambda_full` and
 :meth:`CorrectionState.gamma_full` scatter the diagonals into the full
-phase-space tensors that the references read; ``a2_eval`` contracts the
+phase-space tensors that the references read, by ``scatter_diagonals``, and
+``from_full`` gathers them from the same entries; ``a2_eval`` contracts the
 diagonals alone with the matching derivative entries that each observable's
 ``diagonals`` gives, so no dense tensor is built on the run path.  A
 potential with coupled derivatives raises NotImplementedError in
@@ -51,8 +52,8 @@ them.  Beside the run path, this module holds only the conversions between
 the block layout and the full tensors.  The independent references, the
 unreordered flat form integrated by classic RK4 and the bracket quadrature,
 live in :mod:`egorov.oracle`; :mod:`egorov.checks` compares the split-step
-tensors with both, and holds the scatter against the Kronecker matrices of
-the mode products it replaces.
+tensors with both, and holds ``scatter_diagonals`` against the Kronecker
+matrices of the mode products the elementwise updates replace.
 
 All states are batched: every field carries leading sample axes.  The
 sub-flows update the state they are given; :func:`f2_step`, :func:`f4_step`
@@ -67,7 +68,7 @@ import numpy as np
 
 from .flow import split_snapshots
 from .observables import Observable
-from .potentials import Potential
+from .potentials import Potential, scatter_diagonals
 # benchmark/tracing.py wraps egorov.correction.tilde_d3 by attribute.
 from .tensor_ops import tilde_d3  # noqa: F401
 
@@ -104,29 +105,6 @@ _LAMBDA_BLOCKS = {
     "lam31": (0, 1, 1), "lam32": (1, 0, 1), "lam33": (1, 1, 0), "lam4": (1, 1, 1),
 }
 _GAMMA_BLOCKS = {"gam1": (0, 0), "gam21": (1, 0), "gam22": (0, 1), "gam3": (1, 1)}
-
-
-def _block(full: np.ndarray, pattern, d: int) -> np.ndarray:
-    """View of the block of a full phase-space tensor whose slots run over
-    the momenta where ``pattern`` is 1 and over the positions where it is 0."""
-    return full[(..., *(slice(m * d, (m + 1) * d) for m in pattern))]
-
-
-def _diagonal_index(patterns, d: int) -> tuple[np.ndarray, ...]:
-    """Index arrays, one per slot, of the same-coordinate diagonals of the
-    blocks with the given slot patterns: ``full[(..., *index)]`` holds them
-    as (..., n_blocks, d)."""
-    patterns = np.asarray(list(patterns))
-    j = np.arange(d)
-    return tuple(patterns[:, slot, None] * d + j for slot in range(patterns.shape[1]))
-
-
-def _scatter(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the same-coordinate diagonal v (..., d) onto the main diagonal of
-    out (..., d, ..., d), in place, and return out."""
-    idx = np.arange(v.shape[-1])
-    out[(..., *[idx] * (out.ndim - v.ndim + 1))] = v
-    return out
 
 
 @dataclass(frozen=True)
@@ -210,12 +188,11 @@ class CorrectionState:
     # -- conversions between the block layout and full phase-space tensors --
 
     def _full(self, blocks) -> np.ndarray:
-        d = self.d
         order = len(next(iter(blocks.values())))
-        out = np.zeros(self.q.shape[:-1] + (2 * d,) * order)
-        for name, pattern in blocks.items():
-            _scatter(getattr(self, name), _block(out, pattern, d))
-        return out
+        out = np.zeros(self.q.shape[:-1] + (2 * self.d,) * order)
+        return scatter_diagonals(
+            {pattern: getattr(self, name) for name, pattern in blocks.items()}, out
+        )
 
     def lambda_full(self) -> np.ndarray:
         """Reassembled 3-tensor over phase-space indices, (..., 2d, 2d, 2d)."""
@@ -236,10 +213,12 @@ class CorrectionState:
         """
         z = np.asarray(z, dtype=float)
         d = z.shape[-1] // 2
-        blocks = {}
-        for full, table in ((lam, _LAMBDA_BLOCKS), (gam, _GAMMA_BLOCKS)):
-            diagonals = full[(..., *_diagonal_index(table.values(), d))]
-            blocks.update({name: diagonals[..., b, :] for b, name in enumerate(table)})
+        j = np.arange(d)
+        blocks = {
+            name: full[(..., *(s * d + j for s in pattern))]
+            for full, table in ((lam, _LAMBDA_BLOCKS), (gam, _GAMMA_BLOCKS))
+            for name, pattern in table.items()
+        }
         state = cls(
             q=z[..., :d], p=z[..., d:], **blocks, xi1=xi[..., :d], xi2=xi[..., d:], t=t
         )

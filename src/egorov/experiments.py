@@ -185,6 +185,8 @@ class RunConfig:
         names = self.observables or default_names(d)
         for name in names:
             parse_name(name, d)
+        if len(set(names)) < len(names):
+            raise ValueError(f"observables must not repeat a name: {', '.join(names)}")
         object.__setattr__(self, "observables", tuple(names))
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(

@@ -2,13 +2,14 @@
 
 An observable bundles evaluators over phase space z = (q, p): the value
 ``a(z)`` and tensors ``Da``, ``D2a``, ``D3a``.  All evaluators accept batched
-input of shape ``(..., 2d)``.  The built-ins also give ``diagonals``: the
-gradient and the same-coordinate entries of the nonzero blocks of ``D2a``
-and ``D3a``, which is all the correction reads, so a run builds no dense
-derivative tensor.  The built-ins are the experiment observables
-(positions, momenta, kinetic/potential/total energy); they are polynomials or
-potential compositions rather than Schwartz functions, so error constants
-are validated empirically against the grid solver rather than proved.
+input of shape ``(..., 2d)``.  Each built-in states only its value and its
+``diagonals``: the gradient and the same-coordinate entries of the nonzero
+blocks of ``D2a`` and ``D3a``, which is all the correction reads; its dense
+``D2a`` and ``D3a`` are those blocks, scattered by ``scatter_diagonals``.
+The built-ins are the experiment observables (positions, momenta,
+kinetic/potential/total energy); they are polynomials or potential
+compositions rather than Schwartz functions, so error constants are
+validated empirically against the grid solver rather than proved.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import Hamiltonian, Potential, position_block
+from .potentials import Hamiltonian, Potential, scatter_diagonals
 
 __all__ = [
     "Observable",
@@ -49,34 +50,32 @@ class Observable:
     diagonals: Callable[[np.ndarray], tuple]
 
 
-def _constant(tensor: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The tensor at every point of a batch, as a read-only broadcast view:
-    no caller writes into a derivative, and a copy per call would cost more
-    than the contractions that read it."""
+def _observable(name: str, d: int, value, diagonals) -> Observable:
+    """The observable with this value and ``diagonals``: its gradient is the
+    one ``diagonals`` gives, and its D2a and D3a are the blocks it gives,
+    scattered into zero tensors over phase space."""
 
-    def evaluate(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z)
-        return np.broadcast_to(tensor, z.shape[:-1] + tensor.shape)
+    def dense(order):
+        def evaluate(z):
+            out = np.zeros(np.shape(z)[:-1] + (2 * d,) * order)
+            return scatter_diagonals(diagonals(z)[order - 1], out)
 
-    return evaluate
+        return evaluate
 
-
-def _zeros(d: int, order: int) -> Callable[[np.ndarray], np.ndarray]:
-    return _constant(np.zeros((2 * d,) * order))
+    return Observable(
+        name, d, value, lambda z: diagonals(z)[0], dense(2), dense(3), diagonals
+    )
 
 
 def _coordinate(name: str, d: int, index: int) -> Observable:
     e = np.zeros(2 * d)
     e[index] = 1.0
-    grad = _constant(e)
-    return Observable(
-        name=name,
-        dim=d,
-        value=lambda z: np.asarray(z)[..., index] + 0.0,
-        grad=grad,
-        hess=_zeros(d, 2),
-        third=_zeros(d, 3),
-        diagonals=lambda z: (grad(z), {}, {}),
+    # A read-only view: no caller writes into a derivative.
+    return _observable(
+        name,
+        d,
+        lambda z: np.asarray(z)[..., index] + 0.0,
+        lambda z: (np.broadcast_to(e, np.shape(z)), {}, {}),
     )
 
 
@@ -96,69 +95,51 @@ def momentum(j: int, d: int) -> Observable:
 
 def kinetic(d: int) -> Observable:
     """|p|^2 / 2; constant hessian on the momentum block, zero third."""
-    hess = np.zeros((2 * d, 2 * d))
-    hess[d:, d:] = np.eye(d)
-
-    def value(z):
-        return 0.5 * np.sum(np.asarray(z)[..., d:] ** 2, axis=-1)
-
-    def grad(z):
-        z = np.asarray(z)
-        out = np.zeros_like(z, dtype=float)
-        out[..., d:] = z[..., d:]
-        return out
-
-    ones = np.ones(d)
-    return Observable(
-        "kinetic", d, value, grad, _constant(hess), _zeros(d, 3),
-        lambda z: (grad(z), {(1, 1): ones}, {}),
+    return _observable(
+        "kinetic",
+        d,
+        lambda z: 0.5 * np.sum(np.asarray(z)[..., d:] ** 2, axis=-1),
+        _energy_diagonals(d, None, kinetic=True),
     )
 
 
-def _energy_diagonals(potential: Potential, kinetic: bool):
-    """The diagonals of V(q), plus those of |p|^2 / 2 if ``kinetic``, from
-    one ``Potential.diagonals`` evaluation."""
-    d = potential.d
+def _energy_diagonals(d: int, potential: Potential | None, kinetic: bool):
+    """The diagonals of V(q) if ``potential`` is given, plus those of
+    |p|^2 / 2 if ``kinetic``, from one ``Potential.diagonals`` evaluation."""
     ones = np.ones(d)
 
     def diagonals(z):
         z = np.asarray(z)
-        g, c2, c3, _ = potential.diagonals(z[..., :d])
-        grad = np.zeros(z.shape)
-        grad[..., :d] = g
-        hess = {(0, 0): c2}
+        grad, hess, third = np.zeros(z.shape), {}, {}
+        if potential is not None:
+            g, hess[(0, 0)], third[(0, 0, 0)], _ = potential.diagonals(z[..., :d])
+            grad[..., :d] = g
         if kinetic:
             grad[..., d:] = z[..., d:]
             hess[(1, 1)] = ones
-        return grad, hess, {(0, 0, 0): c3}
+        return grad, hess, third
 
     return diagonals
 
 
 def potential_energy(potential: Potential) -> Observable:
-    """V(q) lifted to phase space; reuses the potential's tensors."""
+    """V(q) lifted to phase space."""
     d = potential.d
-
-    def lifted(evaluate, order):
-        return lambda z: position_block(evaluate(np.asarray(z)[..., :d]), order)
-
-    return Observable(
+    return _observable(
         "potential",
         d,
         lambda z: potential.value(np.asarray(z)[..., :d]),
-        lifted(potential.gradient, 1),
-        lifted(potential.hessian, 2),
-        lifted(potential.third, 3),
-        _energy_diagonals(potential, kinetic=False),
+        _energy_diagonals(d, potential, kinetic=False),
     )
 
 
 def total_energy(potential: Potential) -> Observable:
     """h(q, p) = |p|^2 / 2 + V(q)."""
-    ham = Hamiltonian(potential)
-    return Observable(
-        "total", potential.d, ham.value, ham.gradient, ham.hessian, ham.third,
-        _energy_diagonals(potential, kinetic=True),
+    return _observable(
+        "total",
+        potential.d,
+        Hamiltonian(potential).value,
+        _energy_diagonals(potential.d, potential, kinetic=True),
     )
 
 

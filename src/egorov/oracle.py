@@ -158,10 +158,6 @@ class JetFunction:
         return cls(lambda z: float(np.asarray(f(z))), partial)
 
     @classmethod
-    def from_observable(cls, a: Observable) -> "JetFunction":
-        return cls.from_tensors(a.value, a.grad, a.hess, a.third)
-
-    @classmethod
     def from_hamiltonian(cls, h: Hamiltonian) -> "JetFunction":
         return cls.from_tensors(h.value, h.gradient, h.hessian, h.third)
 

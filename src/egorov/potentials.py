@@ -11,8 +11,8 @@ are diagonal for the shipped models.  Diagonal derivatives mean a separable
 potential, V(q) = sum_j V_j(q_j): no coordinate's force depends on another
 coordinate, so the correction tensors never couple two coordinates either,
 and the correction stepper stores each of its blocks per coordinate, exactly.
-The stepper reads only the diagonals; the base class builds the dense
-tensors from them for the observables and the references.
+The stepper reads only the diagonals; :func:`scatter_diagonals` builds every
+dense tensor from them, here, in the observables and in the correction state.
 """
 
 from __future__ import annotations
@@ -30,8 +30,19 @@ __all__ = [
     "harmonic_potential",
     "free_potential",
     "Hamiltonian",
-    "position_block",
+    "scatter_diagonals",
 ]
+
+
+def scatter_diagonals(blocks: dict, out: np.ndarray) -> np.ndarray:
+    """Write each same-coordinate diagonal of ``blocks``, {slot pattern:
+    (..., d)}, onto its block of ``out`` in place, and return ``out``.  A
+    pattern gives each trailing axis a slot, 0 for positions and 1 for
+    momenta; entry j of the block sits at s*d + j along an axis of slot s."""
+    for pattern, diagonal in blocks.items():
+        d = np.shape(diagonal)[-1]
+        out[(..., *(s * d + np.arange(d) for s in pattern))] = diagonal
+    return out
 
 
 class Potential:
@@ -58,23 +69,18 @@ class Potential:
         raise NotImplementedError
 
     def hessian(self, q: np.ndarray) -> np.ndarray:
-        return _diagonal_tensor(self.diagonals(q)[1], 2)
+        return self._dense(q, 2)
 
     def third(self, q: np.ndarray) -> np.ndarray:
-        return _diagonal_tensor(self.diagonals(q)[2], 3)
+        return self._dense(q, 3)
 
     def fourth(self, q: np.ndarray) -> np.ndarray:
-        return _diagonal_tensor(self.diagonals(q)[3], 4)
+        return self._dense(q, 4)
 
-
-def _diagonal_tensor(diag: np.ndarray, order: int) -> np.ndarray:
-    """Dense order-k tensor with ``diag`` on the main diagonal, batched."""
-    diag = np.asarray(diag)
-    d = diag.shape[-1]
-    out = np.zeros(diag.shape[:-1] + (d,) * order)
-    idx = np.arange(d)
-    out[(..., *([idx] * order))] = diag
-    return out
+    def _dense(self, q: np.ndarray, order: int) -> np.ndarray:
+        diagonal = self.diagonals(q)[order - 1]
+        out = np.zeros(np.shape(diagonal)[:-1] + (self.d,) * order)
+        return scatter_diagonals({(0,) * order: diagonal}, out)
 
 
 @dataclass(frozen=True)
@@ -172,17 +178,6 @@ def free_potential(d: int) -> FreePotential:
     return FreePotential(d)
 
 
-def position_block(tensor: np.ndarray, order: int) -> np.ndarray:
-    """A (..., d, ..., d) tensor with ``order`` trailing axes, placed in the
-    position block of an otherwise zero (..., 2d, ..., 2d) phase-space
-    tensor: the lift of a function of q alone to phase space."""
-    tensor = np.asarray(tensor)
-    d = tensor.shape[-1]
-    out = np.zeros(tensor.shape[:-order] + (2 * d,) * order)
-    out[(..., *[slice(d)] * order)] = tensor
-    return out
-
-
 @dataclass(frozen=True)
 class Hamiltonian:
     """h(q, p) = |p|^2 / 2 + V(q) with phase-space derivative tensors.
@@ -212,13 +207,17 @@ class Hamiltonian:
         return out
 
     def hessian(self, z: np.ndarray) -> np.ndarray:
-        d = self.d
-        out = position_block(self.potential.hessian(np.asarray(z)[..., :d]), 2)
-        out[..., d:, d:] = np.eye(d)
-        return out
+        return self._dense(z, 2, {(1, 1): np.ones(self.d)})
 
     def third(self, z: np.ndarray) -> np.ndarray:
-        return position_block(self.potential.third(np.asarray(z)[..., : self.d]), 3)
+        return self._dense(z, 3)
 
     def fourth(self, z: np.ndarray) -> np.ndarray:
-        return position_block(self.potential.fourth(np.asarray(z)[..., : self.d]), 4)
+        return self._dense(z, 4)
+
+    def _dense(self, z: np.ndarray, order: int, blocks=None) -> np.ndarray:
+        """The order-k tensor over phase space, (..., 2d, ..., 2d): the
+        potential's order-k diagonal on the position block, plus ``blocks``."""
+        diagonal = self.potential.diagonals(np.asarray(z)[..., : self.d])[order - 1]
+        out = np.zeros(np.shape(z)[:-1] + (2 * self.d,) * order)
+        return scatter_diagonals({(0,) * order: diagonal, **(blocks or {})}, out)

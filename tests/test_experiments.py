@@ -135,6 +135,7 @@ class TestRunConfig:
             (dict(observables=("spin",)), "unknown observable"),
             (dict(halton_skip=-1), "halton_skip"),
             (dict(tau_reference=0.03), "multiple of tau_reference"),
+            (dict(observables=("q1", "q1", "kinetic")), "must not repeat"),
         ],
     )
     def test_validation(self, overrides, message):
@@ -493,8 +494,8 @@ class TestRunCorrected:
 
         for name in ("hessian", "third", "fourth"):
             monkeypatch.setattr(Potential, name, refuse)
-        monkeypatch.setattr(potentials, "position_block", refuse)
-        monkeypatch.setattr(observables, "position_block", refuse)
+        for module in (potentials, observables, correction_mod):
+            monkeypatch.setattr(module, "scatter_diagonals", refuse)
         for config, rows in zip(configs, expected):
             assert repr(run_corrected(config, threads=1)) == rows
 
@@ -735,15 +736,16 @@ class TestSelftest:
         assert not checks.run_check("block-general-equivalence").passed
 
     def test_mode_product_mutation_detected(self, monkeypatch):
-        # Write the diagonal one index off in the scatter that builds the full
-        # correction tensors ((j, j, j + 1) instead of (j, j, j)); criterion
-        # 7's vectorization check must see it.
-        def shifted(v, out):
-            idx = np.arange(v.shape[-1])
-            out[..., idx, idx, np.roll(idx, -1)] = v
+        # Write the diagonal one index off in the scatter that builds every
+        # dense tensor ((j, j, j + 1) instead of (j, j, j)); criterion 7's
+        # vectorization check must see it.
+        def shifted(blocks, out):
+            for v in blocks.values():
+                idx = np.arange(v.shape[-1])
+                out[..., idx, idx, np.roll(idx, -1)] = v
             return out
 
-        monkeypatch.setattr(correction_mod, "_scatter", shifted)
+        monkeypatch.setattr(potentials, "scatter_diagonals", shifted)
         assert not checks.run_check("vectorization-identities").passed
 
 

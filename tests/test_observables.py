@@ -9,6 +9,7 @@ import pytest
 from egorov.flow import propagate_snapshots
 from egorov.observables import (
     OBSERVABLE_NAMES,
+    default_names,
     kinetic,
     make_observable,
     momentum,
@@ -17,7 +18,7 @@ from egorov.observables import (
     potential_energy,
     total_energy,
 )
-from egorov.potentials import torsional_potential
+from egorov.potentials import free_potential, harmonic_potential, torsional_potential
 
 
 def finite_difference_gradient(fn, z, step=1e-6):
@@ -106,7 +107,7 @@ class TestMakeObservable:
 @pytest.mark.parametrize("name", OBSERVABLE_NAMES)
 def test_gradient_matches_finite_differences(name, torsional_2d):
     obs = make_observable(name, torsional_2d)
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(OBSERVABLE_NAMES.index(name))
     for _ in range(3):
         z = rng.uniform(-1.5, 1.5, size=4)
         fd = finite_difference_gradient(obs.value, z)
@@ -114,18 +115,33 @@ def test_gradient_matches_finite_differences(name, torsional_2d):
 
 
 @pytest.mark.parametrize("name", OBSERVABLE_NAMES)
-def test_hessian_symmetric_and_consistent(name, torsional_2d):
-    obs = make_observable(name, torsional_2d)
-    rng = np.random.default_rng(1 + hash(name) % 2**32)
-    z = rng.uniform(-1.5, 1.5, size=4)
-    hess = obs.hess(z)
-    np.testing.assert_allclose(hess, hess.T, atol=1e-14)
+def test_hessian_symmetric_and_consistent(name):
+    # D2a and D3a are symmetric and match central differences of Da and
+    # D2a, for each potential at d = 1..3 where the name exists.  This holds
+    # the dense tensors independently of the scatter that builds them.
+    rng = np.random.default_rng(1 + OBSERVABLE_NAMES.index(name))
     step = 1e-6
-    for i in range(4):
-        dz = np.zeros(4)
-        dz[i] = step
-        fd_row = (obs.grad(z + dz) - obs.grad(z - dz)) / (2.0 * step)
-        np.testing.assert_allclose(hess[i], fd_row, atol=1e-6)
+    for d in (1, 2, 3):
+        if name not in default_names(d):
+            continue
+        for pot in (
+            torsional_potential(d),
+            harmonic_potential(d, np.arange(1.0, d + 1.0)),
+            free_potential(d),
+        ):
+            obs = make_observable(name, pot)
+            z = rng.uniform(-1.5, 1.5, size=2 * d)
+            hess, third = obs.hess(z), obs.third(z)
+            np.testing.assert_allclose(hess, hess.T, atol=1e-14)
+            for perm in ((1, 0, 2), (0, 2, 1)):
+                np.testing.assert_allclose(third, third.transpose(perm), atol=1e-14)
+            for i in range(2 * d):
+                dz = np.zeros(2 * d)
+                dz[i] = step
+                fd_hess = (obs.grad(z + dz) - obs.grad(z - dz)) / (2.0 * step)
+                fd_third = (obs.hess(z + dz) - obs.hess(z - dz)) / (2.0 * step)
+                np.testing.assert_allclose(hess[i], fd_hess, atol=1e-6)
+                np.testing.assert_allclose(third[i], fd_third, atol=1e-6)
 
 
 def test_batched_evaluation(torsional_2d):

@@ -7,8 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from egorov import correction
-from egorov.potentials import torsional_potential
+from egorov.potentials import scatter_diagonals, torsional_potential
 from egorov.tensor_ops import apply_J_triple, j_contract_axis, tilde_d3, tilde_weights
 
 from conftest import symplectic_j
@@ -28,7 +27,7 @@ def mode_multiply_loops(a: np.ndarray, b: np.ndarray, mode: int) -> np.ndarray:
 def scatter(v: np.ndarray) -> np.ndarray:
     """The 3-tensors (..., d, d, d) that production's scatter builds from
     same-coordinate diagonals v (..., d)."""
-    return correction._scatter(v, np.zeros(v.shape + v.shape[-1:] * 2))
+    return scatter_diagonals({(0, 0, 0): v}, np.zeros(v.shape + v.shape[-1:] * 2))
 
 
 class TestModeMultiply:
