@@ -11,7 +11,6 @@ reference solver tripping its unitarity/boundary monitors).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -33,13 +32,6 @@ from .experiments import (
     write_sweep_csv,
 )
 
-def _load(args):
-    config = load_config(args.config)
-    if getattr(args, "long_run", False):
-        config = dataclasses.replace(config, grid_points=1024)
-    return config
-
-
 def _out_dir(args, config=None) -> Path:
     out = args.out or (config.output_dir if config else "results")
     path = Path(out)
@@ -48,7 +40,7 @@ def _out_dir(args, config=None) -> Path:
 
 
 def _cmd_run(args) -> int:
-    config = _load(args)
+    config = load_config(args.config)
     out = _out_dir(args, config)
     start = time.perf_counter()
     rows = run_corrected(config, threads=args.threads)
@@ -63,12 +55,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_reference(args) -> int:
-    config = _load(args)
+    config = load_config(args.config)
     out = _out_dir(args, config)
-    cache = out / "cache"
-    cache.mkdir(exist_ok=True)
     start = time.perf_counter()
-    rows = run_reference(config, cache_dir=cache)
+    rows = run_reference(config, cache_dir=out / "cache")
     elapsed = time.perf_counter() - start
     write_rows_csv(rows, out / "reference.csv")
     write_metadata(
@@ -96,19 +86,17 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load(args)
+    config = load_config(args.config)
     if not config.sweep_axis or not config.sweep_values:
         raise ValueError("sweep needs sweep_axis and sweep_values in the config")
     out = _out_dir(args, config)
-    cache = out / "cache"
-    cache.mkdir(exist_ok=True)
     start = time.perf_counter()
     result = sweep(
         config,
         config.sweep_axis,
         config.sweep_values,
         threads=args.threads,
-        cache_dir=cache,
+        cache_dir=out / "cache",
     )
     elapsed = time.perf_counter() - start
     write_sweep_csv(result, out / "sweep.csv")
@@ -151,20 +139,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, long_run=True, threads=True):
+    def common(p, threads=True):
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", help="output directory")
-        if long_run:
-            p.add_argument(
-                "--long-run",
-                action="store_true",
-                help="full-size reference grid (1024 per axis)",
-            )
         if threads:
             p.add_argument("--threads", type=int, help="worker threads for ensembles")
 
     run_p = sub.add_parser("run", help="transport + correction ensemble run")
-    common(run_p, long_run=False)
+    common(run_p)
     run_p.set_defaults(handler=_cmd_run)
 
     ref_p = sub.add_parser("reference", help="grid reference expectations")

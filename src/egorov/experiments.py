@@ -7,6 +7,13 @@ their combination, and optionally the grid reference.  Also provides
 comparison tables (per-time errors plus mean/max summaries) and parameter
 sweeps with log-log slope estimates.
 
+Every file a command writes goes through one writer that fills a temporary
+file beside the target and renames it into place, so no path ever holds a
+partial file.  That includes the grid-reference cache: :func:`run_reference`
+stores the rows it returns as a results table, named by a hash of the solver
+scheme, the table layout and the configuration, and reads it back instead of
+propagating again.
+
 Determinism contract: no RNG anywhere; sampling is Halton with a fixed
 skip.  An ensemble of n samples is split into ceil(n / CHUNK_SIZE)
 contiguous chunks whose sizes differ by at most one, so the chunks depend on
@@ -21,9 +28,13 @@ byte-identical CSV; wall-clock data lives only in the metadata file.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
 import json
 import math
+import os
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -182,6 +193,7 @@ class RunConfig:
             raise ValueError(
                 f"sweep_axis must be one of {_SWEEP_AXES}, got {self.sweep_axis!r}"
             )
+        build_potential(self)
         names = self.observables or default_names(d)
         for name in names:
             parse_name(name, d)
@@ -353,17 +365,35 @@ def format_cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _write_atomic(path, chunks) -> None:
+    """Write the strings ``chunks`` to a temporary file beside ``path`` and
+    rename it into place, so the path never holds a partial file.  The
+    temporary file is created exclusively with the mode a plain write gives,
+    so a shared directory stays readable."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as out:
+            out.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_csv(path, header, rows) -> None:
     """A table with the columns ``header``, one line per row.  Each row is a
     mapping, and a column it lacks is an empty cell; strings are written as
     they are, everything else by :func:`format_cell`."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = (row.get(name) for name in header)
-        lines.append(
-            ",".join(c if isinstance(c, str) else format_cell(c) for c in cells)
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+
+    def lines():
+        yield ",".join(header) + "\n"
+        for row in rows:
+            cells = (row.get(name) for name in header)
+            yield ",".join(c if isinstance(c, str) else format_cell(c) for c in cells) + "\n"
+
+    _write_atomic(path, lines())
 
 
 def write_rows_csv(rows, path) -> None:
@@ -395,8 +425,9 @@ def write_metadata(out_dir, config: RunConfig | None, elapsed: dict, **entries) 
     }
     if config is not None:
         payload["config"] = dataclasses.asdict(config)
-    path = Path(out_dir) / "metadata.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_atomic(
+        Path(out_dir) / "metadata.json", [json.dumps(payload, indent=2, sort_keys=True), "\n"]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +561,12 @@ def _run_corrected(config: RunConfig, threads, egorov_mean=None):
 
 
 def run_reference(config: RunConfig, cache_dir=None) -> list[ResultRow]:
-    """Grid-solver expectations on the config's snapshot grid."""
+    """Grid-solver expectations on the config's snapshot grid.
+
+    With ``cache_dir`` set, the rows are kept there as a results table named
+    by a hash of the scheme, the table layout and the config entries the
+    propagation reads; a later call with the same entries reads them back.
+    """
     potential = build_potential(config)
     spec = GridSpec(
         d=config.dimension,
@@ -540,20 +576,33 @@ def run_reference(config: RunConfig, cache_dir=None) -> list[ResultRow]:
     )
     packet = GaussianPacket(center=np.array(config.center), epsilon=config.epsilon)
     times = snapshot_times(config)
-    table = reference_expectations(
-        spec,
-        packet,
-        potential,
-        times,
-        config.tau_reference_effective,
-        config.observables,
-        cache_dir=cache_dir,
-    )
-    return [
+    tau = config.tau_reference_effective
+    names = config.observables
+    keys = [(t, name) for t in times for name in names]
+    path = None
+    if cache_dir is not None:
+        key = repr((SCHEME, CSV_HEADER, config.potential, config.stiffness, config.epsilon,
+                    config.center, spec, tau, times, names))
+        path = Path(cache_dir) / (hashlib.sha256(key.encode()).hexdigest() + ".csv")
+        if path.exists():
+            # An unreadable table has no rows, so it fails the key check too.
+            try:
+                rows = read_rows_csv(path)
+            except ValueError:
+                rows = []
+            if [(row.time, row.observable) for row in rows] != keys:
+                raise ValueError(f"corrupt reference cache file: {path}")
+            return rows
+    table = reference_expectations(spec, packet, potential, times, tau, names)
+    rows = [
         ResultRow(time=t, observable=name, reference=float(table[name][i]))
         for i, t in enumerate(times)
-        for name in config.observables
+        for name in names
     ]
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_rows_csv(rows, path)
+    return rows
 
 
 def _total_steps(config: RunConfig, tau: float) -> int:
@@ -725,13 +774,14 @@ def sweep(
         raise ValueError("sweep needs at least one value")
     if values != sorted(values):
         raise ValueError("sweep values must be sorted ascending")
+    # Every value's config is validated before anything runs.
+    configs = [_config_for_value(config, axis, value) for value in values]
     shared_baseline = baseline_rows
     if shared_baseline is None and axis != "epsilon":
         shared_baseline = run_reference(config, cache_dir=cache_dir)
     summary_rows = []
     transport = None
-    for value in values:
-        cfg = _config_for_value(config, axis, value)
+    for value, cfg in zip(values, configs):
         # Only the epsilon axis changes the transport term (packet and N0).
         reuse = None if axis == "epsilon" else transport
         rows, transport = _run_corrected(cfg, threads, reuse)

@@ -14,20 +14,13 @@ Steps are unitary, so the discrete norm is conserved to roundoff; the
 boundary shell of the (formally periodic) domain is monitored because the
 packet must stay essentially inside for the periodification to be harmless.
 
-Expectation tables are cached as CSV keyed by a hash of the scheme and the
-full configuration, since reference runs dominate the cost of comparisons;
-a table is written to a temporary file and renamed into place.
+The module does no I/O; :func:`experiments.run_reference` caches its tables.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import hashlib
-import os
-import uuid
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.fft import fftn, ifftn
@@ -53,8 +46,8 @@ _BOUNDARY_RUN_TOL = 1e-8
 _SHELL_WIDTH = 2
 
 # The reference propagation's splitting order, and its scheme's name and
-# version.  The scheme is part of every cache key, so a table made by another
-# scheme is never read back as this one's.
+# version.  The scheme is part of every reference cache key, so a table made
+# by another scheme is never read back as this one's.
 _ORDER = 4
 SCHEME = f"split-step Fourier, Strang composed to order {_ORDER}, v1"
 
@@ -255,54 +248,6 @@ def expectation(
     return kinetic + expectation(grid, "potential", potential, readings)
 
 
-def _cache_key(spec, packet, potential, times, tau, names) -> str:
-    parts = [
-        SCHEME,
-        type(potential).__name__,
-        repr(sorted(vars(potential).items())),
-        repr(packet.epsilon),
-        repr(packet.center.tolist()),
-        repr((spec.d, spec.n, spec.x_min, spec.x_max)),
-        repr(float(tau)),
-        repr([float(t) for t in times]),
-        repr(list(names)),
-    ]
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()
-
-
-def _write_cache(path, names, times, table):
-    """Write the table next to ``path`` and rename it into place, so the
-    final path never holds a partial table.  The temporary file is created
-    exclusively with the mode a plain write gives, so a shared cache
-    directory stays readable."""
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "x") as out:
-            out.write("time,observable,value\n")
-            for i, t in enumerate(times):
-                for name in names:
-                    out.write(f"{float(t)!r},{name},{float(table[name][i])!r}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
-def _read_cache(path, names, times):
-    table = {name: np.empty(len(times)) for name in names}
-    lines = path.read_text().strip().splitlines()[1:]
-    expect = [(i, name) for i in range(len(times)) for name in names]
-    if len(lines) != len(expect):
-        raise ValueError(f"corrupt reference cache file: {path}")
-    for line, (i, name) in zip(lines, expect):
-        t_str, obs, value = line.split(",")
-        if obs != name:
-            raise ValueError(f"corrupt reference cache file: {path}")
-        table[name][i] = float(value)
-    return table
-
-
 def reference_expectations(
     spec: GridSpec,
     packet: GaussianPacket,
@@ -310,28 +255,18 @@ def reference_expectations(
     times,
     tau: float,
     observable_names,
-    cache_dir=None,
 ):
     """Expectation table {name: values over `times`} from one propagation.
 
     The wave function steps through :func:`flow.split_snapshots` with the
     order-4 composition of the Strang step: A is the potential phase, B the
     kinetic step in Fourier space.  Snapshot times must be nondecreasing and
-    commensurate with tau.  With ``cache_dir`` set, a previous run of the
-    same scheme with the identical configuration is reused from disk.
+    commensurate with tau.
     """
     times = [float(t) for t in times]
     names = list(observable_names)
     if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("snapshot times must be nondecreasing")
-
-    cache_path = None
-    if cache_dir is not None:
-        cache_path = Path(cache_dir) / (
-            _cache_key(spec, packet, potential, times, tau, names) + ".csv"
-        )
-        if cache_path.exists():
-            return _read_cache(cache_path, names, times)
 
     grid = init_packet(spec, packet)
     eps = grid.epsilon
@@ -355,8 +290,4 @@ def reference_expectations(
         readings = _Readings(grid, potential, v)
         for name in names:
             table[name][i] = expectation(grid, name, potential, readings)
-
-    if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_cache(cache_path, names, times, table)
     return table

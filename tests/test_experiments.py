@@ -136,6 +136,8 @@ class TestRunConfig:
             (dict(halton_skip=-1), "halton_skip"),
             (dict(tau_reference=0.03), "multiple of tau_reference"),
             (dict(observables=("q1", "q1", "kinetic")), "must not repeat"),
+            (dict(potential="harmonic", stiffness=(1.0, 2.0, 3.0)), "stiffness"),
+            (dict(potential="harmonic", stiffness=(-1.0, 2.0)), "positive"),
         ],
     )
     def test_validation(self, overrides, message):
@@ -153,11 +155,6 @@ class TestRunConfig:
         config = tiny_config(potential="harmonic", stiffness=(1.0, 2.0))
         pot = build_potential(config)
         assert pot.value(np.array([1.0, 1.0])) == pytest.approx(2.5)
-
-    def test_harmonic_stiffness_count_mismatch(self):
-        config = tiny_config(potential="harmonic", stiffness=(1.0, 2.0, 3.0))
-        with pytest.raises(ValueError, match="stiffness"):
-            build_potential(config)
 
 
 class TestParseConfig:
@@ -531,6 +528,18 @@ class TestRunReference:
         by_key = rows_by_key(rows)
         assert by_key[(0.0, "q1")].reference == pytest.approx(1.0, abs=1e-10)
 
+    def test_cache_tells_nearby_stiffnesses_apart(self, tmp_path):
+        # The cache key holds every digit of the stiffness, so the table of a
+        # stiffness 1e-9 away is never read back for it.
+        config = tiny_config(
+            dimension=1, center=(0.5, 0.0), potential="harmonic", grid_points=64,
+            tau_reference=0.01, observables=("q1",),
+        )
+        run_reference(config, cache_dir=tmp_path)
+        nearby = dataclasses.replace(config, stiffness=(1.000000001,))
+        assert run_reference(nearby, cache_dir=tmp_path) == run_reference(nearby)
+        assert len(list(tmp_path.iterdir())) == 2
+
     def test_default_step_divides_any_stride(self):
         # eps/800 = 8.75e-5 does not divide the stride 0.5; the default step
         # 0.5/115 does.
@@ -621,6 +630,23 @@ class TestSweep:
             sweep(config, "tau2", [])
         with pytest.raises(ValueError, match="sorted"):
             sweep(config, "tau2", [0.25, 0.125])
+
+    @pytest.mark.parametrize(
+        "axis,values,message",
+        [
+            ("N2", [8.0, 16.0, 1000.0], "must not exceed"),
+            ("tau2", [0.0625, 0.125, 0.2], "multiple of tau_correction"),
+        ],
+    )
+    def test_every_value_checked_before_any_run(self, monkeypatch, axis, values, message):
+        # A bad last value fails the sweep before the grid reference or the
+        # first values run.
+        def boom(*a, **k):
+            raise AssertionError("ran before every value was checked")
+
+        monkeypatch.setattr(experiments, "run_reference", boom)
+        with pytest.raises(ValueError, match=message):
+            sweep(tiny_config(), axis, values)
 
     def test_single_value_equals_run_plus_compare(self):
         config = tiny_config()
@@ -908,6 +934,22 @@ class TestCli:
         assert code == 1
         assert "tau_reference" in capsys.readouterr().err
 
+    def test_reference_reuses_its_cache(self, config_file, tmp_path, monkeypatch):
+        # A second `egorov reference` into the same --out reads the cached
+        # table instead of propagating, and writes the same bytes.
+        out = tmp_path / "ref"
+        args = ["reference", "--config", str(config_file), "--out", str(out)]
+        assert cli.main(args) == 0
+        first = (out / "reference.csv").read_bytes()
+
+        def boom(*a, **k):
+            raise AssertionError("propagated instead of reading the cache")
+
+        monkeypatch.setattr(experiments, "reference_expectations", boom)
+        assert cli.main(args) == 0
+        assert (out / "reference.csv").read_bytes() == first
+        assert len(list((out / "cache").iterdir())) == 1
+
     def test_reference_metadata_names_scheme_and_step(self, config_file, tmp_path):
         out = tmp_path / "ref"
         assert cli.main(["reference", "--config", str(config_file), "--out", str(out)]) == 0
@@ -957,21 +999,6 @@ class TestCli:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
-
-    def test_long_run_flag_upscales_grid(self, config_file, tmp_path, monkeypatch):
-        seen = {}
-
-        def record(config, cache_dir=None):
-            seen["grid"] = config.grid_points
-            return [ResultRow(0.0, "q1", reference=1.0)]
-
-        monkeypatch.setattr(cli, "run_reference", record)
-        code = cli.main([
-            "reference", "--config", str(config_file),
-            "--out", str(tmp_path / "o"), "--long-run",
-        ])
-        assert code == 0
-        assert seen["grid"] == 1024
 
     @pytest.mark.parametrize(
         "command, flag",

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+import egorov.experiments as experiments
 import egorov.reference as reference
+from egorov.experiments import CSV_HEADER, ResultRow, RunConfig, run_reference, write_rows_csv
 from egorov.observables import OBSERVABLE_NAMES, make_observable
 from egorov.potentials import free_potential, harmonic_potential, torsional_potential
 from egorov.reference import (
@@ -23,6 +25,19 @@ EPS = 0.1
 @pytest.fixture
 def packet_2d():
     return GaussianPacket(np.array([1.0, 0.5, 0.0, 0.0]), EPS)
+
+
+def _cache_config(**overrides):
+    """The 64^2 torsional reference of ``packet_2d`` at tau = 1e-2, with
+    snapshots at 0, 0.1 and 0.2, as a config for ``run_reference``."""
+    settings = dict(
+        epsilon=EPS, dimension=2, potential="torsional", center=(1.0, 0.5, 0.0, 0.0),
+        n_samples=1, tau_flow=0.1, n_correction=0, tau_correction=0.1,
+        t_final=0.2, snapshot_stride=0.1, grid_points=64, tau_reference=1e-2,
+        observables=("q1",),
+    )
+    settings.update(overrides)
+    return RunConfig(**settings)
 
 
 class TestGridSpec:
@@ -266,44 +281,43 @@ class TestReferenceExpectations:
         for name in OBSERVABLE_NAMES:
             assert together[name].tobytes() == alone[name].tobytes(), name
 
-    def test_cache_round_trip(self, packet_2d, grid_cache):
+    # The grid-reference cache: experiments.run_reference stores the rows it
+    # returns as a results table.
+
+    def test_cache_round_trip(self, grid_cache):
         cache = grid_cache / "round_trip"
-        pot = torsional_potential(2)
-        spec = GridSpec(2, 64)
-        args = (spec, packet_2d, pot, [0.1, 0.2], 1e-2, ["q1", "total"])
-        first = reference_expectations(*args, cache_dir=cache)
+        config = _cache_config(observables=("q1", "total"))
+        first = run_reference(config, cache_dir=cache)
         files = list(cache.glob("*.csv"))
         assert len(files) == 1
-        assert files[0].read_text().startswith("time,observable,value")
-        second = reference_expectations(*args, cache_dir=cache)
-        for name in first:
-            np.testing.assert_array_equal(first[name], second[name])
+        assert files[0].read_text().startswith(CSV_HEADER + "\n")
+        second = run_reference(config, cache_dir=cache)
+        assert second == first
 
-    def test_cache_actually_reused(self, packet_2d, grid_cache, monkeypatch):
+    def test_cache_actually_reused(self, grid_cache, monkeypatch):
         cache = grid_cache / "reused"
-        pot = torsional_potential(2)
-        args = (GridSpec(2, 64), packet_2d, pot, [0.1], 1e-2, ["q1"])
-        expected = reference_expectations(*args, cache_dir=cache)
+        config = _cache_config()
+        expected = run_reference(config, cache_dir=cache)
 
         def boom(*a, **k):
             raise AssertionError("propagated instead of reading the cache")
 
         monkeypatch.setattr(reference, "init_packet", boom)
-        cached = reference_expectations(*args, cache_dir=cache)
-        np.testing.assert_array_equal(cached["q1"], expected["q1"])
+        cached = run_reference(config, cache_dir=cache)
+        assert cached == expected
 
-    def test_scheme_change_forces_recompute(self, packet_2d, grid_cache, monkeypatch):
+    def test_scheme_change_forces_recompute(self, grid_cache, monkeypatch):
         # A table made by another scheme at the same tau is never read back.
         cache = grid_cache / "scheme"
-        args = (GridSpec(2, 64), packet_2d, torsional_potential(2), [0.1], 1e-2, ["q1"])
-        reference_expectations(*args, cache_dir=cache)
-        monkeypatch.setattr(reference, "SCHEME", reference.SCHEME + ", changed")
+        config = _cache_config()
+        run_reference(config, cache_dir=cache)
+        monkeypatch.setattr(experiments, "SCHEME", reference.SCHEME + ", changed")
         calls = []
         monkeypatch.setattr(
             reference, "init_packet",
             lambda *a: calls.append(a) or init_packet(*a),
         )
-        reference_expectations(*args, cache_dir=cache)
+        run_reference(config, cache_dir=cache)
         assert len(calls) == 1
         assert len(list(cache.glob("*.csv"))) == 2
 
@@ -311,7 +325,7 @@ class TestReferenceExpectations:
         # The temporary file is renamed into place, so the table keeps the
         # mode a plain write would give it, not a private one.
         path = tmp_path / "table.csv"
-        reference._write_cache(path, ["q1"], [0.0], {"q1": [0.5]})
+        write_rows_csv([ResultRow(0.0, "q1", reference=0.5)], path)
         umask = os.umask(0)
         os.umask(umask)
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
@@ -326,24 +340,27 @@ class TestReferenceExpectations:
                 raise OSError("disk full")
 
         path = tmp_path / "table.csv"
-        table = {"q1": [0.5, 0.25]}
+        rows = [ResultRow(0.0, "q1", reference=0.5), ResultRow(0.1, "q1", reference=0.25)]
         if failure == "row":
-            table["q1"][1] = Unwritable()
+            rows[1] = ResultRow(0.1, "q1", reference=Unwritable())
         else:
             def refuse(src, dst):
                 raise OSError("rename refused")
 
-            monkeypatch.setattr(reference.os, "replace", refuse)
+            monkeypatch.setattr(experiments.os, "replace", refuse)
         with pytest.raises(OSError):
-            reference._write_cache(path, ["q1"], [0.0, 0.1], table)
+            write_rows_csv(rows, path)
         assert list(tmp_path.iterdir()) == []
 
-    def test_corrupt_cache_detected(self, packet_2d, grid_cache):
+    def test_corrupt_cache_detected(self, grid_cache):
         cache = grid_cache / "corrupt"
-        pot = torsional_potential(2)
-        args = (GridSpec(2, 64), packet_2d, pot, [0.1], 1e-2, ["q1"])
-        reference_expectations(*args, cache_dir=cache)
+        config = _cache_config()
+        run_reference(config, cache_dir=cache)
         path = next(cache.glob("*.csv"))
         path.write_text("time,observable,value\n0.1,p9,nonsense\n")
         with pytest.raises(ValueError, match="corrupt"):
-            reference_expectations(*args, cache_dir=cache)
+            run_reference(config, cache_dir=cache)
+        # A readable results table whose rows are not the expected ones.
+        path.write_text(f"{CSV_HEADER}\n0.0,p9,,,,0.5,,\n")
+        with pytest.raises(ValueError, match="corrupt"):
+            run_reference(config, cache_dir=cache)
