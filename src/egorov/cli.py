@@ -33,10 +33,9 @@ from .experiments import (
 )
 
 def _out_dir(args, config=None) -> Path:
-    out = args.out or (config.output_dir if config else "results")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; it is made when the first file is written, so a
+    rejected command leaves none behind."""
+    return Path(args.out or (config.output_dir if config else "results"))
 
 
 def _cmd_run(args) -> int:

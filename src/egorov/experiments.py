@@ -9,10 +9,11 @@ sweeps with log-log slope estimates.
 
 Every file a command writes goes through one writer that fills a temporary
 file beside the target and renames it into place, so no path ever holds a
-partial file.  That includes the grid-reference cache: :func:`run_reference`
-stores the rows it returns as a results table, named by a hash of the solver
-scheme, the table layout and the configuration, and reads it back instead of
-propagating again.
+partial file; it makes the output directory with the first file, so a
+command rejected before writing leaves none.  That includes the
+grid-reference cache: :func:`run_reference` stores the rows it returns as a
+results table, named by a hash of the solver scheme, the table layout and
+the configuration, and reads it back instead of propagating again.
 
 Determinism contract: no RNG anywhere; sampling is Halton with a fixed
 skip.  An ensemble of n samples is split into ceil(n / CHUNK_SIZE)
@@ -369,8 +370,10 @@ def _write_atomic(path, chunks) -> None:
     """Write the strings ``chunks`` to a temporary file beside ``path`` and
     rename it into place, so the path never holds a partial file.  The
     temporary file is created exclusively with the mode a plain write gives,
-    so a shared directory stays readable."""
+    so a shared directory stays readable.  Missing parent directories are
+    made here, when the first file goes into them."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "x") as out:
@@ -600,7 +603,6 @@ def run_reference(config: RunConfig, cache_dir=None) -> list[ResultRow]:
         for name in names
     ]
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
         write_rows_csv(rows, path)
     return rows
 

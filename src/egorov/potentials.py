@@ -13,6 +13,8 @@ coordinate, so the correction tensors never couple two coordinates either,
 and the correction stepper stores each of its blocks per coordinate, exactly.
 The stepper reads only the diagonals; :func:`scatter_diagonals` builds every
 dense tensor from them, here, in the observables and in the correction state.
+``coordinate`` returns the one-dimensional V_j, which the grid reference
+propagates one coordinate at a time.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ class Potential:
 
     Subclasses set ``d`` and implement ``value``, ``gradient`` and
     ``diagonals``.  A potential whose derivative tensors are not diagonal
-    cannot implement ``diagonals``; it raises NotImplementedError there, and
-    the correction stepper, which reads nothing else, does not run on it.
+    cannot implement ``diagonals`` or ``coordinate``; it raises
+    NotImplementedError there, and neither the correction stepper nor the grid
+    reference runs on it.
     Evaluators are pure and re-entrant; instances carry no mutable state.
     """
 
@@ -66,6 +69,12 @@ class Potential:
     def diagonals(self, q: np.ndarray) -> tuple[np.ndarray, ...]:
         """(g, c2, c3, c4), each (..., d): the gradient, then the main
         diagonals of the second, third and fourth derivative tensors."""
+        raise NotImplementedError
+
+    def coordinate(self, j: int) -> Potential:
+        """The one-dimensional potential V_j of coordinate j (0-based) in
+        V(q) = sum_j V_j(q_j).  A potential that is not separable raises
+        NotImplementedError, as it does in ``diagonals``."""
         raise NotImplementedError
 
     def hessian(self, q: np.ndarray) -> np.ndarray:
@@ -109,6 +118,9 @@ class TorsionalPotential(Potential):
         sin, cos = np.sin(q), np.cos(q)
         return sin, cos, -sin, -cos
 
+    def coordinate(self, j):
+        return TorsionalPotential(1)
+
 
 @dataclass(frozen=True)
 class HarmonicPotential(Potential):
@@ -137,6 +149,9 @@ class HarmonicPotential(Potential):
         zeros = np.zeros(q.shape)
         return self.gradient(q), np.broadcast_to(self.omega**2, q.shape), zeros, zeros
 
+    def coordinate(self, j):
+        return HarmonicPotential(self.omega[j : j + 1])
+
 
 @dataclass(frozen=True)
 class FreePotential(Potential):
@@ -158,6 +173,9 @@ class FreePotential(Potential):
     def diagonals(self, q):
         zeros = np.zeros(np.shape(q))
         return zeros, zeros, zeros, zeros
+
+    def coordinate(self, j):
+        return FreePotential(1)
 
 
 def torsional_potential(d: int) -> TorsionalPotential:

@@ -6,13 +6,25 @@ applied in Fourier space, and another half step of the potential.
 :func:`reference_expectations` composes it to fourth order (Yoshida 1990)
 through the shared driver :func:`flow.split_snapshots`, which merges
 adjacent half-potential phases; :func:`schrodinger_step` is one plain
-Strang step of the same flows.  Position observables are quadratures of
-|psi|^2 on the grid; momentum observables use Fourier multipliers (the
-momentum operator is eps k after transforming).
+Strang step of the same flows on the d-dimensional grid.  Position
+observables are quadratures of |psi|^2 on the grid; momentum observables
+use Fourier multipliers (the momentum operator is eps k after transforming).
+
+:func:`reference_expectations` runs one 1-D solve per coordinate.  The
+potential is separable, V = sum_j V_j(q_j) (:meth:`Potential.coordinate`),
+and the packet is a product of one Gaussian per coordinate, so the wave
+function stays a product of d one-dimensional ones: the potential phase and
+the FFT both factorize on a tensor grid, and the d line solves equal the
+d-dimensional solve up to rounding.  Positions and momenta are read on their
+own axis, the energies are sums over the axes.  A potential that is not
+separable raises NotImplementedError.
 
 Steps are unitary, so the discrete norm is conserved to roundoff; the
 boundary shell of the (formally periodic) domain is monitored because the
 packet must stay essentially inside for the periodification to be harmless.
+The monitors combine as the d-dimensional ones factor: the norm is the
+product of the axes' norms, and the mass inside the shell the product of
+theirs.
 
 The module does no I/O; :func:`experiments.run_reference` caches its tables.
 """
@@ -20,6 +32,7 @@ The module does no I/O; :func:`experiments.run_reference` caches its tables.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +62,10 @@ _SHELL_WIDTH = 2
 # version.  The scheme is part of every reference cache key, so a table made
 # by another scheme is never read back as this one's.
 _ORDER = 4
-SCHEME = f"split-step Fourier, Strang composed to order {_ORDER}, v1"
+SCHEME = (
+    f"split-step Fourier, Strang composed to order {_ORDER}, "
+    "one 1-D solve per coordinate, v2"
+)
 
 
 @dataclass(frozen=True)
@@ -116,8 +132,9 @@ def _outside_mass(spec: GridSpec, packet: GaussianPacket) -> float:
     return float(1.0 - np.prod(1.0 - upper - lower))
 
 
-def init_packet(spec: GridSpec, packet: GaussianPacket) -> WaveFunctionGrid:
-    """Sample the Gaussian packet on the grid and renormalize to norm one."""
+def _check_packet(spec: GridSpec, packet: GaussianPacket) -> None:
+    """Reject a packet of another dimension than the grid, or one with more
+    than the start-up tolerance of its mass outside the box."""
     if packet.d != spec.d:
         raise ValueError("packet dimension does not match the grid")
     outside = _outside_mass(spec, packet)
@@ -126,6 +143,11 @@ def init_packet(spec: GridSpec, packet: GaussianPacket) -> WaveFunctionGrid:
             f"packet mass outside the domain is {outside:.3e}, "
             f"exceeds {_BOUNDARY_INIT_TOL}"
         )
+
+
+def init_packet(spec: GridSpec, packet: GaussianPacket) -> WaveFunctionGrid:
+    """Sample the Gaussian packet on the grid and renormalize to norm one."""
+    _check_packet(spec, packet)
     eps = packet.epsilon
     x = spec.axis()
     q0 = packet.center[: spec.d]
@@ -256,38 +278,57 @@ def reference_expectations(
     tau: float,
     observable_names,
 ):
-    """Expectation table {name: values over `times`} from one propagation.
+    """Expectation table {name: values over `times`} from one propagation
+    per coordinate.
 
-    The wave function steps through :func:`flow.split_snapshots` with the
-    order-4 composition of the Strang step: A is the potential phase, B the
-    kinetic step in Fourier space.  Snapshot times must be nondecreasing and
-    commensurate with tau.
+    Coordinate j's packet (q0_j, p0_j) steps on the line of ``spec`` under
+    V_j through :func:`flow.split_snapshots`, with the order-4 composition of
+    the Strang step: A is the potential phase, B the kinetic step in Fourier
+    space.  Snapshot times must be nondecreasing and commensurate with tau.
     """
     times = [float(t) for t in times]
     names = list(observable_names)
     if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("snapshot times must be nondecreasing")
+    _check_packet(spec, packet)
+    if potential.d != spec.d:
+        raise ValueError("potential dimension does not match the grid")
+    potentials = [potential.coordinate(j) for j in range(spec.d)]
+    kinds = [parse_name(name, spec.d) for name in names]
 
-    grid = init_packet(spec, packet)
-    eps = grid.epsilon
-    v = spec.mesh_value(potential)
-    flows = _grid_flows(spec, v, eps)
+    line = GridSpec(1, spec.n, spec.x_min, spec.x_max)
+    eps = packet.epsilon
+    meshes, snaps = [], []
+    for j, axis_potential in enumerate(potentials):
+        grid = init_packet(line, GaussianPacket(packet.center[j :: spec.d], eps))
+        v = line.mesh_value(axis_potential)
+        meshes.append(v)
+        snaps.append(split_snapshots(grid.psi, times, tau, _ORDER, *_grid_flows(line, v, eps)))
 
     table = {name: np.empty(len(times)) for name in names}
-    snaps = split_snapshots(grid.psi, times, tau, _ORDER, *flows)
-    for i, (t_snap, psi) in enumerate(zip(times, snaps)):
-        # A updates psi in place, so every reading happens before the
-        # generator resumes.
-        grid = WaveFunctionGrid(psi=psi, spec=spec, epsilon=eps, t=t_snap)
-        drift = abs(grid.norm() - 1.0)
+    # zip advances the axes in lockstep.  A updates each psi in place, so
+    # every axis is read before any generator resumes.
+    for i, (t_snap, psis) in enumerate(zip(times, zip(*snaps))):
+        grids = [WaveFunctionGrid(psi=psi, spec=line, epsilon=eps, t=t_snap) for psi in psis]
+        drift = abs(math.prod(grid.norm() for grid in grids) - 1.0)
         if drift > 1e-10:
             raise RuntimeError(f"unitarity lost: norm drift {drift:.3e} at t={t_snap}")
-        shell = grid.boundary_mass()
+        shell = 1.0 - math.prod(1.0 - grid.boundary_mass() for grid in grids)
         if shell > _BOUNDARY_RUN_TOL:
             raise RuntimeError(
                 f"boundary mass {shell:.3e} at t={t_snap}: packet reached the domain edge"
             )
-        readings = _Readings(grid, potential, v)
-        for name in names:
-            table[name][i] = expectation(grid, name, potential, readings)
+        readings = [_Readings(*axis) for axis in zip(grids, potentials, meshes)]
+        for name, (kind, j) in zip(names, kinds):
+            if j:
+                table[name][i] = _axis_sum(kind + "1", readings[j - 1 : j])
+            elif kind == "total":
+                table[name][i] = _axis_sum("kinetic", readings) + _axis_sum("potential", readings)
+            else:
+                table[name][i] = _axis_sum(kind, readings)
     return table
+
+
+def _axis_sum(kind: str, readings) -> float:
+    """The sum over the axes of ``readings`` of their 1-D ``kind`` reading."""
+    return sum(expectation(r.grid, kind, r.potential, r) for r in readings)

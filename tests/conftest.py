@@ -1,6 +1,7 @@
 """Shared fixtures and helpers: the standard torsional/harmonic setups used
 across the suite, a session cache directory for grid-reference results, the
-symplectic matrix, and a finite-difference check of potential derivatives."""
+symplectic matrix, a finite-difference check of potential derivatives, and a
+coupled potential that is not separable."""
 
 from __future__ import annotations
 
@@ -30,6 +31,20 @@ def phase_pair(z) -> tuple[np.ndarray, np.ndarray]:
 def phase_point(pair) -> np.ndarray:
     """The phase point of a (q, p) pair."""
     return np.concatenate(pair, axis=-1)
+
+
+class CoupledPotential(Potential):
+    """V = q1 q2: its hessian is not diagonal, and it is not a sum of
+    per-coordinate terms."""
+
+    d = 2
+
+    def value(self, q):
+        q = np.asarray(q)
+        return q[..., 0] * q[..., 1]
+
+    def gradient(self, q):
+        return np.asarray(q)[..., ::-1]
 
 
 def finite_difference_check(

@@ -921,6 +921,30 @@ class TestCli:
         assert "--threads must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o" / "results.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, extra, flags",
+        [
+            ("run", "", ["--threads", "0"]),
+            ("sweep", "sweep_axis = N2\nsweep_values = 8, 16, 1000\n", []),
+        ],
+        ids=["run-threads-0", "sweep-N2-out-of-range"],
+    )
+    def test_rejected_command_leaves_no_out_dir(
+        self, command, extra, flags, config_file, tmp_path, capsys
+    ):
+        # The --out directory is made when the first file is written, so a
+        # command rejected before that leaves nothing behind.
+        config_file.write_text(self.CONFIG + extra)
+        out = tmp_path / "rejected"
+        assert cli.main([command, "--config", str(config_file), "--out", str(out), *flags]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_into_nested_new_out_dir(self, config_file, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert cli.main(["run", "--config", str(config_file), "--out", str(out)]) == 0
+        assert read_rows_csv(out / "results.csv")
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("epsilon = 0.1\ncolour = blue\n")

@@ -10,14 +10,13 @@ from egorov.potentials import (
     FreePotential,
     Hamiltonian,
     HarmonicPotential,
-    Potential,
     TorsionalPotential,
     free_potential,
     harmonic_potential,
     torsional_potential,
 )
 
-from conftest import finite_difference_check
+from conftest import CoupledPotential, finite_difference_check
 
 
 class TestTorsional:
@@ -164,22 +163,40 @@ def test_diagonals_lead_with_the_gradient(make):
 
 
 def test_potential_without_diagonals_is_rejected():
-    class Coupled(Potential):
-        """V = q1 q2, whose hessian is not diagonal."""
-
-        d = 2
-
-        def value(self, q):
-            return q[..., 0] * q[..., 1]
-
-        def gradient(self, q):
-            return q[..., ::-1]
-
-    pot = Coupled()
+    pot = CoupledPotential()
     with pytest.raises(NotImplementedError):
         pot.hessian(np.zeros(2))
     with pytest.raises(NotImplementedError):
         evolve_correction(np.zeros(4), 0.1, 0.1, pot)
+    with pytest.raises(NotImplementedError):
+        pot.coordinate(0)
+
+
+@pytest.mark.parametrize(
+    "make", MAKERS + [lambda: harmonic_potential(3, (1.0, 2.0, 3.0))]
+)
+def test_coordinates_sum_to_the_potential(make):
+    # V(q) = sum_j V_j(q_j), with each V_j a potential of one coordinate
+    # whose diagonals are the j-th entries of V's.
+    pot = make()
+    q = np.random.default_rng(11).uniform(-np.pi, np.pi, size=(5, pot.d))
+    axes = [pot.coordinate(j) for j in range(pot.d)]
+    assert [axis.d for axis in axes] == [1] * pot.d
+    np.testing.assert_allclose(
+        sum(axis.value(q[:, j : j + 1]) for j, axis in enumerate(axes)),
+        pot.value(q), rtol=0, atol=1e-14,
+    )
+    for j, axis in enumerate(axes):
+        for own, full in zip(axis.diagonals(q[:, j : j + 1]), pot.diagonals(q)):
+            np.testing.assert_array_equal(own[:, 0], full[:, j])
+
+
+def test_coordinate_potentials():
+    assert torsional_potential(3).coordinate(2) == TorsionalPotential(1)
+    assert free_potential(2).coordinate(1) == FreePotential(1)
+    harmonic = harmonic_potential(3, (1.0, 2.0, 3.0)).coordinate(1)
+    assert isinstance(harmonic, HarmonicPotential)
+    assert harmonic.omega.tolist() == [2.0]
 
 
 @pytest.mark.parametrize("make", MAKERS)

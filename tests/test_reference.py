@@ -1,6 +1,7 @@
 """Split-step Fourier reference solver on a periodic tensor grid."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 import egorov.experiments as experiments
 import egorov.reference as reference
 from egorov.experiments import CSV_HEADER, ResultRow, RunConfig, run_reference, write_rows_csv
-from egorov.observables import OBSERVABLE_NAMES, make_observable
+from egorov.flow import split_snapshots
+from egorov.observables import OBSERVABLE_NAMES, default_names, make_observable
 from egorov.potentials import free_potential, harmonic_potential, torsional_potential
 from egorov.reference import (
     GridSpec,
+    WaveFunctionGrid,
     expectation,
     init_packet,
     reference_expectations,
@@ -19,7 +22,35 @@ from egorov.reference import (
 )
 from egorov.sampling import GaussianPacket
 
+from conftest import CoupledPotential
+
 EPS = 0.1
+
+
+def grid_oracle(spec, packet, potential, times, tau, observable_names):
+    """The d-dimensional propagation that :func:`reference_expectations`
+    factorizes: one order-4 split-step run on the full tensor grid, with the
+    monitors read on the d-dimensional state at every snapshot."""
+    grid = init_packet(spec, packet)
+    eps = grid.epsilon
+    v = spec.mesh_value(potential)
+    flows = reference._grid_flows(spec, v, eps)
+    table = {name: np.empty(len(times)) for name in observable_names}
+    snaps = split_snapshots(grid.psi, times, tau, reference._ORDER, *flows)
+    for i, (t_snap, psi) in enumerate(zip(times, snaps)):
+        grid = WaveFunctionGrid(psi=psi, spec=spec, epsilon=eps, t=t_snap)
+        drift = abs(grid.norm() - 1.0)
+        if drift > 1e-10:
+            raise RuntimeError(f"unitarity lost: norm drift {drift:.3e} at t={t_snap}")
+        shell = grid.boundary_mass()
+        if shell > reference._BOUNDARY_RUN_TOL:
+            raise RuntimeError(
+                f"boundary mass {shell:.3e} at t={t_snap}: packet reached the domain edge"
+            )
+        readings = reference._Readings(grid, potential, v)
+        for name in observable_names:
+            table[name][i] = expectation(grid, name, potential, readings)
+    return table
 
 
 @pytest.fixture
@@ -276,8 +307,10 @@ class TestReferenceExpectations:
         counted(reference, "fftn")
         counted(GridSpec, "mesh_value")
         together = reference_expectations(*args, OBSERVABLE_NAMES)
-        # 4 order-4 steps of 3 FFT pairs, and one transform per snapshot.
-        assert counts == {"fftn": 4 * 3 + 3, "mesh_value": 1}
+        # On each of the d axes: 4 order-4 steps of 3 FFT pairs, one
+        # transform per snapshot and one potential mesh.
+        d = spec.d
+        assert counts == {"fftn": d * (4 * 3 + 3), "mesh_value": d}
         for name in OBSERVABLE_NAMES:
             assert together[name].tobytes() == alone[name].tobytes(), name
 
@@ -307,7 +340,8 @@ class TestReferenceExpectations:
         assert cached == expected
 
     def test_scheme_change_forces_recompute(self, grid_cache, monkeypatch):
-        # A table made by another scheme at the same tau is never read back.
+        # A table made by another scheme at the same tau is never read back:
+        # the recompute samples one packet per coordinate.
         cache = grid_cache / "scheme"
         config = _cache_config()
         run_reference(config, cache_dir=cache)
@@ -318,7 +352,7 @@ class TestReferenceExpectations:
             lambda *a: calls.append(a) or init_packet(*a),
         )
         run_reference(config, cache_dir=cache)
-        assert len(calls) == 1
+        assert len(calls) == config.dimension
         assert len(list(cache.glob("*.csv"))) == 2
 
     def test_cache_file_mode_follows_umask(self, tmp_path):
@@ -364,3 +398,86 @@ class TestReferenceExpectations:
         path.write_text(f"{CSV_HEADER}\n0.0,p9,,,,0.5,,\n")
         with pytest.raises(ValueError, match="corrupt"):
             run_reference(config, cache_dir=cache)
+
+
+class TestFactorizedReference:
+    """One 1-D solve per coordinate against the d-dimensional grid."""
+
+    @pytest.mark.parametrize(
+        "spec, center, potential, t_final",
+        [
+            (GridSpec(2, 128), (1.0, 0.5, 0.0, 0.0), torsional_potential(2), 0.5),
+            (GridSpec(3, 32), (0.3, -0.2, 0.1, 0.0, 0.2, -0.1),
+             harmonic_potential(3, (1.0, 2.0, 3.0)), 0.5),
+            (GridSpec(2, 64), (0.3, -0.2, 0.4, 0.1), free_potential(2), 1.0),
+        ],
+        ids=["torsional-row1-128^2", "harmonic-d3-32^3", "free-d2-64^2"],
+    )
+    def test_matches_d_dimensional_oracle(self, spec, center, potential, t_final):
+        packet = GaussianPacket(np.array(center), EPS)
+        times = np.linspace(0.0, t_final, 5)
+        names = default_names(spec.d)
+        args = (spec, packet, potential, times, EPS / 16, names)
+        factorized = reference_expectations(*args)
+        oracle = grid_oracle(*args)
+        for name in names:
+            np.testing.assert_allclose(factorized[name], oracle[name], rtol=0, atol=1e-13,
+                                       err_msg=name)
+
+    def test_one_dimension_is_the_oracle_bitwise(self):
+        args = (GridSpec(1, 128), GaussianPacket(np.array([1.0, 0.5]), EPS),
+                torsional_potential(1), [0.0, 0.25, 0.5], EPS / 16, default_names(1))
+        factorized = reference_expectations(*args)
+        oracle = grid_oracle(*args)
+        for name in args[-1]:
+            assert factorized[name].tobytes() == oracle[name].tobytes(), name
+
+    def test_boundary_mass_trips_at_the_oracles_snapshot(self):
+        # A fast packet reaches the shell of the 2-D box along both axes at
+        # once.  The combined monitor trips at the snapshot where the 2-D one
+        # does, and reads the same mass: both axes' shares, not the larger.
+        args = (GridSpec(2, 128), GaussianPacket(np.array([0.0, 0.0, 2.0, 2.0]), EPS),
+                free_potential(2), np.arange(0.25, 1.75, 0.25), 0.01, ["q1"])
+        messages = []
+        for solve in (reference_expectations, grid_oracle):
+            with pytest.raises(RuntimeError, match="boundary mass") as info:
+                solve(*args)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert re.search(r"at t=(\S+):", messages[0]).group(1) != "0.25"
+
+    def test_start_up_check_is_d_dimensional(self):
+        # Each axis alone has 7e-13 of its mass outside the box, under the
+        # 1e-12 start-up tolerance; the 2-D packet has 1.4e-12, over it.
+        packet = GaussianPacket(np.array([1.416, 1.416, 0.0, 0.0]), EPS)
+        args = (GridSpec(2, 64), packet, torsional_potential(2), [0.1], 1e-2, ["q1"])
+        messages = []
+        for solve in (reference_expectations, grid_oracle):
+            with pytest.raises(ValueError, match="outside the domain") as info:
+                solve(*args)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        for j in range(2):
+            axis = GaussianPacket(packet.center[j::2], EPS)
+            assert reference._outside_mass(GridSpec(1, 64), axis) < 1e-12
+
+    def test_non_separable_potential_raises_before_any_fft(self, packet_2d, monkeypatch):
+        calls = []
+        original = reference.fftn
+
+        def counted(*a, **k):
+            calls.append(1)
+            return original(*a, **k)
+
+        monkeypatch.setattr(reference, "fftn", counted)
+        with pytest.raises(NotImplementedError):
+            reference_expectations(
+                GridSpec(2, 64), packet_2d, CoupledPotential(), [0.0, 0.1], 1e-2, ["q1"]
+            )
+        assert calls == []
+
+    def test_rejects_potential_of_another_dimension(self, packet_2d):
+        with pytest.raises(ValueError, match="potential dimension"):
+            reference_expectations(
+                GridSpec(2, 64), packet_2d, torsional_potential(1), [0.1], 1e-2, ["q1"]
+            )
