@@ -1,8 +1,9 @@
 """Grid-based reference dynamics: split-step Fourier propagation.
 
-Solves i eps d_t psi = (-eps^2/2 Laplace + V) psi on a periodic tensor grid.
-The Strang step is a half step of the potential phase, a full kinetic step
-applied in Fourier space, and another half step of the potential.
+Solves i eps d_t psi = (-eps^2/2 Laplace + V) psi on a periodic tensor grid,
+with numpy's FFT (``numpy.fft.fftn``/``ifftn``).  The Strang step is a half
+step of the potential phase, a full kinetic step applied in Fourier space,
+and another half step of the potential.
 :func:`reference_expectations` composes it to fourth order (Yoshida 1990)
 through the shared driver :func:`flow.split_snapshots`, which merges
 adjacent half-potential phases; :func:`schrodinger_step` is one plain
@@ -36,8 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fftn, ifftn
-from scipy.special import erfc
+from numpy.fft import fftn, ifftn
 
 from .flow import split_snapshots
 from .observables import parse_name
@@ -124,12 +124,15 @@ class WaveFunctionGrid:
 
 
 def _outside_mass(spec: GridSpec, packet: GaussianPacket) -> float:
-    """Analytic |psi0|^2 mass outside the computational box."""
-    q0 = packet.center[: packet.d]
-    scale = np.sqrt(packet.epsilon)
-    upper = 0.5 * erfc((spec.x_max - q0) / scale)
-    lower = 0.5 * erfc((q0 - spec.x_min) / scale)
-    return float(1.0 - np.prod(1.0 - upper - lower))
+    """Analytic |psi0|^2 mass outside the computational box, one ``erfc``
+    pair per axis."""
+    scale = math.sqrt(packet.epsilon)
+    inside = 1.0
+    for q0 in packet.center[: packet.d].tolist():
+        upper = 0.5 * math.erfc((spec.x_max - q0) / scale)
+        lower = 0.5 * math.erfc((q0 - spec.x_min) / scale)
+        inside *= 1.0 - upper - lower
+    return 1.0 - inside
 
 
 def _check_packet(spec: GridSpec, packet: GaussianPacket) -> None:
@@ -191,11 +194,11 @@ def _grid_flows(spec: GridSpec, v: np.ndarray, eps: float):
         return psi
 
     def kinetic_flow(s, psi):
-        psi_hat = fftn(psi, overwrite_x=True)
+        psi_hat = fftn(psi)
         factor = kinetic_phase(s)
         for shape in axis_shapes:
             psi_hat *= factor.reshape(shape)
-        return ifftn(psi_hat, overwrite_x=True)
+        return ifftn(psi_hat)
 
     return potential_flow, kinetic_flow
 

@@ -8,15 +8,17 @@ is a normal density with mean (q0, p0) and covariance (eps/2) Id on R^(2d).
 Expectation values are quadratures against W, computed quasi-Monte Carlo
 style: means over Halton points in (0,1)^(2d), mapped coordinate-wise
 through the inverse normal CDF, scaled and shifted.  Everything is deterministic for
-fixed (N, skip).
+fixed (N, skip).  The normal quantile is the standard library's
+``NormalDist.inv_cdf``, Wichura's algorithm AS241 (Appl. Statist. 37, 1988),
+correct to about 1e-16 relative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "GaussianPacket",
@@ -27,6 +29,8 @@ __all__ = [
     "inverse_normal_cdf",
     "sample_points",
 ]
+
+_STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -40,8 +44,10 @@ class GaussianPacket:
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
         if center.ndim != 1 or center.size % 2:
             raise ValueError("center must be a flat (q0, p0) vector of even length")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not np.all(np.isfinite(center)):
+            raise ValueError("center must be finite")
+        if not (self.epsilon > 0 and np.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         object.__setattr__(self, "center", center)
 
     @property
@@ -99,13 +105,14 @@ def halton_sequence(n: int, dim: int, skip: int = 64) -> np.ndarray:
 
 
 def inverse_normal_cdf(u):
-    """Standard normal quantile (scipy's ``ndtri``) on (0, 1); a float for
-    scalar input, an array of the input's shape otherwise."""
+    """Standard normal quantile (``NormalDist().inv_cdf``) on (0, 1); a float
+    for scalar input, an array of the input's shape otherwise.  NaN is
+    outside the domain and rejected like 0 and 1."""
     arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("quantile argument must lie strictly in (0, 1)")
-    x = ndtri(arr)
-    return float(x) if x.ndim == 0 else x
+    x = np.fromiter(map(_STANDARD_NORMAL.inv_cdf, arr.ravel().tolist()), float, arr.size)
+    return float(x[0]) if arr.ndim == 0 else x.reshape(arr.shape)
 
 
 def sample_points(packet: GaussianPacket, sampler: QmcSampler) -> np.ndarray:

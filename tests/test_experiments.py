@@ -1024,6 +1024,23 @@ class TestCli:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_start_up_imports_no_scipy(self, config_file):
+        # Every command imports the CLI and loads its config; scipy's import
+        # alone would cost more than a benchmark-sized run, so neither step
+        # may pull it in.
+        code = (
+            "import sys, egorov.cli; "
+            "from egorov.experiments import load_config; "
+            "load_config(sys.argv[1]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(egorov.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(config_file)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
     @pytest.mark.parametrize(
         "command, flag",
         [("reference", ["--threads", "2"]), ("run", ["--long-run"])],
