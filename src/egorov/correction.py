@@ -33,11 +33,11 @@ elementwise product: diag(c) in any slot of the block with diagonal v is the
 block with diagonal c v.  :meth:`CorrectionState.lambda_full` and
 :meth:`CorrectionState.gamma_full` scatter the diagonals into the full
 phase-space tensors that the references read, by ``scatter_diagonals``, and
-``from_full`` gathers them from the same entries; ``a2_eval`` contracts the
-diagonals alone with the matching derivative entries that each observable's
-``diagonals`` gives, so no dense tensor is built on the run path.  A
-potential with coupled derivatives raises NotImplementedError in
-``diagonals``.
+``from_full`` gathers them from the same entries.  ``a2_eval`` multiplies
+each derivative entry that an observable's ``diagonals`` declares, {slot
+pattern: (..., d)} for every order, by the state row it pairs with, and
+sums, so no dense tensor is built on the run path.  A potential with
+coupled derivatives raises NotImplementedError in ``diagonals``.
 
 The 16 per-coordinate fields are the rows of one (16, ..., d) array, in the
 order of :data:`FIELDS`: q, then the rows psi2 advances (p, lam21, lam22,
@@ -99,12 +99,24 @@ _PSI2_ROWS = slice(P, XI2 + 1)
 _PSI3_ROWS = slice(LAM1, XI1 + 1)
 
 # The slots of each block's entries that address momenta (1) rather than
-# positions (0), in the order a2_eval stacks the blocks.
+# positions (0).
 _LAMBDA_BLOCKS = {
     "lam1": (0, 0, 0), "lam21": (1, 0, 0), "lam22": (0, 1, 0), "lam23": (0, 0, 1),
     "lam31": (0, 1, 1), "lam32": (1, 0, 1), "lam33": (1, 1, 0), "lam4": (1, 1, 1),
 }
 _GAMMA_BLOCKS = {"gam1": (0, 0), "gam21": (1, 0), "gam22": (0, 1), "gam3": (1, 1)}
+# The state row that a2_eval pairs with each derivative entry, by the
+# entry's slot pattern: the block on the reversed pattern, after the index
+# order (kji / ji / i) of the defining formula.  Sorted by order, then by
+# pattern, which is the order a2_eval sums in.
+_ENTRY_ROWS = dict(sorted(
+    ((pattern[::-1], FIELDS.index(name))
+     for blocks in (_LAMBDA_BLOCKS, _GAMMA_BLOCKS, {"xi1": (0,), "xi2": (1,)})
+     for name, pattern in blocks.items()),
+    key=lambda item: (len(item[0]), item[0]),
+))
+# The weights of the orders 1, 2, 3 in a2: Da . Xi + 3 D2a : Gamma + D3a : Lambda.
+_ORDER_WEIGHTS = (1.0, 3.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -380,48 +392,31 @@ def evolve_correction_snapshots(
     ]
 
 
-def _read_entries(entries: dict, blocks: dict, batch: tuple, d: int) -> np.ndarray:
-    """The entries of a derivative that a2_eval pairs with one tensor's
-    blocks, (..., n_blocks, d): row b is the derivative's same-coordinate
-    diagonal on block b's reversed slot pattern, taken from ``entries``
-    ({pattern: (..., d)}), or zero where ``entries`` has none.  It is laid
-    out block-major, as numpy lays out a gather of the same entries from a
-    dense tensor, so the contraction sums as it did on the gather."""
-    out = np.zeros((len(blocks), d) + batch)
-    view = np.moveaxis(out, (0, 1), (-2, -1))
-    for b, pattern in enumerate(blocks.values()):
-        entry = entries.get(pattern[::-1])
-        if entry is not None:
-            view[..., b, :] = entry
-    return view
-
-
 def a2_eval(observables, state: CorrectionState) -> np.ndarray:
     """Second-order correction values, one row per observable.
 
-    Only the stored same-coordinate entries of Lambda and Gamma can be
-    nonzero, so each block diagonal is contracted with the matching entries
-    of the observable's derivative tensors at the transported phase point.
-    Those sit on the reversed slot pattern, after the index order (kji / ji)
-    of the defining formula, and come from the observable's ``diagonals``:
-    no dense derivative tensor is built.  A single :class:`Observable` gives
-    its row alone.
+    Only the stored same-coordinate entries of Lambda, Gamma and Xi can be
+    nonzero, so each is multiplied by the matching entry of the observable's
+    derivative at the transported phase point, where the observable's
+    ``diagonals`` declares one; no dense derivative tensor is built, and an
+    entry it leaves out is zero and skipped.  Per coordinate, the products
+    weight x entry x row (weight 1 for Da and D3a, 3 for D2a) are added in
+    order 1, 2, 3 and, within an order, by ascending slot pattern; the sum
+    over the coordinates, times -1/4, is a2.  Every step is elementwise on
+    a fresh array, so the bits do not depend on the state's memory layout.
+    A single :class:`Observable` gives its row alone.
     """
     single = isinstance(observables, Observable)
-    z = state.z
-    xi = state.xi_full()
-    lam = np.stack([getattr(state, name) for name in _LAMBDA_BLOCKS], axis=-2)
-    gam = np.stack([getattr(state, name) for name in _GAMMA_BLOCKS], axis=-2)
-    batch, d = z.shape[:-1], state.d
-    rows = []
-    for obs in [observables] if single else observables:
-        grad, hess, third = obs.diagonals(z)
-        third = _read_entries(third, _LAMBDA_BLOCKS, batch, d)
-        hess = _read_entries(hess, _GAMMA_BLOCKS, batch, d)
-        rows.append(-0.25 * (
-            np.einsum("...bj,...bj->...", third, lam)
-            + 3.0 * np.einsum("...bj,...bj->...", hess, gam)
-            + np.einsum("...i,...i->...", grad, xi)
-        ))
-    rows = np.stack(rows)
-    return rows[0] if single else rows
+    observables = [observables] if single else list(observables)
+    x, z = state.rows, state.z
+    out = np.empty((len(observables),) + z.shape[:-1])
+    for i, obs in enumerate(observables):
+        diagonals = obs.diagonals(z)
+        total = np.zeros(x.shape[1:])
+        for pattern, row in _ENTRY_ROWS.items():
+            order = len(pattern)
+            entry = diagonals[order - 1].get(pattern)
+            if entry is not None:
+                total += _ORDER_WEIGHTS[order - 1] * entry * x[row]
+        out[i] = -0.25 * total.sum(axis=-1)
+    return out[0] if single else out

@@ -173,6 +173,8 @@ class RunConfig:
             raise ValueError("flow_order must be one of 2, 4, 6, 8")
         if self.halton_skip < 0:
             raise ValueError("halton_skip must be nonnegative")
+        if self.halton_skip + self.n_samples > np.iinfo(np.int64).max:
+            raise ValueError("halton_skip + n_samples must not exceed 2**63 - 1")
         if not _is_multiple(self.t_final, self.snapshot_stride):
             raise ValueError("t_final must be a whole number of snapshot strides")
         if not _is_multiple(self.snapshot_stride, self.tau_flow):
@@ -774,8 +776,8 @@ def sweep(
     values = [float(v) for v in values]
     if not values:
         raise ValueError("sweep needs at least one value")
-    if values != sorted(values):
-        raise ValueError("sweep values must be sorted ascending")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError("sweep values must be sorted strictly ascending")
     # Every value's config is validated before anything runs.
     configs = [_config_for_value(config, axis, value) for value in values]
     shared_baseline = baseline_rows

@@ -3,9 +3,9 @@
 An observable bundles evaluators over phase space z = (q, p): the value
 ``a(z)`` and tensors ``Da``, ``D2a``, ``D3a``.  All evaluators accept batched
 input of shape ``(..., 2d)``.  Each built-in states only its value and its
-``diagonals``: the gradient and the same-coordinate entries of the nonzero
-blocks of ``D2a`` and ``D3a``, which is all the correction reads; its dense
-``D2a`` and ``D3a`` are those blocks, scattered by ``scatter_diagonals``.
+``diagonals``: the same-coordinate entries of the nonzero blocks of ``Da``,
+``D2a`` and ``D3a``, which is all the correction reads; its dense tensors
+are those blocks, scattered by ``scatter_diagonals``.
 The built-ins are the experiment observables (positions, momenta,
 kinetic/potential/total energy); they are polynomials or potential
 compositions rather than Schwartz functions, so error constants are
@@ -43,17 +43,18 @@ class Observable:
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
     third: Callable[[np.ndarray], np.ndarray]
-    # (Da, D2a, D3a) at z, the last two as {slot pattern: (..., d)}: the
+    # (Da, D2a, D3a) at z, each as {slot pattern: (..., d)}: the
     # same-coordinate diagonal of each block that can be nonzero, where a
-    # pattern's slots are 0 for positions and 1 for momenta; (0, 0, 0) holds
-    # the (j, j, j) entries.  The entries of D2a and D3a it leaves out are 0.
+    # pattern's slots are 0 for positions and 1 for momenta: (0,) holds
+    # d_q a, (1,) d_p a and (0, 0, 0) the (j, j, j) entries.  The entries it
+    # leaves out are 0.
     diagonals: Callable[[np.ndarray], tuple]
 
 
 def _observable(name: str, d: int, value, diagonals) -> Observable:
-    """The observable with this value and ``diagonals``: its gradient is the
-    one ``diagonals`` gives, and its D2a and D3a are the blocks it gives,
-    scattered into zero tensors over phase space."""
+    """The observable with this value and ``diagonals``: its Da, D2a and
+    D3a are the blocks ``diagonals`` gives, scattered into zero tensors over
+    phase space."""
 
     def dense(order):
         def evaluate(z):
@@ -62,20 +63,17 @@ def _observable(name: str, d: int, value, diagonals) -> Observable:
 
         return evaluate
 
-    return Observable(
-        name, d, value, lambda z: diagonals(z)[0], dense(2), dense(3), diagonals
-    )
+    return Observable(name, d, value, dense(1), dense(2), dense(3), diagonals)
 
 
 def _coordinate(name: str, d: int, index: int) -> Observable:
-    e = np.zeros(2 * d)
-    e[index] = 1.0
-    # A read-only view: no caller writes into a derivative.
+    slot, j = divmod(index, d)
+    e = np.eye(d)[j]
     return _observable(
         name,
         d,
         lambda z: np.asarray(z)[..., index] + 0.0,
-        lambda z: (np.broadcast_to(e, np.shape(z)), {}, {}),
+        lambda z: ({(slot,): e}, {}, {}),
     )
 
 
@@ -110,12 +108,11 @@ def _energy_diagonals(d: int, potential: Potential | None, kinetic: bool):
 
     def diagonals(z):
         z = np.asarray(z)
-        grad, hess, third = np.zeros(z.shape), {}, {}
+        grad, hess, third = {}, {}, {}
         if potential is not None:
-            g, hess[(0, 0)], third[(0, 0, 0)], _ = potential.diagonals(z[..., :d])
-            grad[..., :d] = g
+            grad[(0,)], hess[(0, 0)], third[(0, 0, 0)], _ = potential.diagonals(z[..., :d])
         if kinetic:
-            grad[..., d:] = z[..., d:]
+            grad[(1,)] = z[..., d:]
             hess[(1, 1)] = ones
         return grad, hess, third
 

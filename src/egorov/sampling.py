@@ -99,7 +99,9 @@ def halton(index, base: int):
 
 def halton_sequence(n: int, dim: int, skip: int = 64) -> np.ndarray:
     """n Halton points in (0,1)^dim, the first `skip` entries dropped."""
-    indices = np.arange(skip + 1, skip + n + 1)
+    # int64 up to the last index skip + n; np.arange(skip + 1, skip + n + 1)
+    # turns to float64 when its stop passes 2**63 - 1.
+    indices = skip + 1 + np.arange(n)
     bases = first_primes(dim)
     return np.stack([halton(indices, b) for b in bases], axis=-1)
 

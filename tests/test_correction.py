@@ -51,6 +51,7 @@ LAMBDA_PATTERNS = {
     "lam31": (0, 1, 1), "lam32": (1, 0, 1), "lam33": (1, 1, 0), "lam4": (1, 1, 1),
 }
 GAMMA_PATTERNS = {"gam1": (0, 0), "gam21": (1, 0), "gam22": (0, 1), "gam3": (1, 1)}
+XI_PATTERNS = {"xi1": (0,), "xi2": (1,)}
 POTENTIALS = {
     "torsional": torsional_potential,
     "harmonic": lambda d: harmonic_potential(d, (1.0, 2.0, 0.5)[:d]),
@@ -553,7 +554,7 @@ def constant_observable(d: int) -> Observable:
         grad=lambda z: np.zeros(np.asarray(z).shape),
         hess=lambda z: np.broadcast_to(zeros2, np.asarray(z).shape[:-1] + zeros2.shape),
         third=lambda z: np.broadcast_to(zeros3, np.asarray(z).shape[:-1] + zeros3.shape),
-        diagonals=lambda z: (np.zeros(np.asarray(z).shape), {}, {}),
+        diagonals=lambda z: (gather_diagonals(np.zeros(np.asarray(z).shape), 1, d), {}, {}),
     )
 
 
@@ -568,25 +569,23 @@ def gather_diagonals(full: np.ndarray, order: int, d: int) -> dict:
 
 
 def dense_a2(obs: Observable, state: CorrectionState) -> np.ndarray:
-    """a2 read off the dense derivative tensors: the entries of obs.third
-    and obs.hess on each block's reversed slot pattern, gathered with one
-    index per slot, contracted with the stacked block diagonals."""
+    """a2 read off the dense derivative tensors: the entries of obs.grad,
+    obs.hess and obs.third on each block's reversed slot pattern, gathered
+    with one index per slot, times the block diagonal and the order's
+    weight, added per coordinate in order 1, 2, 3 and then by ascending
+    reversed pattern, and summed over the coordinates."""
     d, z = state.d, state.z
     j = np.arange(d)
-
-    def read(full, patterns):
-        index = np.array([pattern[::-1] for pattern in patterns.values()])
-        return full[(..., *(index[:, slot, None] * d + j for slot in range(index.shape[1])))]
-
-    def stack(patterns):
-        return np.stack([getattr(state, name) for name in patterns], axis=-2)
-
-    return -0.25 * (
-        np.einsum("...bj,...bj->...", read(obs.third(z), LAMBDA_PATTERNS), stack(LAMBDA_PATTERNS))
-        + 3.0 * np.einsum("...bj,...bj->...", read(obs.hess(z), GAMMA_PATTERNS),
-                          stack(GAMMA_PATTERNS))
-        + np.einsum("...i,...i->...", obs.grad(z), state.xi_full())
-    )
+    total = np.zeros(z.shape[:-1] + (d,))
+    for weight, full, patterns in (
+        (1.0, obs.grad(z), XI_PATTERNS),
+        (3.0, obs.hess(z), GAMMA_PATTERNS),
+        (1.0, obs.third(z), LAMBDA_PATTERNS),
+    ):
+        for name, pattern in sorted(patterns.items(), key=lambda item: item[1][::-1]):
+            entry = full[(..., *(s * d + j for s in pattern[::-1]))]
+            total += weight * entry * getattr(state, name)
+    return -0.25 * total.sum(axis=-1)
 
 
 class TestA2Eval:
@@ -658,7 +657,7 @@ class TestA2Eval:
                 **{f: rng.standard_normal((5, d)) for f in STATE_FIELDS}
             )
             tensors = [rng.standard_normal((5,) + (2 * d,) * k) for k in (1, 2, 3)]
-            diagonals = (tensors[0], *(gather_diagonals(tensors[k - 1], k, d) for k in (2, 3)))
+            diagonals = tuple(gather_diagonals(tensors[k - 1], k, d) for k in (1, 2, 3))
             obs = Observable(
                 name="random", dim=d, value=lambda z: np.zeros(z.shape[:-1]),
                 grad=lambda z: tensors[0], hess=lambda z: tensors[1],
@@ -686,6 +685,24 @@ class TestA2Eval:
                 got, want = a2_eval(obs, state), dense_a2(obs, state)
                 np.testing.assert_array_equal(got, want, err_msg=obs_name)
                 np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_bits_do_not_depend_on_state_layout(self, d):
+        # The same rows as a C-contiguous array, in Fortran order and as a
+        # strided view of a larger array give the same bits.
+        pot = torsional_potential(d)
+        z0 = np.random.default_rng(50 + d).uniform(-1.5, 1.5, (100, 2 * d))
+        (state,) = evolve_correction_snapshots(z0, [1.0], 2.0**-5, pot)
+        wide = np.zeros((16, 200, 2 * d))
+        wide[:, ::2, 1::2] = state.rows
+        layouts = {
+            "fortran": CorrectionState.from_rows(np.asfortranarray(state.rows)),
+            "strided": CorrectionState.from_rows(wide[:, ::2, 1::2]),
+        }
+        observables = [make_observable(name, pot) for name in default_names(d)]
+        want = a2_eval(observables, state)
+        for layout, other in layouts.items():
+            assert a2_eval(observables, other).tobytes() == want.tobytes(), layout
 
     def test_batched_evaluation(self, torsional_2d):
         batch = np.random.default_rng(35).uniform(-1.0, 1.0, size=(6, 4))

@@ -138,11 +138,18 @@ class TestRunConfig:
             (dict(observables=("q1", "q1", "kinetic")), "must not repeat"),
             (dict(potential="harmonic", stiffness=(1.0, 2.0, 3.0)), "stiffness"),
             (dict(potential="harmonic", stiffness=(-1.0, 2.0)), "positive"),
+            (dict(halton_skip=10**19), "halton_skip \\+ n_samples"),
         ],
     )
     def test_validation(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             tiny_config(**overrides)
+
+    def test_last_halton_index_fits_int64(self):
+        # The sampler's last index is halton_skip + n_samples, counted in int64.
+        assert tiny_config(halton_skip=2**63 - 65).halton_skip == 2**63 - 65
+        with pytest.raises(ValueError, match="halton_skip \\+ n_samples"):
+            tiny_config(halton_skip=2**63 - 64)
 
     def test_correction_stride_unchecked_when_disabled(self):
         # tau_correction incommensurate with the stride is fine when no
@@ -636,6 +643,8 @@ class TestSweep:
         [
             ("N2", [8.0, 16.0, 1000.0], "must not exceed"),
             ("tau2", [0.0625, 0.125, 0.2], "multiple of tau_correction"),
+            # Equal values would leave the log-log fit rank-deficient.
+            ("N2", [4.0, 4.0], "strictly ascending"),
         ],
     )
     def test_every_value_checked_before_any_run(self, monkeypatch, axis, values, message):
@@ -926,8 +935,9 @@ class TestCli:
         [
             ("run", "", ["--threads", "0"]),
             ("sweep", "sweep_axis = N2\nsweep_values = 8, 16, 1000\n", []),
+            ("sweep", "sweep_axis = N2\nsweep_values = 4, 4\n", []),
         ],
-        ids=["run-threads-0", "sweep-N2-out-of-range"],
+        ids=["run-threads-0", "sweep-N2-out-of-range", "sweep-N2-repeated"],
     )
     def test_rejected_command_leaves_no_out_dir(
         self, command, extra, flags, config_file, tmp_path, capsys
