@@ -22,8 +22,9 @@ n alone, never on the thread count.  Each chunk is reduced by numpy's
 pairwise summation, and an ensemble's chunk totals are combined pairwise in
 chunk order.  The chunks of the correction and the transport ensembles share
 one thread pool, the correction's first, so the correction stepper (which
-mostly holds the interpreter lock) runs beside transport chunks (mostly
-``np.sin``, which releases it).  Two runs with the same config produce
+mostly holds the interpreter lock) runs beside transport chunks (mostly the
+torsional force's ``np.tan`` and the arithmetic around it, which release
+it).  Two runs with the same config produce
 byte-identical CSV; wall-clock data lives only in the metadata file.
 """
 
@@ -250,7 +251,12 @@ def snapshot_times(config: RunConfig) -> list[float]:
 
 
 def _parse_int(value: str) -> int:
-    number = float(value)
+    """An integer literal, read exactly, or a float form of a whole number
+    such as ``1e4``."""
+    try:
+        return int(value)
+    except ValueError:
+        number = float(value)
     if not math.isfinite(number) or number != round(number):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(number)

@@ -81,7 +81,11 @@ def first_primes(count: int) -> list[int]:
 
 
 def halton(index, base: int):
-    """Radical inverse of index (1-based, scalar or array) in a prime base."""
+    """Radical inverse of index (1-based, scalar or array) in a prime base.
+
+    The digit sum is taken in float64, which rounds to 1.0 for some large
+    indices (``halton(5**22 - 1, 5)``); those come back as the largest double
+    below 1, so every point lies in (0, 1)."""
     idx = np.asarray(index, dtype=np.int64)
     if np.any(idx < 1):
         raise ValueError("halton indices start at 1")
@@ -92,6 +96,7 @@ def halton(index, base: int):
         out += factor * (remaining % base)
         remaining //= base
         factor /= base
+    np.minimum(out, np.nextafter(1.0, 0.0), out=out)
     if np.isscalar(index) or np.ndim(index) == 0:
         return float(out)
     return out

@@ -263,6 +263,24 @@ class TestParseConfig:
         text = self.GOOD.replace("n_samples = 64", "n_samples = 1e2")
         assert parse_config(text).n_samples == 100
 
+    def test_integer_literal_read_exactly(self, tmp_path):
+        # 2**63 - 65 is the last skip whose Halton index skip + n_samples
+        # fits int64; read through float64 it would round to 2**63.
+        path = tmp_path / "run.cfg"
+        path.write_text(self.GOOD + "\nhalton_skip = 9223372036854775743\n")
+        assert load_config(path).halton_skip == 2**63 - 65
+        path.write_text(self.GOOD + "\nhalton_skip = 9223372036854775744\n")
+        with pytest.raises(ValueError, match="halton_skip \\+ n_samples"):
+            load_config(path)
+
+    def test_halton_skip_in_float_form(self):
+        assert parse_config(self.GOOD + "\nhalton_skip = 1e4\n").halton_skip == 10**4
+
+    @pytest.mark.parametrize("value", ["1.5", "inf"])
+    def test_halton_skip_rejects_non_integers(self, value):
+        with pytest.raises(ValueError, match="bad value for halton_skip: expected an integer"):
+            parse_config(self.GOOD + f"\nhalton_skip = {value}\n")
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(self.GOOD)

@@ -69,6 +69,47 @@ class TestTorsional:
         assert pot.fourth(q).shape == (5, 3, 2, 2, 2, 2)
 
 
+class TestTorsionalKernel:
+    """gradient and diagonals, which take sin and cos from t = tan(q/2),
+    against numpy's sin and cos to 2 ulp of 1."""
+
+    @staticmethod
+    def check(q):
+        pot = torsional_potential(q.shape[-1])
+        sin, cos = np.sin(q), np.cos(q)
+        np.testing.assert_allclose(pot.gradient(q), sin, rtol=0, atol=4.5e-16)
+        for got, want in zip(pot.diagonals(q), (sin, cos, -sin, -cos)):
+            assert got.shape == q.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=4.5e-16)
+
+    def test_uniform_sample(self):
+        self.check(np.random.default_rng(3).uniform(-50.0, 50.0, size=(100_000, 2)))
+
+    def test_special_points(self):
+        self.check(np.array([[0.0, np.pi, -np.pi, 3 * np.pi, -3 * np.pi, 1e6, -1e6]]))
+
+    def test_signed_zero(self):
+        pot = torsional_potential(2)
+        q = np.array([0.0, -0.0])
+        np.testing.assert_array_equal(np.signbit(pot.gradient(q)), [False, True])
+        sin, cos, minus_sin, minus_cos = pot.diagonals(q)
+        np.testing.assert_array_equal(np.signbit(sin), [False, True])
+        np.testing.assert_array_equal(np.signbit(minus_sin), [True, False])
+        np.testing.assert_array_equal(cos, [1.0, 1.0])
+        np.testing.assert_array_equal(minus_cos, [-1.0, -1.0])
+
+    def test_around_odd_multiples_of_pi(self):
+        # tan(q/2) is largest here: at the double nearest pi it is 1.6e16.
+        centres = (2 * np.arange(-10, 10) + 1) * np.pi
+        offsets = np.geomspace(1e-15, 1e-3, 13)
+        near = centres[:, None] + np.concatenate([-offsets, offsets])
+        steps = [np.nextafter(centres, np.inf), np.nextafter(centres, -np.inf)]
+        self.check(np.concatenate([centres, near.ravel(), *steps])[:, None])
+
+    def test_batched(self):
+        self.check(np.random.default_rng(4).uniform(-50.0, 50.0, size=(5, 3, 2)))
+
+
 class TestHarmonic:
     def test_unit_frequency_value(self):
         pot = harmonic_potential(1, 1.0)

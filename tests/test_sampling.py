@@ -99,6 +99,12 @@ class TestHalton:
         vec = halton(idx, 7)
         np.testing.assert_array_equal(vec, [halton(int(i), 7) for i in idx])
 
+    def test_large_index_stays_below_one(self):
+        # The float64 digit sum of 5**22 - 1 in base 5 (all digits 4) rounds
+        # to exactly 1.0.
+        assert halton(5**22 - 1, 5) == np.nextafter(1.0, 0.0)
+        assert halton(np.array([5**22 - 1]), 5)[0] < 1.0
+
 
 class TestHaltonSequence:
     def test_shape_and_range(self):
@@ -174,6 +180,12 @@ class TestSamplePoints:
         )
         pts = sampling.sample_points(packet, QmcSampler(1))
         np.testing.assert_array_equal(pts, CENTER[None, :])
+
+    def test_finite_where_the_radical_inverse_rounds_to_one(self, packet):
+        # Index skip + 1 = 5**22 - 1 in base 5, the third of the 2d = 4 axes.
+        pts = sample_points(packet, QmcSampler(1, skip=5**22 - 2))
+        assert pts.shape == (1, 4)
+        assert np.all(np.isfinite(pts))
 
     def test_deterministic(self, packet):
         a = sample_points(packet, QmcSampler(500, skip=64))
