@@ -57,7 +57,7 @@ def _cmd_reference(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
     start = time.perf_counter()
-    rows = run_reference(config, cache_dir=out / "cache")
+    rows = run_reference(config)
     elapsed = time.perf_counter() - start
     write_rows_csv(rows, out / "reference.csv")
     write_metadata(
@@ -90,13 +90,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError("sweep needs sweep_axis and sweep_values in the config")
     out = _out_dir(args, config)
     start = time.perf_counter()
-    result = sweep(
-        config,
-        config.sweep_axis,
-        config.sweep_values,
-        threads=args.threads,
-        cache_dir=out / "cache",
-    )
+    result = sweep(config, config.sweep_axis, config.sweep_values, threads=args.threads)
     elapsed = time.perf_counter() - start
     write_sweep_csv(result, out / "sweep.csv")
     write_metadata(out, config, {"sweep": elapsed}, transport=transport_metadata(config))

@@ -27,7 +27,7 @@ The monitors combine as the d-dimensional ones factor: the norm is the
 product of the axes' norms, and the mass inside the shell the product of
 theirs.
 
-The module does no I/O; :func:`experiments.run_reference` caches its tables.
+The module does no I/O; :func:`experiments.run_reference` makes its rows.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ _BOUNDARY_RUN_TOL = 1e-8
 _SHELL_WIDTH = 2
 
 # The reference propagation's splitting order, and its scheme's name and
-# version.  The scheme is part of every reference cache key, so a table made
-# by another scheme is never read back as this one's.
+# version, which ``egorov reference`` reports in metadata.json.
 _ORDER = 4
 SCHEME = (
     f"split-step Fourier, Strang composed to order {_ORDER}, "

@@ -1,7 +1,6 @@
 """Shared fixtures and helpers: the standard torsional/harmonic setups used
-across the suite, a session cache directory for grid-reference results, the
-symplectic matrix, a finite-difference check of potential derivatives, and a
-coupled potential that is not separable."""
+across the suite, the symplectic matrix, a finite-difference check of
+potential derivatives, and a coupled potential that is not separable."""
 
 from __future__ import annotations
 
@@ -101,10 +100,3 @@ def ham_harmonic_2d(harmonic_2d):
 def z0():
     """The reference initial phase-space point (q, p) = ((1, 0.5), (0, 0))."""
     return np.array([1.0, 0.5, 0.0, 0.0])
-
-
-@pytest.fixture(scope="session")
-def grid_cache(tmp_path_factory):
-    """Session-wide cache directory so repeated grid-reference runs inside
-    one pytest invocation are computed once."""
-    return tmp_path_factory.mktemp("grid_cache")

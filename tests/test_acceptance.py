@@ -166,7 +166,7 @@ def _quadrature_rows(cfg, n_transport, n_correction):
     return rows
 
 
-def test_criterion_3_epsilon_order(capsys, tmp_path):
+def test_criterion_3_epsilon_order(capsys):
     """Error ratios between eps=0.1 and eps=0.05 against the grid reference.
 
     Rows 1 and 2 (their eps, tau0, tau2; order-8 flow, T=5, stride 0.5) are
@@ -192,7 +192,7 @@ def test_criterion_3_epsilon_order(capsys, tmp_path):
     for row_num in (1, 2):
         over = dict(t_final=5.0, snapshot_stride=0.5, observables=OBS6)
         cfg = table_row_config(row_num, **over)
-        ref = run_reference(cfg, cache_dir=tmp_path)
+        ref = run_reference(cfg)
         for rule in rules:
             _, summaries = compare(_quadrature_rows(cfg, *rule), ref)
             errs[cfg.epsilon, rule] = np.array(

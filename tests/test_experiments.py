@@ -139,6 +139,11 @@ class TestRunConfig:
             (dict(potential="harmonic", stiffness=(1.0, 2.0, 3.0)), "stiffness"),
             (dict(potential="harmonic", stiffness=(-1.0, 2.0)), "positive"),
             (dict(halton_skip=10**19), "halton_skip \\+ n_samples"),
+            # A step longer than its stride rounds to zero whole steps.
+            (dict(tau_flow=1e10), "multiple of tau_flow"),
+            (dict(tau_correction=1e10), "multiple of tau_correction"),
+            (dict(tau_reference=1e10), "multiple of tau_reference"),
+            (dict(t_final=1e-12), "whole number of snapshot strides"),
         ],
     )
     def test_validation(self, overrides, message):
@@ -387,6 +392,37 @@ class TestRowsCsv:
         with pytest.raises(ValueError, match="malformed"):
             read_rows_csv(path)
 
+    def test_file_mode_follows_umask(self, tmp_path):
+        # The temporary file is renamed into place, so the table keeps the
+        # mode a plain write would give it, not a private one.
+        path = tmp_path / "table.csv"
+        write_rows_csv([ResultRow(0.0, "q1", reference=0.5)], path)
+        umask = os.umask(0)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("failure", ["row", "rename"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, failure):
+        # The table goes to a temporary file that is renamed into place, so
+        # a write that fails mid-way leaves nothing at the final path.
+        class Unwritable:
+            def __float__(self):
+                raise OSError("disk full")
+
+        path = tmp_path / "table.csv"
+        rows = [ResultRow(0.0, "q1", reference=0.5), ResultRow(0.1, "q1", reference=0.25)]
+        if failure == "row":
+            rows[1] = ResultRow(0.1, "q1", reference=Unwritable())
+        else:
+            def refuse(src, dst):
+                raise OSError("rename refused")
+
+            monkeypatch.setattr(experiments.os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_rows_csv(rows, path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRunCorrected:
     def test_row_identity(self):
@@ -534,7 +570,7 @@ class TestRunCorrected:
 
 
 class TestRunReference:
-    def test_rows_carry_reference_only(self, grid_cache):
+    def test_rows_carry_reference_only(self):
         config = tiny_config(
             dimension=1,
             center=(1.0, 0.0),
@@ -545,25 +581,13 @@ class TestRunReference:
             tau_flow=0.05,
             tau_correction=0.025,
         )
-        rows = run_reference(config, cache_dir=grid_cache / "run_reference")
+        rows = run_reference(config)
         assert {row.observable for row in rows} == set(config.observables)
         for row in rows:
             assert row.egorov is None and row.corrected is None
             assert row.reference is not None
         by_key = rows_by_key(rows)
         assert by_key[(0.0, "q1")].reference == pytest.approx(1.0, abs=1e-10)
-
-    def test_cache_tells_nearby_stiffnesses_apart(self, tmp_path):
-        # The cache key holds every digit of the stiffness, so the table of a
-        # stiffness 1e-9 away is never read back for it.
-        config = tiny_config(
-            dimension=1, center=(0.5, 0.0), potential="harmonic", grid_points=64,
-            tau_reference=0.01, observables=("q1",),
-        )
-        run_reference(config, cache_dir=tmp_path)
-        nearby = dataclasses.replace(config, stiffness=(1.000000001,))
-        assert run_reference(nearby, cache_dir=tmp_path) == run_reference(nearby)
-        assert len(list(tmp_path.iterdir())) == 2
 
     def test_default_step_divides_any_stride(self):
         # eps/800 = 8.75e-5 does not divide the stride 0.5; the default step
@@ -663,6 +687,8 @@ class TestSweep:
             ("tau2", [0.0625, 0.125, 0.2], "multiple of tau_correction"),
             # Equal values would leave the log-log fit rank-deficient.
             ("N2", [4.0, 4.0], "strictly ascending"),
+            # A step longer than the stride is no whole fraction of it.
+            ("tau2", [0.125, 1e10], "multiple of tau_correction"),
         ],
     )
     def test_every_value_checked_before_any_run(self, monkeypatch, axis, values, message):
@@ -986,21 +1012,21 @@ class TestCli:
         assert code == 1
         assert "tau_reference" in capsys.readouterr().err
 
-    def test_reference_reuses_its_cache(self, config_file, tmp_path, monkeypatch):
-        # A second `egorov reference` into the same --out reads the cached
-        # table instead of propagating, and writes the same bytes.
+    def test_commands_write_only_their_tables(self, config_file, tmp_path):
+        # A reference is recomputed, never stored: a second `egorov reference`
+        # into the same --out writes the same bytes, and neither it nor
+        # `egorov sweep` leaves anything beside its table and metadata.
         out = tmp_path / "ref"
         args = ["reference", "--config", str(config_file), "--out", str(out)]
         assert cli.main(args) == 0
         first = (out / "reference.csv").read_bytes()
-
-        def boom(*a, **k):
-            raise AssertionError("propagated instead of reading the cache")
-
-        monkeypatch.setattr(experiments, "reference_expectations", boom)
         assert cli.main(args) == 0
         assert (out / "reference.csv").read_bytes() == first
-        assert len(list((out / "cache").iterdir())) == 1
+        assert sorted(path.name for path in out.iterdir()) == ["metadata.json", "reference.csv"]
+        config_file.write_text(self.CONFIG + "sweep_axis = tau2\nsweep_values = 0.025, 0.05\n")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["metadata.json", "sweep.csv"]
 
     def test_reference_metadata_names_scheme_and_step(self, config_file, tmp_path):
         out = tmp_path / "ref"
@@ -1017,7 +1043,7 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_numerical_failure_exits_two(self, config_file, tmp_path, monkeypatch, capsys):
-        def tripped(config, cache_dir=None):
+        def tripped(config):
             raise RuntimeError("boundary mass 3.1e-07 at t=0.2")
 
         monkeypatch.setattr(cli, "run_reference", tripped)

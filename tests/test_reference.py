@@ -1,14 +1,11 @@
 """Split-step Fourier reference solver on a periodic tensor grid."""
 
-import os
 import re
 
 import numpy as np
 import pytest
 
-import egorov.experiments as experiments
 import egorov.reference as reference
-from egorov.experiments import CSV_HEADER, ResultRow, RunConfig, run_reference, write_rows_csv
 from egorov.flow import split_snapshots
 from egorov.observables import OBSERVABLE_NAMES, default_names, make_observable
 from egorov.potentials import free_potential, harmonic_potential, torsional_potential
@@ -56,19 +53,6 @@ def grid_oracle(spec, packet, potential, times, tau, observable_names):
 @pytest.fixture
 def packet_2d():
     return GaussianPacket(np.array([1.0, 0.5, 0.0, 0.0]), EPS)
-
-
-def _cache_config(**overrides):
-    """The 64^2 torsional reference of ``packet_2d`` at tau = 1e-2, with
-    snapshots at 0, 0.1 and 0.2, as a config for ``run_reference``."""
-    settings = dict(
-        epsilon=EPS, dimension=2, potential="torsional", center=(1.0, 0.5, 0.0, 0.0),
-        n_samples=1, tau_flow=0.1, n_correction=0, tau_correction=0.1,
-        t_final=0.2, snapshot_stride=0.1, grid_points=64, tau_reference=1e-2,
-        observables=("q1",),
-    )
-    settings.update(overrides)
-    return RunConfig(**settings)
 
 
 class TestGridSpec:
@@ -313,91 +297,6 @@ class TestReferenceExpectations:
         assert counts == {"fftn": d * (4 * 3 + 3), "mesh_value": d}
         for name in OBSERVABLE_NAMES:
             assert together[name].tobytes() == alone[name].tobytes(), name
-
-    # The grid-reference cache: experiments.run_reference stores the rows it
-    # returns as a results table.
-
-    def test_cache_round_trip(self, grid_cache):
-        cache = grid_cache / "round_trip"
-        config = _cache_config(observables=("q1", "total"))
-        first = run_reference(config, cache_dir=cache)
-        files = list(cache.glob("*.csv"))
-        assert len(files) == 1
-        assert files[0].read_text().startswith(CSV_HEADER + "\n")
-        second = run_reference(config, cache_dir=cache)
-        assert second == first
-
-    def test_cache_actually_reused(self, grid_cache, monkeypatch):
-        cache = grid_cache / "reused"
-        config = _cache_config()
-        expected = run_reference(config, cache_dir=cache)
-
-        def boom(*a, **k):
-            raise AssertionError("propagated instead of reading the cache")
-
-        monkeypatch.setattr(reference, "init_packet", boom)
-        cached = run_reference(config, cache_dir=cache)
-        assert cached == expected
-
-    def test_scheme_change_forces_recompute(self, grid_cache, monkeypatch):
-        # A table made by another scheme at the same tau is never read back:
-        # the recompute samples one packet per coordinate.
-        cache = grid_cache / "scheme"
-        config = _cache_config()
-        run_reference(config, cache_dir=cache)
-        monkeypatch.setattr(experiments, "SCHEME", reference.SCHEME + ", changed")
-        calls = []
-        monkeypatch.setattr(
-            reference, "init_packet",
-            lambda *a: calls.append(a) or init_packet(*a),
-        )
-        run_reference(config, cache_dir=cache)
-        assert len(calls) == config.dimension
-        assert len(list(cache.glob("*.csv"))) == 2
-
-    def test_cache_file_mode_follows_umask(self, tmp_path):
-        # The temporary file is renamed into place, so the table keeps the
-        # mode a plain write would give it, not a private one.
-        path = tmp_path / "table.csv"
-        write_rows_csv([ResultRow(0.0, "q1", reference=0.5)], path)
-        umask = os.umask(0)
-        os.umask(umask)
-        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
-        assert list(tmp_path.iterdir()) == [path]
-
-    @pytest.mark.parametrize("failure", ["row", "rename"])
-    def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch, failure):
-        # The table goes to a temporary file that is renamed into place, so
-        # a write that fails mid-way leaves nothing at the final path.
-        class Unwritable:
-            def __float__(self):
-                raise OSError("disk full")
-
-        path = tmp_path / "table.csv"
-        rows = [ResultRow(0.0, "q1", reference=0.5), ResultRow(0.1, "q1", reference=0.25)]
-        if failure == "row":
-            rows[1] = ResultRow(0.1, "q1", reference=Unwritable())
-        else:
-            def refuse(src, dst):
-                raise OSError("rename refused")
-
-            monkeypatch.setattr(experiments.os, "replace", refuse)
-        with pytest.raises(OSError):
-            write_rows_csv(rows, path)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_corrupt_cache_detected(self, grid_cache):
-        cache = grid_cache / "corrupt"
-        config = _cache_config()
-        run_reference(config, cache_dir=cache)
-        path = next(cache.glob("*.csv"))
-        path.write_text("time,observable,value\n0.1,p9,nonsense\n")
-        with pytest.raises(ValueError, match="corrupt"):
-            run_reference(config, cache_dir=cache)
-        # A readable results table whose rows are not the expected ones.
-        path.write_text(f"{CSV_HEADER}\n0.0,p9,,,,0.5,,\n")
-        with pytest.raises(ValueError, match="corrupt"):
-            run_reference(config, cache_dir=cache)
 
 
 class TestFactorizedReference:
