@@ -19,7 +19,6 @@ from .flow import propagate, propagate_snapshots
 from .observables import make_observable, OBSERVABLE_NAMES
 from .potentials import (
     FreePotential,
-    Hamiltonian,
     HarmonicPotential,
     Potential,
     TorsionalPotential,
@@ -35,7 +34,6 @@ __all__ = [
     "FreePotential",
     "GaussianPacket",
     "GridSpec",
-    "Hamiltonian",
     "HarmonicPotential",
     "OBSERVABLE_NAMES",
     "Potential",

@@ -27,8 +27,11 @@ from . import potentials
 from .correction import a2_eval, evolve_correction
 from .flow import propagate
 from .observables import make_observable
-from .oracle import JetFunction, a2_quadrature, evolve_general, flow_integral, poisson_k
-from .potentials import Hamiltonian, harmonic_potential, torsional_potential
+from .oracle import (
+    GeneralCorrectionState, Hamiltonian, JetFunction, a2_quadrature, evolve_general,
+    flow_integral, poisson_k,
+)
+from .potentials import harmonic_potential, torsional_potential
 from .tensor_ops import apply_J_triple, tilde_d3
 
 __all__ = [
@@ -76,13 +79,9 @@ def block_general_equivalence() -> dict[str, float]:
     """Largest entrywise gap between the split-step tensors and the flat
     general-form tensors integrated by RK4, both at tau = 1e-3."""
     pot = torsional_potential(2)
-    block = evolve_correction(Z0, 1.0, 1e-3, pot)
+    block = GeneralCorrectionState.from_block(evolve_correction(Z0, 1.0, 1e-3, pot))
     general = evolve_general(Z0, 1.0, 1e-3, Hamiltonian(pot))
-    gap = _peak(
-        block.lambda_full() - general.lam,
-        block.gamma_full() - general.gam,
-        block.xi_full() - general.xi,
-    )
+    gap = _peak(block.lam - general.lam, block.gam - general.gam, block.xi - general.xi)
     return {"gap": gap}
 
 
@@ -194,11 +193,12 @@ def integrator_orders() -> dict[str, float]:
     )
     ham = Hamiltonian(pot)
     drift = abs(float(ham.value(propagate(Z0, 15.0, 0.1, 8, pot)) - ham.value(Z0)))
-    fine_c = evolve_correction(Z0, 1.0, 1e-4, pot).lambda_full()
-    coarse_c, halved_c = (
-        _peak(evolve_correction(Z0, 1.0, tau, pot).lambda_full() - fine_c)
-        for tau in (2e-2, 1e-2)
-    )
+
+    def lam(tau):
+        return GeneralCorrectionState.from_block(evolve_correction(Z0, 1.0, tau, pot)).lam
+
+    fine_c = lam(1e-4)
+    coarse_c, halved_c = (_peak(lam(tau) - fine_c) for tau in (2e-2, 1e-2))
     return {
         "transport_ratio": coarse / halved,
         "energy_drift": drift,
@@ -217,9 +217,8 @@ def harmonic_zero_correction() -> dict[str, float]:
         a2_eval(make_observable(name, pot), state)
         for name in ("q1", "p2", "kinetic", "total")
     ]
-    return {
-        "peak": _peak(state.lambda_full(), state.gamma_full(), state.xi_full(), *values)
-    }
+    flat = GeneralCorrectionState.from_block(state)
+    return {"peak": _peak(flat.lam, flat.gam, flat.xi, *values)}
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", help="output directory")
         if threads:
-            p.add_argument("--threads", type=int, help="worker threads for ensembles")
+            p.add_argument("--threads", type=int, default=1, help="worker threads for ensembles")
 
     run_p = sub.add_parser("run", help="transport + correction ensemble run")
     common(run_p)

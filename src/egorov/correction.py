@@ -30,14 +30,11 @@ never couples two coordinates: from the zero start every Lambda and Gamma
 entry that mixes coordinates stays exactly zero.  So each block is stored as
 its same-coordinate diagonal, d numbers, and every mode product becomes an
 elementwise product: diag(c) in any slot of the block with diagonal v is the
-block with diagonal c v.  :meth:`CorrectionState.lambda_full` and
-:meth:`CorrectionState.gamma_full` scatter the diagonals into the full
-phase-space tensors that the references read, by ``scatter_diagonals``, and
-``from_full`` gathers them from the same entries.  ``a2_eval`` multiplies
-each derivative entry that an observable's ``diagonals`` declares, {slot
-pattern: (..., d)} for every order, by the state row it pairs with, and
-sums, so no dense tensor is built on the run path.  A potential with
-coupled derivatives raises NotImplementedError in ``diagonals``.
+block with diagonal c v.  ``a2_eval`` multiplies each derivative entry that
+an observable's ``diagonals`` declares, {slot pattern: (..., d)} for every
+order, by the state row it pairs with, and sums, so no dense tensor is
+built.  A potential with coupled derivatives raises NotImplementedError in
+``diagonals``.
 
 The 16 per-coordinate fields are the rows of one (16, ..., d) array, in the
 order of :data:`FIELDS`: q, then the rows psi2 advances (p, lam21, lam22,
@@ -48,12 +45,13 @@ state's shape, scales them by t and adds them to the group's rows, in the
 rounding order of the expression x + t * (increment).  The scratch block is
 made per call, so chunks of an ensemble stepped in different threads share
 nothing.  :class:`CorrectionState` names the rows; its fields are views of
-them.  Beside the run path, this module holds only the conversions between
-the block layout and the full tensors.  The independent references, the
-unreordered flat form integrated by classic RK4 and the bracket quadrature,
-live in :mod:`egorov.oracle`; :mod:`egorov.checks` compares the split-step
-tensors with both, and holds ``scatter_diagonals`` against the Kronecker
-matrices of the mode products the elementwise updates replace.
+them, and :data:`BLOCK_PATTERNS` gives each tensor row its block of the full
+phase-space tensors.  This module holds only the stepper and ``a2_eval``.
+The full tensors live in :mod:`egorov.oracle`, whose
+``GeneralCorrectionState.from_block`` and ``to_block`` convert between the
+two layouts, beside the independent references: the unreordered flat form
+integrated by classic RK4, and the bracket quadrature.  :mod:`egorov.checks`
+compares the split-step tensors with both.
 
 All states are batched: every field carries leading sample axes.  The
 sub-flows update the state they are given; :func:`f2_step`, :func:`f4_step`
@@ -68,12 +66,13 @@ import numpy as np
 
 from .flow import split_snapshots
 from .observables import Observable
-from .potentials import Potential, scatter_diagonals
+from .potentials import Potential
 # benchmark/tracing.py wraps egorov.correction.tilde_d3 by attribute.
 from .tensor_ops import tilde_d3  # noqa: F401
 
 __all__ = [
     "FIELDS",
+    "BLOCK_PATTERNS",
     "CorrectionState",
     "sub_flow_psi1",
     "sub_flow_psi2",
@@ -98,21 +97,21 @@ FIELDS = (
 _PSI2_ROWS = slice(P, XI2 + 1)
 _PSI3_ROWS = slice(LAM1, XI1 + 1)
 
-# The slots of each block's entries that address momenta (1) rather than
-# positions (0).
-_LAMBDA_BLOCKS = {
+# The slots of each tensor row's entries that address momenta (1) rather
+# than positions (0): its block of Lambda, Gamma or Xi, whose order is the
+# pattern's length.
+BLOCK_PATTERNS = {
     "lam1": (0, 0, 0), "lam21": (1, 0, 0), "lam22": (0, 1, 0), "lam23": (0, 0, 1),
     "lam31": (0, 1, 1), "lam32": (1, 0, 1), "lam33": (1, 1, 0), "lam4": (1, 1, 1),
+    "gam1": (0, 0), "gam21": (1, 0), "gam22": (0, 1), "gam3": (1, 1),
+    "xi1": (0,), "xi2": (1,),
 }
-_GAMMA_BLOCKS = {"gam1": (0, 0), "gam21": (1, 0), "gam22": (0, 1), "gam3": (1, 1)}
 # The state row that a2_eval pairs with each derivative entry, by the
 # entry's slot pattern: the block on the reversed pattern, after the index
 # order (kji / ji / i) of the defining formula.  Sorted by order, then by
 # pattern, which is the order a2_eval sums in.
 _ENTRY_ROWS = dict(sorted(
-    ((pattern[::-1], FIELDS.index(name))
-     for blocks in (_LAMBDA_BLOCKS, _GAMMA_BLOCKS, {"xi1": (0,), "xi2": (1,)})
-     for name, pattern in blocks.items()),
+    ((pattern[::-1], FIELDS.index(name)) for name, pattern in BLOCK_PATTERNS.items()),
     key=lambda item: (len(item[0]), item[0]),
 ))
 # The weights of the orders 1, 2, 3 in a2: Da . Xi + 3 D2a : Gamma + D3a : Lambda.
@@ -196,50 +195,6 @@ class CorrectionState:
     def z(self) -> np.ndarray:
         """Phase point(s) (..., 2d)."""
         return np.concatenate((self.q, self.p), axis=-1)
-
-    # -- conversions between the block layout and full phase-space tensors --
-
-    def _full(self, blocks) -> np.ndarray:
-        order = len(next(iter(blocks.values())))
-        out = np.zeros(self.q.shape[:-1] + (2 * self.d,) * order)
-        return scatter_diagonals(
-            {pattern: getattr(self, name) for name, pattern in blocks.items()}, out
-        )
-
-    def lambda_full(self) -> np.ndarray:
-        """Reassembled 3-tensor over phase-space indices, (..., 2d, 2d, 2d)."""
-        return self._full(_LAMBDA_BLOCKS)
-
-    def gamma_full(self) -> np.ndarray:
-        return self._full(_GAMMA_BLOCKS)
-
-    def xi_full(self) -> np.ndarray:
-        return np.concatenate((self.xi1, self.xi2), axis=-1)
-
-    @classmethod
-    def from_full(cls, z, lam, gam, xi, t: float = 0.0) -> "CorrectionState":
-        """Gather full phase-space tensors into the block layout.
-
-        Raises ValueError if lam or gam has a nonzero entry that mixes two
-        coordinates: the layout has no place for it.
-        """
-        z = np.asarray(z, dtype=float)
-        d = z.shape[-1] // 2
-        j = np.arange(d)
-        blocks = {
-            name: full[(..., *(s * d + j for s in pattern))]
-            for full, table in ((lam, _LAMBDA_BLOCKS), (gam, _GAMMA_BLOCKS))
-            for name, pattern in table.items()
-        }
-        state = cls(
-            q=z[..., :d], p=z[..., d:], **blocks, xi1=xi[..., :d], xi2=xi[..., d:], t=t
-        )
-        for full, rebuilt in ((lam, state.lambda_full()), (gam, state.gamma_full())):
-            if not np.array_equal(full, rebuilt, equal_nan=True):
-                raise ValueError(
-                    "correction tensor has a nonzero entry that mixes two coordinates"
-                )
-        return state
 
 
 def sub_flow_psi1(t: float, state: CorrectionState) -> CorrectionState:

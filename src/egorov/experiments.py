@@ -17,13 +17,13 @@ skip.  An ensemble of n samples is split into ceil(n / CHUNK_SIZE)
 contiguous chunks whose sizes differ by at most one, so the chunks depend on
 n alone, never on the thread count.  Each chunk is reduced by numpy's
 pairwise summation, and an ensemble's chunk totals are combined pairwise in
-chunk order.  The chunks of the correction and the transport ensembles share
-one thread pool, the correction's first.  More threads do not make a run
-faster: on two CPUs the benchmark's correction-row3 config runs in 0.23-0.27 s
-on one thread, 0.25-0.28 s on two and 0.29-0.30 s with ``threads=None``,
-Python's pool size of min(32, cpus + 4) (medians of 7).  Two runs with the
-same config produce byte-identical CSV; wall-clock data lives only in the
-metadata file.
+chunk order.  One thread, the default, maps the chunks inline; with more,
+the chunks of the correction and the transport ensembles share one thread
+pool of that many workers, the correction's first.  More threads do not
+make a run faster: on two CPUs the benchmark's correction-row3 config runs
+in 0.23-0.27 s on one thread and 0.25-0.28 s on two (medians of 7).  Two
+runs with the same config produce byte-identical CSV; wall-clock data lives
+only in the metadata file.
 """
 
 from __future__ import annotations
@@ -260,12 +260,19 @@ def _parse_int(value: str) -> int:
     return int(number)
 
 
-def _parse_floats(value: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in value.split(",") if part.strip())
-
-
 def _parse_names(value: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in value.split(",") if part.strip())
+    """The comma-separated items of ``value``; an empty value is no items,
+    and an empty item, such as one a trailing comma leaves, is an error."""
+    if not value:
+        return ()
+    items = tuple(part.strip() for part in value.split(","))
+    if not all(items):
+        raise ValueError(f"empty item in {value!r}")
+    return items
+
+
+def _parse_floats(value: str) -> tuple[float, ...]:
+    return tuple(float(item) for item in _parse_names(value))
 
 
 # Keyed by the annotation's text, which is what ``dataclasses.fields`` holds
@@ -519,12 +526,12 @@ def _ensemble_means(config, potential, observables, times, jobs, threads):
     return means
 
 
-def _check_threads(threads) -> None:
-    if threads is not None and threads < 1:
+def _check_threads(threads: int) -> None:
+    if threads < 1:
         raise ValueError(f"--threads must be at least 1, got {threads}")
 
 
-def run_corrected(config: RunConfig, threads: int | None = None) -> list[ResultRow]:
+def run_corrected(config: RunConfig, threads: int = 1) -> list[ResultRow]:
     """Transport term from N0 samples plus correction term from N2 samples.
 
     The correction samples are the leading N2 points of the same Halton
@@ -620,11 +627,12 @@ def transport_metadata(config: RunConfig) -> dict:
 
 def correction_metadata(config: RunConfig) -> dict:
     """The samples (N2), order-4 step count and chunks behind the correction
-    column of :func:`run_corrected`."""
+    column of :func:`run_corrected`; with N2 = 0 no step runs."""
+    n = config.n_correction
     return {
-        "samples": config.n_correction,
-        "steps": _total_steps(config, config.tau_correction),
-        "chunks": len(_chunk_ranges(config.n_correction)),
+        "samples": n,
+        "steps": _total_steps(config, config.tau_correction) if n else 0,
+        "chunks": len(_chunk_ranges(n)),
     }
 
 
@@ -739,7 +747,7 @@ def sweep(
     config: RunConfig,
     axis: str,
     values,
-    threads: int | None = None,
+    threads: int = 1,
     baseline_rows=None,
 ) -> SweepResult:
     """Corrected runs across one axis, each compared to a baseline.

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import Hamiltonian, Potential, scatter_diagonals
+from .potentials import Potential, scatter_diagonals
 
 __all__ = [
     "Observable",
@@ -38,7 +38,6 @@ __all__ = [
 @dataclass(frozen=True)
 class Observable:
     name: str
-    dim: int  # spatial dimension d; phase space is 2d
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
@@ -63,7 +62,7 @@ def _observable(name: str, d: int, value, diagonals) -> Observable:
 
         return evaluate
 
-    return Observable(name, d, value, dense(1), dense(2), dense(3), diagonals)
+    return Observable(name, value, dense(1), dense(2), dense(3), diagonals)
 
 
 def _coordinate(name: str, d: int, index: int) -> Observable:
@@ -132,12 +131,13 @@ def potential_energy(potential: Potential) -> Observable:
 
 def total_energy(potential: Potential) -> Observable:
     """h(q, p) = |p|^2 / 2 + V(q)."""
-    return _observable(
-        "total",
-        potential.d,
-        Hamiltonian(potential).value,
-        _energy_diagonals(potential.d, potential, kinetic=True),
-    )
+    d = potential.d
+
+    def value(z):
+        z = np.asarray(z)
+        return 0.5 * np.sum(z[..., d:] ** 2, axis=-1) + potential.value(z[..., :d])
+
+    return _observable("total", d, value, _energy_diagonals(d, potential, kinetic=True))
 
 
 def default_names(d: int) -> tuple[str, ...]:

@@ -12,7 +12,11 @@ the two routes validate each other.
 
 The correction system itself has a second reference here: its unreordered
 flat form over full phase-space tensors (:func:`general_rhs`), integrated
-by classic RK4 (:func:`evolve_general`) rather than by splitting.
+by classic RK4 (:func:`evolve_general`) rather than by splitting.  The
+dense derivative tensors of the :class:`Hamiltonian` and the full correction
+tensors exist only here; ``GeneralCorrectionState.from_block`` and
+``to_block`` are the one conversion between the full tensors and the
+per-coordinate block layout of the production stepper.
 
 Also here: the generalized Poisson brackets
 
@@ -32,14 +36,15 @@ from typing import Callable
 
 import numpy as np
 
-from .correction import CorrectionState, a2_eval
+from .correction import BLOCK_PATTERNS, CorrectionState, a2_eval
 from .flow import step_count
 from .observables import Observable
-from .potentials import Hamiltonian, Potential
+from .potentials import Potential, scatter_diagonals
 from .tensor_ops import apply_J_triple, j_contract_axis, tilde_d3
 
 __all__ = [
     "GeneralCorrectionState",
+    "Hamiltonian",
     "JetFunction",
     "VariationalState",
     "multi_indices",
@@ -70,6 +75,51 @@ def _factorial_mi(alpha) -> int:
     for a in alpha:
         prod *= math.factorial(a)
     return prod
+
+
+@dataclass(frozen=True)
+class Hamiltonian:
+    """h(q, p) = |p|^2 / 2 + V(q) with phase-space derivative tensors.
+
+    Third and fourth derivatives vanish on any index touching the momentum
+    block; only the position block carries the potential's tensors.
+    """
+
+    potential: Potential
+
+    @property
+    def d(self) -> int:
+        return self.potential.d
+
+    def value(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z)
+        d = self.d
+        q, p = z[..., :d], z[..., d:]
+        return 0.5 * np.sum(p**2, axis=-1) + self.potential.value(q)
+
+    def gradient(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z)
+        d = self.d
+        out = np.empty_like(z, dtype=float)
+        out[..., :d] = self.potential.gradient(z[..., :d])
+        out[..., d:] = z[..., d:]
+        return out
+
+    def hessian(self, z: np.ndarray) -> np.ndarray:
+        return self._dense(z, 2, {(1, 1): np.ones(self.d)})
+
+    def third(self, z: np.ndarray) -> np.ndarray:
+        return self._dense(z, 3)
+
+    def fourth(self, z: np.ndarray) -> np.ndarray:
+        return self._dense(z, 4)
+
+    def _dense(self, z: np.ndarray, order: int, blocks=None) -> np.ndarray:
+        """The order-k tensor over phase space, (..., 2d, ..., 2d): the
+        potential's order-k diagonal on the position block, plus ``blocks``."""
+        diagonal = self.potential.diagonals(np.asarray(z)[..., : self.d])[order - 1]
+        out = np.zeros(np.shape(z)[:-1] + (2 * self.d,) * order)
+        return scatter_diagonals({(0,) * order: diagonal, **(blocks or {})}, out)
 
 
 # stencil sizes giving at least 4th-order central differences
@@ -417,7 +467,7 @@ def a2_quadrature(
         values = [0.0] * len(observables)
     else:
         z_end, lam, gam, xi = quadrature_tensors(z0, t, n_quad, potential, tau_var)
-        state = CorrectionState.from_full(z_end, lam, gam, xi, t)
+        state = GeneralCorrectionState(z_end, lam.ravel(), gam.ravel(), xi, t).to_block()
         values = [float(a2_eval(obs, state)) for obs in observables]
     return values[0] if single else values
 
@@ -510,19 +560,41 @@ class GeneralCorrectionState:
         n = self.z.shape[-1]
         return self.gam_vec.reshape(self.z.shape[:-1] + (n, n))
 
-    def to_block(self) -> CorrectionState:
-        return CorrectionState.from_full(self.z, self.lam, self.gam, self.xi, self.t)
-
     @classmethod
     def from_block(cls, s: CorrectionState) -> "GeneralCorrectionState":
+        """The flat form of a block state: each block's diagonal scattered
+        onto its entries of the full tensors, every other entry zero."""
         batch = s.q.shape[:-1]
-        return cls(
-            z=s.z,
-            lam_vec=s.lambda_full().reshape(batch + (-1,)),
-            gam_vec=s.gamma_full().reshape(batch + (-1,)),
-            xi=s.xi_full(),
-            t=s.t,
+        lam, gam, xi = (
+            scatter_diagonals(
+                {p: getattr(s, name) for name, p in BLOCK_PATTERNS.items() if len(p) == order},
+                np.zeros(batch + (2 * s.d,) * order),
+            )
+            for order in (3, 2, 1)
         )
+        return cls(s.z, lam.reshape(batch + (-1,)), gam.reshape(batch + (-1,)), xi, s.t)
+
+    def to_block(self) -> CorrectionState:
+        """Gather the full tensors into the block layout.
+
+        Raises ValueError if lam or gam has a nonzero entry that mixes two
+        coordinates: the layout has no place for it.
+        """
+        d = self.z.shape[-1] // 2
+        j = np.arange(d)
+        full = {3: self.lam, 2: self.gam, 1: self.xi}
+        blocks = {
+            name: full[len(p)][(..., *(k * d + j for k in p))]
+            for name, p in BLOCK_PATTERNS.items()
+        }
+        state = CorrectionState(q=self.z[..., :d], p=self.z[..., d:], **blocks, t=self.t)
+        rebuilt = GeneralCorrectionState.from_block(state)
+        for tensor, again in ((self.lam, rebuilt.lam), (self.gam, rebuilt.gam)):
+            if not np.array_equal(tensor, again, equal_nan=True):
+                raise ValueError(
+                    "correction tensor has a nonzero entry that mixes two coordinates"
+                )
+        return state
 
 
 def general_rhs(state: GeneralCorrectionState, h: Hamiltonian):

@@ -11,8 +11,11 @@ are diagonal for the shipped models.  Diagonal derivatives mean a separable
 potential, V(q) = sum_j V_j(q_j): no coordinate's force depends on another
 coordinate, so the correction tensors never couple two coordinates either,
 and the correction stepper stores each of its blocks per coordinate, exactly.
-The stepper reads only the diagonals; :func:`scatter_diagonals` builds every
-dense tensor from them, here, in the observables and in the correction state.
+The run path reads only the gradient and the diagonals.  The dense
+``hessian``, ``third`` and ``fourth`` scatter the diagonals by
+:func:`scatter_diagonals`, which also builds the observables' dense tensors
+and, in :mod:`egorov.oracle`, the Hamiltonian's and the full correction
+tensors; only the references, the checks and the tests read them.
 ``coordinate`` returns the one-dimensional V_j, which the grid reference
 propagates one coordinate at a time.
 """
@@ -31,7 +34,6 @@ __all__ = [
     "torsional_potential",
     "harmonic_potential",
     "free_potential",
-    "Hamiltonian",
     "scatter_diagonals",
 ]
 
@@ -219,48 +221,3 @@ def harmonic_potential(d: int, stiffness) -> HarmonicPotential:
 def free_potential(d: int) -> FreePotential:
     """Zero potential in d dimensions."""
     return FreePotential(d)
-
-
-@dataclass(frozen=True)
-class Hamiltonian:
-    """h(q, p) = |p|^2 / 2 + V(q) with phase-space derivative tensors.
-
-    Third and fourth derivatives vanish on any index touching the momentum
-    block; only the position block carries the potential's tensors.
-    """
-
-    potential: Potential
-
-    @property
-    def d(self) -> int:
-        return self.potential.d
-
-    def value(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z)
-        d = self.d
-        q, p = z[..., :d], z[..., d:]
-        return 0.5 * np.sum(p**2, axis=-1) + self.potential.value(q)
-
-    def gradient(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z)
-        d = self.d
-        out = np.empty_like(z, dtype=float)
-        out[..., :d] = self.potential.gradient(z[..., :d])
-        out[..., d:] = z[..., d:]
-        return out
-
-    def hessian(self, z: np.ndarray) -> np.ndarray:
-        return self._dense(z, 2, {(1, 1): np.ones(self.d)})
-
-    def third(self, z: np.ndarray) -> np.ndarray:
-        return self._dense(z, 3)
-
-    def fourth(self, z: np.ndarray) -> np.ndarray:
-        return self._dense(z, 4)
-
-    def _dense(self, z: np.ndarray, order: int, blocks=None) -> np.ndarray:
-        """The order-k tensor over phase space, (..., 2d, ..., 2d): the
-        potential's order-k diagonal on the position block, plus ``blocks``."""
-        diagonal = self.potential.diagonals(np.asarray(z)[..., : self.d])[order - 1]
-        out = np.zeros(np.shape(z)[:-1] + (2 * self.d,) * order)
-        return scatter_diagonals({(0,) * order: diagonal, **(blocks or {})}, out)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from egorov import harmonic_potential, torsional_potential
-from egorov.potentials import Hamiltonian, Potential
+from egorov.oracle import Hamiltonian
+from egorov.potentials import Potential
 
 
 def symplectic_j(d: int) -> np.ndarray:

@@ -26,9 +26,8 @@ from egorov.correction import (
 )
 from egorov.flow import drift, kick, step_count, yoshida_coefficients
 from egorov.observables import Observable, default_names, make_observable
-from egorov.oracle import GeneralCorrectionState, evolve_general, general_rhs
+from egorov.oracle import GeneralCorrectionState, Hamiltonian, evolve_general, general_rhs
 from egorov.potentials import (
-    Hamiltonian,
     free_potential,
     harmonic_potential,
     torsional_potential,
@@ -101,10 +100,10 @@ class TestCorrectionState:
         rng = np.random.default_rng(21)
         for d in (1, 2, 3):
             s = random_state(rng, d)
-            lam, gam = s.lambda_full(), s.gamma_full()
-            assert lam.shape == (2 * d,) * 3 and gam.shape == (2 * d,) * 2
-            rebuilt = CorrectionState.from_full(s.z, lam, gam, s.xi_full())
-            assert state_gap(s, rebuilt) == 0.0
+            flat = GeneralCorrectionState.from_block(s)
+            assert flat.lam.shape == (2 * d,) * 3 and flat.gam.shape == (2 * d,) * 2
+            assert flat.xi.shape == (2 * d,)
+            assert state_gap(flat.to_block(), s) == 0.0
 
     def test_block_split_covers_everything(self):
         # Every same-coordinate entry of a full tensor belongs to exactly one
@@ -117,26 +116,13 @@ class TestCorrectionState:
                 full[same] = np.arange(1.0, same.sum() + 1.0)
                 lam = full if n_slots == 3 else np.zeros((2 * d,) * 3)
                 gam = full if n_slots == 2 else np.zeros((2 * d,) * 2)
-                s = CorrectionState.from_full(np.zeros(2 * d), lam, gam, np.zeros(2 * d))
+                s = GeneralCorrectionState(
+                    np.zeros(2 * d), lam.ravel(), gam.ravel(), np.zeros(2 * d)
+                ).to_block()
                 gathered = np.concatenate([getattr(s, f) for f in fields])
                 np.testing.assert_array_equal(np.sort(gathered), full[same])
-                rebuilt = s.lambda_full() if n_slots == 3 else s.gamma_full()
-                np.testing.assert_array_equal(rebuilt, full)
-
-    def test_from_full_rejects_cross_coordinate_entry(self):
-        # The layout has no place for an entry that mixes two coordinates,
-        # so a single nonzero one is an error, not silently dropped.
-        s = random_state(np.random.default_rng(23))
-        for index in ((0, 1, 0), (0, 3, 2), (3, 2, 2)):
-            lam = s.lambda_full()
-            lam[index] = 1e-300
-            with pytest.raises(ValueError, match="mixes two coordinates"):
-                CorrectionState.from_full(s.z, lam, s.gamma_full(), s.xi_full())
-        for index in ((2, 1), (0, 1)):
-            gam = s.gamma_full()
-            gam[index] = -0.5
-            with pytest.raises(ValueError, match="mixes two coordinates"):
-                CorrectionState.from_full(s.z, s.lambda_full(), gam, s.xi_full())
+                flat = GeneralCorrectionState.from_block(s)
+                np.testing.assert_array_equal(flat.lam if n_slots == 3 else flat.gam, full)
 
     def test_batched_initial(self):
         z = np.zeros((5, 3, 4))
@@ -144,8 +130,9 @@ class TestCorrectionState:
         assert s.q.shape == (5, 3, 2)
         for f in STATE_FIELDS[2:]:
             assert getattr(s, f).shape == (5, 3, 2)
-        assert s.lambda_full().shape == (5, 3, 4, 4, 4)
-        assert s.gamma_full().shape == (5, 3, 4, 4)
+        flat = GeneralCorrectionState.from_block(s)
+        assert flat.lam.shape == (5, 3, 4, 4, 4)
+        assert flat.gam.shape == (5, 3, 4, 4)
 
 
 class TestGeneralRhs:
@@ -177,14 +164,12 @@ class TestGeneralRhs:
         rng = np.random.default_rng(25)
         t = 0.37
         for d in (1, 2, 3):
-            pot, n = torsional_potential(d), 2 * d
+            pot = torsional_potential(d)
             for _ in range(5):
                 s = random_state(rng, d)
                 gen = GeneralCorrectionState.from_block(s)
                 dz, dlam, dgam, dxi = general_rhs(gen, Hamiltonian(pot))
-                dblock = CorrectionState.from_full(
-                    dz, dlam.reshape((n,) * 3), dgam.reshape(n, n), dxi
-                )
+                dblock = GeneralCorrectionState(dz, dlam, dgam, dxi).to_block()
                 for stepped, fields in (
                     (sub_flow_psi1(t, s.copy()), ("q",)),
                     (sub_flow_psi2(t, s.copy(), pot), PSI2_FIELDS),
@@ -250,7 +235,8 @@ class TestSubFlows:
         out = sub_flow_psi2(t, s.copy(), torsional_2d)
         np.testing.assert_allclose(out.p, -t * np.sin(z0[:2]))
         np.testing.assert_allclose(
-            out.lambda_full()[2:, 2:, 2:], -t * tilde_d3(torsional_2d.third(z0[:2]))
+            GeneralCorrectionState.from_block(out).lam[2:, 2:, 2:],
+            -t * tilde_d3(torsional_2d.third(z0[:2])),
         )
         np.testing.assert_array_equal(out.q, s.q)
         for f in ("lam1", "lam21", "lam22", "lam23", "lam31", "lam32", "lam33",
@@ -381,7 +367,7 @@ class TestEvolveCorrection:
 
     def test_lambda_symmetric_at_t5(self, torsional_2d, z0):
         s = evolve_correction(z0, 5.0, 1e-2, torsional_2d)
-        lam = s.lambda_full()
+        lam = GeneralCorrectionState.from_block(s).lam
         for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
             np.testing.assert_allclose(lam, np.transpose(lam, perm), atol=1e-10)
 
@@ -549,7 +535,6 @@ def constant_observable(d: int) -> Observable:
     zeros2, zeros3 = np.zeros((2 * d, 2 * d)), np.zeros((2 * d,) * 3)
     return Observable(
         name="one",
-        dim=d,
         value=lambda z: np.ones(np.asarray(z).shape[:-1]),
         grad=lambda z: np.zeros(np.asarray(z).shape),
         hess=lambda z: np.broadcast_to(zeros2, np.asarray(z).shape[:-1] + zeros2.shape),
@@ -659,14 +644,15 @@ class TestA2Eval:
             tensors = [rng.standard_normal((5,) + (2 * d,) * k) for k in (1, 2, 3)]
             diagonals = tuple(gather_diagonals(tensors[k - 1], k, d) for k in (1, 2, 3))
             obs = Observable(
-                name="random", dim=d, value=lambda z: np.zeros(z.shape[:-1]),
+                name="random", value=lambda z: np.zeros(z.shape[:-1]),
                 grad=lambda z: tensors[0], hess=lambda z: tensors[1],
                 third=lambda z: tensors[2], diagonals=lambda z: diagonals,
             )
+            flat = GeneralCorrectionState.from_block(state)
             dense = -0.25 * (
-                np.einsum("...ijk,...kji->...", tensors[2], state.lambda_full())
-                + 3.0 * np.einsum("...ij,...ji->...", tensors[1], state.gamma_full())
-                + np.einsum("...i,...i->...", tensors[0], state.xi_full())
+                np.einsum("...ijk,...kji->...", tensors[2], flat.lam)
+                + 3.0 * np.einsum("...ij,...ji->...", tensors[1], flat.gam)
+                + np.einsum("...i,...i->...", tensors[0], flat.xi)
             )
             np.testing.assert_allclose(a2_eval(obs, state), dense, rtol=0.0, atol=1e-14)
             np.testing.assert_array_equal(a2_eval(obs, state), dense_a2(obs, state))
@@ -727,6 +713,21 @@ class TestGeneralCorrectionState:
             s = random_state(rng, d)
             back = GeneralCorrectionState.from_block(s).to_block()
             assert state_gap(back, s) == 0.0
+
+    def test_to_block_rejects_cross_coordinate_entry(self):
+        # The layout has no place for an entry that mixes two coordinates,
+        # so a single nonzero one is an error, not silently dropped.
+        flat = GeneralCorrectionState.from_block(random_state(np.random.default_rng(23)))
+        for index in ((0, 1, 0), (0, 3, 2), (3, 2, 2)):
+            lam = flat.lam.copy()
+            lam[index] = 1e-300
+            with pytest.raises(ValueError, match="mixes two coordinates"):
+                replace(flat, lam_vec=lam.ravel()).to_block()
+        for index in ((2, 1), (0, 1)):
+            gam = flat.gam.copy()
+            gam[index] = -0.5
+            with pytest.raises(ValueError, match="mixes two coordinates"):
+                replace(flat, gam_vec=gam.ravel()).to_block()
 
     def test_zero_duration(self, ham_torsional_2d, z0):
         s = evolve_general(z0, 0.0, 1e-3, ham_torsional_2d)

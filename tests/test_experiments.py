@@ -286,6 +286,23 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="bad value for halton_skip: expected an integer"):
             parse_config(self.GOOD + f"\nhalton_skip = {value}\n")
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("center", "1.0, , 0.5, 0.0, 0.0"), ("center", "1.0, 0.5, 0.0, 0.0,"),
+            ("observables", "q1,,p1"), ("observables", "q1, total,"),
+            ("stiffness", ", 1.0"), ("sweep_values", "0.1,,0.2"),
+        ],
+    )
+    def test_list_keys_reject_empty_items(self, key, value):
+        # An empty item, one a trailing comma leaves included, is an error
+        # on its line, not dropped.
+        lines = [line for line in self.GOOD.splitlines() if line.split("=")[0].strip() != key]
+        text = "\n".join(lines + [f"{key} = {value}"])
+        match = f"line {len(lines) + 1}: bad value for {key}: empty item"
+        with pytest.raises(ValueError, match=match):
+            parse_config(text)
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(self.GOOD)
@@ -486,14 +503,16 @@ class TestRunCorrected:
             assert abs(rows[(t, "p1")].egorov + np.sin(t)) < bound
 
     def test_one_thread_runs_inline(self, monkeypatch):
-        # With one thread the chunks run in the caller, where profilers see
-        # them, not in a one-worker pool.
+        # With one thread, the default, the chunks run in the caller, where
+        # profilers see them, not in a one-worker pool.
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
         assert run_corrected(tiny_config(), threads=1)
+        assert run_corrected(tiny_config())
+        assert cli._build_parser().parse_args(["run", "--config", "run.cfg"]).threads == 1
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -552,7 +571,7 @@ class TestRunCorrected:
 
         for name in ("hessian", "third", "fourth"):
             monkeypatch.setattr(Potential, name, refuse)
-        for module in (potentials, observables, correction_mod):
+        for module in (potentials, observables):
             monkeypatch.setattr(module, "scatter_diagonals", refuse)
         for config, rows in zip(configs, expected):
             assert repr(run_corrected(config, threads=1)) == rows
@@ -885,7 +904,24 @@ class TestCli:
         assert sum(rows) == transport["force_evaluations"]
         # Three chunks of 21, 21 and 22 samples reach the kicks.
         assert sorted(set(rows)) == [21, 22]
-        assert metadata["correction"] == {"samples": 0, "steps": 8, "chunks": 0}
+        assert metadata["correction"] == {"samples": 0, "steps": 0, "chunks": 0}
+
+    def test_run_without_correction_writes_both_files(self, tmp_path):
+        # With N2 = 0 no correction step runs, so a tau_correction that does
+        # not divide the stride is never used: the run writes its results and
+        # its metadata, which counts no correction step.
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(
+            "epsilon = 0.1\ndimension = 2\npotential = torsional\n"
+            "center = 1.0, 0.5, 0.0, 0.0\nn_samples = 200\ntau_flow = 0.1\n"
+            "n_correction = 0\ntau_correction = 0.3\nt_final = 1\n"
+            "snapshot_stride = 0.5\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config_file), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["metadata.json", "results.csv"]
+        metadata = json.loads((out / "metadata.json").read_text())
+        assert metadata["correction"] == {"samples": 0, "steps": 0, "chunks": 0}
 
     def test_reference_compare_pipeline(self, config_file, tmp_path, capsys):
         run_dir = tmp_path / "run"

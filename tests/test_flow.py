@@ -18,7 +18,8 @@ from egorov.flow import (
     strang_step,
     yoshida_coefficients,
 )
-from egorov.potentials import Hamiltonian, harmonic_potential, torsional_potential
+from egorov.oracle import Hamiltonian
+from egorov.potentials import harmonic_potential, torsional_potential
 
 from conftest import phase_pair, phase_point, symplectic_j
 

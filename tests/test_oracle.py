@@ -12,6 +12,7 @@ from egorov.correction import a2_eval, evolve_correction
 from egorov.flow import propagate
 from egorov.observables import make_observable
 from egorov.oracle import (
+    GeneralCorrectionState,
     JetFunction,
     VariationalState,
     a2_quadrature,
@@ -22,7 +23,7 @@ from egorov.oracle import (
     quadrature_tensors,
     variational_flow,
 )
-from egorov.potentials import Hamiltonian, free_potential, harmonic_potential, torsional_potential
+from egorov.potentials import free_potential, harmonic_potential, torsional_potential
 from egorov.tensor_ops import apply_J_triple, tilde_d3
 
 from conftest import symplectic_j
@@ -250,11 +251,11 @@ class TestQuadratureTensors:
         # The integral representation evaluated by Simpson against the
         # split-step ODE propagation: two fully independent routes.
         z_end, lam, gam, xi = quadrature_tensors(z0, 1.0, 64, torsional_2d, tau_var=1e-3)
-        blk = evolve_correction(z0, 1.0, 1e-3, torsional_2d)
+        blk = GeneralCorrectionState.from_block(evolve_correction(z0, 1.0, 1e-3, torsional_2d))
         np.testing.assert_allclose(z_end, blk.z, atol=1e-10)
-        np.testing.assert_allclose(lam, blk.lambda_full(), atol=1e-8)
-        np.testing.assert_allclose(gam, blk.gamma_full(), atol=1e-8)
-        np.testing.assert_allclose(xi, blk.xi_full(), atol=1e-8)
+        np.testing.assert_allclose(lam, blk.lam, atol=1e-8)
+        np.testing.assert_allclose(gam, blk.gam, atol=1e-8)
+        np.testing.assert_allclose(xi, blk.xi, atol=1e-8)
 
 
 class TestA2Quadrature:

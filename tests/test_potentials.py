@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from egorov.correction import evolve_correction
+from egorov.oracle import Hamiltonian
 from egorov.potentials import (
     FreePotential,
-    Hamiltonian,
     HarmonicPotential,
     TorsionalPotential,
     free_potential,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import egorov.sampling as sampling
-from egorov.potentials import Hamiltonian, torsional_potential
+from egorov.oracle import Hamiltonian
+from egorov.potentials import torsional_potential
 from egorov.sampling import (
     GaussianPacket,
     QmcSampler,
