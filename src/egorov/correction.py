@@ -66,7 +66,7 @@ import numpy as np
 
 from .flow import split_snapshots
 from .observables import Observable
-from .potentials import Potential
+from .potentials import Potential, coordinate_sum
 # benchmark/tracing.py wraps egorov.correction.tilde_d3 by attribute.
 from .tensor_ops import tilde_d3  # noqa: F401
 
@@ -357,8 +357,9 @@ def a2_eval(observables, state: CorrectionState) -> np.ndarray:
     entry it leaves out is zero and skipped.  Per coordinate, the products
     weight x entry x row (weight 1 for Da and D3a, 3 for D2a) are added in
     order 1, 2, 3 and, within an order, by ascending slot pattern; the sum
-    over the coordinates, times -1/4, is a2.  Every step is elementwise on
-    a fresh array, so the bits do not depend on the state's memory layout.
+    over the coordinates, added left to right, times -1/4, is a2.  Every
+    step is elementwise on a fresh array, so the bits do not depend on the
+    state's memory layout.
     A single :class:`Observable` gives its row alone.
     """
     single = isinstance(observables, Observable)
@@ -373,5 +374,5 @@ def a2_eval(observables, state: CorrectionState) -> np.ndarray:
             entry = diagonals[order - 1].get(pattern)
             if entry is not None:
                 total += _ORDER_WEIGHTS[order - 1] * entry * x[row]
-        out[i] = -0.25 * total.sum(axis=-1)
+        out[i] = -0.25 * coordinate_sum(total)
     return out[0] if single else out

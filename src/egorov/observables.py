@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import Potential, scatter_diagonals
+from .potentials import Potential, coordinate_sum, scatter_diagonals
 
 __all__ = [
     "Observable",
@@ -95,7 +95,7 @@ def kinetic(d: int) -> Observable:
     return _observable(
         "kinetic",
         d,
-        lambda z: 0.5 * np.sum(np.asarray(z)[..., d:] ** 2, axis=-1),
+        lambda z: 0.5 * coordinate_sum(np.asarray(z)[..., d:] ** 2),
         _energy_diagonals(d, None, kinetic=True),
     )
 
@@ -135,7 +135,7 @@ def total_energy(potential: Potential) -> Observable:
 
     def value(z):
         z = np.asarray(z)
-        return 0.5 * np.sum(z[..., d:] ** 2, axis=-1) + potential.value(z[..., :d])
+        return 0.5 * coordinate_sum(z[..., d:] ** 2) + potential.value(z[..., :d])
 
     return _observable("total", d, value, _energy_diagonals(d, potential, kinetic=True))
 

@@ -1064,6 +1064,22 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
         assert sorted(path.name for path in out.iterdir()) == ["metadata.json", "sweep.csv"]
 
+    def test_unresolved_packet_writes_no_reference(self, tmp_path, capsys):
+        # Row 1's packet at eps = 1e-300 samples to zero on the grid.  The
+        # command fails instead of writing a table of NaN.
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(
+            "epsilon = 1e-300\ndimension = 2\npotential = torsional\n"
+            "center = 1.0, 0.5, 0.0, 0.0\nn_samples = 64\ntau_flow = 0.25\n"
+            "n_correction = 16\ntau_correction = 0.25\nt_final = 0.5\n"
+            "snapshot_stride = 0.25\ntau_reference = 0.25\n"
+        )
+        out = tmp_path / "ref"
+        code = cli.main(["reference", "--config", str(config_file), "--out", str(out)])
+        assert code != 0
+        assert "not resolved by the grid" in capsys.readouterr().err
+        assert not (out / "reference.csv").exists()
+
     def test_reference_metadata_names_scheme_and_step(self, config_file, tmp_path):
         out = tmp_path / "ref"
         assert cli.main(["reference", "--config", str(config_file), "--out", str(out)]) == 0

@@ -11,6 +11,7 @@ from egorov.potentials import (
     FreePotential,
     HarmonicPotential,
     TorsionalPotential,
+    coordinate_sum,
     free_potential,
     harmonic_potential,
     torsional_potential,
@@ -153,6 +154,21 @@ class TestFree:
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
             FreePotential(0)
+
+
+class TestCoordinateSum:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_bitwise_numpy_sum(self, d):
+        # Up to seven coordinates np.sum adds left to right from +0.0, so the
+        # bits agree, signed zeros included.
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((500, d)) * 10.0 ** rng.integers(-8, 8, (500, d))
+        zeros = rng.random(x.shape) < 0.5
+        x[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        for view in (x, x[0], x[:, None, :]):
+            total = coordinate_sum(view)
+            assert total.tobytes() == np.sum(view, axis=-1).tobytes()
+            assert not np.shares_memory(total, view)
 
 
 class TestFiniteDifferenceCheck:

@@ -123,6 +123,12 @@ class TestInitPacket:
         with pytest.raises(ValueError, match="dimension"):
             init_packet(GridSpec(1, 64), packet_2d)
 
+    def test_rejects_packet_below_grid_resolution(self):
+        # eps = 1e-300 underflows every sample of the packet to zero.
+        packet = GaussianPacket(np.array([1.0, 0.0]), 1e-300)
+        with pytest.raises(ValueError, match="norm 0.0: epsilon 1e-300 is not resolved"):
+            init_packet(GridSpec(1, 64), packet)
+
     def test_rejects_packet_near_boundary(self):
         packet = GaussianPacket(np.array([2.9, 0.0, 0.0, 0.0]), EPS)
         with pytest.raises(ValueError, match="outside the domain"):
@@ -291,10 +297,10 @@ class TestReferenceExpectations:
         counted(reference, "fftn")
         counted(GridSpec, "mesh_value")
         together = reference_expectations(*args, OBSERVABLE_NAMES)
-        # On each of the d axes: 4 order-4 steps of 3 FFT pairs, one
-        # transform per snapshot and one potential mesh.
+        # 4 order-4 steps of 3 FFT pairs on the stacked lines, then on each
+        # of the d axes one transform per snapshot and one potential mesh.
         d = spec.d
-        assert counts == {"fftn": d * (4 * 3 + 3), "mesh_value": d}
+        assert counts == {"fftn": 4 * 3 + 3 * d, "mesh_value": d}
         for name in OBSERVABLE_NAMES:
             assert together[name].tobytes() == alone[name].tobytes(), name
 
@@ -330,6 +336,48 @@ class TestFactorizedReference:
         oracle = grid_oracle(*args)
         for name in args[-1]:
             assert factorized[name].tobytes() == oracle[name].tobytes(), name
+
+    @pytest.mark.parametrize(
+        "center, potential",
+        [
+            ((1.0, 0.5, 0.0, 0.0), torsional_potential(2)),
+            ((0.3, -0.2, 0.1, 0.0, 0.2, -0.1), harmonic_potential(3, (1.0, 2.0, 0.5))),
+        ],
+        ids=["torsional-d2", "harmonic-d3"],
+    )
+    def test_each_axis_is_its_own_line_solve_bitwise(self, center, potential):
+        # The stacked solve steps every axis with the bits of that
+        # coordinate's own GridSpec(1, n) solve under V_j, and the energies
+        # are the axes' sums in coordinate order.
+        d = potential.d
+        packet = GaussianPacket(np.array(center), EPS)
+        times = [0.0, 0.25, 0.5]
+        names = default_names(d)
+        table = reference_expectations(GridSpec(d, 64), packet, potential, times, EPS / 16, names)
+        lines = [
+            reference_expectations(
+                GridSpec(1, 64), GaussianPacket(packet.center[j::d], EPS),
+                potential.coordinate(j), times, EPS / 16, default_names(1),
+            )
+            for j in range(d)
+        ]
+        for j, line in enumerate(lines, start=1):
+            for kind in ("q", "p"):
+                assert table[f"{kind}{j}"].tobytes() == line[f"{kind}1"].tobytes()
+        for name in ("kinetic", "potential"):
+            assert table[name].tobytes() == sum(line[name] for line in lines).tobytes()
+
+    def test_nan_state_trips_the_norm_monitor(self, packet_2d, monkeypatch):
+        # NaN compares false with every bound, so the monitors are written
+        # to trip on it rather than let a NaN table through.
+        original = reference.ifftn
+        monkeypatch.setattr(
+            reference, "ifftn", lambda *a, **k: np.full_like(original(*a, **k), np.nan)
+        )
+        with pytest.raises(RuntimeError, match="unitarity lost: norm drift nan at t=0.1"):
+            reference_expectations(
+                GridSpec(2, 64), packet_2d, torsional_potential(2), [0.0, 0.1], 1e-2, ["q1"]
+            )
 
     def test_boundary_mass_trips_at_the_oracles_snapshot(self):
         # A fast packet reaches the shell of the 2-D box along both axes at

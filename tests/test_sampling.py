@@ -1,6 +1,8 @@
 """Halton points, the normal quantile, and QMC means over the sampled
 Wigner density."""
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,23 @@ class TestInverseNormalCdf:
         special = pytest.importorskip("scipy.special")
         u = halton_sequence(10_000, 4, skip=64)
         np.testing.assert_allclose(inverse_normal_cdf(u), special.ndtri(u), rtol=2e-15, atol=0)
+
+    def test_bitwise_standard_library(self):
+        # Every branch of AS241 gives the bits of NormalDist().inv_cdf:
+        # the centre, both tails to 1e-300 and 1 - 1e-16, and the points
+        # where the branches meet.
+        normal = NormalDist()
+        rng = np.random.default_rng(7)
+        u = np.concatenate([
+            halton_sequence(25_000, 4, skip=64).ravel(),
+            rng.random(100_000),
+            10.0 ** -rng.uniform(0.0, 300.0, 10_000),
+            1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 10_000),
+            [5e-324, 0.075, 0.925, 0.5, np.nextafter(0.075, 0.0),
+             np.nextafter(0.925, 1.0), np.nextafter(1.0, 0.0)],
+        ])
+        expected = np.array([normal.inv_cdf(x) for x in u.tolist()])
+        assert inverse_normal_cdf(u).tobytes() == expected.tobytes()
 
     def test_scalar_and_shape(self):
         assert isinstance(inverse_normal_cdf(0.3), float)
