@@ -41,12 +41,14 @@ def _out_dir(args, config=None) -> Path:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
+    # The run's wall seconds, and those of each ensemble within it.
+    stages = {}
     start = time.perf_counter()
-    rows = run_corrected(config, threads=args.threads)
+    rows = run_corrected(config, threads=args.threads, elapsed=stages)
     elapsed = time.perf_counter() - start
     write_rows_csv(rows, out / "results.csv")
     write_metadata(
-        out, config, {"run": elapsed},
+        out, config, {"run": elapsed, **stages},
         transport=transport_metadata(config), correction=correction_metadata(config),
     )
     print(f"wrote {out / 'results.csv'} ({len(rows)} rows, {elapsed:.1f}s)")
@@ -136,7 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", help="output directory")
         if threads:
-            p.add_argument("--threads", type=int, default=1, help="worker threads for ensembles")
+            p.add_argument(
+                "--threads", type=int, default=1,
+                help="worker threads for each ensemble's chunks; the correction "
+                "ensemble runs before the transport",
+            )
 
     run_p = sub.add_parser("run", help="transport + correction ensemble run")
     common(run_p)

@@ -43,10 +43,13 @@ lam32, lam33, gam1, gam3, xi1).  Each sub-flow updates its own rows in
 place: it writes the group's increments into one scratch block of the
 state's shape, scales them by t and adds them to the group's rows, in the
 rounding order of the expression x + t * (increment).  The scratch block is
-made per call, so chunks of an ensemble stepped in different threads share
-nothing.  :class:`CorrectionState` names the rows; its fields are views of
-them, and :data:`BLOCK_PATTERNS` gives each tensor row its block of the full
-phase-space tensors.  This module holds only the stepper and ``a2_eval``.
+made on the state's first sub-flow and kept with it
+(:meth:`CorrectionState.scratch`), so a live state stepped through a run
+makes one; a copy or a snapshot makes its own, so chunks of an ensemble
+stepped in different threads share nothing.  :class:`CorrectionState` names
+the rows; its fields are views of them, and :data:`BLOCK_PATTERNS` gives
+each tensor row its block of the full phase-space tensors.  This module
+holds only the stepper and ``a2_eval``.
 The full tensors live in :mod:`egorov.oracle`, whose
 ``GeneralCorrectionState.from_block`` and ``to_block`` convert between the
 two layouts, beside the independent references: the unreordered flat form
@@ -155,6 +158,9 @@ class CorrectionState:
     xi1: np.ndarray
     t: float = 0.0
     rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _scratch: CorrectionState | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self._attach(np.stack([np.asarray(getattr(self, name), dtype=float) for name in FIELDS]))
@@ -184,8 +190,17 @@ class CorrectionState:
         return cls.from_rows(rows)
 
     def copy(self) -> "CorrectionState":
-        """A state with its own copy of the rows."""
+        """A state with its own copy of the rows, and no scratch block."""
         return self.from_rows(self.rows.copy(), self.t)
+
+    def scratch(self) -> "CorrectionState":
+        """A state of this one's shape whose rows the sub-flows overwrite with
+        their increments: made on first use and kept with this state, so a
+        live state stepped many times makes one.  A state made by
+        :meth:`copy` or :meth:`from_rows`, such as a snapshot, has its own."""
+        if self._scratch is None:
+            object.__setattr__(self, "_scratch", self.from_rows(np.empty_like(self.rows)))
+        return self._scratch
 
     @property
     def d(self) -> int:
@@ -219,37 +234,36 @@ def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> Cor
         dgam22 = -c2 gam1 + gam3
         dxi2   = -c4 lam1 - 3 c3 gam1 - c2 xi1
     """
-    x = state.rows
-    g, c2, c3, c4 = potential.diagonals(x[Q])
+    x, dx = state, state.scratch()
+    g, c2, c3, c4 = potential.diagonals(x.q)
     # dx holds the increments of the psi2 rows; its psi3 rows hold c2 times
     # the matching rows of x, and its q row a product in passing.
-    dx = np.empty_like(x)
-    np.multiply(c2, x[_PSI3_ROWS], out=dx[_PSI3_ROWS])
-    np.negative(g, out=dx[P])
+    np.multiply(c2, x.rows[_PSI3_ROWS], out=dx.rows[_PSI3_ROWS])
+    np.negative(g, out=dx.p)
     # -(c2 lam1) and -(c2 lam31), into rows lam23 and lam4.
-    np.negative(dx[LAM1:LAM31 + 1], out=dx[LAM23:LAM4 + 1])
-    np.add(dx[LAM23], x[LAM33], out=dx[LAM21:LAM23])
-    dx[LAM23] += x[LAM32]
-    dx[LAM21] += x[LAM32]
-    dx[LAM22:LAM23 + 1] += x[LAM31]
-    dx[LAM4] -= dx[LAM32]
-    dx[LAM4] -= dx[LAM33]
+    np.negative(dx.rows[LAM1:LAM31 + 1], out=dx.rows[LAM23:LAM4 + 1])
+    np.add(dx.lam23, x.lam33, out=dx.rows[LAM21:LAM23])
+    np.add(dx.lam23, x.lam32, out=dx.lam23)
+    np.add(dx.lam21, x.lam32, out=dx.lam21)
+    np.add(dx.rows[LAM22:LAM23 + 1], x.lam31, out=dx.rows[LAM22:LAM23 + 1])
+    np.subtract(dx.lam4, dx.lam32, out=dx.lam4)
+    np.subtract(dx.lam4, dx.lam33, out=dx.lam4)
     # The tilde-weighted third derivative is c3 / 6 on the main diagonal.
-    dx[LAM4] -= (1.0 / 6.0) * c3
-    np.multiply(c3, x[LAM1], out=dx[GAM21])
-    dx[GAM22] = dx[GAM1]
-    np.multiply(c4, x[LAM1], out=dx[XI2])
+    np.subtract(dx.lam4, (1.0 / 6.0) * c3, out=dx.lam4)
+    np.multiply(c3, x.lam1, out=dx.gam21)
+    np.copyto(dx.gam22, dx.gam1)
+    np.multiply(c4, x.lam1, out=dx.xi2)
     # -(c3 lam1), -(c2 gam1) and -(c4 lam1).
-    np.negative(dx[GAM21:XI2 + 1], out=dx[GAM21:XI2 + 1])
-    dx[GAM21] -= dx[GAM1]
-    dx[GAM21:GAM22 + 1] += x[GAM3]
-    np.multiply(c3, x[GAM1], out=dx[Q])
-    dx[Q] *= 3.0
-    dx[XI2] -= dx[Q]
-    dx[XI2] -= dx[XI1]
-    increments = dx[_PSI2_ROWS]
+    np.negative(dx.rows[GAM21:XI2 + 1], out=dx.rows[GAM21:XI2 + 1])
+    np.subtract(dx.gam21, dx.gam1, out=dx.gam21)
+    np.add(dx.rows[GAM21:GAM22 + 1], x.gam3, out=dx.rows[GAM21:GAM22 + 1])
+    np.multiply(c3, x.gam1, out=dx.q)
+    np.multiply(dx.q, 3.0, out=dx.q)
+    np.subtract(dx.xi2, dx.q, out=dx.xi2)
+    np.subtract(dx.xi2, dx.xi1, out=dx.xi2)
+    increments = dx.rows[_PSI2_ROWS]
     increments *= t
-    x[_PSI2_ROWS] += increments
+    x.rows[_PSI2_ROWS] += increments
     return state
 
 
@@ -267,27 +281,26 @@ def sub_flow_psi3(t: float, state: CorrectionState, potential: Potential) -> Cor
         dgam3  = -c3 lam23 - c2 gam22 - c2 gam21
         dxi1   = xi2
     """
-    x = state.rows
-    _, c2, c3, _ = potential.diagonals(x[Q])
+    x, dx = state, state.scratch()
+    _, c2, c3, _ = potential.diagonals(x.q)
     # dx holds the increments of the psi3 rows; its rows lam21 .. gam22 hold
     # c2 times the matching rows of x.
-    dx = np.empty_like(x)
-    np.multiply(c2, x[LAM21:GAM22 + 1], out=dx[LAM21:GAM22 + 1])
-    np.add(x[LAM21], x[LAM22], out=dx[LAM1])
-    dx[LAM1] += x[LAM23]
-    np.subtract(x[LAM4], dx[LAM23], out=dx[LAM31:LAM33])
-    np.subtract(x[LAM4], dx[LAM22], out=dx[LAM33])
-    dx[LAM31] -= dx[LAM22]
-    dx[LAM32:LAM33 + 1] -= dx[LAM21]
-    np.add(x[GAM21], x[GAM22], out=dx[GAM1])
-    np.multiply(c3, x[LAM23], out=dx[GAM3])
-    np.negative(dx[GAM3], out=dx[GAM3])
-    dx[GAM3] -= dx[GAM22]
-    dx[GAM3] -= dx[GAM21]
-    dx[XI1] = x[XI2]
-    increments = dx[_PSI3_ROWS]
+    np.multiply(c2, x.rows[LAM21:GAM22 + 1], out=dx.rows[LAM21:GAM22 + 1])
+    np.add(x.lam21, x.lam22, out=dx.lam1)
+    np.add(dx.lam1, x.lam23, out=dx.lam1)
+    np.subtract(x.lam4, dx.lam23, out=dx.rows[LAM31:LAM33])
+    np.subtract(x.lam4, dx.lam22, out=dx.lam33)
+    np.subtract(dx.lam31, dx.lam22, out=dx.lam31)
+    np.subtract(dx.rows[LAM32:LAM33 + 1], dx.lam21, out=dx.rows[LAM32:LAM33 + 1])
+    np.add(x.gam21, x.gam22, out=dx.gam1)
+    np.multiply(c3, x.lam23, out=dx.gam3)
+    np.negative(dx.gam3, out=dx.gam3)
+    np.subtract(dx.gam3, dx.gam22, out=dx.gam3)
+    np.subtract(dx.gam3, dx.gam21, out=dx.gam3)
+    np.copyto(dx.xi1, x.xi2)
+    increments = dx.rows[_PSI3_ROWS]
     increments *= t
-    x[_PSI3_ROWS] += increments
+    x.rows[_PSI3_ROWS] += increments
     return state
 
 

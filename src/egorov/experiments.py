@@ -18,12 +18,14 @@ contiguous chunks whose sizes differ by at most one, so the chunks depend on
 n alone, never on the thread count.  Each chunk is reduced by numpy's
 pairwise summation, and an ensemble's chunk totals are combined pairwise in
 chunk order.  One thread, the default, maps the chunks inline; with more,
-the chunks of the correction and the transport ensembles share one thread
-pool of that many workers, the correction's first.  More threads do not
-make a run faster: on two CPUs the benchmark's correction-row3 config runs
-in 0.23-0.27 s on one thread and 0.25-0.28 s on two (medians of 7).  Two
-runs with the same config produce byte-identical CSV; wall-clock data lives
-only in the metadata file.
+the correction and the transport ensembles share one thread pool of that
+many workers, and run one after the other: the correction's chunks are
+mapped and collected before the transport's start.  The correction stepper
+makes many small numpy calls, each of which releases and retakes the
+interpreter lock, so beside a transport chunk it would wait on every call;
+an ensemble of several chunks still uses every worker.  Two runs with the
+same config produce byte-identical CSV; wall-clock data, including each
+ensemble's wall time, lives only in the metadata file.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import dataclasses
 import json
 import math
 import os
+import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -496,33 +499,37 @@ def _correction_chunk_sums(config, potential, observables, times, start, stop):
     return np.stack([np.sum(a2_eval(observables, state), axis=-1) for state in states])
 
 
-def _ensemble_means(config, potential, observables, times, jobs, threads):
-    """The mean of each job's ensemble, for ``jobs`` of (n, chunk_fn) pairs.
+def _ensemble_means(config, potential, observables, times, jobs, threads, elapsed=None):
+    """The mean of each job's ensemble, for ``jobs`` of (name, n, chunk_fn).
 
-    All chunks of all jobs go through one map, in job order, so a later
-    job's chunks run beside an earlier job's; each job's chunk sums are then
-    reduced on their own, whatever the thread count."""
-    tasks = [(chunk_fn, rng) for n, chunk_fn in jobs for rng in _chunk_ranges(n)]
+    The jobs run one after another, each mapping its chunks and collecting
+    their sums before the next job starts, so no job's chunks run beside
+    another's; each job's chunk sums are reduced on their own, whatever the
+    thread count.  With a dict ``elapsed``, each job's wall seconds are
+    stored under its name."""
 
     def run(task):
         chunk_fn, (start, stop) = task
         return chunk_fn(config, potential, observables, times, start, stop)
 
-    # One thread maps the chunks inline, where profilers see the work; the
-    # reduction order is the same either way.
-    if threads == 1:
-        sums = [run(task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(run, tasks))
     means = []
-    for n, _ in jobs:
-        count = len(_chunk_ranges(n))
-        if count:
-            means.append(_pairwise_combine(np.stack(sums[:count])) / n)
+    with contextlib.ExitStack() as stack:
+        # One thread maps the chunks inline, where profilers see the work;
+        # more share one pool across the jobs.  The reduction order is the
+        # same either way.
+        if threads == 1:
+            mapper = map
         else:
-            means.append(np.zeros((len(times), len(observables))))
-        sums = sums[count:]
+            mapper = stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map
+        for name, n, chunk_fn in jobs:
+            start = time.perf_counter()
+            sums = list(mapper(run, [(chunk_fn, rng) for rng in _chunk_ranges(n)]))
+            if sums:
+                means.append(_pairwise_combine(np.stack(sums)) / n)
+            else:
+                means.append(np.zeros((len(times), len(observables))))
+            if elapsed is not None:
+                elapsed[name] = time.perf_counter() - start
     return means
 
 
@@ -531,18 +538,20 @@ def _check_threads(threads: int) -> None:
         raise ValueError(f"--threads must be at least 1, got {threads}")
 
 
-def run_corrected(config: RunConfig, threads: int = 1) -> list[ResultRow]:
+def run_corrected(config: RunConfig, threads: int = 1, elapsed=None) -> list[ResultRow]:
     """Transport term from N0 samples plus correction term from N2 samples.
 
     The correction samples are the leading N2 points of the same Halton
     stream, so shrinking N2 never perturbs the transport term.  Row identity:
-    corrected = egorov + epsilon^2 * correction, exactly as stored.
+    corrected = egorov + epsilon^2 * correction, exactly as stored.  With a
+    dict ``elapsed``, the wall seconds of the two ensembles are stored under
+    ``correction`` and ``transport``.
     """
     _check_threads(threads)
-    return _run_corrected(config, threads)[0]
+    return _run_corrected(config, threads, elapsed=elapsed)[0]
 
 
-def _run_corrected(config: RunConfig, threads, egorov_mean=None):
+def _run_corrected(config: RunConfig, threads, egorov_mean=None, elapsed=None):
     """run_corrected's rows and its transport mean; a given ``egorov_mean``
     is reused, which holds while the packet, potential, N0 and tau0 do."""
     potential = build_potential(config)
@@ -550,11 +559,11 @@ def _run_corrected(config: RunConfig, threads, egorov_mean=None):
     times = snapshot_times(config)
     # The correction job goes first, so its mean comes back first; the
     # transport job is left out when its mean is reused.
-    jobs = [(config.n_correction, _correction_chunk_sums)]
+    jobs = [("correction", config.n_correction, _correction_chunk_sums)]
     if egorov_mean is None:
-        jobs.append((config.n_samples, _egorov_chunk_sums))
+        jobs.append(("transport", config.n_samples, _egorov_chunk_sums))
     correction_mean, *transport = _ensemble_means(
-        config, potential, observables, times, jobs, threads
+        config, potential, observables, times, jobs, threads, elapsed
     )
     if transport:
         egorov_mean = transport[0]

@@ -107,18 +107,21 @@ class Potential:
         return scatter_diagonals({(0,) * order: diagonal}, out)
 
 
-def _half_angle_sine(q) -> tuple[np.ndarray, np.ndarray]:
-    """(sin q, t) for t = tan(q/2), two fresh arrays of q's shape, by
-    sin q = 2t / (1 + t^2) computed as 2 (t / (1 + t^2)).  numpy builds that
-    vectorize float64 ``tan`` but not ``sin`` and ``cos`` spend far less on
-    this than on either of those."""
+def _half_angle(q) -> tuple[np.ndarray, np.ndarray]:
+    """(t, t^2) for t = tan(q/2), two fresh arrays of q's shape.  With them
+    sin q = 2 (t / (1 + t^2)) and cos q = (1 - t^2) / (1 + t^2).  numpy builds
+    that vectorize float64 ``tan`` but not ``sin`` and ``cos`` spend far less
+    on this than on either of those."""
     t = np.multiply(q, 0.5, out=np.empty(np.shape(q)))
     np.tan(t, out=t)
-    sin = np.multiply(t, t, out=np.empty_like(t))
-    sin += 1.0
-    np.divide(t, sin, out=sin)
-    sin += sin
-    return sin, t
+    return t, np.multiply(t, t, out=np.empty_like(t))
+
+
+def _sine_over(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sin q = 2 (t / w) for w = 1 + t^2, written over t."""
+    np.divide(t, w, out=t)
+    t += t
+    return t
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,8 @@ class TorsionalPotential(Potential):
         sin q = 2t / (1 + t^2),    cos q = (1 - t^2) / (1 + t^2),
 
     within 2.2e-16 of ``np.sin`` and ``np.cos``.  ``gradient`` and
-    ``diagonals`` share one sine, so their forces agree bit for bit.
+    ``diagonals`` take t and t^2 once and compute the sine by the same
+    operations, so their forces agree bit for bit.
     ``value`` keeps ``np.cos``.
     """
 
@@ -147,14 +151,16 @@ class TorsionalPotential(Potential):
         return self.d - coordinate_sum(np.cos(q))
 
     def gradient(self, q):
-        return _half_angle_sine(q)[0]
+        t, w = _half_angle(q)
+        w += 1.0
+        return _sine_over(t, w)
 
     def diagonals(self, q):
-        sin, t = _half_angle_sine(q)
-        # cos q = (1 - t^2) / (1 + t^2) overwrites t; w then holds -sin q.
-        w = np.multiply(t, t, out=np.empty_like(t))
-        cos = np.subtract(1.0, w, out=t)
-        w += 1.0
+        t, t2 = _half_angle(q)
+        w = t2 + 1.0
+        sin = _sine_over(t, w)
+        # cos q = (1 - t^2) / (1 + t^2) overwrites t^2; w then holds -sin q.
+        cos = np.subtract(1.0, t2, out=t2)
         cos /= w
         return sin, cos, np.negative(sin, out=w), -cos
 

@@ -59,6 +59,9 @@ __all__ = [
 
 _BOUNDARY_INIT_TOL = 1e-12
 _BOUNDARY_RUN_TOL = 1e-8
+# The largest norm drift from one: of the sampled packet, and of the
+# propagated state at every snapshot.
+_NORM_TOL = 1e-10
 _SHELL_WIDTH = 2
 
 # The reference propagation's splitting order, and its scheme's name and
@@ -152,7 +155,9 @@ def _check_packet(spec: GridSpec, packet: GaussianPacket) -> None:
 
 def init_packet(spec: GridSpec, packet: GaussianPacket) -> WaveFunctionGrid:
     """Sample the Gaussian packet on the grid and renormalize to norm one.
-    A sampled norm that is not positive and finite is rejected."""
+    The packet is normalized on the real line, so a sampled norm more than
+    the norm monitor's tolerance (1e-10) from one means the grid does not
+    resolve it, and it is rejected."""
     _check_packet(spec, packet)
     eps = packet.epsilon
     x = spec.axis()
@@ -167,8 +172,9 @@ def init_packet(spec: GridSpec, packet: GaussianPacket) -> WaveFunctionGrid:
         psi = psi * factor.reshape(shape)
     grid = WaveFunctionGrid(psi=psi, spec=spec, epsilon=eps)
     norm = grid.norm()
-    # An eps far below the grid spacing underflows every sample to zero.
-    if not 0.0 < norm < math.inf:
+    # An eps below the grid spacing misses the norm, and one far below it
+    # underflows every sample to zero.
+    if not abs(norm - 1.0) <= _NORM_TOL:
         raise ValueError(
             f"packet sampled on the grid has norm {norm}: "
             f"epsilon {eps} is not resolved by the grid"
@@ -331,7 +337,7 @@ def reference_expectations(
         grids = [WaveFunctionGrid(psi=row, spec=line, epsilon=eps, t=t_snap) for row in psi]
         # Written so that a NaN state trips them too.
         drift = abs(math.prod(grid.norm() for grid in grids) - 1.0)
-        if not drift <= 1e-10:
+        if not drift <= _NORM_TOL:
             raise RuntimeError(f"unitarity lost: norm drift {drift:.3e} at t={t_snap}")
         shell = 1.0 - math.prod(1.0 - grid.boundary_mass() for grid in grids)
         if not shell <= _BOUNDARY_RUN_TOL:

@@ -472,28 +472,52 @@ class TestInPlaceStepper:
     def test_snapshots_own_their_memory(self, name, d, n, monkeypatch):
         # One state is stepped in place: z0 stays as it was, every snapshot
         # (repeated times too) is a copy apart from the others and from the
-        # live state, and a second run gives the same arrays.
+        # live state, and a second run gives the same arrays.  The live state
+        # makes one scratch block for all its sub-flow calls; no snapshot,
+        # copy or second evolution shares it.
         pot = POTENTIALS[name](d)
         z0 = np.random.default_rng(40 + d).uniform(-1.5, 1.5, (n, 2 * d))
         kept = z0.copy()
         times = [0.0, 0.25, 0.25, 0.75]
-        live = []
+        live, blocks = [], []
+        scratch = CorrectionState.scratch
 
         def recording_psi2(t, state, potential):
-            live.append(state.rows)
+            live.append(state)
             return sub_flow_psi2(t, state, potential)
 
+        def recording_scratch(state):
+            block = scratch(state)
+            blocks.append(block.rows)
+            return block
+
         monkeypatch.setattr(correction_mod, "sub_flow_psi2", recording_psi2)
+        monkeypatch.setattr(CorrectionState, "scratch", recording_scratch)
         snaps = evolve_correction_snapshots(z0, times, 0.125, pot)
         assert z0.tobytes() == kept.tobytes()
-        assert live and all(rows is live[0] for rows in live)
+        assert live and all(state.rows is live[0].rows for state in live)
+        # psi2 and psi3 each ask for the scratch block on every call.
+        assert len(blocks) > len(live)
+        assert all(block is blocks[0] for block in blocks)
+        block = blocks[0]
+        assert block.shape == live[0].rows.shape
+        assert not np.shares_memory(block, live[0].rows)
         for i, snap in enumerate(snaps):
             assert snap.t == times[i]
-            assert not np.shares_memory(snap.rows, live[0])
+            assert not np.shares_memory(snap.rows, live[0].rows)
             assert not np.shares_memory(snap.rows, z0)
+            assert not np.shares_memory(snap.rows, block)
+            assert not np.shares_memory(scratch(snap).rows, block)
             for other in snaps[i + 1:]:
                 assert not np.shares_memory(snap.rows, other.rows)
+        copied = live[0].copy()
+        assert not np.shares_memory(copied.rows, block)
+        assert not np.shares_memory(scratch(copied).rows, block)
+        assert scratch(live[0]).rows is block
+        blocks.clear()
         again = evolve_correction_snapshots(z0, times, 0.125, pot)
+        assert blocks and all(repeat is blocks[0] for repeat in blocks)
+        assert not np.shares_memory(blocks[0], block)
         for snap, repeat in zip(snaps, again, strict=True):
             assert snap.t == repeat.t
             assert snap.rows.tobytes() == repeat.rows.tobytes()

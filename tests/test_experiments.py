@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -544,8 +545,8 @@ class TestRunCorrected:
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
     def test_one_pool_maps_correction_chunks_first(self, monkeypatch):
-        # Both ensembles share one pool, the correction's chunks first, so the
-        # correction stepper runs beside the transport chunks.
+        # Both ensembles share one pool, the correction's chunks mapped
+        # first and on their own, then the transport's.
         pools = []
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", _recording_pool(pools))
         monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
@@ -554,6 +555,42 @@ class TestRunCorrected:
         assert pools[0].mapped == (
             [experiments._correction_chunk_sums] * 3 + [experiments._egorov_chunk_sums] * 10
         )
+
+    def test_transport_chunks_start_after_every_correction_chunk(self, monkeypatch):
+        # With two threads, no transport chunk starts before the last
+        # correction chunk has returned: the correction stepper never
+        # contends with the transport for the interpreter lock.  The
+        # correction chunks dawdle, so a transport chunk mapped beside them
+        # would start first.
+        events = []
+
+        def recorded(kind, chunk_fn, pause):
+            def chunk(*args):
+                events.append(("start", kind))
+                sums = chunk_fn(*args)
+                time.sleep(pause)
+                events.append(("end", kind))
+                return sums
+
+            return chunk
+
+        monkeypatch.setattr(
+            experiments, "_correction_chunk_sums",
+            recorded("correction", experiments._correction_chunk_sums, 0.02),
+        )
+        monkeypatch.setattr(
+            experiments, "_egorov_chunk_sums",
+            recorded("transport", experiments._egorov_chunk_sums, 0.0),
+        )
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
+        run_corrected(tiny_config(n_samples=64, n_correction=16), threads=2)
+        assert events.count(("end", "correction")) == 3
+        assert events.count(("end", "transport")) == 10
+        last_correction = max(
+            i for i, event in enumerate(events) if event == ("end", "correction")
+        )
+        first_transport = events.index(("start", "transport"))
+        assert last_correction < first_transport
 
     def test_run_path_builds_no_dense_tensor(self, monkeypatch):
         # The correction reads the potential's diagonals and the
@@ -906,6 +943,22 @@ class TestCli:
         assert sorted(set(rows)) == [21, 22]
         assert metadata["correction"] == {"samples": 0, "steps": 0, "chunks": 0}
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_run_metadata_times_each_ensemble(self, config_file, tmp_path, threads):
+        # The two ensembles run one after the other, so each has its own wall
+        # time; both lie within the run's, and the table keeps its bytes.
+        out = tmp_path / "out"
+        args = ["run", "--config", str(config_file), "--out", str(out), "--threads", threads]
+        assert cli.main(args) == 0
+        elapsed = json.loads((out / "metadata.json").read_text())["elapsed_seconds"]
+        assert sorted(elapsed) == ["correction", "run", "transport"]
+        assert 0.0 < elapsed["correction"] and 0.0 < elapsed["transport"]
+        assert elapsed["correction"] + elapsed["transport"] <= elapsed["run"]
+        write_rows_csv(
+            run_corrected(load_config(config_file), threads=int(threads)), tmp_path / "direct.csv"
+        )
+        assert (out / "results.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
     def test_run_without_correction_writes_both_files(self, tmp_path):
         # With N2 = 0 no correction step runs, so a tau_correction that does
         # not divide the stride is never used: the run writes its results and
@@ -1077,6 +1130,23 @@ class TestCli:
         out = tmp_path / "ref"
         code = cli.main(["reference", "--config", str(config_file), "--out", str(out)])
         assert code != 0
+        assert "not resolved by the grid" in capsys.readouterr().err
+        assert not (out / "reference.csv").exists()
+
+    def test_packet_narrower_than_grid_writes_no_reference(self, tmp_path, capsys):
+        # Row 1's packet at eps = 1e-5 is far narrower than the 256-point
+        # grid's spacing: its sampled norm misses one, and the command exits 1
+        # instead of writing a table that starts away from the packet.
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(
+            "epsilon = 1e-5\ndimension = 2\npotential = torsional\n"
+            "center = 1.0, 0.5, 0.0, 0.0\nn_samples = 64\ntau_flow = 0.25\n"
+            "n_correction = 16\ntau_correction = 0.25\nt_final = 0.5\n"
+            "snapshot_stride = 0.25\ntau_reference = 0.25\n"
+        )
+        out = tmp_path / "ref"
+        code = cli.main(["reference", "--config", str(config_file), "--out", str(out)])
+        assert code == 1
         assert "not resolved by the grid" in capsys.readouterr().err
         assert not (out / "reference.csv").exists()
 

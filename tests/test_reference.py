@@ -129,6 +129,14 @@ class TestInitPacket:
         with pytest.raises(ValueError, match="norm 0.0: epsilon 1e-300 is not resolved"):
             init_packet(GridSpec(1, 64), packet)
 
+    @pytest.mark.parametrize("eps", [1e-3, 5e-4, 1e-5])
+    def test_rejects_packet_narrower_than_grid(self, eps):
+        # At 256 points on [-3, 3] these packets sample to a norm 8e-9 to 0.9
+        # away from one, above the norm monitor's 1e-10.
+        packet = GaussianPacket(np.array([1.0, 0.0]), eps)
+        with pytest.raises(ValueError, match=f"epsilon {eps} is not resolved"):
+            init_packet(GridSpec(1, 256), packet)
+
     def test_rejects_packet_near_boundary(self):
         packet = GaussianPacket(np.array([2.9, 0.0, 0.0, 0.0]), EPS)
         with pytest.raises(ValueError, match="outside the domain"):
