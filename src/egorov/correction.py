@@ -45,11 +45,14 @@ state's shape, scales them by t and adds them to the group's rows, in the
 rounding order of the expression x + t * (increment).  The scratch block is
 made on the state's first sub-flow and kept with it
 (:meth:`CorrectionState.scratch`), so a live state stepped through a run
-makes one; a copy or a snapshot makes its own, so chunks of an ensemble
-stepped in different threads share nothing.  :class:`CorrectionState` names
-the rows; its fields are views of them, and :data:`BLOCK_PATTERNS` gives
-each tensor row its block of the full phase-space tensors.  This module
-holds only the stepper and ``a2_eval``.
+makes one, and drops it at the run's last snapshot; a copy or a snapshot
+makes its own, so chunks of an ensemble stepped in different threads share
+nothing.  :func:`evolve_correction_snapshots` can hand each snapshot to an
+observer as the run reaches it, so an ensemble chunk that reduces its
+snapshots holds the live state alone, not a copy per snapshot time.
+:class:`CorrectionState` names the rows; its fields are views of them, and
+:data:`BLOCK_PATTERNS` gives each tensor row its block of the full
+phase-space tensors.  This module holds only the stepper and ``a2_eval``.
 The full tensors live in :mod:`egorov.oracle`, whose
 ``GeneralCorrectionState.from_block`` and ``to_block`` convert between the
 two layouts, beside the independent references: the unreordered flat form
@@ -202,6 +205,10 @@ class CorrectionState:
             object.__setattr__(self, "_scratch", self.from_rows(np.empty_like(self.rows)))
         return self._scratch
 
+    def drop_scratch(self) -> None:
+        """Let go of the kept scratch block; the next sub-flow makes a new one."""
+        object.__setattr__(self, "_scratch", None)
+
     @property
     def d(self) -> int:
         return self.q.shape[-1]
@@ -348,16 +355,28 @@ def evolve_correction(
 
 
 def evolve_correction_snapshots(
-    z0: np.ndarray, times, tau: float, potential: Potential
-) -> list[CorrectionState]:
-    """Correction states at each snapshot time, from one continuous run.
+    z0: np.ndarray, times, tau: float, potential: Potential, observe=None
+) -> list:
+    """Correction states at each snapshot time, from one continuous run, or
+    what ``observe`` returns for each of them.
 
-    One state is stepped in place; each snapshot is a copy of its rows."""
+    One state is stepped in place.  Without ``observe`` each snapshot is a
+    copy of its rows, and the list holds them all.  With it, each snapshot
+    goes to ``observe`` as soon as it is reached, as a state at its time
+    whose rows are the live rows themselves: nothing is copied, only the
+    results are kept, and the observer must not keep the state, which the
+    next step overwrites.  The live state's scratch block is dropped before
+    the last snapshot is observed or copied, since no step follows it."""
+    if observe is None:
+        observe = CorrectionState.copy
     states = _snapshots(CorrectionState.initial(z0), times, tau, potential)
-    return [
-        CorrectionState.from_rows(state.rows.copy(), float(t))
-        for t, state in zip(times, states)
-    ]
+    last = len(times) - 1
+    out = []
+    for i, (t, state) in enumerate(zip(times, states)):
+        if i == last:
+            state.drop_scratch()
+        out.append(observe(CorrectionState.from_rows(state.rows, float(t))))
+    return out
 
 
 def a2_eval(observables, state: CorrectionState) -> np.ndarray:

@@ -17,13 +17,16 @@ skip.  An ensemble of n samples is split into ceil(n / CHUNK_SIZE)
 contiguous chunks whose sizes differ by at most one, so the chunks depend on
 n alone, never on the thread count.  Each chunk is reduced by numpy's
 pairwise summation, and an ensemble's chunk totals are combined pairwise in
-chunk order.  One thread, the default, maps the chunks inline; with more,
-the correction and the transport ensembles share one thread pool of that
-many workers, and run one after the other: the correction's chunks are
-mapped and collected before the transport's start.  The correction stepper
-makes many small numpy calls, each of which releases and retakes the
-interpreter lock, so beside a transport chunk it would wait on every call;
-an ensemble of several chunks still uses every worker.  Two runs with the
+chunk order.  A chunk reduces each snapshot as its run reaches it: a
+transport chunk keeps its live (q, p) pair and one snapshot, a correction
+chunk its live state and no copy, never the whole time series.  One thread,
+the default, maps the chunks inline; with more, the correction and the
+transport ensembles share one thread pool of that many workers, and run one
+after the other: the correction's chunks are mapped and collected before the
+transport's start.  The correction stepper makes many small numpy calls,
+each of which releases and retakes the interpreter lock, so beside a
+transport chunk it would wait on every call; an ensemble of several chunks
+still uses every worker.  Two runs with the
 same config produce byte-identical CSV; wall-clock data, including each
 ensemble's wall time, lives only in the metadata file.
 """
@@ -480,23 +483,29 @@ def _chunk_points(config: RunConfig, start: int, stop: int) -> np.ndarray:
 
 
 def _egorov_chunk_sums(config, potential, observables, times, start, stop):
+    """Each observable's sum over the chunk's transported points, one row
+    per snapshot time, each reduced as the propagation reaches it."""
+
+    def sums(z):
+        return [np.sum(obs.value(z)) for obs in observables]
+
     points = _chunk_points(config, start, stop)
-    snapshots = propagate_snapshots(
-        points, times, config.tau_flow, config.flow_order, potential
-    )
-    sums = np.empty((len(times), len(observables)))
-    for i, z in enumerate(snapshots):
-        for j, obs in enumerate(observables):
-            sums[i, j] = np.sum(obs.value(z))
-    return sums
+    return np.array(propagate_snapshots(
+        points, times, config.tau_flow, config.flow_order, potential, sums
+    ))
 
 
 def _correction_chunk_sums(config, potential, observables, times, start, stop):
+    """Each observable's sum of a2 over the chunk's points, one row per
+    snapshot time, each reduced on the live state as the run reaches it."""
+
+    def sums(state):
+        return np.sum(a2_eval(observables, state), axis=-1)
+
     points = _chunk_points(config, start, stop)
-    states = evolve_correction_snapshots(
-        points, times, config.tau_correction, potential
-    )
-    return np.stack([np.sum(a2_eval(observables, state), axis=-1) for state in states])
+    return np.stack(evolve_correction_snapshots(
+        points, times, config.tau_correction, potential, sums
+    ))
 
 
 def _ensemble_means(config, potential, observables, times, jobs, threads, elapsed=None):

@@ -16,7 +16,9 @@ compositions of Yoshida's Table 2, solutions A (7 stages) and D (15 stages).
 :func:`split_snapshots` runs a composition with adjacent half-drifts merged;
 the correction tensors and the grid reference
 (:func:`reference.reference_expectations`) step through it too, both at
-order 4.
+order 4.  :func:`propagate_snapshots` hands each snapshot to an optional
+observer as the run reaches it, so an ensemble chunk that reduces its
+snapshots keeps one of them alive, not the whole time series.
 """
 
 from __future__ import annotations
@@ -151,13 +153,19 @@ def propagate(
 
 
 def propagate_snapshots(
-    z0: np.ndarray, times: np.ndarray, tau: float, order: int, potential: Potential
-) -> list[np.ndarray]:
-    """States at each requested time, from one continuous propagation.
+    z0: np.ndarray, times: np.ndarray, tau: float, order: int, potential: Potential,
+    observe=None,
+) -> list:
+    """States at each requested time, from one continuous propagation, or
+    what ``observe`` returns for each of them.
 
     ``times`` must be nondecreasing and start at >= 0; each segment between
     consecutive snapshot times is covered by whole steps of nominal size tau.
     Drift (A) and kick (B) update contiguous copies of q and p in place.
+    Each snapshot is a new (..., 2d) array.  Without ``observe`` the list
+    holds them all; with it, each goes through ``observe(z)`` as soon as it
+    is reached and only the results are kept, so the propagation holds the
+    live (q, p) pair and one snapshot at a time.
     """
     z0 = np.asarray(z0, dtype=float)
     d = z0.shape[-1] // 2
@@ -165,4 +173,6 @@ def propagate_snapshots(
     snaps = split_snapshots(
         state, times, tau, order, drift, lambda s, state: kick(s, state, potential)
     )
-    return [np.concatenate(snap, axis=-1) for snap in snaps]
+    if observe is None:
+        return [np.concatenate(snap, axis=-1) for snap in snaps]
+    return [observe(np.concatenate(snap, axis=-1)) for snap in snaps]

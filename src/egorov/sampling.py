@@ -120,10 +120,10 @@ def halton(index, base: int):
         raise ValueError("halton indices start at 1")
     out = np.zeros(idx.shape, dtype=float)
     factor = 1.0 / base
-    remaining = idx.copy()
+    remaining, digit = idx.copy(), np.empty_like(idx)
     while np.any(remaining > 0):
-        out += factor * (remaining % base)
-        remaining //= base
+        np.divmod(remaining, base, out=(remaining, digit))
+        out += factor * digit
         factor /= base
     np.minimum(out, np.nextafter(1.0, 0.0), out=out)
     if np.isscalar(index) or np.ndim(index) == 0:
@@ -141,17 +141,21 @@ def halton_sequence(n: int, dim: int, skip: int = 64) -> np.ndarray:
 
 
 def _horner(coefficients, r):
-    """The polynomial with these coefficients, highest power first, at r,
-    as ``(c0 * r + c1) * r + ...``."""
-    acc = coefficients[0]
-    for c in coefficients[1:]:
-        acc = acc * r + c
+    """The polynomial with these coefficients, highest power first, at the
+    array r, as ``(c0 * r + c1) * r + ...``, accumulated in one new array."""
+    acc = coefficients[0] * r
+    for c in coefficients[1:-1]:
+        acc += c
+        acc *= r
+    acc += coefficients[-1]
     return acc
 
 
 def _rational(pair, r):
     numerator, denominator = pair
-    return _horner(numerator, r) / _horner(denominator, r)
+    out = _horner(numerator, r)
+    out /= _horner(denominator, r)
+    return out
 
 
 def inverse_normal_cdf(u):
@@ -169,14 +173,17 @@ def inverse_normal_cdf(u):
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("quantile argument must lie strictly in (0, 1)")
     p = arr.ravel()
-    q = p - 0.5
-    x = np.empty_like(q)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    r = 0.180625 - qc * qc
-    x[central] = _horner(_CENTRAL[0], r) * qc / _horner(_CENTRAL[1], r)
+    # x holds q = p - 1/2 until each branch overwrites its points with x.
+    x = p - 0.5
+    central = np.abs(x) <= 0.425
     tail = ~central
-    qt = q[tail]
+    qc, qt = x[central], x[tail]
+    r = qc * qc
+    np.subtract(0.180625, r, out=r)
+    xc = _horner(_CENTRAL[0], r)
+    xc *= qc
+    xc /= _horner(_CENTRAL[1], r)
+    x[central] = xc
     r = np.where(qt <= 0.0, p[tail], 1.0 - p[tail])
     r = np.sqrt(-np.fromiter(map(math.log, r.tolist()), float, r.size))
     near = r <= 5.0
@@ -194,4 +201,7 @@ def sample_points(packet: GaussianPacket, sampler: QmcSampler) -> np.ndarray:
     quantile, scaled by sqrt(eps/2) and shifted to the packet center.
     """
     u = halton_sequence(sampler.count, 2 * packet.d, sampler.skip)
-    return packet.center + np.sqrt(packet.epsilon / 2.0) * inverse_normal_cdf(u)
+    points = inverse_normal_cdf(u)
+    points *= np.sqrt(packet.epsilon / 2.0)
+    points += packet.center
+    return points

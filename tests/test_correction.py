@@ -473,8 +473,9 @@ class TestInPlaceStepper:
         # One state is stepped in place: z0 stays as it was, every snapshot
         # (repeated times too) is a copy apart from the others and from the
         # live state, and a second run gives the same arrays.  The live state
-        # makes one scratch block for all its sub-flow calls; no snapshot,
-        # copy or second evolution shares it.
+        # makes one scratch block for all its sub-flow calls and lets it go
+        # at the last snapshot; no snapshot, copy or second evolution shares
+        # it.
         pot = POTENTIALS[name](d)
         z0 = np.random.default_rng(40 + d).uniform(-1.5, 1.5, (n, 2 * d))
         kept = z0.copy()
@@ -513,7 +514,7 @@ class TestInPlaceStepper:
         copied = live[0].copy()
         assert not np.shares_memory(copied.rows, block)
         assert not np.shares_memory(scratch(copied).rows, block)
-        assert scratch(live[0]).rows is block
+        assert scratch(live[0]).rows is not block
         blocks.clear()
         again = evolve_correction_snapshots(z0, times, 0.125, pot)
         assert blocks and all(repeat is blocks[0] for repeat in blocks)
@@ -521,6 +522,58 @@ class TestInPlaceStepper:
         for snap, repeat in zip(snaps, again, strict=True):
             assert snap.t == repeat.t
             assert snap.rows.tobytes() == repeat.rows.tobytes()
+
+    @pytest.mark.parametrize("name, d", [("torsional", 2), ("harmonic", 3), ("free", 1)])
+    def test_observer_sees_each_snapshot_in_time_order(self, name, d):
+        # Each snapshot goes to the observer, passed positionally, as it is
+        # reached: a state at its time whose rows are the live rows, not a
+        # copy.  The results are the observer's on the default list, bit
+        # for bit.
+        pot = POTENTIALS[name](d)
+        z0 = np.random.default_rng(60 + d).uniform(-1.5, 1.5, (30, 2 * d))
+        times = [0.0, 0.25, 0.25, 0.75]
+        observables = [make_observable(obs, pot) for obs in default_names(d)]
+        seen, views = [], []
+
+        def observe(state):
+            seen.append((state.t, state.rows.tobytes()))
+            views.append(state.rows)
+            return np.sum(a2_eval(observables, state), axis=-1)
+
+        got = evolve_correction_snapshots(z0, times, 0.125, pot, observe)
+        snaps = evolve_correction_snapshots(z0, times, 0.125, pot)
+        assert [snap.t for snap in snaps] == times
+        assert seen == [(snap.t, snap.rows.tobytes()) for snap in snaps]
+        assert all(np.shares_memory(view, views[0]) for view in views)
+        assert len(got) == len(times)
+        for result, snap in zip(got, snaps):
+            want = np.sum(a2_eval(observables, snap), axis=-1)
+            assert result.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_scratch_dropped_before_last_snapshot(self, observed, monkeypatch):
+        # The live state lets its scratch block go before the last snapshot
+        # is copied or observed, and only then: no step follows it.
+        pot = torsional_potential(2)
+        z0 = np.random.default_rng(45).uniform(-1.5, 1.5, (8, 4))
+        events = []
+        copy, drop = CorrectionState.copy, CorrectionState.drop_scratch
+
+        def recording_copy(state):
+            events.append(("snapshot", state.t))
+            return copy(state)
+
+        def recording_drop(state):
+            events.append(("drop",))
+            drop(state)
+
+        monkeypatch.setattr(CorrectionState, "copy", recording_copy)
+        monkeypatch.setattr(CorrectionState, "drop_scratch", recording_drop)
+        observe = recording_copy if observed else None
+        evolve_correction_snapshots(z0, [0.0, 0.25, 0.5], 0.125, pot, observe)
+        assert events == [
+            ("snapshot", 0.0), ("snapshot", 0.25), ("drop",), ("snapshot", 0.5),
+        ]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(POTENTIALS))

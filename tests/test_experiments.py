@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -591,6 +592,55 @@ class TestRunCorrected:
         )
         first_transport = events.index(("start", "transport"))
         assert last_correction < first_transport
+
+    def test_chunks_pass_observers_positionally(self, monkeypatch):
+        # Wrappers that forward positional arguments alone, as the sweep
+        # test's counter and the benchmark tracer's do, see every snapshot
+        # call with its observer, and the rows keep their bytes.
+        config = tiny_config()
+        expected = _csv_bytes(run_corrected(config))
+        calls = []
+        for name in ("propagate_snapshots", "evolve_correction_snapshots"):
+
+            def positional(*args, _original=getattr(experiments, name), _name=name):
+                calls.append((_name, len(args), callable(args[-1])))
+                return _original(*args)
+
+            monkeypatch.setattr(experiments, name, positional)
+        assert _csv_bytes(run_corrected(config)) == expected
+        assert sorted(set(calls)) == [
+            ("evolve_correction_snapshots", 5, True), ("propagate_snapshots", 6, True),
+        ]
+
+    @pytest.mark.parametrize("kind", ["transport", "correction"])
+    def test_chunk_peak_does_not_grow_with_snapshots(self, kind):
+        # numpy reports its buffers to tracemalloc.  A chunk reduces each
+        # snapshot as its run reaches it, so its peak at 41 snapshots stays
+        # within one snapshot's bytes of its peak at 11.
+        n, d = 2000, 2
+        config = tiny_config(n_samples=n, n_correction=n, tau_flow=0.05, tau_correction=0.05)
+        chunk_fn, snapshot_bytes = {
+            "transport": (experiments._egorov_chunk_sums, n * 2 * d * 8),
+            "correction": (experiments._correction_chunk_sums, 16 * n * d * 8),
+        }[kind]
+        potential = build_potential(config)
+        observables = [experiments.make_observable(name, potential) for name in config.observables]
+
+        def peak(count):
+            times = [0.05 * i for i in range(count)]
+            chunk_fn(config, potential, observables, times, 0, n)
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                sums = chunk_fn(config, potential, observables, times, 0, n)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert sums.shape == (count, len(observables))
+            return top - before
+
+        short, long = peak(11), peak(41)
+        assert long <= short + snapshot_bytes, (short, long, snapshot_bytes)
 
     def test_run_path_builds_no_dense_tensor(self, monkeypatch):
         # The correction reads the potential's diagonals and the

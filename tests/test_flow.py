@@ -19,7 +19,7 @@ from egorov.flow import (
     yoshida_coefficients,
 )
 from egorov.oracle import Hamiltonian
-from egorov.potentials import harmonic_potential, torsional_potential
+from egorov.potentials import free_potential, harmonic_potential, torsional_potential
 
 from conftest import phase_pair, phase_point, symplectic_j
 
@@ -259,6 +259,32 @@ class TestPropagateSnapshots:
     def test_first_snapshot_can_be_zero(self, torsional_2d, z0):
         snaps = propagate_snapshots(z0, np.array([0.0]), 0.05, 4, torsional_2d)
         np.testing.assert_array_equal(snaps[0], z0)
+
+    @pytest.mark.parametrize("name, d", [("torsional", 2), ("harmonic", 3), ("free", 1)])
+    def test_observer_sees_each_snapshot_in_time_order(self, name, d):
+        # Each snapshot goes to the observer, passed positionally, as it is
+        # reached; the results are the observer's on the default list, bit
+        # for bit.
+        pot = {
+            "torsional": torsional_potential,
+            "harmonic": lambda d: harmonic_potential(d, (1.0, 2.0, 0.5)[:d]),
+            "free": free_potential,
+        }[name](d)
+        z0 = np.random.default_rng(70 + d).uniform(-1.5, 1.5, (30, 2 * d))
+        times = [0.0, 0.3, 0.3, 0.8]
+        seen = []
+
+        def observe(z):
+            seen.append(z.tobytes())
+            return [np.sum(z[..., :d] ** 2), np.sum(np.cos(z[..., d:]))]
+
+        got = propagate_snapshots(z0, times, 0.1, 8, pot, observe)
+        snaps = propagate_snapshots(z0, times, 0.1, 8, pot)
+        assert snaps[0].tobytes() == z0.tobytes()
+        assert seen == [snap.tobytes() for snap in snaps]
+        assert len(got) == len(times)
+        for result, snap in zip(got, snaps):
+            assert np.array(result).tobytes() == np.array(observe(snap)).tobytes()
 
 
 def unfused_snapshots(z, times, tau, order, potential):

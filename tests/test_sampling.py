@@ -1,6 +1,7 @@
 """Halton points, the normal quantile, and QMC means over the sampled
 Wigner density."""
 
+import math
 from statistics import NormalDist
 
 import numpy as np
@@ -102,6 +103,26 @@ class TestHalton:
         vec = halton(idx, 7)
         np.testing.assert_array_equal(vec, [halton(int(i), 7) for i in idx])
 
+    @pytest.mark.parametrize("base", [2, 3, 5, 7, 11, 13])
+    def test_bitwise_digit_sum(self, base):
+        # The radical inverse adds factor * digit from the lowest digit up,
+        # in float64: a Python loop doing the same gives the same bits, for
+        # small and large indices, on the array and on the scalar path.
+        def radical_inverse(index):
+            out, factor = 0.0, 1.0 / base
+            while index:
+                index, digit = divmod(index, base)
+                out += factor * digit
+                factor /= base
+            return min(out, math.nextafter(1.0, 0.0))
+
+        indices = [1, 2, base, base**2 - 1] + list(range(10**12, 10**12 + 50))
+        expected = np.array([radical_inverse(i) for i in indices])
+        assert halton(np.array(indices), base).tobytes() == expected.tobytes()
+        for i, want in zip(indices, expected.tolist()):
+            got = halton(i, base)
+            assert isinstance(got, float) and got == want
+
     def test_large_index_stays_below_one(self):
         # The float64 digit sum of 5**22 - 1 in base 5 (all digits 4) rounds
         # to exactly 1.0.
@@ -157,9 +178,9 @@ class TestInverseNormalCdf:
         np.testing.assert_allclose(inverse_normal_cdf(u), special.ndtri(u), rtol=2e-15, atol=0)
 
     def test_bitwise_standard_library(self):
-        # Every branch of AS241 gives the bits of NormalDist().inv_cdf:
-        # the centre, both tails to 1e-300 and 1 - 1e-16, and the points
-        # where the branches meet.
+        # Every branch of AS241 gives the bits of NormalDist().inv_cdf, on
+        # arrays and on scalars: the centre, both tails to 1e-300 and
+        # 1 - 1e-16, and the points where the branches meet.
         normal = NormalDist()
         rng = np.random.default_rng(7)
         u = np.concatenate([
@@ -172,6 +193,11 @@ class TestInverseNormalCdf:
         ])
         expected = np.array([normal.inv_cdf(x) for x in u.tolist()])
         assert inverse_normal_cdf(u).tobytes() == expected.tobytes()
+        # The scalar path too, on every 97th point and the branch edges.
+        scalars = np.concatenate([u[::97], u[-7:]])
+        got = np.array([inverse_normal_cdf(x) for x in scalars.tolist()])
+        want = np.array([normal.inv_cdf(x) for x in scalars.tolist()])
+        assert got.tobytes() == want.tobytes()
 
     def test_scalar_and_shape(self):
         assert isinstance(inverse_normal_cdf(0.3), float)
@@ -206,6 +232,17 @@ class TestSamplePoints:
         pts = sample_points(packet, QmcSampler(1, skip=5**22 - 2))
         assert pts.shape == (1, 4)
         assert np.all(np.isfinite(pts))
+
+    @pytest.mark.parametrize("d, skip", [(1, 64), (2, 64), (3, 64), (2, 10**12)])
+    def test_bitwise_scaled_standard_library_quantiles(self, d, skip):
+        # Each coordinate is center + sqrt(eps/2) * NormalDist().inv_cdf(u)
+        # of its Halton coordinate u, bit for bit.
+        packet = GaussianPacket(np.linspace(-1.0, 1.0, 2 * d), 0.02)
+        u = halton_sequence(300, 2 * d, skip)
+        normal = NormalDist()
+        quantiles = np.array([normal.inv_cdf(x) for x in u.ravel().tolist()])
+        expected = packet.center + np.sqrt(packet.epsilon / 2.0) * quantiles.reshape(u.shape)
+        assert sample_points(packet, QmcSampler(300, skip)).tobytes() == expected.tobytes()
 
     def test_deterministic(self, packet):
         a = sample_points(packet, QmcSampler(500, skip=64))
