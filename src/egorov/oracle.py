@@ -14,7 +14,10 @@ The correction system itself has a second reference here: its unreordered
 flat form over full phase-space tensors (:func:`general_rhs`), integrated
 by classic RK4 (:func:`evolve_general`) rather than by splitting.  The
 dense derivative tensors of the :class:`Hamiltonian` and the full correction
-tensors exist only here; ``GeneralCorrectionState.from_block`` and
+tensors exist only here.  Each right-hand side, of the flat form and of the
+variational equations, reads all four derivative tensors from one
+``Hamiltonian.derivatives`` evaluation, and the flat form keeps its tensors
+in their full shapes.  ``GeneralCorrectionState.from_block`` and
 ``to_block`` are the one conversion between the full tensors and the
 per-coordinate block layout of the production stepper.
 
@@ -40,7 +43,7 @@ from .correction import BLOCK_PATTERNS, CorrectionState, a2_eval
 from .flow import step_count
 from .observables import Observable
 from .potentials import Potential, scatter_diagonals
-from .tensor_ops import apply_J_triple, j_contract_axis, tilde_d3
+from .tensor_ops import apply_J_triple, j_contract_axis, tilde_weights
 
 __all__ = [
     "GeneralCorrectionState",
@@ -79,10 +82,12 @@ def _factorial_mi(alpha) -> int:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """h(q, p) = |p|^2 / 2 + V(q) with phase-space derivative tensors.
+    """h(q, p) = |p|^2 / 2 + V(q) with its phase-space derivative tensors.
 
-    Third and fourth derivatives vanish on any index touching the momentum
-    block; only the position block carries the potential's tensors.
+    ``derivatives`` gives the dense tensors of orders 1 to 4 together; the
+    Hessian's momentum block is the identity, and the third and fourth
+    derivatives vanish on any index touching the momentum block.  The
+    reference trajectory needs only the force, ``gradient``.
     """
 
     potential: Potential
@@ -105,21 +110,18 @@ class Hamiltonian:
         out[..., d:] = z[..., d:]
         return out
 
-    def hessian(self, z: np.ndarray) -> np.ndarray:
-        return self._dense(z, 2, {(1, 1): np.ones(self.d)})
-
-    def third(self, z: np.ndarray) -> np.ndarray:
-        return self._dense(z, 3)
-
-    def fourth(self, z: np.ndarray) -> np.ndarray:
-        return self._dense(z, 4)
-
-    def _dense(self, z: np.ndarray, order: int, blocks=None) -> np.ndarray:
-        """The order-k tensor over phase space, (..., 2d, ..., 2d): the
-        potential's order-k diagonal on the position block, plus ``blocks``."""
-        diagonal = self.potential.diagonals(np.asarray(z)[..., : self.d])[order - 1]
-        out = np.zeros(np.shape(z)[:-1] + (2 * self.d,) * order)
-        return scatter_diagonals({(0,) * order: diagonal, **(blocks or {})}, out)
+    def derivatives(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(Dh, D2h, D3h, D4h) at z, each order-k tensor (..., 2d, ..., 2d)
+        scattered from one evaluation of the potential's diagonals."""
+        z = np.asarray(z)
+        d = self.d
+        g, c2, c3, c4 = self.potential.diagonals(z[..., :d])
+        table = ({(0,): g, (1,): z[..., d:]}, {(0, 0): c2, (1, 1): np.ones(d)},
+                 {(0, 0, 0): c3}, {(0, 0, 0, 0): c4})
+        return tuple(
+            scatter_diagonals(blocks, np.zeros(z.shape[:-1] + (2 * d,) * order))
+            for order, blocks in enumerate(table, 1)
+        )
 
 
 # stencil sizes giving at least 4th-order central differences
@@ -209,7 +211,9 @@ class JetFunction:
 
     @classmethod
     def from_hamiltonian(cls, h: Hamiltonian) -> "JetFunction":
-        return cls.from_tensors(h.value, h.gradient, h.hessian, h.third)
+        return cls.from_tensors(
+            h.value, *(lambda z, k=k: h.derivatives(z)[k] for k in range(3))
+        )
 
 
 def poisson_k(f: JetFunction, g: JetFunction, k: int, z: np.ndarray) -> float:
@@ -291,11 +295,12 @@ def _variational_rhs(y: tuple, h: Hamiltonian):
     z, dphi, d2phi, d3phi = y
     n = z.shape[-1]
     batch = z.shape[:-1]
-    m = j_contract_axis(h.hessian(z), axis=-2)
-    jd3 = j_contract_axis(h.third(z), axis=-3)
-    jd4 = j_contract_axis(h.fourth(z), axis=-4)
+    dh, d2h, d3h, d4h = h.derivatives(z)
+    m = j_contract_axis(d2h, axis=-2)
+    jd3 = j_contract_axis(d3h, axis=-3)
+    jd4 = j_contract_axis(d4h, axis=-4)
 
-    dz = j_contract_axis(h.gradient(z), axis=-1)
+    dz = j_contract_axis(dh, axis=-1)
     d_dphi = m @ dphi
 
     dphi_t = np.swapaxes(dphi, -1, -2)[..., None, :, :]
@@ -353,8 +358,12 @@ def variational_flow(
 
 def _flow_snapshots(z0: np.ndarray, n: int, delta: float, tau: float, h: Hamiltonian):
     """States of the trajectory from z0 at times 0, delta, ..., n*delta."""
-    steps = max(1, math.ceil(delta / tau)) if delta > 0 else 1
-    dt = delta / steps if steps else 0.0
+    if tau <= 0:
+        raise ValueError("step size must be positive")
+    if delta < 0:
+        raise ValueError("duration must be nonnegative")
+    steps = max(1, math.ceil(delta / tau))
+    dt = delta / steps
     snaps = [np.asarray(z0, dtype=float).copy()]
     y = (snaps[0],)
 
@@ -403,7 +412,7 @@ def quadrature_tensors(
     z_end = snaps[n]
 
     dim = z0.shape[-1]
-    jd3t = apply_J_triple(tilde_d3(h.third(np.stack(snaps))))
+    jd3t = apply_J_triple(tilde_weights(dim) * h.derivatives(np.stack(snaps))[2])
 
     lam_nodes = np.empty((n + 1, dim, dim, dim))
     gam_nodes = np.empty((n + 1, dim, dim))
@@ -467,7 +476,7 @@ def a2_quadrature(
         values = [0.0] * len(observables)
     else:
         z_end, lam, gam, xi = quadrature_tensors(z0, t, n_quad, potential, tau_var)
-        state = GeneralCorrectionState(z_end, lam.ravel(), gam.ravel(), xi, t).to_block()
+        state = GeneralCorrectionState(z_end, lam, gam, xi, t).to_block()
         values = [float(a2_eval(obs, state)) for obs in observables]
     return values[0] if single else values
 
@@ -525,16 +534,15 @@ def composed_third_derivative(
 
 @dataclass(frozen=True)
 class GeneralCorrectionState:
-    """Correction tensors in flat phase-space form.
-
-    ``lam_vec`` and ``gam_vec`` hold the row-major vectorizations of the full
-    (2d)^3 tensor and (2d)^2 matrix; ``xi`` is the 2d-vector.  Batched like
-    :class:`CorrectionState`.
+    """Correction tensors in flat phase-space form: the full ``lam``
+    (..., 2d, 2d, 2d), ``gam`` (..., 2d, 2d) and ``xi`` (..., 2d), indexed
+    over the whole phase space rather than split into per-coordinate
+    blocks.  Batched like :class:`CorrectionState`.
     """
 
     z: np.ndarray
-    lam_vec: np.ndarray
-    gam_vec: np.ndarray
+    lam: np.ndarray
+    gam: np.ndarray
     xi: np.ndarray
     t: float = 0.0
 
@@ -545,20 +553,10 @@ class GeneralCorrectionState:
         batch = z0.shape[:-1]
         return cls(
             z=z0.copy(),
-            lam_vec=np.zeros(batch + (n**3,)),
-            gam_vec=np.zeros(batch + (n**2,)),
+            lam=np.zeros(batch + (n,) * 3),
+            gam=np.zeros(batch + (n,) * 2),
             xi=np.zeros(batch + (n,)),
         )
-
-    @property
-    def lam(self) -> np.ndarray:
-        n = self.z.shape[-1]
-        return self.lam_vec.reshape(self.z.shape[:-1] + (n, n, n))
-
-    @property
-    def gam(self) -> np.ndarray:
-        n = self.z.shape[-1]
-        return self.gam_vec.reshape(self.z.shape[:-1] + (n, n))
 
     @classmethod
     def from_block(cls, s: CorrectionState) -> "GeneralCorrectionState":
@@ -572,7 +570,7 @@ class GeneralCorrectionState:
             )
             for order in (3, 2, 1)
         )
-        return cls(s.z, lam.reshape(batch + (-1,)), gam.reshape(batch + (-1,)), xi, s.t)
+        return cls(s.z, lam, gam, xi, s.t)
 
     def to_block(self) -> CorrectionState:
         """Gather the full tensors into the block layout.
@@ -598,7 +596,7 @@ class GeneralCorrectionState:
 
 
 def general_rhs(state: GeneralCorrectionState, h: Hamiltonian):
-    """Time derivative (dz, dlam_vec, dgam_vec, dxi) of the flat-form system.
+    """Time derivative (dz, dlam, dgam, dxi) of the flat-form system.
 
     The tensor equations, with M the symplectic contraction of the Hessian
     of h at z and the inhomogeneities built from third/fourth derivatives:
@@ -611,13 +609,12 @@ def general_rhs(state: GeneralCorrectionState, h: Hamiltonian):
     """
     z = state.z
     lam, gam, xi = state.lam, state.gam, state.xi
-    batch = z.shape[:-1]
 
-    dh = h.gradient(z)
-    m = j_contract_axis(h.hessian(z), axis=-2)
-    c1 = apply_J_triple(tilde_d3(h.third(z)))
-    c2 = j_contract_axis(h.third(z), axis=-3)
-    c3 = j_contract_axis(h.fourth(z), axis=-4)
+    dh, d2h, d3h, d4h = h.derivatives(z)
+    m = j_contract_axis(d2h, axis=-2)
+    c1 = apply_J_triple(tilde_weights(z.shape[-1]) * d3h)
+    c2 = j_contract_axis(d3h, axis=-3)
+    c3 = j_contract_axis(d4h, axis=-4)
 
     dz = j_contract_axis(dh, axis=-1)
     dlam = (
@@ -636,7 +633,7 @@ def general_rhs(state: GeneralCorrectionState, h: Hamiltonian):
         + 3.0 * np.einsum("...ijk,...kj->...i", c2, gam)
         + np.einsum("...il,...l->...i", m, xi)
     )
-    return dz, dlam.reshape(batch + (-1,)), dgam.reshape(batch + (-1,)), dxi
+    return dz, dlam, dgam, dxi
 
 
 def evolve_general(
@@ -652,7 +649,7 @@ def evolve_general(
     if n == 0:
         return state
     dt = t / n
-    y = (state.z, state.lam_vec, state.gam_vec, state.xi)
+    y = (state.z, state.lam, state.gam, state.xi)
     for _ in range(n):
         y = _rk4_step(lambda y: general_rhs(GeneralCorrectionState(*y), h), y, dt)
     return GeneralCorrectionState(*y, t=n * dt)

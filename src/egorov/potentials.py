@@ -178,7 +178,7 @@ class HarmonicPotential(Potential):
 
     def __post_init__(self):
         omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        if omega.ndim != 1 or np.any(omega <= 0):
+        if omega.ndim != 1 or not np.all((omega > 0) & np.isfinite(omega)):
             raise ValueError("stiffness must be a vector of positive entries")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "d", omega.shape[0])

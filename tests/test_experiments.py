@@ -1253,12 +1253,14 @@ class TestCli:
     def test_start_up_imports_no_scipy(self, config_file):
         # Every command imports the CLI and loads its config; scipy's import
         # alone would cost more than a benchmark-sized run, so neither step
-        # may pull it in.
+        # may pull it in.  Nor may they load the dense oracle or the checks
+        # that use it: only `egorov selftest` imports those.
         code = (
             "import sys, egorov.cli; "
             "from egorov.experiments import load_config; "
             "load_config(sys.argv[1]); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m in ('egorov.oracle', 'egorov.checks')))"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(egorov.__file__).parents[1]))
         out = subprocess.run(

@@ -4,6 +4,7 @@ quadrature route to the correction term."""
 from __future__ import annotations
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -13,17 +14,24 @@ from egorov.flow import propagate
 from egorov.observables import make_observable
 from egorov.oracle import (
     GeneralCorrectionState,
+    Hamiltonian,
     JetFunction,
     VariationalState,
     a2_quadrature,
     composed_third_derivative,
     flow_integral,
+    general_rhs,
     multi_indices,
     poisson_k,
     quadrature_tensors,
     variational_flow,
 )
-from egorov.potentials import free_potential, harmonic_potential, torsional_potential
+from egorov.potentials import (
+    TorsionalPotential,
+    free_potential,
+    harmonic_potential,
+    torsional_potential,
+)
 from egorov.tensor_ops import apply_J_triple, tilde_d3
 
 from conftest import symplectic_j
@@ -238,6 +246,33 @@ class TestVariationalFlow:
             np.testing.assert_allclose(s.d3phi[..., l], fd, atol=1e-5)
 
 
+class TestHamiltonianDerivatives:
+    def test_one_evaluation_per_right_hand_side(self, monkeypatch):
+        calls = []
+        diagonals = TorsionalPotential.diagonals
+
+        def counted(self, q):
+            calls.append(q.shape)
+            return diagonals(self, q)
+
+        monkeypatch.setattr(TorsionalPotential, "diagonals", counted)
+        pot = torsional_potential(3)
+        ham = Hamiltonian(pot)
+        z = np.random.default_rng(37).uniform(-2.0, 2.0, size=(5, 6))
+        general_rhs(GeneralCorrectionState.initial(z), ham)
+        assert len(calls) == 1
+        calls.clear()
+        variational_flow(z, 0.1, 0.1, pot)  # one RK4 step: four stages
+        assert len(calls) == 4
+        # The third derivative comes out symmetric by construction, which is
+        # what lets the flat form weight it without tilde_d3's symmetry scan.
+        dh, _, d3h, _ = ham.derivatives(z)
+        for perm in permutations((1, 2, 3)):
+            np.testing.assert_array_equal(d3h, np.transpose(d3h, (0, *perm)))
+        # The flow field reads the force from the same evaluation, bit for bit.
+        np.testing.assert_array_equal(dh, ham.gradient(z))
+
+
 class TestQuadratureTensors:
     def test_validation(self, torsional_2d, z0):
         with pytest.raises(ValueError, match="even"):
@@ -292,6 +327,19 @@ class TestFlowIntegral:
         with pytest.raises(ValueError):
             flow_integral(lambda s, y: 1.0, z0, 1.0, 5, torsional_2d)
 
+    def test_rejects_negative_duration_and_step(self, torsional_2d, z0):
+        # Both Simpson routes start from the reference trajectory, which
+        # would otherwise integrate each panel by one RK4 step of any sign.
+        q1 = make_observable("q1", torsional_2d)
+        with pytest.raises(ValueError, match="duration must be nonnegative"):
+            flow_integral(lambda s, y: y[0], z0, -1.0, 8, torsional_2d)
+        with pytest.raises(ValueError, match="step size must be positive"):
+            flow_integral(lambda s, y: y[0], z0, 1.0, 8, torsional_2d, tau_flow=-1e-3)
+        with pytest.raises(ValueError, match="duration must be nonnegative"):
+            a2_quadrature(q1, z0, -1.0, 8, torsional_2d)
+        with pytest.raises(ValueError, match="step size must be positive"):
+            a2_quadrature(q1, z0, 1.0, 8, torsional_2d, tau_var=-1e-3)
+
     def test_free_particle_closed_form(self):
         # For V = 0 the flow is exact under RK4 and
         # int_0^t q1(Phi^{t-s} z) ds = t q1 + t^2/2 p1.
@@ -337,7 +385,7 @@ class TestBracketIntegrandEquivalence:
         tensor_val = np.einsum(
             "ijk,kji->",
             composed_third_derivative(a, var),
-            apply_J_triple(tilde_d3(ham_torsional_2d.third(y))),
+            apply_J_triple(tilde_d3(ham_torsional_2d.derivatives(y)[2])),
         )
 
         def a_composed(z):
@@ -366,7 +414,7 @@ class TestBracketIntegrandEquivalence:
             return np.einsum(
                 "ijk,kji->",
                 composed_third_derivative(a, var),
-                apply_J_triple(tilde_d3(ham_torsional_2d.third(y))),
+                apply_J_triple(tilde_d3(ham_torsional_2d.derivatives(y)[2])),
             )
 
         val = -0.25 * flow_integral(integrand, z0, 1.0, 16, torsional_2d, tau_flow=1e-2)

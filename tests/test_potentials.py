@@ -137,6 +137,17 @@ class TestHarmonic:
         with pytest.raises(ValueError):
             harmonic_potential(0, 1.0)
 
+    @pytest.mark.parametrize(
+        "stiffness", [float("nan"), float("inf"), (1.0, float("nan"), 2.0)]
+    )
+    def test_rejects_non_finite_stiffness(self, stiffness):
+        # NaN fails every comparison, so a check of omega <= 0 alone lets it
+        # through and the potential's value comes out NaN.
+        with pytest.raises(ValueError, match="positive entries"):
+            harmonic_potential(3, stiffness)
+        with pytest.raises(ValueError, match="positive entries"):
+            HarmonicPotential(np.broadcast_to(np.asarray(stiffness, dtype=float), (3,)))
+
     def test_scalar_stiffness_broadcast(self):
         pot = harmonic_potential(3, 2.0)
         np.testing.assert_array_equal(pot.omega, [2.0, 2.0, 2.0])
@@ -291,15 +302,14 @@ class TestHamiltonian:
         np.testing.assert_allclose(grad[d:], z0[d:])
 
     def test_hessian_blocks(self, ham_torsional_2d, z0):
-        hess = ham_torsional_2d.hessian(z0)
+        hess = ham_torsional_2d.derivatives(z0)[1]
         np.testing.assert_array_equal(hess[2:, 2:], np.eye(2))
         np.testing.assert_array_equal(hess[:2, 2:], np.zeros((2, 2)))
         np.testing.assert_array_equal(hess[2:, :2], np.zeros((2, 2)))
         np.testing.assert_allclose(np.diag(hess[:2, :2]), np.cos(z0[:2]))
 
     def test_higher_derivatives_avoid_momentum_block(self, ham_torsional_2d, z0):
-        third = ham_torsional_2d.third(z0)
-        fourth = ham_torsional_2d.fourth(z0)
+        _, _, third, fourth = ham_torsional_2d.derivatives(z0)
         for axis in range(3):
             momentum_rows = np.take(third, [2, 3], axis=axis)
             np.testing.assert_array_equal(momentum_rows, 0.0)
