@@ -151,7 +151,7 @@ def bracket_antisymmetry() -> dict[str, float]:
     def g(z):
         return np.cos(z[..., 1]) + z[..., 0] ** 2 * z[..., 3]
 
-    jet_f, jet_g = JetFunction.from_callable(f, 4), JetFunction.from_callable(g, 4)
+    jet_f, jet_g = JetFunction.from_callable(f), JetFunction.from_callable(g)
     z = np.array([0.4, -0.3, 0.8, 0.6])
     residuals = [
         poisson_k(jet_f, jet_g, k, z) + sign * poisson_k(jet_g, jet_f, k, z)

@@ -50,9 +50,10 @@ makes its own, so chunks of an ensemble stepped in different threads share
 nothing.  :func:`evolve_correction_snapshots` can hand each snapshot to an
 observer as the run reaches it, so an ensemble chunk that reduces its
 snapshots holds the live state alone, not a copy per snapshot time.
-:class:`CorrectionState` names the rows; its fields are views of them, and
-:data:`BLOCK_PATTERNS` gives each tensor row its block of the full
-phase-space tensors.  This module holds only the stepper and ``a2_eval``.
+A :class:`CorrectionState` is that array and a time,
+``CorrectionState(rows, t)``, with each name of :data:`FIELDS` bound to its
+row, a view; :data:`BLOCK_PATTERNS` gives each tensor row its block of the
+full phase-space tensors.  This module holds only the stepper and ``a2_eval``.
 The full tensors live in :mod:`egorov.oracle`, whose
 ``GeneralCorrectionState.from_block`` and ``to_block`` convert between the
 two layouts, beside the independent references: the unreordered flat form
@@ -65,8 +66,6 @@ and the evolutions step a copy and leave their input as it is.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,7 +123,6 @@ _ENTRY_ROWS = dict(sorted(
 _ORDER_WEIGHTS = (1.0, 3.0, 1.0)
 
 
-@dataclass(frozen=True)
 class CorrectionState:
     """Trajectory-attached correction tensors in the reordered block layout,
     each block stored as its same-coordinate diagonal.
@@ -138,49 +136,15 @@ class CorrectionState:
     (j, j, j) entry and entry j of a gam block its (j, j) entry.  The block
     entries that mix two coordinates are zero and not stored.
 
-    The fields are views of the rows of ``rows``, (16, ..., d) in the order
-    of :data:`FIELDS`.  Built from fields, a state stacks copies of them;
-    :meth:`from_rows` wraps an existing array.
+    The state is ``rows``, (16, ..., d) in the order of :data:`FIELDS`, at
+    time ``t``; it shares the array's memory, and each name in
+    :data:`FIELDS` is bound to its row, a view.
     """
 
-    q: np.ndarray
-    p: np.ndarray
-    lam21: np.ndarray
-    lam22: np.ndarray
-    lam23: np.ndarray
-    lam4: np.ndarray
-    gam21: np.ndarray
-    gam22: np.ndarray
-    xi2: np.ndarray
-    lam1: np.ndarray
-    lam31: np.ndarray
-    lam32: np.ndarray
-    lam33: np.ndarray
-    gam1: np.ndarray
-    gam3: np.ndarray
-    xi1: np.ndarray
-    t: float = 0.0
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _scratch: CorrectionState | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        self._attach(np.stack([np.asarray(getattr(self, name), dtype=float) for name in FIELDS]))
-
-    def _attach(self, rows: np.ndarray) -> None:
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: np.ndarray, t: float = 0.0):
+        self.rows, self.t, self._scratch = rows, t, None
         for name, row in zip(FIELDS, rows):
-            object.__setattr__(self, name, row)
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray, t: float = 0.0) -> "CorrectionState":
-        """The state whose fields are the rows of ``rows`` (16, ..., d),
-        sharing its memory."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "t", t)
-        state._attach(rows)
-        return state
+            setattr(self, name, row)
 
     @classmethod
     def initial(cls, z0: np.ndarray) -> "CorrectionState":
@@ -190,24 +154,24 @@ class CorrectionState:
         rows = np.zeros((len(FIELDS),) + z0.shape[:-1] + (d,))
         rows[Q] = z0[..., :d]
         rows[P] = z0[..., d:]
-        return cls.from_rows(rows)
+        return cls(rows)
 
     def copy(self) -> "CorrectionState":
         """A state with its own copy of the rows, and no scratch block."""
-        return self.from_rows(self.rows.copy(), self.t)
+        return CorrectionState(self.rows.copy(), self.t)
 
     def scratch(self) -> "CorrectionState":
         """A state of this one's shape whose rows the sub-flows overwrite with
         their increments: made on first use and kept with this state, so a
         live state stepped many times makes one.  A state made by
-        :meth:`copy` or :meth:`from_rows`, such as a snapshot, has its own."""
+        :meth:`copy` or by the constructor, such as a snapshot, has its own."""
         if self._scratch is None:
-            object.__setattr__(self, "_scratch", self.from_rows(np.empty_like(self.rows)))
+            self._scratch = CorrectionState(np.empty_like(self.rows))
         return self._scratch
 
     def drop_scratch(self) -> None:
         """Let go of the kept scratch block; the next sub-flow makes a new one."""
-        object.__setattr__(self, "_scratch", None)
+        self._scratch = None
 
     @property
     def d(self) -> int:
@@ -320,7 +284,7 @@ def f2_step(tau: float, state: CorrectionState, potential: Potential) -> Correct
     state = sub_flow_psi3(tau, state, potential)
     state = sub_flow_psi1(0.5 * tau, state)
     state = sub_flow_psi2(0.5 * tau, state, potential)
-    return CorrectionState.from_rows(state.rows, t)
+    return CorrectionState(state.rows, t)
 
 
 def _snapshots(state: CorrectionState, times, tau: float, potential: Potential):
@@ -343,7 +307,7 @@ def f4_step(tau: float, state: CorrectionState, potential: Potential) -> Correct
     """Fourth-order triple jump of :func:`f2_step`, with the adjacent psi2
     half-flows merged, on a copy of the state; tau must be positive."""
     (out,) = _snapshots(state.copy(), [tau], tau, potential)
-    return CorrectionState.from_rows(out.rows, state.t + tau)
+    return CorrectionState(out.rows, state.t + tau)
 
 
 def evolve_correction(
@@ -375,7 +339,7 @@ def evolve_correction_snapshots(
     for i, (t, state) in enumerate(zip(times, states)):
         if i == last:
             state.drop_scratch()
-        out.append(observe(CorrectionState.from_rows(state.rows, float(t))))
+        out.append(observe(CorrectionState(state.rows, float(t))))
     return out
 
 

@@ -93,8 +93,11 @@ _SWEEP_AXES = ("epsilon", "N2", "tau2")
 
 
 def _is_multiple(a: float, b: float) -> bool:
-    """True when a is one or more whole multiples of b (up to rounding slack)."""
+    """True when a is one or more whole multiples of b (up to rounding slack);
+    False when a / b overflows."""
     ratio = a / b
+    if not math.isfinite(ratio):
+        return False
     whole = round(ratio)
     return whole >= 1 and abs(ratio - whole) <= 1e-9 * max(1.0, abs(ratio))
 
@@ -221,7 +224,10 @@ class RunConfig:
         if self.tau_reference > 0:
             return self.tau_reference
         stride = self.snapshot_stride
-        return stride / math.ceil(16.0 * stride / self.epsilon)
+        steps = 16.0 * stride / self.epsilon
+        if not math.isfinite(steps):
+            raise ValueError("16 * snapshot_stride / epsilon overflows: set tau_reference")
+        return stride / math.ceil(steps)
 
 
 def build_potential(config: RunConfig) -> Potential:

@@ -108,10 +108,13 @@ def step_count(t: float, tau: float) -> int:
         raise ValueError("step size must be positive")
     if t < 0:
         raise ValueError("duration must be nonnegative")
-    n = round(t / tau)
+    ratio = t / tau
+    if not np.isfinite(ratio):
+        raise ValueError(f"duration {t} takes too many steps of {tau} to count")
+    n = round(ratio)
     if t > 0 and n == 0:
         raise ValueError(f"duration {t} is not commensurate with step {tau}")
-    if n and abs(t / tau - n) > 0.01:
+    if n and abs(ratio - n) > 0.01:
         raise ValueError(f"duration {t} is not commensurate with step {tau}")
     return n
 

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .correction import BLOCK_PATTERNS, CorrectionState, a2_eval
+from .correction import BLOCK_PATTERNS, FIELDS, CorrectionState, a2_eval
 from .flow import step_count
 from .observables import Observable
 from .potentials import Potential, scatter_diagonals
@@ -472,12 +472,9 @@ def a2_quadrature(
     """
     single = isinstance(a, Observable)
     observables = [a] if single else list(a)
-    if t == 0:
-        values = [0.0] * len(observables)
-    else:
-        z_end, lam, gam, xi = quadrature_tensors(z0, t, n_quad, potential, tau_var)
-        state = GeneralCorrectionState(z_end, lam, gam, xi, t).to_block()
-        values = [float(a2_eval(obs, state)) for obs in observables]
+    z_end, lam, gam, xi = quadrature_tensors(z0, t, n_quad, potential, tau_var)
+    state = GeneralCorrectionState(z_end, lam, gam, xi, t).to_block()
+    values = [float(a2_eval(obs, state)) for obs in observables]
     return values[0] if single else values
 
 
@@ -581,11 +578,10 @@ class GeneralCorrectionState:
         d = self.z.shape[-1] // 2
         j = np.arange(d)
         full = {3: self.lam, 2: self.gam, 1: self.xi}
-        blocks = {
-            name: full[len(p)][(..., *(k * d + j for k in p))]
-            for name, p in BLOCK_PATTERNS.items()
-        }
-        state = CorrectionState(q=self.z[..., :d], p=self.z[..., d:], **blocks, t=self.t)
+        blocks = {"q": self.z[..., :d], "p": self.z[..., d:]}
+        for name, p in BLOCK_PATTERNS.items():
+            blocks[name] = full[len(p)][(..., *(k * d + j for k in p))]
+        state = CorrectionState(np.stack([blocks[name] for name in FIELDS]), self.t)
         rebuilt = GeneralCorrectionState.from_block(state)
         for tensor, again in ((self.lam, rebuilt.lam), (self.gam, rebuilt.gam)):
             if not np.array_equal(tensor, again, equal_nan=True):

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import egorov.correction as correction_mod
 from egorov.correction import (
+    FIELDS,
     CorrectionState,
     a2_eval,
     evolve_correction,
@@ -64,9 +65,14 @@ def state_gap(a: CorrectionState, b: CorrectionState) -> float:
     )
 
 
+def make_state(**fields) -> CorrectionState:
+    """A state at t = 0 whose rows are copies of the named fields."""
+    return CorrectionState(np.stack([np.asarray(fields[f], dtype=float) for f in FIELDS]))
+
+
 def random_state(rng, d=2) -> CorrectionState:
     """Random phase point and random per-coordinate blocks, (d,) each."""
-    return CorrectionState(**{f: rng.standard_normal(d) for f in STATE_FIELDS})
+    return make_state(**{f: rng.standard_normal(d) for f in STATE_FIELDS})
 
 
 def cross_coordinate(n_slots: int, d: int) -> np.ndarray:
@@ -199,7 +205,7 @@ class TestGeneralRhs:
         # the flow never leaves the layout.
         d = potential.d
         values = data.draw(arrays(float, (len(STATE_FIELDS), d), elements=st.floats(-2.0, 2.0)))
-        s = CorrectionState(**dict(zip(STATE_FIELDS, values)))
+        s = make_state(**dict(zip(STATE_FIELDS, values)))
         _, dlam, dgam, _ = general_rhs(
             GeneralCorrectionState.from_block(s), Hamiltonian(potential)
         )
@@ -251,9 +257,10 @@ class TestSubFlows:
         # no A3 column acts on the momentum entries.  The Psi3 blocks are
         # random, to rule out trivial passing.
         rng = np.random.default_rng(30)
-        s = replace(
-            CorrectionState.initial(np.array([1.0, 0.5, 0.8, -0.3])),
-            **{f: rng.standard_normal(2) for f in PSI3_FIELDS},
+        start = CorrectionState.initial(np.array([1.0, 0.5, 0.8, -0.3]))
+        s = make_state(
+            **{f: getattr(start, f) for f in FIELDS}
+            | {f: rng.standard_normal(2) for f in PSI3_FIELDS}
         )
         out = sub_flow_psi3(0.7, s.copy(), torsional_2d)
         assert state_gap(out, s) == 0.0
@@ -267,7 +274,7 @@ class TestSubFlows:
     def test_psi2_psi3_commute_with_batching(self, torsional_2d):
         rng = np.random.default_rng(32)
         states = [random_state(rng) for _ in range(3)]
-        batched = CorrectionState(
+        batched = make_state(
             **{
                 f: np.stack([getattr(s, f) for s in states])
                 for f in STATE_FIELDS
@@ -586,7 +593,7 @@ class TestInPlaceStepper:
         signed_zero = rng.integers(0, 8, values.shape)
         values[signed_zero == 0] = 0.0
         values[signed_zero == 1] = -0.0
-        s = CorrectionState(**dict(zip(STATE_FIELDS, values)))
+        s = make_state(**dict(zip(STATE_FIELDS, values)))
         for t in (0.3, -0.7):
             for flow, per_field in (
                 (lambda s: sub_flow_psi1(t, s), lambda s: per_field_psi1(t, s)),
@@ -714,7 +721,7 @@ class TestA2Eval:
         # read on each block's reversed pattern.
         rng = np.random.default_rng(37)
         for d in (1, 2, 3):
-            state = CorrectionState(
+            state = make_state(
                 **{f: rng.standard_normal((5, d)) for f in STATE_FIELDS}
             )
             tensors = [rng.standard_normal((5,) + (2 * d,) * k) for k in (1, 2, 3)]
@@ -758,8 +765,8 @@ class TestA2Eval:
         wide = np.zeros((16, 200, 2 * d))
         wide[:, ::2, 1::2] = state.rows
         layouts = {
-            "fortran": CorrectionState.from_rows(np.asfortranarray(state.rows)),
-            "strided": CorrectionState.from_rows(wide[:, ::2, 1::2]),
+            "fortran": CorrectionState(np.asfortranarray(state.rows)),
+            "strided": CorrectionState(wide[:, ::2, 1::2]),
         }
         observables = [make_observable(name, pot) for name in default_names(d)]
         want = a2_eval(observables, state)

@@ -146,6 +146,8 @@ class TestRunConfig:
             (dict(tau_correction=1e10), "multiple of tau_correction"),
             (dict(tau_reference=1e10), "multiple of tau_reference"),
             (dict(t_final=1e-12), "whole number of snapshot strides"),
+            # A ratio that overflows to inf is no whole number.
+            (dict(t_final=1e300, snapshot_stride=1e-10), "whole number of snapshot strides"),
         ],
     )
     def test_validation(self, overrides, message):
@@ -909,13 +911,14 @@ class TestSelftest:
         # increment of psi3, driven by the w3:Lambda contraction and the
         # second-derivative terms.  The comparison with the general form
         # must fail.  The sub-flow updates in place, so the state is copied
-        # first.
+        # first, and the flip is written into the live row.
         original = correction_mod.sub_flow_psi3
 
         def flipped(t, state, potential):
             before = state.copy()
             out = original(t, state, potential)
-            return dataclasses.replace(out, gam3=2.0 * before.gam3 - out.gam3)
+            out.gam3[...] = 2.0 * before.gam3 - out.gam3
+            return out
 
         monkeypatch.setattr(correction_mod, "sub_flow_psi3", flipped)
         assert not checks.run_check("block-general-equivalence").passed
@@ -1182,6 +1185,24 @@ class TestCli:
         assert code != 0
         assert "not resolved by the grid" in capsys.readouterr().err
         assert not (out / "reference.csv").exists()
+
+    def test_overflowing_default_reference_step_exits_one(self, tmp_path, capsys):
+        # At eps = 1e-300 and a stride of 1e10 the default reference step,
+        # stride / ceil(16 stride / eps), does not exist.  `reference` exits
+        # 1 and makes no --out; `run`, which needs no reference, still works.
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(
+            "epsilon = 1e-300\ndimension = 1\npotential = torsional\n"
+            "center = 1.0, 0.0\nn_samples = 64\ntau_flow = 1e10\n"
+            "n_correction = 16\ntau_correction = 1e10\nt_final = 1e10\n"
+            "snapshot_stride = 1e10\n"
+        )
+        out = tmp_path / "ref"
+        code = cli.main(["reference", "--config", str(config_file), "--out", str(out)])
+        assert code == 1
+        assert "error: 16 * snapshot_stride / epsilon overflows" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["run", "--config", str(config_file), "--out", str(tmp_path / "run")]) == 0
 
     def test_packet_narrower_than_grid_writes_no_reference(self, tmp_path, capsys):
         # Row 1's packet at eps = 1e-5 is far narrower than the 256-point

@@ -203,6 +203,13 @@ class TestStepCount:
         with pytest.raises(ValueError):
             step_count(-1.0, 0.1)
 
+    def test_rejects_overflowing_count(self):
+        # A count that overflows to inf, or an infinite duration, is refused,
+        # not passed to round().
+        for t, tau in ((1e300, 1e-10), (float("inf"), 0.1)):
+            with pytest.raises(ValueError, match="too many steps"):
+                step_count(t, tau)
+
     def test_tolerates_float_representation(self):
         assert step_count(0.3, 0.1) == 3
 

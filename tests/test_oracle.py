@@ -298,6 +298,19 @@ class TestA2Quadrature:
         a = make_observable("q1", torsional_2d)
         assert a2_quadrature(a, z0, 0.0, 16, torsional_2d) == 0.0
 
+    @pytest.mark.parametrize("n_quad, tau_var, message", [
+        (8, -1e-3, "step size must be positive"),
+        (8, 0.0, "step size must be positive"),
+        (3, 1e-3, "n_quad must be even and >= 2, got 3"),
+        (0, 1e-3, "n_quad must be even and >= 2, got 0"),
+    ])
+    def test_zero_time_validates(self, torsional_2d, z0, n_quad, tau_var, message):
+        # t = 0 is no shortcut: the arguments are checked as at t = 1.
+        q1 = make_observable("q1", torsional_2d)
+        for t in (0.0, 1.0):
+            with pytest.raises(ValueError, match=message):
+                a2_quadrature(q1, z0, t, n_quad, torsional_2d, tau_var=tau_var)
+
     def test_harmonic_identically_zero(self, z0):
         pot = harmonic_potential(2, (1.0, 2.0))
         for name in ("q1", "p2", "total"):
