@@ -27,7 +27,7 @@ from .potentials import (
     torsional_potential,
 )
 from .reference import GridSpec, init_packet, reference_expectations
-from .sampling import GaussianPacket, QmcSampler, sample_points
+from .sampling import GaussianPacket, sample_points
 
 __all__ = [
     "CorrectionState",
@@ -37,7 +37,6 @@ __all__ = [
     "HarmonicPotential",
     "OBSERVABLE_NAMES",
     "Potential",
-    "QmcSampler",
     "TorsionalPotential",
     "a2_eval",
     "evolve_correction",

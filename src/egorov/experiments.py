@@ -57,7 +57,7 @@ from .potentials import (
     torsional_potential,
 )
 from .reference import SCHEME, GridSpec, reference_expectations
-from .sampling import GaussianPacket, QmcSampler, sample_points
+from .sampling import GaussianPacket, sample_points
 
 __all__ = [
     "CHUNK_SIZE",
@@ -235,15 +235,7 @@ def build_potential(config: RunConfig) -> Potential:
     if config.potential == "torsional":
         return torsional_potential(config.dimension)
     if config.potential == "harmonic":
-        stiffness = config.stiffness
-        if len(stiffness) == 1:
-            return harmonic_potential(config.dimension, stiffness[0])
-        if len(stiffness) != config.dimension:
-            raise ValueError(
-                "stiffness needs one entry or one per dimension, got "
-                f"{len(stiffness)}"
-            )
-        return harmonic_potential(config.dimension, np.array(stiffness))
+        return harmonic_potential(config.dimension, config.stiffness)
     return free_potential(config.dimension)
 
 
@@ -481,11 +473,8 @@ def _pairwise_combine(stack: np.ndarray) -> np.ndarray:
 
 
 def _chunk_points(config: RunConfig, start: int, stop: int) -> np.ndarray:
-    packet = GaussianPacket(
-        center=np.array(config.center), epsilon=config.epsilon
-    )
-    sampler = QmcSampler(count=stop - start, skip=config.halton_skip + start)
-    return sample_points(packet, sampler)
+    packet = GaussianPacket(np.array(config.center), config.epsilon)
+    return sample_points(packet, stop - start, config.halton_skip + start)
 
 
 def _egorov_chunk_sums(config, potential, observables, times, start, stop):

@@ -23,11 +23,6 @@ from .potentials import Potential, coordinate_sum, scatter_diagonals
 
 __all__ = [
     "Observable",
-    "position",
-    "momentum",
-    "kinetic",
-    "potential_energy",
-    "total_energy",
     "default_names",
     "parse_name",
     "make_observable",
@@ -50,56 +45,6 @@ class Observable:
     diagonals: Callable[[np.ndarray], tuple]
 
 
-def _observable(name: str, d: int, value, diagonals) -> Observable:
-    """The observable with this value and ``diagonals``: its Da, D2a and
-    D3a are the blocks ``diagonals`` gives, scattered into zero tensors over
-    phase space."""
-
-    def dense(order):
-        def evaluate(z):
-            out = np.zeros(np.shape(z)[:-1] + (2 * d,) * order)
-            return scatter_diagonals(diagonals(z)[order - 1], out)
-
-        return evaluate
-
-    return Observable(name, value, dense(1), dense(2), dense(3), diagonals)
-
-
-def _coordinate(name: str, d: int, index: int) -> Observable:
-    slot, j = divmod(index, d)
-    e = np.eye(d)[j]
-    return _observable(
-        name,
-        d,
-        lambda z: np.asarray(z)[..., index] + 0.0,
-        lambda z: ({(slot,): e}, {}, {}),
-    )
-
-
-def position(j: int, d: int) -> Observable:
-    """q_j as an observable (j is 1-based, matching the CLI names)."""
-    if not 1 <= j <= d:
-        raise ValueError(f"position index {j} out of range for d={d}")
-    return _coordinate(f"q{j}", d, j - 1)
-
-
-def momentum(j: int, d: int) -> Observable:
-    """p_j as an observable (1-based)."""
-    if not 1 <= j <= d:
-        raise ValueError(f"momentum index {j} out of range for d={d}")
-    return _coordinate(f"p{j}", d, d + j - 1)
-
-
-def kinetic(d: int) -> Observable:
-    """|p|^2 / 2; constant hessian on the momentum block, zero third."""
-    return _observable(
-        "kinetic",
-        d,
-        lambda z: 0.5 * coordinate_sum(np.asarray(z)[..., d:] ** 2),
-        _energy_diagonals(d, None, kinetic=True),
-    )
-
-
 def _energy_diagonals(d: int, potential: Potential | None, kinetic: bool):
     """The diagonals of V(q) if ``potential`` is given, plus those of
     |p|^2 / 2 if ``kinetic``, from one ``Potential.diagonals`` evaluation."""
@@ -116,28 +61,6 @@ def _energy_diagonals(d: int, potential: Potential | None, kinetic: bool):
         return grad, hess, third
 
     return diagonals
-
-
-def potential_energy(potential: Potential) -> Observable:
-    """V(q) lifted to phase space."""
-    d = potential.d
-    return _observable(
-        "potential",
-        d,
-        lambda z: potential.value(np.asarray(z)[..., :d]),
-        _energy_diagonals(d, potential, kinetic=False),
-    )
-
-
-def total_energy(potential: Potential) -> Observable:
-    """h(q, p) = |p|^2 / 2 + V(q)."""
-    d = potential.d
-
-    def value(z):
-        z = np.asarray(z)
-        return 0.5 * coordinate_sum(z[..., d:] ** 2) + potential.value(z[..., :d])
-
-    return _observable("total", d, value, _energy_diagonals(d, potential, kinetic=True))
 
 
 def default_names(d: int) -> tuple[str, ...]:
@@ -175,15 +98,44 @@ def parse_name(name: str, d: int) -> tuple[str, int]:
 
 
 def make_observable(name: str, potential: Potential) -> Observable:
-    """Look up an observable by its configuration name (q1, p2, kinetic, ...)."""
+    """The built-in observable of a configuration name (q1, p2, kinetic,
+    potential, total) over the phase space of ``potential``.
+
+    It states its value and ``diagonals``; its Da, D2a and D3a are the blocks
+    ``diagonals`` gives, scattered into zero tensors over phase space.
+    q_j and p_j are coordinates; the energies take their diagonals from
+    :func:`_energy_diagonals`, and ``total`` is h = |p|^2 / 2 + V(q).
+    """
     d = potential.d
     kind, j = parse_name(name, d)
-    if kind == "q":
-        return position(j, d)
-    if kind == "p":
-        return momentum(j, d)
-    if kind == "kinetic":
-        return kinetic(d)
-    if kind == "potential":
-        return potential_energy(potential)
-    return total_energy(potential)
+    if j:
+        slot = 0 if kind == "q" else 1
+        index, e = slot * d + j - 1, np.eye(d)[j - 1]
+
+        def value(z):
+            return np.asarray(z)[..., index] + 0.0
+
+        def diagonals(z):
+            return {(slot,): e}, {}, {}
+
+    else:
+
+        def value(z):
+            z = np.asarray(z)
+            if kind == "potential":
+                return potential.value(z[..., :d])
+            kinetic = 0.5 * coordinate_sum(z[..., d:] ** 2)
+            return kinetic + potential.value(z[..., :d]) if kind == "total" else kinetic
+
+        diagonals = _energy_diagonals(
+            d, None if kind == "kinetic" else potential, kinetic=kind != "potential"
+        )
+
+    def dense(order):
+        def evaluate(z):
+            out = np.zeros(np.shape(z)[:-1] + (2 * d,) * order)
+            return scatter_diagonals(diagonals(z)[order - 1], out)
+
+        return evaluate
+
+    return Observable(name, value, dense(1), dense(2), dense(3), diagonals)

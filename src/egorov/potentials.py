@@ -233,8 +233,10 @@ def harmonic_potential(d: int, stiffness) -> HarmonicPotential:
     """Harmonic potential with per-axis stiffness (d entries or a scalar)."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    omega = np.broadcast_to(np.asarray(stiffness, dtype=float), (d,))
-    return HarmonicPotential(omega)
+    omega = np.atleast_1d(np.asarray(stiffness, dtype=float))
+    if omega.shape not in ((1,), (d,)):
+        raise ValueError(f"stiffness needs one entry or one per dimension, got {omega.size}")
+    return HarmonicPotential(np.broadcast_to(omega, (d,)))
 
 
 def free_potential(d: int) -> FreePotential:

@@ -28,7 +28,10 @@ boundary shell of the (formally periodic) domain is monitored because the
 packet must stay essentially inside for the periodification to be harmless.
 The monitors combine as the d-dimensional ones factor: the norm is the
 product of the axes' norms, and the mass inside the shell the product of
-theirs.
+theirs.  A third monitor reads the Fourier weights the expectations use: the
+weight in the wavenumbers around Nyquist, combined over the axes as the
+boundary mass is, stays small while the grid resolves the packet's momenta.
+:func:`schrodinger_step` runs no monitor.
 
 The module does no I/O; :func:`experiments.run_reference` makes its rows.
 """
@@ -59,6 +62,11 @@ __all__ = [
 
 _BOUNDARY_INIT_TOL = 1e-12
 _BOUNDARY_RUN_TOL = 1e-8
+# The largest Fourier weight in the 2 * _SHELL_WIDTH wavenumbers around
+# Nyquist: a state with more there aliases momenta the grid cannot hold.
+# Table rows 1-4 to T = 5 at 256 points read at most 1.6e-10; rows 3 and 4
+# at 128 points read 1.4e-5 and 1.3e-1, and row 4's table is off by 1.97.
+_FOURIER_RUN_TOL = 1e-6
 # The largest norm drift from one: of the sampled packet, and of the
 # propagated state at every snapshot.
 _NORM_TOL = 1e-10
@@ -331,6 +339,7 @@ def reference_expectations(
     ])
     v = np.stack([line.mesh_value(axis_potential) for axis_potential in potentials])
     snaps = split_snapshots(psi, times, tau, _ORDER, *_grid_flows(line, v, eps))
+    nyquist = slice(spec.n // 2 - _SHELL_WIDTH, spec.n // 2 + _SHELL_WIDTH)
 
     table = {name: np.empty(len(times)) for name in names}
     for i, (t_snap, psi) in enumerate(zip(times, snaps)):
@@ -345,6 +354,12 @@ def reference_expectations(
                 f"boundary mass {shell:.3e} at t={t_snap}: packet reached the domain edge"
             )
         readings = [_Readings(*axis) for axis in zip(grids, potentials, v)]
+        shell = 1.0 - math.prod(1.0 - float(r.weights[nyquist].sum()) for r in readings)
+        if not shell <= _FOURIER_RUN_TOL:
+            raise RuntimeError(
+                f"Fourier weight {shell:.3e} near Nyquist at t={t_snap}: "
+                "the grid does not resolve the packet's momenta"
+            )
         for name, (kind, j) in zip(names, kinds):
             if j:
                 table[name][i] = _axis_sum(kind + "1", readings[j - 1 : j])

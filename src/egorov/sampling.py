@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "GaussianPacket",
-    "QmcSampler",
     "first_primes",
     "halton",
     "halton_sequence",
@@ -82,20 +81,6 @@ class GaussianPacket:
     @property
     def d(self) -> int:
         return self.center.size // 2
-
-
-@dataclass(frozen=True)
-class QmcSampler:
-    """Halton-point generator configuration."""
-
-    count: int
-    skip: int = 64
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"need at least one sample point, got {self.count}")
-        if self.skip < 0:
-            raise ValueError("skip must be nonnegative")
 
 
 def first_primes(count: int) -> list[int]:
@@ -194,14 +179,18 @@ def inverse_normal_cdf(u):
     return float(x[0]) if arr.ndim == 0 else x.reshape(arr.shape)
 
 
-def sample_points(packet: GaussianPacket, sampler: QmcSampler) -> np.ndarray:
+def sample_points(packet: GaussianPacket, count: int, skip: int = 64) -> np.ndarray:
     """Deterministic Gaussian sample of the packet's Wigner density.
 
-    Returns an (N, 2d) array: Halton points mapped through the normal
-    quantile, scaled by sqrt(eps/2) and shifted to the packet center.
+    Returns a (count, 2d) array: the Halton points after the first ``skip``
+    mapped through the normal quantile, scaled by sqrt(eps/2) and shifted to
+    the packet center.
     """
-    u = halton_sequence(sampler.count, 2 * packet.d, sampler.skip)
-    points = inverse_normal_cdf(u)
+    if count < 1:
+        raise ValueError(f"need at least one sample point, got {count}")
+    if skip < 0:
+        raise ValueError("skip must be nonnegative")
+    points = inverse_normal_cdf(halton_sequence(count, 2 * packet.d, skip))
     points *= np.sqrt(packet.epsilon / 2.0)
     points += packet.center
     return points

@@ -48,7 +48,7 @@ from egorov.potentials import (
     torsional_potential,
 )
 from egorov.reference import GridSpec, expectation, init_packet, schrodinger_step
-from egorov.sampling import GaussianPacket, QmcSampler, sample_points
+from egorov.sampling import GaussianPacket, sample_points
 
 Z0 = np.array([1.0, 0.5, 0.0, 0.0])
 OBS6 = ("q1", "q2", "p1", "p2", "kinetic", "potential")
@@ -309,7 +309,7 @@ def test_criterion_6_energy_conservation(capsys):
     pot = torsional_potential(2)
     obs_h = make_observable("total", pot)
     packet = GaussianPacket(np.asarray(cfg.center), cfg.epsilon)
-    points = sample_points(packet, QmcSampler(100, skip=cfg.halton_skip))
+    points = sample_points(packet, 100, skip=cfg.halton_skip)
 
     def per_trajectory(tau2):
         states = evolve_correction_snapshots(points, (5.0, 10.0, 15.0), tau2, pot)

@@ -44,7 +44,7 @@ from egorov.experiments import (
 from egorov.experiments import _config_for_value, _loglog_slope
 from egorov.flow import step_count
 from egorov.potentials import Potential, TorsionalPotential
-from egorov.sampling import GaussianPacket, QmcSampler, sample_points
+from egorov.sampling import GaussianPacket, sample_points
 
 
 def tiny_config(**overrides):
@@ -457,7 +457,7 @@ class TestRunCorrected:
         config = tiny_config()
         rows = rows_by_key(run_corrected(config))
         packet = GaussianPacket(np.array(config.center), config.epsilon)
-        points = sample_points(packet, QmcSampler(config.n_samples, skip=64))
+        points = sample_points(packet, config.n_samples, skip=64)
         assert rows[(0.0, "q1")].egorov == pytest.approx(
             points[:, 0].mean(), rel=1e-13
         )

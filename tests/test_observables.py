@@ -7,18 +7,10 @@ import numpy as np
 import pytest
 
 from egorov.flow import propagate_snapshots
-from egorov.observables import (
-    OBSERVABLE_NAMES,
-    default_names,
-    kinetic,
-    make_observable,
-    momentum,
-    parse_name,
-    position,
-    potential_energy,
-    total_energy,
-)
+from egorov.observables import OBSERVABLE_NAMES, default_names, make_observable, parse_name
 from egorov.potentials import free_potential, harmonic_potential, torsional_potential
+
+FREE_2D = free_potential(2)
 
 
 def finite_difference_gradient(fn, z, step=1e-6):
@@ -32,44 +24,45 @@ def finite_difference_gradient(fn, z, step=1e-6):
 
 class TestCoordinates:
     def test_position_value(self, z0):
-        assert position(1, 2).value(z0) == 1.0
-        assert position(2, 2).value(z0) == 0.5
+        assert make_observable("q1", FREE_2D).value(z0) == 1.0
+        assert make_observable("q2", FREE_2D).value(z0) == 0.5
 
     def test_momentum_gradient_is_unit_vector(self):
-        grad = momentum(2, 2).grad(np.zeros(4))
+        grad = make_observable("p2", FREE_2D).grad(np.zeros(4))
         np.testing.assert_array_equal(grad, [0.0, 0.0, 0.0, 1.0])
 
     def test_higher_derivatives_vanish(self, z0):
-        for obs in (position(1, 2), momentum(1, 2)):
+        for obs in (make_observable("q1", FREE_2D), make_observable("p1", FREE_2D)):
             np.testing.assert_array_equal(obs.hess(z0), np.zeros((4, 4)))
             np.testing.assert_array_equal(obs.third(z0), np.zeros((4, 4, 4)))
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            position(3, 2)
+            make_observable("q3", FREE_2D)
         with pytest.raises(ValueError):
-            momentum(0, 2)
+            make_observable("p0", FREE_2D)
 
 
 class TestEnergies:
     def test_kinetic_at_rest(self, z0):
-        assert kinetic(2).value(z0) == 0.0
+        assert make_observable("kinetic", FREE_2D).value(z0) == 0.0
 
     def test_kinetic_hessian_momentum_block(self):
-        hess = kinetic(2).hess(np.ones(4))
+        hess = make_observable("kinetic", FREE_2D).hess(np.ones(4))
         expected = np.zeros((4, 4))
         expected[2:, 2:] = np.eye(2)
         np.testing.assert_array_equal(hess, expected)
-        np.testing.assert_array_equal(kinetic(2).third(np.ones(4)), np.zeros((4, 4, 4)))
+        third = make_observable("kinetic", FREE_2D).third(np.ones(4))
+        np.testing.assert_array_equal(third, np.zeros((4, 4, 4)))
 
     def test_total_energy_frozen_value(self, torsional_2d, z0):
         # V(1, 0.5) = 2 - cos(1) - cos(0.5) with p = 0.
-        assert total_energy(torsional_2d).value(z0) == pytest.approx(
+        assert make_observable("total", torsional_2d).value(z0) == pytest.approx(
             2.0 - np.cos(1.0) - np.cos(0.5)
         )
 
     def test_total_third_is_embedded_potential_third(self, torsional_2d, z0):
-        third = total_energy(torsional_2d).third(z0)
+        third = make_observable("total", torsional_2d).third(z0)
         np.testing.assert_allclose(third[:2, :2, :2], torsional_2d.third(z0[:2]))
         # every slice touching the momentum block vanishes
         assert np.count_nonzero(third[2:, :, :]) == 0
@@ -79,8 +72,11 @@ class TestEnergies:
     def test_total_is_kinetic_plus_potential(self, torsional_2d):
         rng = np.random.default_rng(5)
         z = rng.standard_normal(4)
-        total = total_energy(torsional_2d).value(z)
-        parts = kinetic(2).value(z) + potential_energy(torsional_2d).value(z)
+        total = make_observable("total", torsional_2d).value(z)
+        parts = (
+            make_observable("kinetic", torsional_2d).value(z)
+            + make_observable("potential", torsional_2d).value(z)
+        )
         assert total == pytest.approx(parts)
 
 
@@ -156,7 +152,7 @@ def test_total_energy_drift_along_numerical_flow(torsional_2d, z0):
     # Exact trajectories conserve h; the order-8 integrator (Yoshida's
     # solution D) at tau = 0.1 leaves a truncation-constant drift measured at
     # 4.4e-12 over [0, 15] (scales as tau^8), hence the 2e-11 bound here.
-    obs = total_energy(torsional_2d)
+    obs = make_observable("total", torsional_2d)
     times = np.arange(16.0)
     points = np.array(propagate_snapshots(z0, times, 0.1, 8, torsional_2d))
     energies = obs.value(points)

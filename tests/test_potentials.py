@@ -137,6 +137,14 @@ class TestHarmonic:
         with pytest.raises(ValueError):
             harmonic_potential(0, 1.0)
 
+    @pytest.mark.parametrize("stiffness, count", [((1.0, 2.0, 3.0), 3), ((), 0)])
+    def test_rejects_stiffness_of_another_length(self, stiffness, count):
+        # The rule and its message are the potential's own, not only the
+        # config's: a scalar or one entry per axis.
+        message = f"stiffness needs one entry or one per dimension, got {count}"
+        with pytest.raises(ValueError, match=message):
+            harmonic_potential(2, stiffness)
+
     @pytest.mark.parametrize(
         "stiffness", [float("nan"), float("inf"), (1.0, float("nan"), 2.0)]
     )

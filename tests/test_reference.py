@@ -1,11 +1,14 @@
 """Split-step Fourier reference solver on a periodic tensor grid."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
+import egorov.cli as cli
 import egorov.reference as reference
+from egorov.experiments import run_reference, table_row_config
 from egorov.flow import split_snapshots
 from egorov.observables import OBSERVABLE_NAMES, default_names, make_observable
 from egorov.potentials import free_potential, harmonic_potential, torsional_potential
@@ -320,11 +323,14 @@ class TestFactorizedReference:
         "spec, center, potential, t_final",
         [
             (GridSpec(2, 128), (1.0, 0.5, 0.0, 0.0), torsional_potential(2), 0.5),
-            (GridSpec(3, 32), (0.3, -0.2, 0.1, 0.0, 0.2, -0.1),
+            # Axis 3's packet squeezes to three times its momentum spread by
+            # t = 0.5; at 32 points on [-3, 3] that put 4 % of its weight
+            # near Nyquist, so the grid is refined where the packet lives.
+            (GridSpec(3, 64, -2.0, 2.0), (0.3, -0.2, 0.1, 0.0, 0.2, -0.1),
              harmonic_potential(3, (1.0, 2.0, 3.0)), 0.5),
             (GridSpec(2, 64), (0.3, -0.2, 0.4, 0.1), free_potential(2), 1.0),
         ],
-        ids=["torsional-row1-128^2", "harmonic-d3-32^3", "free-d2-64^2"],
+        ids=["torsional-row1-128^2", "harmonic-d3-64^3", "free-d2-64^2"],
     )
     def test_matches_d_dimensional_oracle(self, spec, center, potential, t_final):
         packet = GaussianPacket(np.array(center), EPS)
@@ -436,3 +442,29 @@ class TestFactorizedReference:
             reference_expectations(
                 GridSpec(2, 64), packet_2d, torsional_potential(1), [0.1], 1e-2, ["q1"]
             )
+
+
+class TestFourierShellMonitor:
+    """The weight near Nyquist: a grid too coarse for the packet's momenta
+    aliases them while the norm and the position shell stay clean."""
+
+    @pytest.mark.parametrize("row", [1, 2, 3, 4])
+    def test_table_rows_pass_at_256_points(self, row):
+        rows = run_reference(table_row_config(row, grid_points=256, t_final=5.0))
+        assert all(np.isfinite(r.reference) for r in rows)
+
+    def test_row_4_at_128_points_exits_two_without_a_table(self, tmp_path, capsys):
+        # At 128 points on [-3, 3] the grid holds |p| up to 0.67, and row 4's
+        # trajectory reaches 0.96: the table would be off by up to 1.97.
+        config = table_row_config(4, grid_points=128, t_final=5.0)
+        lines = []
+        for key, value in dataclasses.asdict(config).items():
+            if isinstance(value, tuple):
+                value = ", ".join(str(v) for v in value)
+            lines.append(f"{key} = {value}\n")
+        path = tmp_path / "row4.cfg"
+        path.write_text("".join(lines))
+        out = tmp_path / "out"
+        assert cli.main(["reference", "--config", str(path), "--out", str(out)]) == 2
+        assert "near Nyquist" in capsys.readouterr().err
+        assert not (out / "reference.csv").exists()

@@ -1,6 +1,7 @@
 """Halton points, the normal quantile, and QMC means over the sampled
 Wigner density."""
 
+import inspect
 import math
 from statistics import NormalDist
 
@@ -12,7 +13,6 @@ from egorov.oracle import Hamiltonian
 from egorov.potentials import torsional_potential
 from egorov.sampling import (
     GaussianPacket,
-    QmcSampler,
     first_primes,
     halton,
     halton_sequence,
@@ -55,16 +55,18 @@ class TestGaussianPacket:
 
 
 class TestQmcSampler:
+    """sample_points' count and skip: the quasi-Monte Carlo sampler's input."""
+
     def test_defaults(self):
-        assert QmcSampler(100).skip == 64
+        assert inspect.signature(sample_points).parameters["skip"].default == 64
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            QmcSampler(0)
+    def test_rejects_empty(self, packet):
+        with pytest.raises(ValueError, match="need at least one sample point, got 0"):
+            sample_points(packet, 0)
 
-    def test_rejects_negative_skip(self):
-        with pytest.raises(ValueError):
-            QmcSampler(10, skip=-1)
+    def test_rejects_negative_skip(self, packet):
+        with pytest.raises(ValueError, match="skip must be nonnegative"):
+            sample_points(packet, 10, skip=-1)
 
 
 class TestFirstPrimes:
@@ -206,16 +208,16 @@ class TestInverseNormalCdf:
 
 class TestSamplePoints:
     def test_shape(self, packet):
-        assert sample_points(packet, QmcSampler(50)).shape == (50, 4)
+        assert sample_points(packet, 50).shape == (50, 4)
 
     def test_mean_near_center(self, packet):
         n = 10_000
-        pts = sample_points(packet, QmcSampler(n))
+        pts = sample_points(packet, n)
         bound = 3.0 * np.sqrt(EPS / 2.0) / np.sqrt(n)
         np.testing.assert_array_less(np.abs(pts.mean(axis=0) - CENTER), bound)
 
     def test_covariance_diagonal(self, packet):
-        pts = sample_points(packet, QmcSampler(10_000))
+        pts = sample_points(packet, 10_000)
         np.testing.assert_allclose(np.diag(np.cov(pts.T)), EPS / 2.0, rtol=0.1)
 
     def test_median_point_maps_to_center(self, packet, monkeypatch):
@@ -224,12 +226,12 @@ class TestSamplePoints:
         monkeypatch.setattr(
             sampling, "halton_sequence", lambda n, dim, skip=64: np.full((n, dim), 0.5)
         )
-        pts = sampling.sample_points(packet, QmcSampler(1))
+        pts = sampling.sample_points(packet, 1)
         np.testing.assert_array_equal(pts, CENTER[None, :])
 
     def test_finite_where_the_radical_inverse_rounds_to_one(self, packet):
         # Index skip + 1 = 5**22 - 1 in base 5, the third of the 2d = 4 axes.
-        pts = sample_points(packet, QmcSampler(1, skip=5**22 - 2))
+        pts = sample_points(packet, 1, skip=5**22 - 2)
         assert pts.shape == (1, 4)
         assert np.all(np.isfinite(pts))
 
@@ -242,11 +244,11 @@ class TestSamplePoints:
         normal = NormalDist()
         quantiles = np.array([normal.inv_cdf(x) for x in u.ravel().tolist()])
         expected = packet.center + np.sqrt(packet.epsilon / 2.0) * quantiles.reshape(u.shape)
-        assert sample_points(packet, QmcSampler(300, skip)).tobytes() == expected.tobytes()
+        assert sample_points(packet, 300, skip).tobytes() == expected.tobytes()
 
     def test_deterministic(self, packet):
-        a = sample_points(packet, QmcSampler(500, skip=64))
-        b = sample_points(packet, QmcSampler(500, skip=64))
+        a = sample_points(packet, 500, skip=64)
+        b = sample_points(packet, 500, skip=64)
         np.testing.assert_array_equal(a, b)
 
 
@@ -254,7 +256,7 @@ class TestQmcExpectation:
     """Plain means over sample_points, as the ensemble runs take them."""
 
     def test_coordinate_mean(self, packet):
-        pts = sample_points(packet, QmcSampler(10_000))
+        pts = sample_points(packet, 10_000)
         assert pts[:, 0].mean() == pytest.approx(1.0, abs=1e-2)
 
     def test_energy_moment_expansion(self):
@@ -265,7 +267,7 @@ class TestQmcExpectation:
         eps = 0.01
         pot = torsional_potential(2)
         ham = Hamiltonian(pot)
-        pts = sample_points(GaussianPacket(CENTER, eps), QmcSampler(10_000))
+        pts = sample_points(GaussianPacket(CENTER, eps), 10_000)
         got = ham.value(pts).mean()
         exact = 2 * eps / 4 + 2.0 - (np.cos(1.0) + np.cos(0.5)) * np.exp(-eps / 4)
         expansion = (
@@ -288,7 +290,7 @@ class TestQmcExpectation:
         # Halton sits a little below the ideal 1/N (measured -0.79).
         errs = []
         for n in (1000, 10_000, 100_000):
-            pts = sample_points(packet, QmcSampler(n))
+            pts = sample_points(packet, n)
             errs.append(abs(f(pts).mean() - truth))
         slope = np.polyfit(np.log([1e3, 1e4, 1e5]), np.log(errs), 1)[0]
         assert -1.1 < slope < -0.7
