@@ -36,13 +36,23 @@ order, by the state row it pairs with, and sums, so no dense tensor is
 built.  A potential with coupled derivatives raises NotImplementedError in
 ``diagonals``.
 
-The 16 per-coordinate fields are the rows of one (16, ..., d) array, in the
-order of :data:`FIELDS`: q, then the rows psi2 advances (p, lam21, lam22,
-lam23, lam4, gam21, gam22, xi2), then the rows psi3 advances (lam1, lam31,
-lam32, lam33, gam1, gam3, xi1).  Each sub-flow updates its own rows in
-place: it writes the group's increments into one scratch block of the
-state's shape, scales them by t and adds them to the group's rows, in the
-rounding order of the expression x + t * (increment).  The scratch block is
+Lambda is also symmetric: its source, the tilde-weighted D3h, is a
+symmetric tensor, and the flow acts on each of its three modes alike, so it
+stays symmetric.  Its three blocks with one momentum index are therefore
+equal, and so are its three blocks with two, and each triple is one row.
+The per-block sub-flows keep each triple bitwise equal, too: once a
+triple's inputs are equal, its three increments are the same float
+expression.  Merged, two sums become products with the same bits, since a
+doubling is exact: the three equal terms of dlam1 add up to 3 lam2, and the
+three equal subtractions of dlam4 to -3 (c2 lam3).
+
+The 12 per-coordinate fields are the rows of one (12, ..., d) array, in the
+order of :data:`FIELDS`: q, then the rows psi2 advances (p, lam2, lam4,
+gam21, gam22, xi2), then the rows psi3 advances (lam1, lam3, gam1, gam3,
+xi1).  Each sub-flow updates its own rows in place: it writes the group's
+increments into one scratch block of the state's shape, scales them by t
+and adds them to the group's rows, in the rounding order of the expression
+x + t * (increment).  The scratch block is
 made on the state's first sub-flow and kept with it
 (:meth:`CorrectionState.scratch`), so a live state stepped through a run
 makes one, and drops it at the run's last snapshot; a copy or a snapshot
@@ -52,8 +62,9 @@ observer as the run reaches it, so an ensemble chunk that reduces its
 snapshots holds the live state alone, not a copy per snapshot time.
 A :class:`CorrectionState` is that array and a time,
 ``CorrectionState(rows, t)``, with each name of :data:`FIELDS` bound to its
-row, a view; :data:`BLOCK_PATTERNS` gives each tensor row its block of the
-full phase-space tensors.  This module holds only the stepper and ``a2_eval``.
+row, a view; :data:`BLOCK_PATTERNS` gives each tensor row its blocks of
+the full phase-space tensors.  This module holds only the stepper and
+``a2_eval``.
 The full tensors live in :mod:`egorov.oracle`, whose
 ``GeneralCorrectionState.from_block`` and ``to_block`` convert between the
 two layouts, beside the independent references: the unreordered flat form
@@ -94,29 +105,31 @@ __all__ = [
 # psi3 advances.
 FIELDS = (
     "q",
-    "p", "lam21", "lam22", "lam23", "lam4", "gam21", "gam22", "xi2",
-    "lam1", "lam31", "lam32", "lam33", "gam1", "gam3", "xi1",
+    "p", "lam2", "lam4", "gam21", "gam22", "xi2",
+    "lam1", "lam3", "gam1", "gam3", "xi1",
 )
-(Q, P, LAM21, LAM22, LAM23, LAM4, GAM21, GAM22, XI2,
- LAM1, LAM31, LAM32, LAM33, GAM1, GAM3, XI1) = range(len(FIELDS))
+(Q, P, LAM2, LAM4, GAM21, GAM22, XI2, LAM1, LAM3, GAM1, GAM3, XI1) = range(len(FIELDS))
 _PSI2_ROWS = slice(P, XI2 + 1)
 _PSI3_ROWS = slice(LAM1, XI1 + 1)
 
-# The slots of each tensor row's entries that address momenta (1) rather
-# than positions (0): its block of Lambda, Gamma or Xi, whose order is the
-# pattern's length.
+# The blocks of Lambda, Gamma or Xi that each tensor row holds, as slot
+# patterns: the slots of the block's entries that address momenta (1) rather
+# than positions (0); the tensor's order is the pattern's length.  Lambda is
+# symmetric, so its blocks on the three orderings of one pattern are one row.
 BLOCK_PATTERNS = {
-    "lam1": (0, 0, 0), "lam21": (1, 0, 0), "lam22": (0, 1, 0), "lam23": (0, 0, 1),
-    "lam31": (0, 1, 1), "lam32": (1, 0, 1), "lam33": (1, 1, 0), "lam4": (1, 1, 1),
-    "gam1": (0, 0), "gam21": (1, 0), "gam22": (0, 1), "gam3": (1, 1),
-    "xi1": (0,), "xi2": (1,),
+    "lam1": ((0, 0, 0),),
+    "lam2": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    "lam3": ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+    "lam4": ((1, 1, 1),),
+    "gam1": ((0, 0),), "gam21": ((1, 0),), "gam22": ((0, 1),), "gam3": ((1, 1),),
+    "xi1": ((0,),), "xi2": ((1,),),
 }
 # The state row that a2_eval pairs with each derivative entry, by the
-# entry's slot pattern: the block on the reversed pattern, after the index
-# order (kji / ji / i) of the defining formula.  Sorted by order, then by
-# pattern, which is the order a2_eval sums in.
+# entry's slot pattern: the row holding the block on the reversed pattern,
+# after the index order (kji / ji / i) of the defining formula.  Sorted by
+# order, then by pattern, which is the order a2_eval sums in.
 _ENTRY_ROWS = dict(sorted(
-    ((pattern[::-1], FIELDS.index(name)) for name, pattern in BLOCK_PATTERNS.items()),
+    ((p[::-1], FIELDS.index(name)) for name, ps in BLOCK_PATTERNS.items() for p in ps),
     key=lambda item: (len(item[0]), item[0]),
 ))
 # The weights of the orders 1, 2, 3 in a2: Da . Xi + 3 D2a : Gamma + D3a : Lambda.
@@ -127,16 +140,18 @@ class CorrectionState:
     """Trajectory-attached correction tensors in the reordered block layout,
     each block stored as its same-coordinate diagonal.
 
-    Block naming: ``lam1`` is the all-position 3-tensor block; ``lam21/22/23``
-    carry one momentum index (in slot 1/2/3), ``lam31/32/33`` two momentum
-    indices (complement slot 1/2/3), ``lam4`` all momentum.  ``gam21/gam22``
-    are the momentum-row / momentum-column matrix blocks, ``gam1/gam3`` the
-    pure blocks; ``xi1/xi2`` are the position/momentum vector parts.
+    Block naming: ``lam1`` is the all-position 3-tensor block, ``lam2`` the
+    three blocks with one momentum index (in any slot), ``lam3`` the three
+    with two, ``lam4`` the all-momentum block; Lambda is symmetric, so the
+    blocks of ``lam2`` are equal, and so are those of ``lam3``.
+    ``gam21/gam22`` are the momentum-row / momentum-column matrix blocks,
+    ``gam1/gam3`` the pure blocks; ``xi1/xi2`` are the position/momentum
+    vector parts.  :data:`BLOCK_PATTERNS` gives each field's blocks.
     Every field has shape (..., d): entry j of a lam block is the block's
     (j, j, j) entry and entry j of a gam block its (j, j) entry.  The block
     entries that mix two coordinates are zero and not stored.
 
-    The state is ``rows``, (16, ..., d) in the order of :data:`FIELDS`, at
+    The state is ``rows``, (12, ..., d) in the order of :data:`FIELDS`, at
     time ``t``; it shares the array's memory, and each name in
     :data:`FIELDS` is bound to its row, a view.
     """
@@ -197,13 +212,14 @@ def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> Cor
     Each row x moves to x + t * dx, with the increments summed left to right:
 
         dp     = -g
-        dlam21 = -c2 lam1 + lam33 + lam32
-        dlam22 = -c2 lam1 + lam33 + lam31
-        dlam23 = -c2 lam1 + lam32 + lam31
-        dlam4  = -c2 lam31 - c2 lam32 - c2 lam33 - c3 / 6
+        dlam2  = -c2 lam1 + lam3 + lam3
+        dlam4  = -3 (c2 lam3) - c3 / 6
         dgam21 = -c3 lam1 - c2 gam1 + gam3
         dgam22 = -c2 gam1 + gam3
         dxi2   = -c4 lam1 - 3 c3 gam1 - c2 xi1
+
+    Block by block, dlam4 is ((-y) - y) - y for y = c2 lam3: bitwise -3 y,
+    because -y - y is exact.
     """
     x, dx = state, state.scratch()
     g, c2, c3, c4 = potential.diagonals(x.q)
@@ -211,14 +227,11 @@ def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> Cor
     # the matching rows of x, and its q row a product in passing.
     np.multiply(c2, x.rows[_PSI3_ROWS], out=dx.rows[_PSI3_ROWS])
     np.negative(g, out=dx.p)
-    # -(c2 lam1) and -(c2 lam31), into rows lam23 and lam4.
-    np.negative(dx.rows[LAM1:LAM31 + 1], out=dx.rows[LAM23:LAM4 + 1])
-    np.add(dx.lam23, x.lam33, out=dx.rows[LAM21:LAM23])
-    np.add(dx.lam23, x.lam32, out=dx.lam23)
-    np.add(dx.lam21, x.lam32, out=dx.lam21)
-    np.add(dx.rows[LAM22:LAM23 + 1], x.lam31, out=dx.rows[LAM22:LAM23 + 1])
-    np.subtract(dx.lam4, dx.lam32, out=dx.lam4)
-    np.subtract(dx.lam4, dx.lam33, out=dx.lam4)
+    # -(c2 lam1) and -(c2 lam3), into rows lam2 and lam4.
+    np.negative(dx.rows[LAM1:LAM3 + 1], out=dx.rows[LAM2:LAM4 + 1])
+    np.add(dx.lam2, x.lam3, out=dx.lam2)
+    np.add(dx.lam2, x.lam3, out=dx.lam2)
+    dx.lam4 *= 3.0
     # The tilde-weighted third derivative is c3 / 6 on the main diagonal.
     np.subtract(dx.lam4, (1.0 / 6.0) * c3, out=dx.lam4)
     np.multiply(c3, x.lam1, out=dx.gam21)
@@ -244,27 +257,25 @@ def sub_flow_psi3(t: float, state: CorrectionState, potential: Potential) -> Cor
 
     Each row x moves to x + t * dx, with the increments summed left to right:
 
-        dlam1  = lam21 + lam22 + lam23
-        dlam31 = lam4 - c2 lam23 - c2 lam22
-        dlam32 = lam4 - c2 lam23 - c2 lam21
-        dlam33 = lam4 - c2 lam22 - c2 lam21
-        dgam1  = gam21 + gam22
-        dgam3  = -c3 lam23 - c2 gam22 - c2 gam21
-        dxi1   = xi2
+        dlam1 = 3 lam2
+        dlam3 = lam4 - c2 lam2 - c2 lam2
+        dgam1 = gam21 + gam22
+        dgam3 = -c3 lam2 - c2 gam22 - c2 gam21
+        dxi1  = xi2
+
+    Block by block, dlam1 is (y + y) + y for y = lam2: bitwise 3 y, because
+    y + y is exact.  dlam3's (x - y) - y does not round as x - 2 y does.
     """
     x, dx = state, state.scratch()
     _, c2, c3, _ = potential.diagonals(x.q)
-    # dx holds the increments of the psi3 rows; its rows lam21 .. gam22 hold
+    # dx holds the increments of the psi3 rows; its rows lam2 .. gam22 hold
     # c2 times the matching rows of x.
-    np.multiply(c2, x.rows[LAM21:GAM22 + 1], out=dx.rows[LAM21:GAM22 + 1])
-    np.add(x.lam21, x.lam22, out=dx.lam1)
-    np.add(dx.lam1, x.lam23, out=dx.lam1)
-    np.subtract(x.lam4, dx.lam23, out=dx.rows[LAM31:LAM33])
-    np.subtract(x.lam4, dx.lam22, out=dx.lam33)
-    np.subtract(dx.lam31, dx.lam22, out=dx.lam31)
-    np.subtract(dx.rows[LAM32:LAM33 + 1], dx.lam21, out=dx.rows[LAM32:LAM33 + 1])
+    np.multiply(c2, x.rows[LAM2:GAM22 + 1], out=dx.rows[LAM2:GAM22 + 1])
+    np.multiply(x.lam2, 3.0, out=dx.lam1)
+    np.subtract(x.lam4, dx.lam2, out=dx.lam3)
+    np.subtract(dx.lam3, dx.lam2, out=dx.lam3)
     np.add(x.gam21, x.gam22, out=dx.gam1)
-    np.multiply(c3, x.lam23, out=dx.gam3)
+    np.multiply(c3, x.lam2, out=dx.gam3)
     np.negative(dx.gam3, out=dx.gam3)
     np.subtract(dx.gam3, dx.gam22, out=dx.gam3)
     np.subtract(dx.gam3, dx.gam21, out=dx.gam3)

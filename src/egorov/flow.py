@@ -48,10 +48,10 @@ def drift(t: float, state):
 
 
 def kick(t: float, state, potential: Potential):
-    """Exact potential flow on a (q, p) pair: p -= t DV(q), q unchanged.
-    Updates p in place and returns the pair."""
+    """Exact potential flow on a (q, p) pair: p -= t DV(q), q unchanged,
+    by ``potential.kick``.  Updates p in place and returns the pair."""
     q, p = state
-    p -= t * potential.gradient(q)
+    potential.kick(t, q, p)
     return state
 
 

@@ -529,6 +529,13 @@ def composed_third_derivative(
 # ---------------------------------------------------------------------------
 
 
+# How far, relative to lam's largest entry, two blocks of lam that the block
+# layout stores as one row may differ in ``to_block``.  The flat-form
+# references are symmetric only up to rounding (a few units in the last
+# place of the largest entry); an asymmetric tensor differs at order one.
+_SYMMETRY_RTOL = 1e-12
+
+
 @dataclass(frozen=True)
 class GeneralCorrectionState:
     """Correction tensors in flat phase-space form: the full ``lam``
@@ -560,9 +567,10 @@ class GeneralCorrectionState:
         """The flat form of a block state: each block's diagonal scattered
         onto its entries of the full tensors, every other entry zero."""
         batch = s.q.shape[:-1]
+        blocks = {p: getattr(s, name) for name, ps in BLOCK_PATTERNS.items() for p in ps}
         lam, gam, xi = (
             scatter_diagonals(
-                {p: getattr(s, name) for name, p in BLOCK_PATTERNS.items() if len(p) == order},
+                {p: row for p, row in blocks.items() if len(p) == order},
                 np.zeros(batch + (2 * s.d,) * order),
             )
             for order in (3, 2, 1)
@@ -570,23 +578,33 @@ class GeneralCorrectionState:
         return cls(s.z, lam, gam, xi, s.t)
 
     def to_block(self) -> CorrectionState:
-        """Gather the full tensors into the block layout.
+        """Gather the full tensors into the block layout, each row from the
+        first of its blocks in ``BLOCK_PATTERNS``.
 
         Raises ValueError if lam or gam has a nonzero entry that mixes two
-        coordinates: the layout has no place for it.
+        coordinates, for which the layout has no place, or if two lam blocks
+        that share a row differ by more than ``_SYMMETRY_RTOL`` times lam's
+        largest finite entry: the layout holds a symmetric lam only.
         """
         d = self.z.shape[-1] // 2
         j = np.arange(d)
         full = {3: self.lam, 2: self.gam, 1: self.xi}
         blocks = {"q": self.z[..., :d], "p": self.z[..., d:]}
-        for name, p in BLOCK_PATTERNS.items():
+        for name, (p, *_) in BLOCK_PATTERNS.items():
             blocks[name] = full[len(p)][(..., *(k * d + j for k in p))]
         state = CorrectionState(np.stack([blocks[name] for name in FIELDS]), self.t)
         rebuilt = GeneralCorrectionState.from_block(state)
         for tensor, again in ((self.lam, rebuilt.lam), (self.gam, rebuilt.gam)):
-            if not np.array_equal(tensor, again, equal_nan=True):
+            coordinate = np.indices(tensor.shape[self.z.ndim - 1:]) % d
+            if np.any(tensor[..., np.any(coordinate != coordinate[0], axis=0)] != 0.0):
                 raise ValueError(
                     "correction tensor has a nonzero entry that mixes two coordinates"
+                )
+            scale = np.max(np.abs(tensor), initial=0.0, where=np.isfinite(tensor))
+            atol = _SYMMETRY_RTOL * scale
+            if not np.allclose(tensor, again, rtol=0.0, atol=atol, equal_nan=True):
+                raise ValueError(
+                    "correction tensor's blocks that share a row differ beyond rounding"
                 )
         return state
 

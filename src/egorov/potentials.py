@@ -86,6 +86,10 @@ class Potential:
         diagonals of the second, third and fourth derivative tensors."""
         raise NotImplementedError
 
+    def kick(self, t: float, q: np.ndarray, p: np.ndarray) -> None:
+        """The exact potential flow for time t: p -= t DV(q), in place."""
+        p -= t * self.gradient(q)
+
     def coordinate(self, j: int) -> Potential:
         """The one-dimensional potential V_j of coordinate j (0-based) in
         V(q) = sum_j V_j(q_j).  A potential that is not separable raises
@@ -136,7 +140,8 @@ class TorsionalPotential(Potential):
 
     within 2.2e-16 of ``np.sin`` and ``np.cos``.  ``gradient`` and
     ``diagonals`` take t and t^2 once and compute the sine by the same
-    operations, so their forces agree bit for bit.
+    operations, so their forces agree bit for bit; ``kick`` folds the
+    gradient's doubling into the step, with the same bits.
     ``value`` keeps ``np.cos``.
     """
 
@@ -154,6 +159,16 @@ class TorsionalPotential(Potential):
         t, w = _half_angle(q)
         w += 1.0
         return _sine_over(t, w)
+
+    def kick(self, t, q, p):
+        # DV = 2 u for u = tan(q/2) / (1 + tan^2), and t (2 u) rounds as
+        # (2 t) u, since doubling is exact: the bits of p - t * gradient(q)
+        # with one pass fewer.
+        u, w = _half_angle(q)
+        w += 1.0
+        np.divide(u, w, out=u)
+        u *= 2.0 * t
+        p -= u
 
     def diagonals(self, q):
         t, t2 = _half_angle(q)

@@ -4,6 +4,7 @@ evaluation."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -39,19 +40,23 @@ from conftest import phase_pair, phase_point
 
 STATE_FIELDS = (
     "q", "p",
-    "lam1", "lam21", "lam22", "lam23", "lam31", "lam32", "lam33", "lam4",
+    "lam1", "lam2", "lam3", "lam4",
     "gam1", "gam21", "gam22", "gam3", "xi1", "xi2",
 )
 # The fields each exact sub-flow advances (psi1 advances q alone).
-PSI2_FIELDS = ("p", "lam21", "lam22", "lam23", "lam4", "gam21", "gam22", "xi2")
-PSI3_FIELDS = ("lam1", "lam31", "lam32", "lam33", "gam1", "gam3", "xi1")
-# The slots of each block that address momenta (1) rather than positions (0).
-LAMBDA_PATTERNS = {
-    "lam1": (0, 0, 0), "lam21": (1, 0, 0), "lam22": (0, 1, 0), "lam23": (0, 0, 1),
-    "lam31": (0, 1, 1), "lam32": (1, 0, 1), "lam33": (1, 1, 0), "lam4": (1, 1, 1),
+PSI2_FIELDS = ("p", "lam2", "lam4", "gam21", "gam22", "xi2")
+PSI3_FIELDS = ("lam1", "lam3", "gam1", "gam3", "xi1")
+# The field holding each block, by the block's slot pattern: the slots that
+# address momenta (1) rather than positions (0).  Lambda is symmetric, so its
+# blocks on the three orderings of one pattern share a field.
+LAMBDA_FIELDS = {
+    (0, 0, 0): "lam1",
+    (1, 0, 0): "lam2", (0, 1, 0): "lam2", (0, 0, 1): "lam2",
+    (0, 1, 1): "lam3", (1, 0, 1): "lam3", (1, 1, 0): "lam3",
+    (1, 1, 1): "lam4",
 }
-GAMMA_PATTERNS = {"gam1": (0, 0), "gam21": (1, 0), "gam22": (0, 1), "gam3": (1, 1)}
-XI_PATTERNS = {"xi1": (0,), "xi2": (1,)}
+GAMMA_FIELDS = {(0, 0): "gam1", (1, 0): "gam21", (0, 1): "gam22", (1, 1): "gam3"}
+XI_FIELDS = {(0,): "xi1", (1,): "xi2"}
 POTENTIALS = {
     "torsional": torsional_potential,
     "harmonic": lambda d: harmonic_potential(d, (1.0, 2.0, 0.5)[:d]),
@@ -71,7 +76,9 @@ def make_state(**fields) -> CorrectionState:
 
 
 def random_state(rng, d=2) -> CorrectionState:
-    """Random phase point and random per-coordinate blocks, (d,) each."""
+    """Random phase point and random per-coordinate blocks, (d,) each.  The
+    three Lambda blocks of one field are equal, so Lambda is symmetric: the
+    layout holds no other kind."""
     return make_state(**{f: rng.standard_normal(d) for f in STATE_FIELDS})
 
 
@@ -113,20 +120,25 @@ class TestCorrectionState:
 
     def test_block_split_covers_everything(self):
         # Every same-coordinate entry of a full tensor belongs to exactly one
-        # block: distinct values on all of them come back through the blocks
-        # once each and reassemble the tensor exactly; no overlaps, no gaps.
+        # field: distinct values on all of them, one per field and
+        # coordinate, come back through the fields once each and reassemble
+        # the tensor exactly; no overlaps, no gaps.  Lambda's fields are
+        # keyed by the number of momentum slots, since its blocks on the
+        # orderings of one pattern share a field; Gamma's by the pattern.
         for d in (1, 2, 3):
-            for n_slots, fields in ((3, STATE_FIELDS[2:10]), (2, STATE_FIELDS[10:14])):
+            for n_slots, fields in ((3, STATE_FIELDS[2:6]), (2, STATE_FIELDS[6:10])):
                 same = ~cross_coordinate(n_slots, d)
-                full = np.zeros((2 * d,) * n_slots)
-                full[same] = np.arange(1.0, same.sum() + 1.0)
+                index = np.indices((2 * d,) * n_slots)
+                slots, coord = index // d, index % d
+                key = slots.sum(axis=0) if n_slots == 3 else 2 * slots[0] + slots[1]
+                full = np.where(same, 1.0 + key * d + coord[0], 0.0)
                 lam = full if n_slots == 3 else np.zeros((2 * d,) * 3)
                 gam = full if n_slots == 2 else np.zeros((2 * d,) * 2)
                 s = GeneralCorrectionState(
                     np.zeros(2 * d), lam, gam, np.zeros(2 * d)
                 ).to_block()
                 gathered = np.concatenate([getattr(s, f) for f in fields])
-                np.testing.assert_array_equal(np.sort(gathered), full[same])
+                np.testing.assert_array_equal(np.sort(gathered), np.unique(full[same]))
                 flat = GeneralCorrectionState.from_block(s)
                 np.testing.assert_array_equal(flat.lam if n_slots == 3 else flat.gam, full)
 
@@ -212,6 +224,34 @@ class TestGeneralRhs:
         np.testing.assert_array_equal(dlam[cross_coordinate(3, d)], 0.0)
         np.testing.assert_array_equal(dgam[cross_coordinate(2, d)], 0.0)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        potential=st.one_of(
+            st.integers(1, 3).map(torsional_potential),
+            st.lists(st.floats(0.1, 4.0), min_size=3, max_size=3, unique=True).map(
+                lambda stiffness: harmonic_potential(3, stiffness)
+            ),
+        ),
+        data=st.data(),
+    )
+    def test_symmetric_state_keeps_lambda_symmetric(self, potential, data):
+        # The invariant the merged Lambda fields rest on: at any symmetric
+        # per-coordinate state the flat-form dLambda is unchanged by every
+        # permutation of its three indices, so the flow keeps Lambda
+        # symmetric.  The flat form sums each mode's product in its own
+        # order, so the permuted tensors agree to rounding of the largest
+        # entry (measured at most 2.2e-16 of it), not bit for bit.
+        d = potential.d
+        values = data.draw(arrays(float, (len(STATE_FIELDS), d), elements=st.floats(-2.0, 2.0)))
+        s = make_state(**dict(zip(STATE_FIELDS, values)))
+        _, dlam, _, _ = general_rhs(
+            GeneralCorrectionState.from_block(s), Hamiltonian(potential)
+        )
+        scale = float(np.max(np.abs(dlam)))
+        for perm in itertools.permutations(range(3)):
+            gap = float(np.max(np.abs(dlam - np.transpose(dlam, perm))))
+            assert gap <= 1e-14 * scale, perm
+
 
 class TestSubFlows:
     def test_psi1_zero_time_identity(self):
@@ -244,8 +284,7 @@ class TestSubFlows:
             -t * tilde_d3(torsional_2d.third(z0[:2])),
         )
         np.testing.assert_array_equal(out.q, s.q)
-        for f in ("lam1", "lam21", "lam22", "lam23", "lam31", "lam32", "lam33",
-                  "gam1", "gam21", "gam22", "gam3", "xi1", "xi2"):
+        for f in ("lam1", "lam2", "lam3", "gam1", "gam21", "gam22", "gam3", "xi1", "xi2"):
             np.testing.assert_array_equal(getattr(out, f), 0.0)
 
     def test_psi3_zero_time_identity(self, torsional_2d):
@@ -355,6 +394,21 @@ class TestEvolveCorrection:
         general = evolve_general(point, t, 1e-2, Hamiltonian(pot))
         assert state_gap(general.to_block(), block) <= 1e-8
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_full_tensors_match_general_form_oracle(self, d):
+        # The 12 fields scattered onto every block of the full tensors, each
+        # merged Lambda field onto all three of its blocks, against the flat
+        # form integrated by RK4: no gather picks one block of the oracle's.
+        pot = torsional_potential(d)
+        z0 = np.random.default_rng(70 + d).uniform(-1.5, 1.5, 2 * d)
+        block = GeneralCorrectionState.from_block(evolve_correction(z0, 0.5, 1e-2, pot))
+        general = evolve_general(z0, 0.5, 1e-2, Hamiltonian(pot))
+        for name in ("z", "lam", "gam", "xi"):
+            np.testing.assert_allclose(
+                getattr(block, name), getattr(general, name), rtol=0.0, atol=1e-8,
+                err_msg=name,
+            )
+
     @settings(max_examples=10, deadline=None)
     @given(
         point=arrays(float, 6, elements=st.floats(-2.0, 2.0)),
@@ -438,17 +492,16 @@ def per_field_psi1(t, s):
 
 
 def per_field_psi2(t, s, potential):
-    """psi2 field by field, each update written as x + t * (increment)."""
+    """psi2 field by field, each update written as x + t * (increment), with
+    one term per block of the 16-block form."""
     g, c2, c3, c4 = potential.diagonals(s.q)
     c2_lam1 = c2 * s.lam1
     return {
         **{f: getattr(s, f) for f in STATE_FIELDS},
         "p": s.p - t * g,
-        "lam21": s.lam21 + t * (-c2_lam1 + s.lam33 + s.lam32),
-        "lam22": s.lam22 + t * (-c2_lam1 + s.lam33 + s.lam31),
-        "lam23": s.lam23 + t * (-c2_lam1 + s.lam32 + s.lam31),
+        "lam2": s.lam2 + t * (-c2_lam1 + s.lam3 + s.lam3),
         "lam4": s.lam4 + t * (
-            -(c2 * s.lam31) - c2 * s.lam32 - c2 * s.lam33 - (1.0 / 6.0) * c3
+            -(c2 * s.lam3) - c2 * s.lam3 - c2 * s.lam3 - (1.0 / 6.0) * c3
         ),
         "gam21": s.gam21 + t * (-(c3 * s.lam1) - c2 * s.gam1 + s.gam3),
         "gam22": s.gam22 + t * (-(s.gam1 * c2) + s.gam3),
@@ -457,16 +510,15 @@ def per_field_psi2(t, s, potential):
 
 
 def per_field_psi3(t, s, potential):
-    """psi3 field by field, each update written as x + t * (increment)."""
+    """psi3 field by field, each update written as x + t * (increment), with
+    one term per block of the 16-block form."""
     _, c2, c3, _ = potential.diagonals(s.q)
     return {
         **{f: getattr(s, f) for f in STATE_FIELDS},
-        "lam1": s.lam1 + t * (s.lam21 + s.lam22 + s.lam23),
-        "lam31": s.lam31 + t * (s.lam4 - c2 * s.lam23 - c2 * s.lam22),
-        "lam32": s.lam32 + t * (s.lam4 - c2 * s.lam23 - c2 * s.lam21),
-        "lam33": s.lam33 + t * (s.lam4 - c2 * s.lam22 - c2 * s.lam21),
+        "lam1": s.lam1 + t * (s.lam2 + s.lam2 + s.lam2),
+        "lam3": s.lam3 + t * (s.lam4 - c2 * s.lam2 - c2 * s.lam2),
         "gam1": s.gam1 + t * (s.gam21 + s.gam22),
-        "gam3": s.gam3 + t * (-(c3 * s.lam23) - c2 * s.gam22 - s.gam21 * c2),
+        "gam3": s.gam3 + t * (-(c3 * s.lam2) - c2 * s.gam22 - s.gam21 * c2),
         "xi1": s.xi1 + t * s.xi2,
     }
 
@@ -607,7 +659,7 @@ class TestInPlaceStepper:
 
     def test_fields_are_rows_of_one_array(self):
         s = random_state(np.random.default_rng(41), 3)
-        assert s.rows.shape == (16, 3)
+        assert s.rows.shape == (12, 3)
         for i, name in enumerate(correction_mod.FIELDS):
             assert np.shares_memory(getattr(s, name), s.rows)
             np.testing.assert_array_equal(getattr(s, name), s.rows[i])
@@ -645,12 +697,12 @@ def dense_a2(obs: Observable, state: CorrectionState) -> np.ndarray:
     d, z = state.d, state.z
     j = np.arange(d)
     total = np.zeros(z.shape[:-1] + (d,))
-    for weight, full, patterns in (
-        (1.0, obs.grad(z), XI_PATTERNS),
-        (3.0, obs.hess(z), GAMMA_PATTERNS),
-        (1.0, obs.third(z), LAMBDA_PATTERNS),
+    for weight, full, fields in (
+        (1.0, obs.grad(z), XI_FIELDS),
+        (3.0, obs.hess(z), GAMMA_FIELDS),
+        (1.0, obs.third(z), LAMBDA_FIELDS),
     ):
-        for name, pattern in sorted(patterns.items(), key=lambda item: item[1][::-1]):
+        for pattern, name in sorted(fields.items(), key=lambda item: item[0][::-1]):
             entry = full[(..., *(s * d + j for s in pattern[::-1]))]
             total += weight * entry * getattr(state, name)
     return -0.25 * total.sum(axis=-1)
@@ -762,7 +814,7 @@ class TestA2Eval:
         pot = torsional_potential(d)
         z0 = np.random.default_rng(50 + d).uniform(-1.5, 1.5, (100, 2 * d))
         (state,) = evolve_correction_snapshots(z0, [1.0], 2.0**-5, pot)
-        wide = np.zeros((16, 200, 2 * d))
+        wide = np.zeros((len(FIELDS), 200, 2 * d))
         wide[:, ::2, 1::2] = state.rows
         layouts = {
             "fortran": CorrectionState(np.asfortranarray(state.rows)),
@@ -811,6 +863,28 @@ class TestGeneralCorrectionState:
             gam[index] = -0.5
             with pytest.raises(ValueError, match="mixes two coordinates"):
                 replace(flat, gam=gam).to_block()
+
+    def test_to_block_takes_lambda_symmetric_to_rounding(self):
+        # The flat-form references are symmetric up to rounding only; a gap
+        # of a few units in the last place between two blocks that share a
+        # field is accepted, and the field is read from the first block.
+        s = random_state(np.random.default_rng(24), 2)
+        flat = GeneralCorrectionState.from_block(s)
+        lam = flat.lam.copy()
+        lam[0, 0, 2] = np.nextafter(lam[0, 0, 2], np.inf)
+        lam[2, 2, 0] = np.nextafter(lam[2, 2, 0], -np.inf)
+        back = replace(flat, lam=lam).to_block()
+        assert state_gap(back, s) == 0.0
+
+    def test_to_block_rejects_asymmetric_lambda(self):
+        # Two blocks that share a field and differ beyond rounding have no
+        # place in the layout.
+        flat = GeneralCorrectionState.from_block(random_state(np.random.default_rng(22)))
+        for index in ((0, 0, 2), (2, 0, 0), (2, 0, 2), (3, 3, 1)):
+            lam = flat.lam.copy()
+            lam[index] += 1e-9 * np.max(np.abs(lam))
+            with pytest.raises(ValueError, match="share a row"):
+                replace(flat, lam=lam).to_block()
 
     def test_zero_duration(self, ham_torsional_2d, z0):
         s = evolve_general(z0, 0.0, 1e-3, ham_torsional_2d)

@@ -970,17 +970,18 @@ class TestCli:
 
     def test_run_metadata_counts_transport_work(self, config_file, tmp_path, monkeypatch):
         # N0 x steps x stages = 64 x 4 x 15, and it equals the sample rows
-        # the kicks hand to the gradient (no correction samples here, so
-        # nothing else asks for the gradient).
+        # the transport hands to the potential's kick, which evaluates the
+        # force (no correction samples here, and the correction reads its
+        # force from the diagonals anyway).
         config_file.write_text(self.CONFIG.replace("n_correction = 16", "n_correction = 0"))
         rows = []
-        original = TorsionalPotential.gradient
+        original = TorsionalPotential.kick
 
-        def counted(self, q):
+        def counted(self, t, q, p):
             rows.append(np.shape(q)[0])
-            return original(self, q)
+            return original(self, t, q, p)
 
-        monkeypatch.setattr(TorsionalPotential, "gradient", counted)
+        monkeypatch.setattr(TorsionalPotential, "kick", counted)
         monkeypatch.setattr(experiments, "CHUNK_SIZE", 30)
         out = tmp_path / "out"
         args = ["run", "--config", str(config_file), "--out", str(out), "--threads", "1"]

@@ -10,6 +10,7 @@ from egorov.oracle import Hamiltonian
 from egorov.potentials import (
     FreePotential,
     HarmonicPotential,
+    Potential,
     TorsionalPotential,
     coordinate_sum,
     free_potential,
@@ -109,6 +110,22 @@ class TestTorsionalKernel:
 
     def test_batched(self):
         self.check(np.random.default_rng(4).uniform(-50.0, 50.0, size=(5, 3, 2)))
+
+    @pytest.mark.parametrize("shape", [(), (5,), (5000, 2)])
+    def test_kick_is_bitwise_p_minus_t_gradient(self, shape):
+        # kick folds the gradient's doubling into the step: p -= (2 t) u for
+        # sin q = 2 u, which rounds as t (2 u), in place.
+        special = np.array([0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 3.0, -3.0, 1e3])
+        rng = np.random.default_rng(5)
+        pot = torsional_potential(1 if shape == () else shape[-1])
+        q = np.array(rng.choice(special, size=shape))
+        for t in (0.1, -0.37, 2.0**-5, -1e-3):
+            p = np.array(rng.standard_normal(shape))
+            want = p - t * pot.gradient(q)
+            out = p
+            pot.kick(t, q, p)
+            assert p is out and p.shape == shape
+            assert p.tobytes() == want.tobytes(), t
 
 
 class TestHarmonic:
@@ -229,13 +246,30 @@ MAKERS = [
 
 @pytest.mark.parametrize("make", MAKERS)
 def test_diagonals_lead_with_the_gradient(make):
-    # The correction's kick reads g from diagonals(), the transport's from
-    # gradient(); both must be the same force.
+    # The correction's kick reads g from diagonals(), the transport's kick
+    # gives the bits of p - t gradient(); both must be the same force.
     pot = make()
     q = np.random.default_rng(7).uniform(-np.pi, np.pi, size=(5, 3, 2))
     diagonals = pot.diagonals(q)
     np.testing.assert_array_equal(diagonals[0], pot.gradient(q))
     assert [c.shape for c in diagonals] == [q.shape] * 4
+
+
+@pytest.mark.parametrize("make", MAKERS[1:])
+def test_kick_without_override_is_p_minus_t_gradient(make):
+    # Only the torsional potential overrides kick; the others take the base
+    # class's p -= t * gradient(q), in place.
+    pot = make()
+    assert type(pot).kick is Potential.kick
+    rng = np.random.default_rng(8)
+    q = rng.uniform(-np.pi, np.pi, size=(5000, 2))
+    for t in (0.1, -0.37):
+        p = rng.standard_normal((5000, 2))
+        want = p - t * pot.gradient(q)
+        out = p
+        pot.kick(t, q, p)
+        assert p is out
+        assert p.tobytes() == want.tobytes(), t
 
 
 def test_potential_without_diagonals_is_rejected():
