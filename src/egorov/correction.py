@@ -24,7 +24,10 @@ symmetric composition gives the second-order step :func:`f2_step`; the
 Yoshida triple jump gives :func:`f4_step`.
 
 The sub-flows read the potential's derivatives once per sub-flow, as the
-main diagonals returned by ``Potential.diagonals``.  Diagonal derivative
+main diagonals returned by ``Potential.diagonals``: those of DV, D2V, -D3V
+and -D4V.  Each increment carries the signs of the last two in its
+operations, with the bits it has when written with D3V and D4V, so the
+only negation pass is the force's, dp = -g.  Diagonal derivative
 tensors mean a separable potential, V(q) = sum_j V_j(q_j), whose flow
 never couples two coordinates: from the zero start every Lambda and Gamma
 entry that mixes coordinates stays exactly zero.  So each block is stored as
@@ -209,41 +212,42 @@ def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> Cor
     """Exact sub-flow updating the momentum-type blocks from the frozen
     position-type blocks (plus the inhomogeneity at q), in place.
 
-    Each row x moves to x + t * dx, with the increments summed left to right:
+    With (g, c2, m3, m4) the diagonals of DV, D2V, -D3V and -D4V, each row x
+    moves to x + t * dx, with the increments summed left to right:
 
         dp     = -g
-        dlam2  = -c2 lam1 + lam3 + lam3
-        dlam4  = -3 (c2 lam3) - c3 / 6
-        dgam21 = -c3 lam1 - c2 gam1 + gam3
-        dgam22 = -c2 gam1 + gam3
-        dxi2   = -c4 lam1 - 3 c3 gam1 - c2 xi1
+        dlam2  = lam3 - c2 lam1 + lam3
+        dlam4  = (c2 lam3) (-3) + m3 / 6
+        dgam21 = m3 lam1 - c2 gam1 + gam3
+        dgam22 = gam3 - c2 gam1
+        dxi2   = m4 lam1 + (m3 gam1) 3 - c2 xi1
 
-    Block by block, dlam4 is ((-y) - y) - y for y = c2 lam3: bitwise -3 y,
-    because -y - y is exact.
+    These are the bits of the increments written with c3 = -m3 and
+    c4 = -m4, -c3 lam1 - c2 gam1 + gam3 and so on: a - b is a + (-b), and
+    (-a) b is -(a b), so each sign rides in an operation and only dp takes a
+    negation pass.  Block by block, dlam4 is ((-y) - y) - y for y = c2 lam3: bitwise
+    -3 y, because -y - y is exact.  m3 / 6 stands for (1/6) m3, the
+    tilde-weighted third derivative on the main diagonal.
     """
     x, dx = state, state.scratch()
-    g, c2, c3, c4 = potential.diagonals(x.q)
+    g, c2, m3, m4 = potential.diagonals(x.q)
     # dx holds the increments of the psi2 rows; its psi3 rows hold c2 times
     # the matching rows of x, and its q row a product in passing.
     np.multiply(c2, x.rows[_PSI3_ROWS], out=dx.rows[_PSI3_ROWS])
     np.negative(g, out=dx.p)
-    # -(c2 lam1) and -(c2 lam3), into rows lam2 and lam4.
-    np.negative(dx.rows[LAM1:LAM3 + 1], out=dx.rows[LAM2:LAM4 + 1])
+    np.subtract(x.lam3, dx.lam1, out=dx.lam2)
     np.add(dx.lam2, x.lam3, out=dx.lam2)
-    np.add(dx.lam2, x.lam3, out=dx.lam2)
-    dx.lam4 *= 3.0
-    # The tilde-weighted third derivative is c3 / 6 on the main diagonal.
-    np.subtract(dx.lam4, (1.0 / 6.0) * c3, out=dx.lam4)
-    np.multiply(c3, x.lam1, out=dx.gam21)
-    np.copyto(dx.gam22, dx.gam1)
-    np.multiply(c4, x.lam1, out=dx.xi2)
-    # -(c3 lam1), -(c2 gam1) and -(c4 lam1).
-    np.negative(dx.rows[GAM21:XI2 + 1], out=dx.rows[GAM21:XI2 + 1])
+    np.multiply(dx.lam3, -3.0, out=dx.lam4)
+    np.multiply(m3, 1.0 / 6.0, out=dx.q)
+    np.add(dx.lam4, dx.q, out=dx.lam4)
+    np.multiply(m3, x.lam1, out=dx.gam21)
     np.subtract(dx.gam21, dx.gam1, out=dx.gam21)
-    np.add(dx.rows[GAM21:GAM22 + 1], x.gam3, out=dx.rows[GAM21:GAM22 + 1])
-    np.multiply(c3, x.gam1, out=dx.q)
+    np.add(dx.gam21, x.gam3, out=dx.gam21)
+    np.subtract(x.gam3, dx.gam1, out=dx.gam22)
+    np.multiply(m4, x.lam1, out=dx.xi2)
+    np.multiply(m3, x.gam1, out=dx.q)
     np.multiply(dx.q, 3.0, out=dx.q)
-    np.subtract(dx.xi2, dx.q, out=dx.xi2)
+    np.add(dx.xi2, dx.q, out=dx.xi2)
     np.subtract(dx.xi2, dx.xi1, out=dx.xi2)
     increments = dx.rows[_PSI2_ROWS]
     increments *= t
@@ -255,19 +259,22 @@ def sub_flow_psi3(t: float, state: CorrectionState, potential: Potential) -> Cor
     """Exact sub-flow updating the position-type blocks from the frozen
     momentum-type blocks, in place.
 
-    Each row x moves to x + t * dx, with the increments summed left to right:
+    With c2 and m3 the diagonals of D2V and -D3V, each row x moves to
+    x + t * dx, with the increments summed left to right:
 
         dlam1 = 3 lam2
         dlam3 = lam4 - c2 lam2 - c2 lam2
         dgam1 = gam21 + gam22
-        dgam3 = -c3 lam2 - c2 gam22 - c2 gam21
+        dgam3 = m3 lam2 - c2 gam22 - c2 gam21
         dxi1  = xi2
 
-    Block by block, dlam1 is (y + y) + y for y = lam2: bitwise 3 y, because
-    y + y is exact.  dlam3's (x - y) - y does not round as x - 2 y does.
+    dgam3 has the bits of -c3 lam2 - c2 gam22 - c2 gam21, c3 = -m3, with no
+    negation pass.  Block by block, dlam1 is (y + y) + y for y = lam2:
+    bitwise 3 y, because y + y is exact.  dlam3's (x - y) - y does not round
+    as x - 2 y does.
     """
     x, dx = state, state.scratch()
-    _, c2, c3, _ = potential.diagonals(x.q)
+    _, c2, m3, _ = potential.diagonals(x.q)
     # dx holds the increments of the psi3 rows; its rows lam2 .. gam22 hold
     # c2 times the matching rows of x.
     np.multiply(c2, x.rows[LAM2:GAM22 + 1], out=dx.rows[LAM2:GAM22 + 1])
@@ -275,8 +282,7 @@ def sub_flow_psi3(t: float, state: CorrectionState, potential: Potential) -> Cor
     np.subtract(x.lam4, dx.lam2, out=dx.lam3)
     np.subtract(dx.lam3, dx.lam2, out=dx.lam3)
     np.add(x.gam21, x.gam22, out=dx.gam1)
-    np.multiply(c3, x.lam2, out=dx.gam3)
-    np.negative(dx.gam3, out=dx.gam3)
+    np.multiply(m3, x.lam2, out=dx.gam3)
     np.subtract(dx.gam3, dx.gam22, out=dx.gam3)
     np.subtract(dx.gam3, dx.gam21, out=dx.gam3)
     np.copyto(dx.xi1, x.xi2)

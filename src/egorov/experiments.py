@@ -18,7 +18,7 @@ contiguous chunks whose sizes differ by at most one, so the chunks depend on
 n alone, never on the thread count.  Each chunk is reduced by numpy's
 pairwise summation, and an ensemble's chunk totals are combined pairwise in
 chunk order.  A chunk reduces each snapshot as its run reaches it: a
-transport chunk keeps its live (q, p) pair and one snapshot, a correction
+transport chunk keeps its live (x, p) pair and one snapshot, a correction
 chunk its live state and no copy, never the whole time series.  One thread,
 the default, maps the chunks inline; with more, the correction and the
 transport ensembles share one thread pool of that many workers, and run one

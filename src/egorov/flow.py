@@ -8,8 +8,14 @@ distinct sample points can be mapped over in parallel with no shared state.
 
 The building blocks are the exact kinetic flow (:func:`drift`) and the exact
 potential flow (:func:`kick`, with the Hamiltonian sign p <- p - t DV), each
-updating a ``(q, p)`` pair of arrays in place; the propagators run them on
-copies of the input's halves.  Their Strang composition is second order.
+updating an ``(x, p)`` pair of arrays in place.  x = kick_scale q is the
+potential's kick coordinate (``Potential.kick_scale``, an exact power of
+two; 1/2 for the torsional potential, whose force then reads tan(x) with no
+halving pass), so the kinetic flow for time s is ``drift(kick_scale * s)``.
+The propagators run them on x = kick_scale q and a copy of p, and hand each
+snapshot on as q = x / kick_scale: scaling by a power of two is exact, so
+every snapshot has the bits of a run in (q, p), apart from results of
+subnormal size.  Their Strang composition is second order.
 Higher even orders compose it symmetrically (Yoshida, Phys. Lett. A 150, 262
 (1990)): order 4 is the triple jump, and orders 6 and 8 are the minimal
 compositions of Yoshida's Table 2, solutions A (7 stages) and D (15 stages).
@@ -40,30 +46,44 @@ __all__ = [
 
 
 def drift(t: float, state):
-    """Exact kinetic flow on a (q, p) pair: q += t p, p unchanged.  Updates
-    q in place and returns the pair."""
-    q, p = state
-    q += t * p
+    """Exact kinetic flow on an (x, p) pair: x += t p, p unchanged.  With
+    x = kick_scale q it moves q by time t / kick_scale.  Updates x in place
+    and returns the pair."""
+    x, p = state
+    x += t * p
     return state
 
 
 def kick(t: float, state, potential: Potential):
-    """Exact potential flow on a (q, p) pair: p -= t DV(q), q unchanged,
-    by ``potential.kick``.  Updates p in place and returns the pair."""
-    q, p = state
-    potential.kick(t, q, p)
+    """Exact potential flow on an (x, p) pair in the potential's kick
+    coordinates, x = kick_scale q: p -= t DV(q), x unchanged, by
+    ``potential.kick``.  Updates p in place and returns the pair."""
+    x, p = state
+    potential.kick(t, x, p)
     return state
+
+
+def _kick_pair(z: np.ndarray, scale: float):
+    """The (x, p) pair of phase points z, x = scale q, both fresh arrays."""
+    d = z.shape[-1] // 2
+    return np.multiply(z[..., :d], scale), z[..., d:].copy()
+
+
+def _phase_point(state, scale: float) -> np.ndarray:
+    """The phase point (q, p) of an (x, p) pair, q = x / scale, a new array."""
+    x, p = state
+    return np.concatenate((x / scale, p), axis=-1)
 
 
 def strang_step(tau: float, z: np.ndarray, potential: Potential) -> np.ndarray:
     """Symmetric second-order step: half drift, full kick, half drift.  It
-    composes the flows :func:`propagate_snapshots` runs, on copies of z's
-    halves."""
-    z = np.asarray(z, dtype=float)
-    d = z.shape[-1] // 2
-    state = drift(0.5 * tau, (z[..., :d].copy(), z[..., d:].copy()))
+    composes the flows :func:`propagate_snapshots` runs, on z's halves in
+    kick coordinates."""
+    scale = potential.kick_scale
+    half = scale * (0.5 * tau)
+    state = drift(half, _kick_pair(np.asarray(z, dtype=float), scale))
     state = kick(tau, state, potential)
-    return np.concatenate(drift(0.5 * tau, state), axis=-1)
+    return _phase_point(drift(half, state), scale)
 
 
 # Yoshida (1990), Table 2: w_1 .. w_m of the symmetric compositions
@@ -164,18 +184,19 @@ def propagate_snapshots(
 
     ``times`` must be nondecreasing and start at >= 0; each segment between
     consecutive snapshot times is covered by whole steps of nominal size tau.
-    Drift (A) and kick (B) update contiguous copies of q and p in place.
-    Each snapshot is a new (..., 2d) array.  Without ``observe`` the list
-    holds them all; with it, each goes through ``observe(z)`` as soon as it
-    is reached and only the results are kept, so the propagation holds the
-    live (q, p) pair and one snapshot at a time.
+    Drift (A) and kick (B) update, in place, x = kick_scale q and a copy of
+    p, both contiguous; A runs for kick_scale times its step.  Each snapshot
+    is a new (..., 2d) array, with q = x / kick_scale.  Without ``observe``
+    the list holds them all; with it, each goes through ``observe(z)`` as
+    soon as it is reached and only the results are kept, so the propagation
+    holds the live (x, p) pair and one snapshot at a time.
     """
-    z0 = np.asarray(z0, dtype=float)
-    d = z0.shape[-1] // 2
-    state = (z0[..., :d].copy(), z0[..., d:].copy())
+    scale = potential.kick_scale
     snaps = split_snapshots(
-        state, times, tau, order, drift, lambda s, state: kick(s, state, potential)
+        _kick_pair(np.asarray(z0, dtype=float), scale), times, tau, order,
+        lambda s, state: drift(scale * s, state),
+        lambda s, state: kick(s, state, potential),
     )
     if observe is None:
-        return [np.concatenate(snap, axis=-1) for snap in snaps]
-    return [observe(np.concatenate(snap, axis=-1)) for snap in snaps]
+        return [_phase_point(snap, scale) for snap in snaps]
+    return [observe(_phase_point(snap, scale)) for snap in snaps]

@@ -54,7 +54,8 @@ def _energy_diagonals(d: int, potential: Potential | None, kinetic: bool):
         z = np.asarray(z)
         grad, hess, third = {}, {}, {}
         if potential is not None:
-            grad[(0,)], hess[(0, 0)], third[(0, 0, 0)], _ = potential.diagonals(z[..., :d])
+            grad[(0,)], hess[(0, 0)], minus_third, _ = potential.diagonals(z[..., :d])
+            third[(0, 0, 0)] = -minus_third
         if kinetic:
             grad[(1,)] = z[..., d:]
             hess[(1, 1)] = ones

@@ -115,9 +115,9 @@ class Hamiltonian:
         scattered from one evaluation of the potential's diagonals."""
         z = np.asarray(z)
         d = self.d
-        g, c2, c3, c4 = self.potential.diagonals(z[..., :d])
+        g, c2, m3, m4 = self.potential.diagonals(z[..., :d])
         table = ({(0,): g, (1,): z[..., d:]}, {(0, 0): c2, (1, 1): np.ones(d)},
-                 {(0, 0, 0): c3}, {(0, 0, 0, 0): c4})
+                 {(0, 0, 0): -m3}, {(0, 0, 0, 0): -m4})
         return tuple(
             scatter_diagonals(blocks, np.zeros(z.shape[:-1] + (2 * d,) * order))
             for order, blocks in enumerate(table, 1)

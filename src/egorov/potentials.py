@@ -6,11 +6,14 @@ trailing axes).  Derivatives are supplied analytically because the
 correction dynamics consume third and fourth derivatives at every step.
 
 Subclasses supply ``value``, ``gradient`` and ``diagonals``: the gradient and
-the main diagonals of the second to fourth derivative tensors, all of which
-are diagonal for the shipped models.  Diagonal derivatives mean a separable
-potential, V(q) = sum_j V_j(q_j): no coordinate's force depends on another
-coordinate, so the correction tensors never couple two coordinates either,
-and the correction stepper stores each of its blocks per coordinate, exactly.
+the main diagonals of the second derivative tensor and of the negated third
+and fourth, all of which are diagonal for the shipped models.  The signs
+ride in the diagonals so that the correction's sub-flows carry them in
+their operations, and the torsional kernel hands the same two arrays out
+twice.  Diagonal derivatives mean a separable potential,
+V(q) = sum_j V_j(q_j): no coordinate's force depends on another coordinate,
+so the correction tensors never couple two coordinates either, and the
+correction stepper stores each of its blocks per coordinate, exactly.
 The run path reads only the gradient and the diagonals.  The dense
 ``hessian``, ``third`` and ``fourth`` scatter the diagonals by
 :func:`scatter_diagonals`, which also builds the observables' dense tensors
@@ -66,14 +69,17 @@ class Potential:
     """Base class bundling a potential's value and derivative tensors.
 
     Subclasses set ``d`` and implement ``value``, ``gradient`` and
-    ``diagonals``.  A potential whose derivative tensors are not diagonal
-    cannot implement ``diagonals`` or ``coordinate``; it raises
-    NotImplementedError there, and neither the correction stepper nor the grid
-    reference runs on it.
+    ``diagonals``.  ``kick_scale``, an exact power of two, is the class's
+    kick coordinate: ``kick`` reads x = kick_scale q, and scaling by it is
+    exact, so a flow run in (x, p) keeps the bits of one run in (q, p).
+    A potential whose derivative tensors are not diagonal cannot implement
+    ``diagonals`` or ``coordinate``; it raises NotImplementedError there, and
+    neither the correction stepper nor the grid reference runs on it.
     Evaluators are pure and re-entrant; instances carry no mutable state.
     """
 
     d: int
+    kick_scale = 1.0
 
     def value(self, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -82,13 +88,17 @@ class Potential:
         raise NotImplementedError
 
     def diagonals(self, q: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(g, c2, c3, c4), each (..., d): the gradient, then the main
-        diagonals of the second, third and fourth derivative tensors."""
+        """(g, c2, m3, m4), each (..., d): the gradient, then the main
+        diagonals of D2V, -D3V and -D4V.  Where D3V or D4V vanishes, m3 or m4
+        is -0.0, the negation of the zero.  The arrays may be shared with
+        each other or with broadcast constants: callers must not write into
+        them."""
         raise NotImplementedError
 
-    def kick(self, t: float, q: np.ndarray, p: np.ndarray) -> None:
-        """The exact potential flow for time t: p -= t DV(q), in place."""
-        p -= t * self.gradient(q)
+    def kick(self, t: float, x: np.ndarray, p: np.ndarray) -> None:
+        """The exact potential flow for time t in kick coordinates,
+        x = kick_scale q: p -= t DV(x / kick_scale), in place."""
+        p -= t * self.gradient(x / self.kick_scale)
 
     def coordinate(self, j: int) -> Potential:
         """The one-dimensional potential V_j of coordinate j (0-based) in
@@ -107,6 +117,8 @@ class Potential:
 
     def _dense(self, q: np.ndarray, order: int) -> np.ndarray:
         diagonal = self.diagonals(q)[order - 1]
+        if order > 2:
+            diagonal = -diagonal
         out = np.zeros(np.shape(diagonal)[:-1] + (self.d,) * order)
         return scatter_diagonals({(0,) * order: diagonal}, out)
 
@@ -116,8 +128,14 @@ def _half_angle(q) -> tuple[np.ndarray, np.ndarray]:
     sin q = 2 (t / (1 + t^2)) and cos q = (1 - t^2) / (1 + t^2).  numpy builds
     that vectorize float64 ``tan`` but not ``sin`` and ``cos`` spend far less
     on this than on either of those."""
-    t = np.multiply(q, 0.5, out=np.empty(np.shape(q)))
-    np.tan(t, out=t)
+    x = np.multiply(q, 0.5, out=np.empty(np.shape(q)))
+    return _tangent(x, out=x)
+
+
+def _tangent(x, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, t^2) for t = tan(x): t is written over ``out``, an array of x's
+    shape, and t^2 is fresh."""
+    t = np.tan(x, out=out)
     return t, np.multiply(t, t, out=np.empty_like(t))
 
 
@@ -133,19 +151,21 @@ class TorsionalPotential(Potential):
     """V(q) = d - sum_j cos(q_j).
 
     All derivative tensors are diagonal: the order-k diagonal cycles through
-    sin, cos, -sin, -cos.  The force and the diagonals take sin and cos from
-    the half-angle identities: with t = tan(q/2),
+    sin, cos, -sin, -cos, so ``diagonals`` returns (sin, cos, sin, cos), its
+    two arrays twice.  The force and the diagonals take sin and cos from the
+    half-angle identities: with t = tan(q/2),
 
         sin q = 2t / (1 + t^2),    cos q = (1 - t^2) / (1 + t^2),
 
     within 2.2e-16 of ``np.sin`` and ``np.cos``.  ``gradient`` and
     ``diagonals`` take t and t^2 once and compute the sine by the same
-    operations, so their forces agree bit for bit; ``kick`` folds the
-    gradient's doubling into the step, with the same bits.
-    ``value`` keeps ``np.cos``.
+    operations, so their forces agree bit for bit.  ``kick`` reads the half
+    angle itself, x = q/2 (``kick_scale`` is 1/2), and folds the gradient's
+    doubling into the step, with the same bits.  ``value`` keeps ``np.cos``.
     """
 
     d: int
+    kick_scale = 0.5
 
     def __post_init__(self):
         if self.d < 1:
@@ -160,11 +180,11 @@ class TorsionalPotential(Potential):
         w += 1.0
         return _sine_over(t, w)
 
-    def kick(self, t, q, p):
-        # DV = 2 u for u = tan(q/2) / (1 + tan^2), and t (2 u) rounds as
-        # (2 t) u, since doubling is exact: the bits of p - t * gradient(q)
-        # with one pass fewer.
-        u, w = _half_angle(q)
+    def kick(self, t, x, p):
+        # x = q/2 needs no halving pass.  DV = 2 u for u = tan(x) / (1 + tan^2),
+        # and t (2 u) rounds as (2 t) u, since doubling is exact: the bits of
+        # p - t * gradient(q) with two passes fewer.
+        u, w = _tangent(x, out=np.empty(np.shape(x)))
         w += 1.0
         np.divide(u, w, out=u)
         u *= 2.0 * t
@@ -174,10 +194,11 @@ class TorsionalPotential(Potential):
         t, t2 = _half_angle(q)
         w = t2 + 1.0
         sin = _sine_over(t, w)
-        # cos q = (1 - t^2) / (1 + t^2) overwrites t^2; w then holds -sin q.
+        # cos q = (1 - t^2) / (1 + t^2) overwrites t^2.
         cos = np.subtract(1.0, t2, out=t2)
         cos /= w
-        return sin, cos, np.negative(sin, out=w), -cos
+        # -D3V = sin q and -D4V = cos q.
+        return sin, cos, sin, cos
 
     def coordinate(self, j):
         return TorsionalPotential(1)
@@ -207,8 +228,9 @@ class HarmonicPotential(Potential):
 
     def diagonals(self, q):
         q = np.asarray(q)
-        zeros = np.zeros(q.shape)
-        return self.gradient(q), np.broadcast_to(self.omega**2, q.shape), zeros, zeros
+        minus_zeros = np.full(q.shape, -0.0)
+        return (self.gradient(q), np.broadcast_to(self.omega**2, q.shape),
+                minus_zeros, minus_zeros)
 
     def coordinate(self, j):
         return HarmonicPotential(self.omega[j : j + 1])
@@ -232,8 +254,8 @@ class FreePotential(Potential):
         return np.zeros_like(np.asarray(q, dtype=float))
 
     def diagonals(self, q):
-        zeros = np.zeros(np.shape(q))
-        return zeros, zeros, zeros, zeros
+        zeros, minus_zeros = np.zeros(np.shape(q)), np.full(np.shape(q), -0.0)
+        return zeros, zeros, minus_zeros, minus_zeros
 
     def coordinate(self, j):
         return FreePotential(1)

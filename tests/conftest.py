@@ -22,7 +22,7 @@ def symplectic_j(d: int) -> np.ndarray:
 
 def phase_pair(z) -> tuple[np.ndarray, np.ndarray]:
     """Copies of z's position and momentum halves: the (q, p) pair that
-    flow.drift and flow.kick update in place."""
+    flow.drift updates in place."""
     z = np.asarray(z, dtype=float)
     d = z.shape[-1] // 2
     return z[..., :d].copy(), z[..., d:].copy()
@@ -31,6 +31,20 @@ def phase_pair(z) -> tuple[np.ndarray, np.ndarray]:
 def phase_point(pair) -> np.ndarray:
     """The phase point of a (q, p) pair."""
     return np.concatenate(pair, axis=-1)
+
+
+def kick_pair(z, potential: Potential) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, p) pair of z in the potential's kick coordinates,
+    x = kick_scale q: the pair flow.kick reads, and flow.drift moves for
+    kick_scale times its time."""
+    q, p = phase_pair(z)
+    return potential.kick_scale * q, p
+
+
+def kick_point(pair, potential: Potential) -> np.ndarray:
+    """The phase point of an (x, p) pair in the potential's kick coordinates."""
+    x, p = pair
+    return phase_point((x / potential.kick_scale, p))
 
 
 class CoupledPotential(Potential):

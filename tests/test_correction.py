@@ -36,7 +36,7 @@ from egorov.potentials import (
 )
 from egorov.tensor_ops import apply_J_triple, tilde_d3
 
-from conftest import phase_pair, phase_point
+from conftest import kick_pair, kick_point, phase_pair, phase_point
 
 STATE_FIELDS = (
     "q", "p",
@@ -340,10 +340,10 @@ class TestSplittingSteps:
         s = random_state(np.random.default_rng(33))
         tau = 0.21
         out = f2_step(tau, s, torsional_2d)
-        expected = kick(
-            0.5 * tau, drift(tau, kick(0.5 * tau, phase_pair(s.z), torsional_2d)), torsional_2d
-        )
-        np.testing.assert_allclose(out.z, phase_point(expected), atol=1e-14)
+        half_kick = kick(0.5 * tau, kick_pair(s.z, torsional_2d), torsional_2d)
+        drifted = drift(torsional_2d.kick_scale * tau, half_kick)
+        expected = kick(0.5 * tau, drifted, torsional_2d)
+        np.testing.assert_allclose(out.z, kick_point(expected, torsional_2d), atol=1e-14)
 
     def test_f4_self_convergence_ratio(self, torsional_2d, z0):
         ref = evolve_correction(z0, 1.0, 1e-4, torsional_2d)
@@ -493,32 +493,33 @@ def per_field_psi1(t, s):
 
 def per_field_psi2(t, s, potential):
     """psi2 field by field, each update written as x + t * (increment), with
-    one term per block of the 16-block form."""
-    g, c2, c3, c4 = potential.diagonals(s.q)
+    one term per block of the 16-block form; m3 and m4 are the diagonals of
+    -D3V and -D4V."""
+    g, c2, m3, m4 = potential.diagonals(s.q)
     c2_lam1 = c2 * s.lam1
     return {
         **{f: getattr(s, f) for f in STATE_FIELDS},
         "p": s.p - t * g,
         "lam2": s.lam2 + t * (-c2_lam1 + s.lam3 + s.lam3),
         "lam4": s.lam4 + t * (
-            -(c2 * s.lam3) - c2 * s.lam3 - c2 * s.lam3 - (1.0 / 6.0) * c3
+            -(c2 * s.lam3) - c2 * s.lam3 - c2 * s.lam3 + (1.0 / 6.0) * m3
         ),
-        "gam21": s.gam21 + t * (-(c3 * s.lam1) - c2 * s.gam1 + s.gam3),
+        "gam21": s.gam21 + t * (m3 * s.lam1 - c2 * s.gam1 + s.gam3),
         "gam22": s.gam22 + t * (-(s.gam1 * c2) + s.gam3),
-        "xi2": s.xi2 + t * (-c4 * s.lam1 - 3.0 * (c3 * s.gam1) - c2 * s.xi1),
+        "xi2": s.xi2 + t * (m4 * s.lam1 + 3.0 * (m3 * s.gam1) - c2 * s.xi1),
     }
 
 
 def per_field_psi3(t, s, potential):
     """psi3 field by field, each update written as x + t * (increment), with
-    one term per block of the 16-block form."""
-    _, c2, c3, _ = potential.diagonals(s.q)
+    one term per block of the 16-block form; m3 is the diagonal of -D3V."""
+    _, c2, m3, _ = potential.diagonals(s.q)
     return {
         **{f: getattr(s, f) for f in STATE_FIELDS},
         "lam1": s.lam1 + t * (s.lam2 + s.lam2 + s.lam2),
         "lam3": s.lam3 + t * (s.lam4 - c2 * s.lam2 - c2 * s.lam2),
         "gam1": s.gam1 + t * (s.gam21 + s.gam22),
-        "gam3": s.gam3 + t * (-(c3 * s.lam2) - c2 * s.gam22 - s.gam21 * c2),
+        "gam3": s.gam3 + t * (m3 * s.lam2 - c2 * s.gam22 - s.gam21 * c2),
         "xi1": s.xi1 + t * s.xi2,
     }
 

@@ -14,14 +14,20 @@ from egorov.flow import (
     kick,
     propagate,
     propagate_snapshots,
+    split_snapshots,
     step_count,
     strang_step,
     yoshida_coefficients,
 )
 from egorov.oracle import Hamiltonian
-from egorov.potentials import free_potential, harmonic_potential, torsional_potential
+from egorov.potentials import (
+    TorsionalPotential,
+    free_potential,
+    harmonic_potential,
+    torsional_potential,
+)
 
-from conftest import phase_pair, phase_point, symplectic_j
+from conftest import kick_pair, kick_point, phase_pair, phase_point, symplectic_j
 
 
 class TestDrift:
@@ -65,11 +71,12 @@ class TestKick:
         z = np.array([0.4, -0.3, 0.8, 0.6])
         h0 = ham.value(z)
 
+        scale = torsional_2d.kick_scale
+
         def energy_error(tau):
-            stepped = kick(
-                tau / 2, drift(tau, kick(tau / 2, phase_pair(z), torsional_2d)), torsional_2d
-            )
-            return abs(ham.value(phase_point(stepped)) - h0)
+            half_kick = kick(tau / 2, kick_pair(z, torsional_2d), torsional_2d)
+            stepped = kick(tau / 2, drift(scale * tau, half_kick), torsional_2d)
+            return abs(ham.value(kick_point(stepped, torsional_2d)) - h0)
 
         ratio = energy_error(0.02) / energy_error(0.01)
         assert ratio == pytest.approx(8.0, rel=0.25)
@@ -328,6 +335,83 @@ def test_fused_matches_unfused_strang_composition(points, order, gaps):
     fused = propagate_snapshots(points, times, 0.1, order, pot)
     for got, want in zip(fused, unfused_snapshots(points, times, 0.1, order, pot)):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+def unscaled_kick(t, q, p, potential):
+    """p -= t DV(q) on unscaled positions: for the torsional potential by
+    tan(0.5 q), halved in its own pass, else as p - t gradient(q)."""
+    if not isinstance(potential, TorsionalPotential):
+        p -= t * potential.gradient(q)
+        return
+    u = np.multiply(q, 0.5, out=np.empty(np.shape(q)))
+    np.tan(u, out=u)
+    w = np.multiply(u, u, out=np.empty_like(u))
+    w += 1.0
+    np.divide(u, w, out=u)
+    u *= 2.0 * t
+    p -= u
+
+
+def unscaled_drift(t, state):
+    q, p = state
+    q += t * p
+    return state
+
+
+def unscaled_snapshots(z, times, tau, order, potential):
+    """The fused driver run on (q, p) itself, with no kick coordinates."""
+    d = z.shape[-1] // 2
+
+    def b_flow(s, state):
+        unscaled_kick(s, *state, potential)
+        return state
+
+    state = (z[..., :d].copy(), z[..., d:].copy())
+    snaps = split_snapshots(state, times, tau, order, unscaled_drift, b_flow)
+    return [np.concatenate(snap, axis=-1) for snap in snaps]
+
+
+def unscaled_strang_step(tau, z, potential):
+    d = z.shape[-1] // 2
+    q, p = unscaled_drift(0.5 * tau, (z[..., :d].copy(), z[..., d:].copy()))
+    unscaled_kick(tau, q, p, potential)
+    return np.concatenate(unscaled_drift(0.5 * tau, (q, p)), axis=-1)
+
+
+# Entries of magnitude 1e-200 and up, or zero, so that no product of the runs
+# is subnormal: scaling by 1/2 is exact only above the subnormal range.
+PHASE_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi, 1e3, -1e3]),
+    st.floats(-4.0, 4.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-200),
+)
+SCALED_CASES = [
+    torsional_potential(1), torsional_potential(2), torsional_potential(3),
+    harmonic_potential(3, (1.0, 2.0, 0.5)), free_potential(1),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    pot=st.sampled_from(SCALED_CASES),
+    order=st.sampled_from([2, 4, 6, 8]),
+    gaps=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    tau=st.sampled_from([0.1, -0.37, 2.0**-5]),
+)
+def test_kick_coordinates_keep_the_bits_of_unscaled_transport(data, pot, order, gaps, tau):
+    # The transport runs x = kick_scale q, a power of two: every snapshot and
+    # every Strang step has the bytes of the same composition run on q, with
+    # the torsional force halving q in its own pass, repeated snapshot
+    # times and signed zeros included.
+    z = data.draw(arrays(float, st.tuples(st.integers(1, 5), st.just(2 * pot.d)),
+                         elements=PHASE_ENTRIES))
+    kept = z.copy()
+    times = 0.1 * np.cumsum(gaps)
+    got = propagate_snapshots(z, times, 0.1, order, pot)
+    want = unscaled_snapshots(z, times, 0.1, order, pot)
+    assert [snap.tobytes() for snap in got] == [snap.tobytes() for snap in want]
+    assert strang_step(tau, z, pot).tobytes() == unscaled_strang_step(tau, z, pot).tobytes()
+    assert z.tobytes() == kept.tobytes()
 
 
 @settings(max_examples=20, deadline=None)

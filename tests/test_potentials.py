@@ -73,14 +73,15 @@ class TestTorsional:
 
 class TestTorsionalKernel:
     """gradient and diagonals, which take sin and cos from t = tan(q/2),
-    against numpy's sin and cos to 2 ulp of 1."""
+    against numpy's sin and cos to 2 ulp of 1.  The diagonals are those of
+    DV, D2V, -D3V and -D4V: sin, cos, sin, cos."""
 
     @staticmethod
     def check(q):
         pot = torsional_potential(q.shape[-1])
         sin, cos = np.sin(q), np.cos(q)
         np.testing.assert_allclose(pot.gradient(q), sin, rtol=0, atol=4.5e-16)
-        for got, want in zip(pot.diagonals(q), (sin, cos, -sin, -cos)):
+        for got, want in zip(pot.diagonals(q), (sin, cos, sin, cos)):
             assert got.shape == q.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=4.5e-16)
 
@@ -94,11 +95,13 @@ class TestTorsionalKernel:
         pot = torsional_potential(2)
         q = np.array([0.0, -0.0])
         np.testing.assert_array_equal(np.signbit(pot.gradient(q)), [False, True])
-        sin, cos, minus_sin, minus_cos = pot.diagonals(q)
+        sin, cos, minus_third, minus_fourth = pot.diagonals(q)
         np.testing.assert_array_equal(np.signbit(sin), [False, True])
-        np.testing.assert_array_equal(np.signbit(minus_sin), [True, False])
+        np.testing.assert_array_equal(np.signbit(minus_third), [False, True])
         np.testing.assert_array_equal(cos, [1.0, 1.0])
-        np.testing.assert_array_equal(minus_cos, [-1.0, -1.0])
+        np.testing.assert_array_equal(minus_fourth, [1.0, 1.0])
+        # -D3V = DV and -D4V = D2V: the same arrays, with no negation pass.
+        assert minus_third is sin and minus_fourth is cos
 
     def test_around_odd_multiples_of_pi(self):
         # tan(q/2) is largest here: at the double nearest pi it is 1.6e16.
@@ -113,8 +116,8 @@ class TestTorsionalKernel:
 
     @pytest.mark.parametrize("shape", [(), (5,), (5000, 2)])
     def test_kick_is_bitwise_p_minus_t_gradient(self, shape):
-        # kick folds the gradient's doubling into the step: p -= (2 t) u for
-        # sin q = 2 u, which rounds as t (2 u), in place.
+        # kick reads x = q/2 and folds the gradient's doubling into the step:
+        # p -= (2 t) u for sin q = 2 u, which rounds as t (2 u), in place.
         special = np.array([0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 3.0, -3.0, 1e3])
         rng = np.random.default_rng(5)
         pot = torsional_potential(1 if shape == () else shape[-1])
@@ -123,7 +126,7 @@ class TestTorsionalKernel:
             p = np.array(rng.standard_normal(shape))
             want = p - t * pot.gradient(q)
             out = p
-            pot.kick(t, q, p)
+            pot.kick(t, q / 2, p)
             assert p is out and p.shape == shape
             assert p.tobytes() == want.tobytes(), t
 
@@ -258,9 +261,9 @@ def test_diagonals_lead_with_the_gradient(make):
 @pytest.mark.parametrize("make", MAKERS[1:])
 def test_kick_without_override_is_p_minus_t_gradient(make):
     # Only the torsional potential overrides kick; the others take the base
-    # class's p -= t * gradient(q), in place.
+    # class's p -= t * gradient(q), in place, in kick coordinates x = q.
     pot = make()
-    assert type(pot).kick is Potential.kick
+    assert type(pot).kick is Potential.kick and pot.kick_scale == 1.0
     rng = np.random.default_rng(8)
     q = rng.uniform(-np.pi, np.pi, size=(5000, 2))
     for t in (0.1, -0.37):
