@@ -60,9 +60,12 @@ made on the state's first sub-flow and kept with it
 (:meth:`CorrectionState.scratch`), so a live state stepped through a run
 makes one, and drops it at the run's last snapshot; a copy or a snapshot
 makes its own, so chunks of an ensemble stepped in different threads share
-nothing.  :func:`evolve_correction_snapshots` can hand each snapshot to an
-observer as the run reaches it, so an ensemble chunk that reduces its
-snapshots holds the live state alone, not a copy per snapshot time.
+nothing.  The live rows and the scratch rows each start on a 64-byte
+boundary (:func:`egorov.flow.aligned_rows`), so each of the sub-flows'
+row writes stores whole AVX-512 vectors into memory the chunk owns.
+:func:`evolve_correction_snapshots` can hand each snapshot to an observer
+as the run reaches it, so an ensemble chunk that reduces its snapshots
+holds the live state alone, not a copy per snapshot time.
 A :class:`CorrectionState` is that array and a time,
 ``CorrectionState(rows, t)``, with each name of :data:`FIELDS` bound to its
 row, a view; :data:`BLOCK_PATTERNS` gives each tensor row its blocks of
@@ -83,7 +86,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flow import split_snapshots
+from .flow import aligned_rows, split_snapshots
 from .observables import Observable
 from .potentials import Potential, coordinate_sum
 # benchmark/tracing.py wraps egorov.correction.tilde_d3 by attribute.
@@ -156,7 +159,11 @@ class CorrectionState:
 
     The state is ``rows``, (12, ..., d) in the order of :data:`FIELDS`, at
     time ``t``; it shares the array's memory, and each name in
-    :data:`FIELDS` is bound to its row, a view.
+    :data:`FIELDS` is bound to its row, a view.  :meth:`initial` and
+    :meth:`scratch` take their rows from :func:`egorov.flow.aligned_rows`,
+    each starting on a 64-byte boundary, so the sub-flows' AVX-512 loops
+    store whole cache lines; :meth:`copy`, which only snapshots without an
+    observer use, makes plain contiguous rows.
     """
 
     def __init__(self, rows: np.ndarray, t: float = 0.0):
@@ -169,9 +176,10 @@ class CorrectionState:
         """Zero correction tensors attached to phase points z0 (..., 2d)."""
         z0 = np.asarray(z0, dtype=float)
         d = z0.shape[-1] // 2
-        rows = np.zeros((len(FIELDS),) + z0.shape[:-1] + (d,))
+        rows = aligned_rows(len(FIELDS), z0.shape[:-1] + (d,))
         rows[Q] = z0[..., :d]
         rows[P] = z0[..., d:]
+        rows[P + 1:] = 0.0
         return cls(rows)
 
     def copy(self) -> "CorrectionState":
@@ -179,12 +187,13 @@ class CorrectionState:
         return CorrectionState(self.rows.copy(), self.t)
 
     def scratch(self) -> "CorrectionState":
-        """A state of this one's shape whose rows the sub-flows overwrite with
-        their increments: made on first use and kept with this state, so a
-        live state stepped many times makes one.  A state made by
-        :meth:`copy` or by the constructor, such as a snapshot, has its own."""
+        """A state of this one's shape, with aligned rows, whose rows the
+        sub-flows overwrite with their increments: made on first use and kept
+        with this state, so a live state stepped through a chunk's run makes
+        one.  A state made by :meth:`copy` or by the constructor, such as a
+        snapshot, has its own."""
         if self._scratch is None:
-            self._scratch = CorrectionState(np.empty_like(self.rows))
+            self._scratch = CorrectionState(aligned_rows(len(FIELDS), self.rows.shape[1:]))
         return self._scratch
 
     def drop_scratch(self) -> None:

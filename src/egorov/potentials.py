@@ -95,9 +95,12 @@ class Potential:
         them."""
         raise NotImplementedError
 
-    def kick(self, t: float, x: np.ndarray, p: np.ndarray) -> None:
+    def kick(self, t: float, x: np.ndarray, p: np.ndarray, scratch=None) -> None:
         """The exact potential flow for time t in kick coordinates,
-        x = kick_scale q: p -= t DV(x / kick_scale), in place."""
+        x = kick_scale q: p -= t DV(x / kick_scale), in place.  ``scratch``,
+        two rows of x's shape or None, is the caller's: an override may write
+        its intermediates there instead of allocating them; this one does
+        not use it."""
         p -= t * self.gradient(x / self.kick_scale)
 
     def coordinate(self, j: int) -> Potential:
@@ -129,14 +132,14 @@ def _half_angle(q) -> tuple[np.ndarray, np.ndarray]:
     that vectorize float64 ``tan`` but not ``sin`` and ``cos`` spend far less
     on this than on either of those."""
     x = np.multiply(q, 0.5, out=np.empty(np.shape(q)))
-    return _tangent(x, out=x)
+    return _tangent(x, (x, np.empty_like(x)))
 
 
-def _tangent(x, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(t, t^2) for t = tan(x): t is written over ``out``, an array of x's
-    shape, and t^2 is fresh."""
-    t = np.tan(x, out=out)
-    return t, np.multiply(t, t, out=np.empty_like(t))
+def _tangent(x, out) -> tuple[np.ndarray, np.ndarray]:
+    """(t, t^2) for t = tan(x), written over the two arrays of ``out``, each
+    of x's shape; the first may be x itself."""
+    t = np.tan(x, out=out[0])
+    return t, np.multiply(t, t, out=out[1])
 
 
 def _sine_over(t: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -161,7 +164,11 @@ class TorsionalPotential(Potential):
     ``diagonals`` take t and t^2 once and compute the sine by the same
     operations, so their forces agree bit for bit.  ``kick`` reads the half
     angle itself, x = q/2 (``kick_scale`` is 1/2), and folds the gradient's
-    doubling into the step, with the same bits.  ``value`` keeps ``np.cos``.
+    doubling into the step, with the same bits.  It writes tan(x) and
+    1 + tan^2 into the two rows of the caller's scratch block, which the
+    transport allocates once per chunk with 64-byte aligned rows, so every
+    pass stores whole AVX-512 vectors; with no scratch, numpy allocates
+    them.  ``value`` keeps ``np.cos``.
     """
 
     d: int
@@ -180,11 +187,13 @@ class TorsionalPotential(Potential):
         w += 1.0
         return _sine_over(t, w)
 
-    def kick(self, t, x, p):
+    def kick(self, t, x, p, scratch=None):
         # x = q/2 needs no halving pass.  DV = 2 u for u = tan(x) / (1 + tan^2),
         # and t (2 u) rounds as (2 t) u, since doubling is exact: the bits of
         # p - t * gradient(q) with two passes fewer.
-        u, w = _tangent(x, out=np.empty(np.shape(x)))
+        if scratch is None:
+            scratch = np.empty(np.shape(x)), np.empty(np.shape(x))
+        u, w = _tangent(x, scratch)
         w += 1.0
         np.divide(u, w, out=u)
         u *= 2.0 * t

@@ -47,6 +47,17 @@ def kick_point(pair, potential: Potential) -> np.ndarray:
     return phase_point((x / potential.kick_scale, p))
 
 
+# Shapes (N, d) of the alignment checks: N d is off a multiple of 8 at
+# (7693, 3) and (1001, 1), so rows of those need padding, and on one at
+# (5000, 2).
+ALIGNMENT_SHAPES = [(7693, 3), (1001, 1), (5000, 2)]
+
+
+def starts_on_cache_lines(rows) -> bool:
+    """Whether every row of ``rows`` starts at an address divisible by 64."""
+    return all(rows[i, ...].ctypes.data % 64 == 0 for i in range(len(rows)))
+
+
 class CoupledPotential(Potential):
     """V = q1 q2: its hessian is not diagonal, and it is not a sum of
     per-coordinate terms."""

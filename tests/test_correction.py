@@ -36,7 +36,14 @@ from egorov.potentials import (
 )
 from egorov.tensor_ops import apply_J_triple, tilde_d3
 
-from conftest import kick_pair, kick_point, phase_pair, phase_point
+from conftest import (
+    ALIGNMENT_SHAPES,
+    kick_pair,
+    kick_point,
+    phase_pair,
+    phase_point,
+    starts_on_cache_lines,
+)
 
 STATE_FIELDS = (
     "q", "p",
@@ -665,6 +672,48 @@ class TestInPlaceStepper:
             assert np.shares_memory(getattr(s, name), s.rows)
             np.testing.assert_array_equal(getattr(s, name), s.rows[i])
         assert sorted(correction_mod.FIELDS) == sorted(STATE_FIELDS)
+
+
+class TestAlignedRows:
+    @pytest.mark.parametrize("n, d", ALIGNMENT_SHAPES)
+    def test_rows_and_scratch_start_on_cache_lines(self, n, d):
+        z0 = np.random.default_rng(n).uniform(-1.5, 1.5, (n, 2 * d))
+        state = CorrectionState.initial(z0)
+        assert state.rows.shape == state.scratch().rows.shape == (12, n, d)
+        assert starts_on_cache_lines(state.rows)
+        assert starts_on_cache_lines(state.scratch().rows)
+        assert not np.shares_memory(state.rows, state.scratch().rows)
+        np.testing.assert_array_equal(state.z, z0)
+        assert not np.any(state.rows[2:])
+
+    @pytest.mark.parametrize("n, d", ALIGNMENT_SHAPES)
+    def test_bits_match_a_run_on_misaligned_rows(self, n, d, monkeypatch):
+        # The live rows and the scratch rows sit on cache lines; the same
+        # run on plain arrays that start 8 bytes past a 16-byte boundary,
+        # never on a cache line, gives the same bytes, and so do its a2 sums.
+        pot = torsional_potential(d)
+        z0 = np.random.default_rng(n).uniform(-1.5, 1.5, (n, 2 * d))
+        times = [0.0, 0.0625, 0.125]
+        observables = [make_observable(obs, pot) for obs in default_names(d)]
+
+        def run():
+            sums = evolve_correction_snapshots(
+                z0, times, 0.03125, pot, lambda state: np.sum(a2_eval(observables, state), -1)
+            )
+            snaps = evolve_correction_snapshots(z0, times, 0.03125, pot)
+            return [a.tobytes() for a in sums], [snap.rows.tobytes() for snap in snaps]
+
+        aligned = run()
+        made = []
+
+        def misaligned_rows(k, shape):
+            made.append(np.empty(k * int(np.prod(shape)) + 1)[1:].reshape(k, *shape))
+            return made[-1]
+
+        monkeypatch.setattr(correction_mod, "aligned_rows", misaligned_rows)
+        assert aligned == run()
+        # Each of the two runs makes its live rows and one scratch block.
+        assert len(made) == 4 and all(rows.ctypes.data % 16 == 8 for rows in made)
 
 
 def constant_observable(d: int) -> Observable:

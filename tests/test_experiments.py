@@ -977,9 +977,9 @@ class TestCli:
         rows = []
         original = TorsionalPotential.kick
 
-        def counted(self, t, q, p):
+        def counted(self, t, q, p, scratch=None):
             rows.append(np.shape(q)[0])
-            return original(self, t, q, p)
+            return original(self, t, q, p, scratch)
 
         monkeypatch.setattr(TorsionalPotential, "kick", counted)
         monkeypatch.setattr(experiments, "CHUNK_SIZE", 30)

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import egorov.flow as flow_mod
 from egorov.flow import (
+    aligned_rows,
     drift,
     kick,
     propagate,
@@ -27,7 +29,15 @@ from egorov.potentials import (
     torsional_potential,
 )
 
-from conftest import kick_pair, kick_point, phase_pair, phase_point, symplectic_j
+from conftest import (
+    ALIGNMENT_SHAPES,
+    kick_pair,
+    kick_point,
+    phase_pair,
+    phase_point,
+    starts_on_cache_lines,
+    symplectic_j,
+)
 
 
 class TestDrift:
@@ -412,6 +422,67 @@ def test_kick_coordinates_keep_the_bits_of_unscaled_transport(data, pot, order, 
     assert [snap.tobytes() for snap in got] == [snap.tobytes() for snap in want]
     assert strang_step(tau, z, pot).tobytes() == unscaled_strang_step(tau, z, pot).tobytes()
     assert z.tobytes() == kept.tobytes()
+
+
+class TestAlignedWorkArrays:
+    @pytest.mark.parametrize("shape", [*ALIGNMENT_SHAPES, (3,), (), (0, 2)])
+    @pytest.mark.parametrize("k", [1, 2, 12])
+    def test_rows_start_on_cache_lines(self, k, shape):
+        rows = aligned_rows(k, shape)
+        assert rows.shape == (k, *shape) and rows.dtype == np.float64
+        assert starts_on_cache_lines(rows)
+        assert all(rows[i, ...].flags.c_contiguous for i in range(k))
+        # The rows do not overlap: each keeps what was written into it.
+        for i in range(k):
+            rows[i, ...] = i
+        assert all(np.all(rows[i, ...] == i) for i in range(k))
+
+    @pytest.mark.parametrize("pot", [
+        torsional_potential(2), harmonic_potential(2, (1.0, 2.0)), free_potential(2),
+    ])
+    def test_scratch_keeps_the_bits(self, pot):
+        # drift and kick write their intermediates into a given scratch
+        # block, or into fresh arrays without one, with the same bits.
+        z = np.random.default_rng(6).uniform(-4.0, 4.0, (37, 4))
+        scratch = aligned_rows(2, (37, 2))
+        for t in (0.1, -0.37):
+            got = kick(t, drift(t, kick_pair(z, pot), scratch), pot, scratch)
+            want = kick(t, drift(t, kick_pair(z, pot)), pot)
+            assert phase_point(got).tobytes() == phase_point(want).tobytes()
+
+    @pytest.mark.parametrize("n, d", ALIGNMENT_SHAPES)
+    def test_transport_steps_aligned_arrays_with_the_bits_of_plain_ones(
+        self, n, d, monkeypatch
+    ):
+        # One order-8 run hands drift and kick the same aligned (x, p) pair
+        # and two scratch rows at every stage, and gives the bytes of the
+        # same composition on plain arrays with a fresh temporary per
+        # operation.
+        calls = []
+
+        def record(name, x, p, scratch):
+            assert all(a.shape == (n, d) for a in (x, p, *scratch))
+            calls.append((name, *(a.ctypes.data for a in (x, p, *scratch))))
+
+        class Recording(TorsionalPotential):
+            def kick(self, t, x, p, scratch=None):
+                record("kick", x, p, scratch)
+                super().kick(t, x, p, scratch)
+
+        def recording_drift(t, state, scratch=None):
+            record("drift", *state, scratch)
+            return drift(t, state, scratch)
+
+        monkeypatch.setattr(flow_mod, "drift", recording_drift)
+        z = np.random.default_rng(n).uniform(-2.0, 2.0, (n, 2 * d))
+        times = [0.0, 0.2]
+        got = propagate_snapshots(z, times, 0.1, 8, Recording(d))
+        want = unscaled_snapshots(z, times, 0.1, 8, torsional_potential(d))
+        assert [snap.tobytes() for snap in got] == [snap.tobytes() for snap in want]
+        assert {name for name, *_ in calls} == {"drift", "kick"}
+        addresses = calls[0][1:]
+        assert len(set(addresses)) == 4 and all(a % 64 == 0 for a in addresses)
+        assert all(call[1:] == addresses for call in calls)
 
 
 @settings(max_examples=20, deadline=None)
