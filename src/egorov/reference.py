@@ -6,10 +6,11 @@ step of the potential phase, a full kinetic step applied in Fourier space,
 and another half step of the potential.
 :func:`reference_expectations` composes it to fourth order (Yoshida 1990)
 through the shared driver :func:`flow.split_snapshots`, which merges
-adjacent half-potential phases; :func:`schrodinger_step` is one plain
-Strang step of the same flows on the d-dimensional grid.  Position
-observables are quadratures of |psi|^2 on the grid; momentum observables
-use Fourier multipliers (the momentum operator is eps k after transforming).
+adjacent half-potential phases; :func:`schrodinger_propagate` takes plain
+Strang steps of the same flows over a duration on the d-dimensional grid.
+Position observables are quadratures of |psi|^2 on the grid; momentum
+observables use Fourier multipliers (the momentum operator is eps k after
+transforming).
 
 :func:`reference_expectations` runs one 1-D solve per coordinate.  The
 potential is separable, V = sum_j V_j(q_j) (:meth:`Potential.coordinate`),
@@ -31,7 +32,7 @@ product of the axes' norms, and the mass inside the shell the product of
 theirs.  A third monitor reads the Fourier weights the expectations use: the
 weight in the wavenumbers around Nyquist, combined over the axes as the
 boundary mass is, stays small while the grid resolves the packet's momenta.
-:func:`schrodinger_step` runs no monitor.
+:func:`schrodinger_propagate` runs no monitor.
 
 The module does no I/O; :func:`experiments.run_reference` makes its rows.
 """
@@ -55,7 +56,7 @@ __all__ = [
     "GridSpec",
     "WaveFunctionGrid",
     "init_packet",
-    "schrodinger_step",
+    "schrodinger_propagate",
     "expectation",
     "reference_expectations",
 ]
@@ -110,6 +111,8 @@ class GridSpec:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     def mesh_value(self, potential: Potential) -> np.ndarray:
+        if potential.d != self.d:
+            raise ValueError("potential dimension does not match the grid")
         axes = np.meshgrid(*[self.axis()] * self.d, indexing="ij")
         return potential.value(np.stack(axes, axis=-1))
 
@@ -233,14 +236,16 @@ def _grid_flows(spec: GridSpec, v: np.ndarray, eps: float):
     return potential_flow, kinetic_flow
 
 
-def schrodinger_step(
-    grid: WaveFunctionGrid, tau: float, potential: Potential
+def schrodinger_propagate(
+    grid: WaveFunctionGrid, t: float, tau: float, potential: Potential
 ) -> WaveFunctionGrid:
-    """One Strang split step (potential half, kinetic full, potential half):
-    the order-2 step of the flows :func:`reference_expectations` uses."""
+    """The state after duration ``t`` in Strang split steps (potential half,
+    kinetic full, potential half) of nominal size ``tau``: the order-2 step
+    of the flows :func:`reference_expectations` uses, built once per call.
+    Returns a new grid at ``grid.t + t``; ``grid`` is left as it is."""
     flows = _grid_flows(grid.spec, grid.spec.mesh_value(potential), grid.epsilon)
-    (psi,) = split_snapshots(grid.psi.astype(complex), [tau], tau, 2, *flows)
-    return WaveFunctionGrid(psi=psi, spec=grid.spec, epsilon=grid.epsilon, t=grid.t + tau)
+    (psi,) = split_snapshots(grid.psi.astype(complex), [t], tau, 2, *flows)
+    return WaveFunctionGrid(psi=psi, spec=grid.spec, epsilon=grid.epsilon, t=grid.t + t)
 
 
 class _Readings:

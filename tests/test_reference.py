@@ -18,7 +18,7 @@ from egorov.reference import (
     expectation,
     init_packet,
     reference_expectations,
-    schrodinger_step,
+    schrodinger_propagate,
 )
 from egorov.sampling import GaussianPacket
 
@@ -151,22 +151,50 @@ class TestSchrodingerStep:
         grid = init_packet(GridSpec(2, 64), packet_2d)
         pot = torsional_potential(2)
         for _ in range(10):
-            grid = schrodinger_step(grid, 0.01, pot)
+            grid = schrodinger_propagate(grid, 0.01, 0.01, pot)
             assert abs(grid.norm() - 1.0) <= 1e-12
 
     def test_advances_time(self, packet_2d):
         grid = init_packet(GridSpec(2, 64), packet_2d)
-        grid = schrodinger_step(grid, 0.25, torsional_potential(2))
+        grid = schrodinger_propagate(grid, 0.25, 0.25, torsional_potential(2))
         assert grid.t == 0.25
+        assert schrodinger_propagate(grid, 0.3, 0.1, torsional_potential(2)).t == 0.25 + 0.3
+
+    def test_leaves_the_input_grid_as_it_is(self, packet_2d):
+        grid = init_packet(GridSpec(2, 64), packet_2d)
+        before = grid.psi.tobytes()
+        schrodinger_propagate(grid, 0.1, 0.01, torsional_potential(2))
+        assert grid.psi.tobytes() == before
+        assert grid.t == 0.0
+
+    def test_rejects_a_duration_not_commensurate_with_the_step(self, packet_2d):
+        grid = init_packet(GridSpec(2, 64), packet_2d)
+        with pytest.raises(ValueError, match="not commensurate"):
+            schrodinger_propagate(grid, 0.105, 0.01, torsional_potential(2))
+
+    def test_one_call_matches_chained_single_steps(self, packet_2d):
+        # One call merges the half-potential phases between its steps; the
+        # chained calls do not, which changes only the rounding.
+        pot = torsional_potential(2)
+        start = init_packet(GridSpec(2, 64), packet_2d)
+        chained = start
+        for _ in range(20):
+            chained = schrodinger_propagate(chained, 0.01, 0.01, pot)
+        whole = schrodinger_propagate(start, 0.2, 0.01, pot)
+        assert np.max(np.abs(whole.psi - chained.psi)) <= 1e-13
+
+    def test_rejects_a_potential_of_another_dimension(self, packet_2d):
+        grid = init_packet(GridSpec(2, 64), packet_2d)
+        for pot in (torsional_potential(3), harmonic_potential(3, (1.0, 2.0, 0.5))):
+            with pytest.raises(ValueError, match="potential dimension does not match"):
+                schrodinger_propagate(grid, 0.01, 0.01, pot)
 
     def test_free_particle_exact(self):
         # With V = 0 both split factors commute, so the step is exact in
         # time and <q>(t) = q0 + p0 t holds to grid quadrature accuracy.
         packet = GaussianPacket(np.array([-0.5, 0.0, 0.5, 0.0]), EPS)
         pot = free_potential(2)
-        grid = init_packet(GridSpec(2, 128), packet)
-        for _ in range(2):
-            grid = schrodinger_step(grid, 0.5, pot)
+        grid = schrodinger_propagate(init_packet(GridSpec(2, 128), packet), 1.0, 0.5, pot)
         assert expectation(grid, "q1", pot) == pytest.approx(0.0, abs=1e-12)
         assert expectation(grid, "p1", pot) == pytest.approx(0.5, abs=1e-12)
 
@@ -231,6 +259,13 @@ class TestExpectation:
             rel=1e-14,
         )
 
+    @pytest.mark.parametrize("name", ["potential", "total"])
+    def test_rejects_a_potential_of_another_dimension(self, packet_2d, name):
+        grid = init_packet(GridSpec(2, 64), packet_2d)
+        for pot in (torsional_potential(3), harmonic_potential(3, (1.0, 2.0, 0.5))):
+            with pytest.raises(ValueError, match="potential dimension does not match"):
+                expectation(grid, name, pot)
+
     def test_energy_constant_along_run(self):
         # The split step conserves a modified energy, so <H> oscillates at
         # O(tau^4) without secular growth; measured drift 5.4e-11 at the
@@ -244,15 +279,14 @@ class TestExpectation:
         assert drift <= 1e-8
 
     def test_self_convergence_second_order(self):
-        # schrodinger_step is the plain Strang step: halving tau divides
-        # the error by 4.
+        # schrodinger_propagate takes plain Strang steps: halving tau
+        # divides the error by 4.
         packet = GaussianPacket(np.array([1.0, 0.0]), EPS)
         pot = torsional_potential(1)
         vals = []
         for tau in (4e-3, 2e-3, 1e-3):
             grid = init_packet(GridSpec(1, 256), packet)
-            for _ in range(round(1.0 / tau)):
-                grid = schrodinger_step(grid, tau, pot)
+            grid = schrodinger_propagate(grid, 1.0, tau, pot)
             vals.append(expectation(grid, "q1", pot))
         ratio = (vals[0] - vals[1]) / (vals[1] - vals[2])
         assert 2.8 < ratio < 5.2
