@@ -55,7 +55,10 @@ gam21, gam22, xi2), then the rows psi3 advances (lam1, lam3, gam1, gam3,
 xi1).  Each sub-flow updates its own rows in place: it writes the group's
 increments into one scratch block of the state's shape, scales them by t
 and adds them to the group's rows, in the rounding order of the expression
-x + t * (increment).  The scratch block is
+x + t * (increment).  Each state binds its row groups to views once, when
+it is made; the potential's diagonals go into three more rows of the
+scratch block's allocation, and psi1's t p into its q row, so a sub-flow
+allocates no array.  The scratch block is
 made on the state's first sub-flow and kept with it
 (:meth:`CorrectionState.scratch`), so a live state stepped through a run
 makes one, and drops it at the run's last snapshot; a copy or a snapshot
@@ -115,8 +118,14 @@ FIELDS = (
     "lam1", "lam3", "gam1", "gam3", "xi1",
 )
 (Q, P, LAM2, LAM4, GAM21, GAM22, XI2, LAM1, LAM3, GAM1, GAM3, XI1) = range(len(FIELDS))
-_PSI2_ROWS = slice(P, XI2 + 1)
-_PSI3_ROWS = slice(LAM1, XI1 + 1)
+# The row groups the sub-flows read and write whole, each bound to a view of
+# every state's rows: the rows psi2 advances, the rows psi3 advances, and
+# lam2 .. gam22, which psi3 scales by c2.
+_ROW_GROUPS = {
+    "psi2_rows": slice(P, XI2 + 1),
+    "psi3_rows": slice(LAM1, XI1 + 1),
+    "lam2_to_gam22": slice(LAM2, GAM22 + 1),
+}
 
 # The blocks of Lambda, Gamma or Xi that each tensor row holds, as slot
 # patterns: the slots of the block's entries that address momenta (1) rather
@@ -159,7 +168,9 @@ class CorrectionState:
 
     The state is ``rows``, (12, ..., d) in the order of :data:`FIELDS`, at
     time ``t``; it shares the array's memory, and each name in
-    :data:`FIELDS` is bound to its row, a view.  :meth:`initial` and
+    :data:`FIELDS` is bound to its row, a view, and each row group the
+    sub-flows take whole (``psi2_rows``, ``psi3_rows``, ``lam2_to_gam22``)
+    to its view of the rows.  :meth:`initial` and
     :meth:`scratch` take their rows from :func:`egorov.flow.aligned_rows`,
     each starting on a 64-byte boundary, so the sub-flows' AVX-512 loops
     store whole cache lines; :meth:`copy`, which only snapshots without an
@@ -170,6 +181,10 @@ class CorrectionState:
         self.rows, self.t, self._scratch = rows, t, None
         for name, row in zip(FIELDS, rows):
             setattr(self, name, row)
+        for name, group in _ROW_GROUPS.items():
+            setattr(self, name, rows[group])
+        # A scratch state's rows for Potential.diagonals; None on any other.
+        self.diagonal_rows = None
 
     @classmethod
     def initial(cls, z0: np.ndarray) -> "CorrectionState":
@@ -191,9 +206,13 @@ class CorrectionState:
         sub-flows overwrite with their increments: made on first use and kept
         with this state, so a live state stepped through a chunk's run makes
         one.  A state made by :meth:`copy` or by the constructor, such as a
-        snapshot, has its own."""
+        snapshot, has its own.  The same allocation holds its
+        ``diagonal_rows``, three more aligned rows of one field's shape, for
+        ``Potential.diagonals`` to write into."""
         if self._scratch is None:
-            self._scratch = CorrectionState(aligned_rows(len(FIELDS), self.rows.shape[1:]))
+            block = aligned_rows(len(FIELDS) + 3, self.rows.shape[1:])
+            self._scratch = CorrectionState(block[:len(FIELDS)])
+            self._scratch.diagonal_rows = block[len(FIELDS):]
         return self._scratch
 
     def drop_scratch(self) -> None:
@@ -211,9 +230,12 @@ class CorrectionState:
 
 
 def sub_flow_psi1(t: float, state: CorrectionState) -> CorrectionState:
-    """Exact drift: q += t p, in place; everything else untouched."""
-    x = state.rows
-    x[Q] += t * x[P]
+    """Exact drift: q += t p, in place; everything else untouched.  t p is
+    written into the q row of the scratch block, which no other sub-flow
+    keeps between calls."""
+    x, dx = state, state.scratch()
+    np.multiply(t, x.p, out=dx.q)
+    x.q += dx.q
     return state
 
 
@@ -239,10 +261,10 @@ def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> Cor
     tilde-weighted third derivative on the main diagonal.
     """
     x, dx = state, state.scratch()
-    g, c2, m3, m4 = potential.diagonals(x.q)
+    g, c2, m3, m4 = potential.diagonals(x.q, dx.diagonal_rows)
     # dx holds the increments of the psi2 rows; its psi3 rows hold c2 times
     # the matching rows of x, and its q row a product in passing.
-    np.multiply(c2, x.rows[_PSI3_ROWS], out=dx.rows[_PSI3_ROWS])
+    np.multiply(c2, x.psi3_rows, out=dx.psi3_rows)
     np.negative(g, out=dx.p)
     np.subtract(x.lam3, dx.lam1, out=dx.lam2)
     np.add(dx.lam2, x.lam3, out=dx.lam2)
@@ -258,9 +280,8 @@ def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> Cor
     np.multiply(dx.q, 3.0, out=dx.q)
     np.add(dx.xi2, dx.q, out=dx.xi2)
     np.subtract(dx.xi2, dx.xi1, out=dx.xi2)
-    increments = dx.rows[_PSI2_ROWS]
-    increments *= t
-    x.rows[_PSI2_ROWS] += increments
+    np.multiply(dx.psi2_rows, t, out=dx.psi2_rows)
+    np.add(x.psi2_rows, dx.psi2_rows, out=x.psi2_rows)
     return state
 
 
@@ -283,10 +304,10 @@ def sub_flow_psi3(t: float, state: CorrectionState, potential: Potential) -> Cor
     as x - 2 y does.
     """
     x, dx = state, state.scratch()
-    _, c2, m3, _ = potential.diagonals(x.q)
+    _, c2, m3, _ = potential.diagonals(x.q, dx.diagonal_rows)
     # dx holds the increments of the psi3 rows; its rows lam2 .. gam22 hold
     # c2 times the matching rows of x.
-    np.multiply(c2, x.rows[LAM2:GAM22 + 1], out=dx.rows[LAM2:GAM22 + 1])
+    np.multiply(c2, x.lam2_to_gam22, out=dx.lam2_to_gam22)
     np.multiply(x.lam2, 3.0, out=dx.lam1)
     np.subtract(x.lam4, dx.lam2, out=dx.lam3)
     np.subtract(dx.lam3, dx.lam2, out=dx.lam3)
@@ -295,9 +316,8 @@ def sub_flow_psi3(t: float, state: CorrectionState, potential: Potential) -> Cor
     np.subtract(dx.gam3, dx.gam22, out=dx.gam3)
     np.subtract(dx.gam3, dx.gam21, out=dx.gam3)
     np.copyto(dx.xi1, x.xi2)
-    increments = dx.rows[_PSI3_ROWS]
-    increments *= t
-    x.rows[_PSI3_ROWS] += increments
+    np.multiply(dx.psi3_rows, t, out=dx.psi3_rows)
+    np.add(x.psi3_rows, dx.psi3_rows, out=x.psi3_rows)
     return state
 
 

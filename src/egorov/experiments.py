@@ -18,8 +18,10 @@ contiguous chunks whose sizes differ by at most one, so the chunks depend on
 n alone, never on the thread count.  Each chunk is reduced by numpy's
 pairwise summation, and an ensemble's chunk totals are combined pairwise in
 chunk order.  A chunk reduces each snapshot as its run reaches it: a
-transport chunk keeps its live (x, p) pair and one snapshot, a correction
-chunk its live state and no copy, never the whole time series.  One thread,
+transport chunk keeps its live (x, p) pair and one snapshot, which
+:func:`egorov.observables.snapshot_sums` reduces in one pass, with the bits
+of summing each observable's value; a correction chunk keeps its live state
+and no copy, reduced by ``a2_eval``; neither keeps the whole time series.  One thread,
 the default, maps the chunks inline; with more, the correction and the
 transport ensembles share one thread pool of that many workers, and run one
 after the other: the correction's chunks are mapped and collected before the
@@ -49,7 +51,7 @@ import numpy as np
 
 from .correction import a2_eval, evolve_correction_snapshots
 from .flow import propagate_snapshots, step_count, yoshida_coefficients
-from .observables import default_names, make_observable, parse_name
+from .observables import default_names, make_observable, parse_name, snapshot_sums
 from .potentials import (
     Potential,
     free_potential,
@@ -479,10 +481,13 @@ def _chunk_points(config: RunConfig, start: int, stop: int) -> np.ndarray:
 
 def _egorov_chunk_sums(config, potential, observables, times, start, stop):
     """Each observable's sum over the chunk's transported points, one row
-    per snapshot time, each reduced as the propagation reaches it."""
+    per snapshot time, each reduced as the propagation reaches it by
+    :func:`egorov.observables.snapshot_sums`, which shares |p|^2 / 2 and V
+    between the energies."""
+    names = [obs.name for obs in observables]
 
     def sums(z):
-        return [np.sum(obs.value(z)) for obs in observables]
+        return snapshot_sums(names, potential, z)
 
     points = _chunk_points(config, start, stop)
     return np.array(propagate_snapshots(

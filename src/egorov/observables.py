@@ -10,6 +10,8 @@ The built-ins are the experiment observables (positions, momenta,
 kinetic/potential/total energy); they are polynomials or potential
 compositions rather than Schwartz functions, so error constants are
 validated empirically against the grid solver rather than proved.
+:func:`snapshot_sums` sums the built-ins' values over a batch of phase
+points in one pass, with the bits of summing each value array.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "default_names",
     "parse_name",
     "make_observable",
+    "snapshot_sums",
     "OBSERVABLE_NAMES",
 ]
 
@@ -62,6 +65,25 @@ def _energy_diagonals(d: int, potential: Potential | None, kinetic: bool):
         return grad, hess, third
 
     return diagonals
+
+
+def _column(kind: str, j: int, d: int) -> int:
+    """The column of phase space that coordinate q<j> or p<j> occupies."""
+    return (kind == "p") * d + j - 1
+
+
+def _energy_values(z: np.ndarray, potential: Potential, kinds) -> dict:
+    """{kind: value at z} for the energy ``kinds`` among kinetic, potential
+    and total: |p|^2 / 2 and V(q) are each computed once, and total is
+    their sum, kinetic + V."""
+    d, values = potential.d, {}
+    if "kinetic" in kinds or "total" in kinds:
+        values["kinetic"] = 0.5 * coordinate_sum(z[..., d:] ** 2)
+    if "potential" in kinds or "total" in kinds:
+        values["potential"] = potential.value(z[..., :d])
+    if "total" in kinds:
+        values["total"] = values["kinetic"] + values["potential"]
+    return values
 
 
 def default_names(d: int) -> tuple[str, ...]:
@@ -110,8 +132,7 @@ def make_observable(name: str, potential: Potential) -> Observable:
     d = potential.d
     kind, j = parse_name(name, d)
     if j:
-        slot = 0 if kind == "q" else 1
-        index, e = slot * d + j - 1, np.eye(d)[j - 1]
+        slot, index, e = int(kind == "p"), _column(kind, j, d), np.eye(d)[j - 1]
 
         def value(z):
             return np.asarray(z)[..., index] + 0.0
@@ -122,11 +143,7 @@ def make_observable(name: str, potential: Potential) -> Observable:
     else:
 
         def value(z):
-            z = np.asarray(z)
-            if kind == "potential":
-                return potential.value(z[..., :d])
-            kinetic = 0.5 * coordinate_sum(z[..., d:] ** 2)
-            return kinetic + potential.value(z[..., :d]) if kind == "total" else kinetic
+            return _energy_values(np.asarray(z), potential, (kind,))[kind]
 
         diagonals = _energy_diagonals(
             d, None if kind == "kinetic" else potential, kinetic=kind != "potential"
@@ -140,3 +157,22 @@ def make_observable(name: str, potential: Potential) -> Observable:
         return evaluate
 
     return Observable(name, value, dense(1), dense(2), dense(3), diagonals)
+
+
+def snapshot_sums(names, potential: Potential, z: np.ndarray) -> list:
+    """The sum over the phase points z, (n, 2d), of each built-in observable
+    in ``names``, with the bits of ``np.sum(make_observable(name,
+    potential).value(z))``.
+
+    A coordinate is summed from its strided column of z, not from a copy;
+    its value's + 0.0 moves onto the sum, which it leaves as it is but for
+    the sign of a zero, as it does each entry.  |p|^2 / 2 and V(q) are
+    computed once and shared by kinetic, potential and total.  Nothing is
+    kept between calls."""
+    d = potential.d
+    kinds = [parse_name(name, d) for name in names]
+    energies = _energy_values(z, potential, {kind for kind, j in kinds if not j})
+    return [
+        np.sum(z[..., _column(kind, j, d)]) + 0.0 if j else np.sum(energies[kind])
+        for kind, j in kinds
+    ]

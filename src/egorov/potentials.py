@@ -87,12 +87,15 @@ class Potential:
     def gradient(self, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def diagonals(self, q: np.ndarray) -> tuple[np.ndarray, ...]:
+    def diagonals(self, q: np.ndarray, out=None) -> tuple[np.ndarray, ...]:
         """(g, c2, m3, m4), each (..., d): the gradient, then the main
         diagonals of D2V, -D3V and -D4V.  Where D3V or D4V vanishes, m3 or m4
         is -0.0, the negation of the zero.  The arrays may be shared with
         each other or with broadcast constants: callers must not write into
-        them."""
+        them.  ``out``, three arrays of q's shape or None, is the caller's:
+        the results and their intermediates are written there instead of
+        into fresh arrays, with the same bits, so the results may be its
+        rows."""
         raise NotImplementedError
 
     def kick(self, t: float, x: np.ndarray, p: np.ndarray, scratch=None) -> None:
@@ -126,13 +129,23 @@ class Potential:
         return scatter_diagonals({(0,) * order: diagonal}, out)
 
 
-def _half_angle(q) -> tuple[np.ndarray, np.ndarray]:
-    """(t, t^2) for t = tan(q/2), two fresh arrays of q's shape.  With them
-    sin q = 2 (t / (1 + t^2)) and cos q = (1 - t^2) / (1 + t^2).  numpy builds
-    that vectorize float64 ``tan`` but not ``sin`` and ``cos`` spend far less
-    on this than on either of those."""
-    x = np.multiply(q, 0.5, out=np.empty(np.shape(q)))
-    return _tangent(x, (x, np.empty_like(x)))
+def _two_rows(q, out) -> tuple[np.ndarray, np.ndarray]:
+    """The first two arrays of ``out``, or two fresh float64 arrays of q's
+    shape when it is None."""
+    if out is None:
+        return np.empty(np.shape(q)), np.empty(np.shape(q))
+    return out[0], out[1]
+
+
+def _half_angle(q, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(t, t^2) for t = tan(q/2), written over the first two arrays of
+    ``out``, each of q's shape, or two fresh arrays when it is None.  With
+    them sin q = 2 (t / (1 + t^2)) and cos q = (1 - t^2) / (1 + t^2).  numpy
+    builds that vectorize float64 ``tan`` but not ``sin`` and ``cos`` spend
+    far less on this than on either of those."""
+    x, t2 = _two_rows(q, out)
+    np.multiply(q, 0.5, out=x)
+    return _tangent(x, (x, t2))
 
 
 def _tangent(x, out) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +175,9 @@ class TorsionalPotential(Potential):
 
     within 2.2e-16 of ``np.sin`` and ``np.cos``.  ``gradient`` and
     ``diagonals`` take t and t^2 once and compute the sine by the same
-    operations, so their forces agree bit for bit.  ``kick`` reads the half
+    operations, so their forces agree bit for bit; given ``out``,
+    ``diagonals`` writes t, t^2 and 1 + t^2 into its three arrays and
+    returns two of them as (sin, cos, sin, cos).  ``kick`` reads the half
     angle itself, x = q/2 (``kick_scale`` is 1/2), and folds the gradient's
     doubling into the step, with the same bits.  It writes tan(x) and
     1 + tan^2 into the two rows of the caller's scratch block, which the
@@ -199,9 +214,9 @@ class TorsionalPotential(Potential):
         u *= 2.0 * t
         p -= u
 
-    def diagonals(self, q):
-        t, t2 = _half_angle(q)
-        w = t2 + 1.0
+    def diagonals(self, q, out=None):
+        t, t2 = _half_angle(q, out)
+        w = np.add(t2, 1.0, out=None if out is None else out[2])
         sin = _sine_over(t, w)
         # cos q = (1 - t^2) / (1 + t^2) overwrites t^2.
         cos = np.subtract(1.0, t2, out=t2)
@@ -235,11 +250,12 @@ class HarmonicPotential(Potential):
     def gradient(self, q):
         return self.omega**2 * np.asarray(q)
 
-    def diagonals(self, q):
+    def diagonals(self, q, out=None):
         q = np.asarray(q)
-        minus_zeros = np.full(q.shape, -0.0)
-        return (self.gradient(q), np.broadcast_to(self.omega**2, q.shape),
-                minus_zeros, minus_zeros)
+        g, minus_zeros = _two_rows(q, out)
+        np.multiply(self.omega**2, q, out=g)
+        minus_zeros.fill(-0.0)
+        return g, np.broadcast_to(self.omega**2, q.shape), minus_zeros, minus_zeros
 
     def coordinate(self, j):
         return HarmonicPotential(self.omega[j : j + 1])
@@ -262,8 +278,10 @@ class FreePotential(Potential):
     def gradient(self, q):
         return np.zeros_like(np.asarray(q, dtype=float))
 
-    def diagonals(self, q):
-        zeros, minus_zeros = np.zeros(np.shape(q)), np.full(np.shape(q), -0.0)
+    def diagonals(self, q, out=None):
+        zeros, minus_zeros = _two_rows(q, out)
+        zeros.fill(0.0)
+        minus_zeros.fill(-0.0)
         return zeros, zeros, minus_zeros, minus_zeros
 
     def coordinate(self, j):

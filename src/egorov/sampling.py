@@ -97,19 +97,25 @@ def first_primes(count: int) -> list[int]:
 def halton(index, base: int):
     """Radical inverse of index (1-based, scalar or array) in a prime base.
 
-    The digit sum is taken in float64, which rounds to 1.0 for some large
-    indices (``halton(5**22 - 1, 5)``); those come back as the largest double
-    below 1, so every point lies in (0, 1)."""
+    The digits are added from the lowest up, in float64, as many as the
+    largest index has; a shorter index adds zeros past its last digit, which
+    leave the sum as it is.  The sum rounds to 1.0 for some large indices
+    (``halton(5**22 - 1, 5)``); those come back as the largest double below
+    1, so every point lies in (0, 1).  Each digit is remaining - base *
+    quotient, with ``np.floor_divide`` for the quotient: numpy vectorizes
+    int64 division by a scalar, but not ``np.divmod``."""
     idx = np.asarray(index, dtype=np.int64)
     if np.any(idx < 1):
         raise ValueError("halton indices start at 1")
     out = np.zeros(idx.shape, dtype=float)
-    factor = 1.0 / base
-    remaining, digit = idx.copy(), np.empty_like(idx)
-    while np.any(remaining > 0):
-        np.divmod(remaining, base, out=(remaining, digit))
-        out += factor * digit
+    factor, remaining = 1.0 / base, idx
+    largest = int(idx.max()) if idx.size else 0
+    while largest:
+        largest //= base
+        quotient = np.floor_divide(remaining, base)
+        out += factor * (remaining - base * quotient)
         factor /= base
+        remaining = quotient
     np.minimum(out, np.nextafter(1.0, 0.0), out=out)
     if np.isscalar(index) or np.ndim(index) == 0:
         return float(out)
@@ -190,6 +196,8 @@ def sample_points(packet: GaussianPacket, count: int, skip: int = 64) -> np.ndar
         raise ValueError(f"need at least one sample point, got {count}")
     if skip < 0:
         raise ValueError("skip must be nonnegative")
+    if skip + count > np.iinfo(np.int64).max:
+        raise ValueError("skip + count must not exceed 2**63 - 1")
     points = inverse_normal_cdf(halton_sequence(count, 2 * packet.d, skip))
     points *= np.sqrt(packet.epsilon / 2.0)
     points += packet.center

@@ -5,6 +5,7 @@ evaluation."""
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -714,6 +715,43 @@ class TestAlignedRows:
         assert aligned == run()
         # Each of the two runs makes its live rows and one scratch block.
         assert len(made) == 4 and all(rows.ctypes.data % 16 == 8 for rows in made)
+
+
+    @pytest.mark.parametrize("n, d", ALIGNMENT_SHAPES)
+    def test_diagonal_rows_come_from_the_scratch_allocation(self, n, d):
+        # Potential.diagonals writes into three more rows of the scratch
+        # block's allocation, aligned, beside the twelve state rows.
+        state = CorrectionState.initial(np.zeros((n, 2 * d)))
+        scratch = state.scratch()
+        assert scratch.diagonal_rows.shape == (3, n, d)
+        assert starts_on_cache_lines(scratch.diagonal_rows)
+        assert scratch.diagonal_rows.base is scratch.rows.base
+        assert not np.shares_memory(scratch.diagonal_rows, scratch.rows)
+        assert state.diagonal_rows is None
+
+    @pytest.mark.parametrize(
+        "make", [lambda: torsional_potential(2), lambda: harmonic_potential(2, (1.0, 2.0)),
+                 lambda: free_potential(2)],
+        ids=["torsional", "harmonic", "free"],
+    )
+    def test_sub_flows_allocate_no_array(self, make):
+        # After the first sub-flow made the scratch block, the sub-flows write
+        # into the state's own rows: no call allocates as much as one row.
+        pot = make()
+        state = CorrectionState.initial(np.random.default_rng(3).uniform(-1.5, 1.5, (5000, 4)))
+        flows = [lambda: sub_flow_psi1(0.1, state), lambda: sub_flow_psi2(0.1, state, pot),
+                 lambda: sub_flow_psi3(0.1, state, pot)]
+        for flow in flows:
+            flow()
+        tracemalloc.start()
+        try:
+            for flow in flows:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                flow()
+                assert tracemalloc.get_traced_memory()[1] - before < state.q.nbytes
+        finally:
+            tracemalloc.stop()
 
 
 def constant_observable(d: int) -> Observable:

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from egorov.flow import propagate_snapshots
-from egorov.observables import OBSERVABLE_NAMES, default_names, make_observable, parse_name
+from egorov.observables import (
+    OBSERVABLE_NAMES,
+    default_names,
+    make_observable,
+    parse_name,
+    snapshot_sums,
+)
 from egorov.potentials import free_potential, harmonic_potential, torsional_potential
 
 FREE_2D = free_potential(2)
@@ -98,6 +104,59 @@ class TestMakeObservable:
         # must label them alike: make_observable names index 1 "q1".
         with pytest.raises(ValueError, match="write its index as"):
             parse_name(name, 8)
+
+
+SUM_POTENTIALS = {
+    "torsional-d1": lambda: torsional_potential(1),
+    "torsional-d2": lambda: torsional_potential(2),
+    "torsional-d3": lambda: torsional_potential(3),
+    "harmonic-d3": lambda: harmonic_potential(3, (1.0, 2.0, 0.5)),
+    "free-d1": lambda: free_potential(1),
+}
+
+
+class TestSnapshotSums:
+    @staticmethod
+    def points(n: int, d: int, seed: int) -> np.ndarray:
+        # Spread values with the special entries +-0.0, +-pi and +-1e3
+        # scattered through them, and one column of -0.0 alone, whose value
+        # turns to +0.0.
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, 2 * d)) * 10.0 ** rng.uniform(-3, 3, (n, 2 * d))
+        special = np.array([0.0, -0.0, np.pi, -np.pi, 1e3, -1e3])
+        hits = rng.random(z.shape) < 0.2
+        z[hits] = rng.choice(special, size=np.count_nonzero(hits))
+        z[: min(n, 6), 0] = special[: min(n, 6)]
+        z[:, rng.integers(2 * d)] = -0.0
+        return z
+
+    @pytest.mark.parametrize("make", SUM_POTENTIALS.values(), ids=SUM_POTENTIALS)
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 129, 5000, 8192])
+    def test_bits_of_summing_each_value(self, make, n):
+        pot = make()
+        names = default_names(pot.d)
+        z = self.points(n, pot.d, seed=n + 10 * pot.d)
+        want = [np.sum(make_observable(name, pot).value(z)).tobytes() for name in names]
+        assert [s.tobytes() for s in snapshot_sums(names, pot, z)] == want
+
+    @pytest.mark.parametrize("make", SUM_POTENTIALS.values(), ids=SUM_POTENTIALS)
+    def test_any_order_and_subset(self, make):
+        pot = make()
+        names = default_names(pot.d)
+        z = self.points(129, pot.d, seed=3)
+        want = {name: np.sum(make_observable(name, pot).value(z)).tobytes() for name in names}
+        rng = np.random.default_rng(4)
+        orders = [("total",), ("total", "kinetic"), ("potential", "total"), ("kinetic",),
+                  (names[0], "total", names[-4])]
+        orders += [tuple(rng.permutation(names)) for _ in range(4)]
+        orders += [tuple(rng.choice(names, size=3)) for _ in range(4)]
+        for order in orders:
+            got = snapshot_sums(order, pot, z)
+            assert [s.tobytes() for s in got] == [want[name] for name in order], order
+
+    def test_rejects_an_unknown_name(self, torsional_2d):
+        with pytest.raises(ValueError, match="unknown observable"):
+            snapshot_sums(["q1", "angular"], torsional_2d, np.zeros((3, 4)))
 
 
 @pytest.mark.parametrize("name", OBSERVABLE_NAMES)

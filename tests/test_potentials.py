@@ -258,6 +258,22 @@ def test_diagonals_lead_with_the_gradient(make):
     assert [c.shape for c in diagonals] == [q.shape] * 4
 
 
+@pytest.mark.parametrize("make", MAKERS)
+def test_diagonals_into_out_keep_their_bits(make):
+    # Written into the caller's three arrays, the diagonals have the bytes
+    # of fresh ones, whatever the arrays held before; each returned array
+    # that is not a broadcast constant is one of the caller's.
+    pot = make()
+    q = np.random.default_rng(12).uniform(-np.pi, np.pi, size=(1001, 2))
+    q[:4] = [[0.0, -0.0], [np.pi, -np.pi], [1e3, -1e3], [0.5, -0.5]]
+    want = [c.tobytes() for c in pot.diagonals(q)]
+    out = np.full((3,) + q.shape, np.nan)
+    got = pot.diagonals(q, out)
+    assert [c.tobytes() for c in got] == want
+    for c in got:
+        assert c.base is out or not c.flags.writeable
+
+
 @pytest.mark.parametrize("make", MAKERS[1:])
 def test_kick_without_override_is_p_minus_t_gradient(make):
     # Only the torsional potential overrides kick; the others take the base

@@ -77,6 +77,17 @@ class TestFirstPrimes:
         assert first_primes(0) == []
 
 
+def radical_inverse(index: int, base: int) -> float:
+    """The radical inverse of a Python int, digit by digit from the lowest,
+    in float64, below 1."""
+    out, factor = 0.0, 1.0 / base
+    while index:
+        index, digit = divmod(index, base)
+        out += factor * digit
+        factor /= base
+    return min(out, math.nextafter(1.0, 0.0))
+
+
 class TestHalton:
     def test_base2_prefix(self):
         # Radical inverse by hand: 1 -> .1, 2 -> .01, 3 -> .11 in base 2.
@@ -109,21 +120,26 @@ class TestHalton:
     def test_bitwise_digit_sum(self, base):
         # The radical inverse adds factor * digit from the lowest digit up,
         # in float64: a Python loop doing the same gives the same bits, for
-        # small and large indices, on the array and on the scalar path.
-        def radical_inverse(index):
-            out, factor = 0.0, 1.0 / base
-            while index:
-                index, digit = divmod(index, base)
-                out += factor * digit
-                factor /= base
-            return min(out, math.nextafter(1.0, 0.0))
-
+        # small and large indices, on the array and on the scalar path.  The
+        # indices b^k - 1, b^k and b^k + 1 change the digit count, up to the
+        # int64 limit; in one array, the shorter indices add zeros past
+        # their last digit.
         indices = [1, 2, base, base**2 - 1] + list(range(10**12, 10**12 + 50))
-        expected = np.array([radical_inverse(i) for i in indices])
+        k = 1
+        while base**k + 1 <= 2**63 - 1:
+            indices += [base**k - 1, base**k, base**k + 1]
+            k += 1
+        indices.append(2**63 - 1)
+        expected = np.array([radical_inverse(i, base) for i in indices])
         assert halton(np.array(indices), base).tobytes() == expected.tobytes()
         for i, want in zip(indices, expected.tolist()):
             got = halton(i, base)
             assert isinstance(got, float) and got == want
+        zero_d = halton(np.array(2**63 - 1), base)
+        assert isinstance(zero_d, float) and zero_d == expected[-1]
+        empty = halton(np.array([], dtype=np.int64), base)
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        assert halton(np.zeros((2, 0), dtype=np.int64), base).shape == (2, 0)
 
     def test_large_index_stays_below_one(self):
         # The float64 digit sum of 5**22 - 1 in base 5 (all digits 4) rounds
@@ -245,6 +261,26 @@ class TestSamplePoints:
         quantiles = np.array([normal.inv_cdf(x) for x in u.ravel().tolist()])
         expected = packet.center + np.sqrt(packet.epsilon / 2.0) * quantiles.reshape(u.shape)
         assert sample_points(packet, 300, skip).tobytes() == expected.tobytes()
+
+    def test_largest_valid_call(self, packet):
+        # The last index, skip + count, is 2**63 - 1: each coordinate is
+        # center + sqrt(eps/2) * NormalDist().inv_cdf(u) of the radical
+        # inverse of its index, bit for bit.
+        skip, normal = 2**63 - 4, NormalDist()
+        scale = math.sqrt(packet.epsilon / 2.0)
+        expected = np.array([
+            [c + scale * normal.inv_cdf(radical_inverse(skip + i, b))
+             for c, b in zip(packet.center.tolist(), first_primes(4))]
+            for i in (1, 2, 3)
+        ])
+        assert sample_points(packet, 3, skip).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("count, skip", [(10, 2**63 - 5), (1, 2**63 - 1), (4, 2**64)])
+    def test_rejects_indices_past_int64(self, packet, count, skip):
+        # The Halton indices skip + 1 .. skip + count are int64; past the
+        # limit they would wrap, or not convert.
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            sample_points(packet, count, skip)
 
     def test_deterministic(self, packet):
         a = sample_points(packet, 500, skip=64)
