@@ -32,15 +32,10 @@ from .experiments import (
     write_sweep_csv,
 )
 
-def _out_dir(args, config=None) -> Path:
-    """The output directory; it is made when the first file is written, so a
-    rejected command leaves none behind."""
-    return Path(args.out or (config.output_dir if config else "results"))
-
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    out = _out_dir(args, config)
+    out = Path(args.out)
     # The run's wall seconds, and those of each ensemble within it.
     stages = {}
     start = time.perf_counter()
@@ -57,7 +52,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_reference(args) -> int:
     config = load_config(args.config)
-    out = _out_dir(args, config)
+    out = Path(args.out)
     start = time.perf_counter()
     rows = run_reference(config)
     elapsed = time.perf_counter() - start
@@ -73,7 +68,7 @@ def _cmd_compare(args) -> int:
     rows_a = read_rows_csv(args.run_csv)
     rows_b = read_rows_csv(args.baseline_csv)
     merged, summaries = compare(rows_a, rows_b)
-    out = _out_dir(args)
+    out = Path(args.out)
     write_rows_csv(merged, out / "errors.csv")
     write_summary_csv(summaries, out / "summary.csv")
     write_metadata(out, None, {})
@@ -90,7 +85,7 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     if not config.sweep_axis or not config.sweep_values:
         raise ValueError("sweep needs sweep_axis and sweep_values in the config")
-    out = _out_dir(args, config)
+    out = Path(args.out)
     start = time.perf_counter()
     result = sweep(config, config.sweep_axis, config.sweep_values, threads=args.threads)
     elapsed = time.perf_counter() - start
@@ -136,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, threads=True):
         p.add_argument("--config", required=True, help="key=value config file")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", default="results", help="output directory (default: results)")
         if threads:
             p.add_argument(
                 "--threads", type=int, default=1,
@@ -155,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare", help="error table from two result files")
     cmp_p.add_argument("run_csv", help="results file being evaluated")
     cmp_p.add_argument("baseline_csv", help="baseline results file")
-    cmp_p.add_argument("--out", help="output directory")
+    cmp_p.add_argument("--out", default="results", help="output directory (default: results)")
     cmp_p.set_defaults(handler=_cmd_compare)
 
     sweep_p = sub.add_parser("sweep", help="run one config axis and summarize")

@@ -54,6 +54,7 @@ from .flow import propagate_snapshots, step_count, yoshida_coefficients
 from .observables import default_names, make_observable, parse_name, snapshot_sums
 from .potentials import (
     Potential,
+    check_dimension,
     free_potential,
     harmonic_potential,
     torsional_potential,
@@ -133,7 +134,6 @@ class RunConfig:
     grid_hi: float = 3.0
     tau_reference: float = 0.0
     halton_skip: int = 64
-    output_dir: str = "results"
     sweep_axis: str = ""
     sweep_values: tuple[float, ...] = ()
 
@@ -146,8 +146,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if d < 1:
-            raise ValueError("dimension must be at least 1")
+        check_dimension(d)
         if self.potential not in _POTENTIALS:
             raise ValueError(
                 f"unknown potential {self.potential!r}; choose from {_POTENTIALS}"

@@ -87,7 +87,9 @@ class Hamiltonian:
     ``derivatives`` gives the dense tensors of orders 1 to 4 together; the
     Hessian's momentum block is the identity, and the third and fourth
     derivatives vanish on any index touching the momentum block.  The
-    reference trajectory needs only the force, ``gradient``.
+    reference trajectory needs only ``gradient``, whose position block is
+    the potential's gradient, the first of the diagonals that
+    ``derivatives`` scatters.
     """
 
     potential: Potential

@@ -48,7 +48,7 @@ from numpy.fft import fftn, ifftn
 
 from .flow import split_snapshots
 from .observables import parse_name
-from .potentials import Potential
+from .potentials import Potential, check_dimension
 from .sampling import GaussianPacket
 
 __all__ = [
@@ -92,10 +92,11 @@ class GridSpec:
     x_max: float = 3.0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be positive, got {self.d}")
+        check_dimension(self.d)
         if self.n < 2 or self.n & (self.n - 1):
             raise ValueError(f"points per axis must be a power of two, got {self.n}")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError("grid interval must be finite")
         if not self.x_max > self.x_min:
             raise ValueError("empty grid interval")
 

@@ -148,6 +148,8 @@ class TestRunConfig:
             (dict(t_final=1e-12), "whole number of snapshot strides"),
             # A ratio that overflows to inf is no whole number.
             (dict(t_final=1e300, snapshot_stride=1e-10), "whole number of snapshot strides"),
+            (dict(dimension=True, center=(1.0, 0.0)), "dimension must be a positive integer"),
+            (dict(dimension=1.0, center=(1.0, 0.0)), "dimension must be a positive integer"),
         ],
     )
     def test_validation(self, overrides, message):
@@ -222,7 +224,6 @@ class TestParseConfig:
             grid_hi=data.draw(st.floats(0.5, 10.0)),
             tau_reference=data.draw(st.sampled_from((0.0, 0.5, 0.125, 2.0**-10))),
             halton_skip=data.draw(st.integers(0, 10**4)),
-            output_dir=data.draw(st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
             sweep_axis=data.draw(st.sampled_from(("", "epsilon", "N2", "tau2"))),
             sweep_values=tuple(data.draw(st.lists(finite, max_size=4))),
         )
@@ -1148,6 +1149,18 @@ class TestCli:
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_output_dir_key_is_unknown(self, config_file, tmp_path, capsys):
+        # --out is the one way to name the output directory.
+        config_file.write_text(self.CONFIG + "output_dir = elsewhere\n")
+        code = cli.main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "unknown config key 'output_dir'" in capsys.readouterr().err
+
+    def test_out_defaults_to_results(self, config_file, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--config", str(config_file)]) == 0
+        assert read_rows_csv(tmp_path / "results" / "results.csv")
 
     def test_incommensurate_tau_reference_exits_one(self, config_file, tmp_path, capsys):
         config_file.write_text(self.CONFIG.replace("tau_reference = 0.01", "tau_reference = 0.03"))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from egorov.correction import evolve_correction
-from egorov.oracle import Hamiltonian
+from egorov.flow import propagate
+from egorov.oracle import GeneralCorrectionState, Hamiltonian, evolve_general
 from egorov.potentials import (
     FreePotential,
     HarmonicPotential,
@@ -72,9 +73,9 @@ class TestTorsional:
 
 
 class TestTorsionalKernel:
-    """gradient and diagonals, which take sin and cos from t = tan(q/2),
-    against numpy's sin and cos to 2 ulp of 1.  The diagonals are those of
-    DV, D2V, -D3V and -D4V: sin, cos, sin, cos."""
+    """The diagonals, which take sin and cos from t = tan(q/2), and the
+    gradient, their first, against numpy's sin and cos to 2 ulp of 1.  The
+    diagonals are those of DV, D2V, -D3V and -D4V: sin, cos, sin, cos."""
 
     @staticmethod
     def check(q):
@@ -299,6 +300,93 @@ def test_potential_without_diagonals_is_rejected():
         evolve_correction(np.zeros(4), 0.1, 0.1, pot)
     with pytest.raises(NotImplementedError):
         pot.coordinate(0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TorsionalPotential(2.5), lambda: TorsionalPotential(True),
+        lambda: TorsionalPotential("2"), lambda: torsional_potential(0),
+        lambda: FreePotential(True), lambda: free_potential(np.float64(2.0)),
+        lambda: harmonic_potential(2.5, 1.0), lambda: harmonic_potential(False, 1.0),
+        lambda: harmonic_potential(-1, 1.0),
+    ],
+    ids=[
+        "torsional-2.5", "torsional-True", "torsional-str", "torsional-0", "free-True",
+        "free-float64", "harmonic-2.5", "harmonic-False", "harmonic-minus-1",
+    ],
+)
+def test_rejects_a_dimension_that_is_not_a_positive_integer(make):
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        make()
+
+
+def test_accepts_a_numpy_integer_dimension():
+    assert torsional_potential(np.int64(2)).value(np.zeros(2)) == 0.0
+    assert free_potential(np.int32(3)).d == 3
+    assert harmonic_potential(np.int16(2), 1.0).d == 2
+
+
+class QuarticPotential(Potential):
+    """V(q) = sum_j q_j^4 / 4, stating only value, diagonals and coordinate:
+    its gradient, dense tensors and kick are the base class's."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def value(self, q):
+        return coordinate_sum(np.asarray(q) ** 4) / 4.0
+
+    def diagonals(self, q, out=None):
+        q = np.asarray(q)
+        g, c2, m3 = (np.empty(q.shape) for _ in range(3)) if out is None else out
+        np.multiply(q, q, out=c2)
+        np.multiply(c2, q, out=g)
+        c2 *= 3.0
+        np.multiply(q, -6.0, out=m3)
+        return g, c2, m3, np.broadcast_to(-6.0, q.shape)
+
+    def coordinate(self, j):
+        return QuarticPotential(1)
+
+
+class TestDefaultGradient:
+    """A potential that states no gradient gets the first of its diagonals,
+    and every route that reads a force runs on it."""
+
+    def test_gradient_is_the_first_diagonal(self):
+        pot = QuarticPotential(2)
+        assert type(pot).gradient is Potential.gradient
+        q = np.random.default_rng(21).uniform(-2.0, 2.0, size=(1001, 2))
+        q[:3] = [[0.0, -0.0], [np.pi, -np.pi], [1e3, -1e3]]
+        assert pot.gradient(q).tobytes() == pot.diagonals(q)[0].tobytes()
+        for order in (1, 2, 3, 4):
+            assert finite_difference_check(pot, q[3:8], order=order) <= 1e-7, order
+
+    def test_torsional_gradient_is_inherited(self):
+        assert TorsionalPotential.gradient is Potential.gradient
+
+    def test_hamiltonian_gradient_reads_it(self):
+        pot = QuarticPotential(2)
+        z = np.random.default_rng(22).uniform(-2.0, 2.0, size=(7, 4))
+        grad = Hamiltonian(pot).gradient(z)
+        assert grad[:, :2].tobytes() == pot.diagonals(z[:, :2])[0].tobytes()
+        np.testing.assert_array_equal(grad[:, 2:], z[:, 2:])
+
+    def test_transport_and_correction_match_the_general_form(self):
+        # The transport kicks by the inherited gradient and the correction
+        # reads the diagonals; classic RK4 of the flat general form checks
+        # both.
+        pot = QuarticPotential(2)
+        z0 = np.array([0.8, -0.5, 0.3, 0.1])
+        general = evolve_general(z0, 1.0, 1e-3, Hamiltonian(pot))
+        np.testing.assert_allclose(propagate(z0, 1.0, 1e-2, 8, pot), general.z, rtol=0, atol=1e-10)
+        block = GeneralCorrectionState.from_block(evolve_correction(z0, 1.0, 2.5e-3, pot))
+        for name in ("z", "lam", "gam", "xi"):
+            np.testing.assert_allclose(
+                getattr(block, name), getattr(general, name), rtol=0, atol=1e-8,
+                err_msg=name,
+            )
 
 
 @pytest.mark.parametrize(

@@ -91,6 +91,21 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="dimension"):
             GridSpec(0, 64)
 
+    @pytest.mark.parametrize("d", [2.5, True, "2"])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, d):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            GridSpec(d, 8)
+
+    def test_accepts_a_numpy_integer_dimension(self):
+        assert GridSpec(np.int64(2), 8).mesh_value(torsional_potential(2)).shape == (8, 8)
+
+    @pytest.mark.parametrize(
+        "x_min,x_max", [(-np.inf, 3.0), (-3.0, np.inf), (np.nan, 3.0), (-3.0, np.nan)]
+    )
+    def test_rejects_a_non_finite_interval(self, x_min, x_max):
+        with pytest.raises(ValueError, match="grid interval must be finite"):
+            GridSpec(1, 64, x_min, x_max)
+
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError, match="interval"):
             GridSpec(1, 64, x_min=1.0, x_max=1.0)
