@@ -39,7 +39,7 @@ order, by the state row it pairs with, and sums, so no dense tensor is
 built.  A potential with coupled derivatives raises NotImplementedError in
 ``diagonals``.
 
-Lambda is also symmetric: its source, the tilde-weighted D3h, is a
+Lambda is also symmetric: its source, ``D3_WEIGHT`` D3h, is a
 symmetric tensor, and the flow acts on each of its three modes alike, so it
 stays symmetric.  Its three blocks with one momentum index are therefore
 equal, and so are its three blocks with two, and each triple is one row.
@@ -93,7 +93,7 @@ from .flow import aligned_rows, split_snapshots
 from .observables import Observable
 from .potentials import Potential, coordinate_sum
 # benchmark/tracing.py wraps egorov.correction.tilde_d3 by attribute.
-from .tensor_ops import tilde_d3  # noqa: F401
+from .tensor_ops import D3_WEIGHT, tilde_d3  # noqa: F401
 
 __all__ = [
     "FIELDS",
@@ -257,8 +257,7 @@ def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> Cor
     c4 = -m4, -c3 lam1 - c2 gam1 + gam3 and so on: a - b is a + (-b), and
     (-a) b is -(a b), so each sign rides in an operation and only dp takes a
     negation pass.  Block by block, dlam4 is ((-y) - y) - y for y = c2 lam3: bitwise
-    -3 y, because -y - y is exact.  m3 / 6 stands for (1/6) m3, the
-    tilde-weighted third derivative on the main diagonal.
+    -3 y, because -y - y is exact.  m3 / 6 stands for m3 times D3_WEIGHT.
     """
     x, dx = state, state.scratch()
     g, c2, m3, m4 = potential.diagonals(x.q, dx.diagonal_rows)
@@ -269,7 +268,7 @@ def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> Cor
     np.subtract(x.lam3, dx.lam1, out=dx.lam2)
     np.add(dx.lam2, x.lam3, out=dx.lam2)
     np.multiply(dx.lam3, -3.0, out=dx.lam4)
-    np.multiply(m3, 1.0 / 6.0, out=dx.q)
+    np.multiply(m3, D3_WEIGHT, out=dx.q)
     np.add(dx.lam4, dx.q, out=dx.lam4)
     np.multiply(m3, x.lam1, out=dx.gam21)
     np.subtract(dx.gam21, dx.gam1, out=dx.gam21)

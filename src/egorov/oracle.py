@@ -3,9 +3,9 @@ and the flat general form of the correction system.
 
 The correction tensors have an integral representation: each is a time
 integral over contractions of flow derivatives with the symplectically
-contracted, tilde-weighted third derivative of the Hamiltonian, the whole
-integrand precomposed with the flow over the remaining time.  This module
-evaluates that representation by brute force (variational equations
+contracted third derivative of the Hamiltonian times ``D3_WEIGHT``, the
+whole integrand precomposed with the flow over the remaining time.  This
+module evaluates that representation by brute force (variational equations
 integrated with a generic Runge-Kutta method, composite Simpson in the
 integration variable), independent of the split-step block propagation, so
 the two routes validate each other.
@@ -43,7 +43,7 @@ from .correction import BLOCK_PATTERNS, FIELDS, CorrectionState, a2_eval
 from .flow import step_count
 from .observables import Observable
 from .potentials import Potential, scatter_diagonals
-from .tensor_ops import apply_J_triple, j_contract_axis, tilde_weights
+from .tensor_ops import D3_WEIGHT, apply_J_triple, j_contract_axis
 
 __all__ = [
     "GeneralCorrectionState",
@@ -414,7 +414,7 @@ def quadrature_tensors(
     z_end = snaps[n]
 
     dim = z0.shape[-1]
-    jd3t = apply_J_triple(tilde_weights(dim) * h.derivatives(np.stack(snaps))[2])
+    jd3t = apply_J_triple(h.derivatives(np.stack(snaps))[2] * D3_WEIGHT)
 
     lam_nodes = np.empty((n + 1, dim, dim, dim))
     gam_nodes = np.empty((n + 1, dim, dim))
@@ -617,8 +617,8 @@ def general_rhs(state: GeneralCorrectionState, h: Hamiltonian):
     The tensor equations, with M the symplectic contraction of the Hessian
     of h at z and the inhomogeneities built from third/fourth derivatives:
 
-        dLam = M on each of the three modes of Lam + tilde-weighted,
-               triply contracted third-derivative source
+        dLam = M on each of the three modes of Lam + triply contracted
+               third-derivative source, every entry weighted by D3_WEIGHT
         dGam = (single-contraction third-derivative source) : Lam
                + M Gam + Gam M^T
         dXi  = (fourth-derivative source) : Lam + 3 source : Gam + M Xi
@@ -628,7 +628,7 @@ def general_rhs(state: GeneralCorrectionState, h: Hamiltonian):
 
     dh, d2h, d3h, d4h = h.derivatives(z)
     m = j_contract_axis(d2h, axis=-2)
-    c1 = apply_J_triple(tilde_weights(z.shape[-1]) * d3h)
+    c1 = apply_J_triple(d3h * D3_WEIGHT)
     c2 = j_contract_axis(d3h, axis=-3)
     c3 = j_contract_axis(d4h, axis=-4)
 

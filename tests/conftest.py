@@ -1,15 +1,23 @@
 """Shared fixtures and helpers: the standard torsional/harmonic setups used
 across the suite, the symplectic matrix, a finite-difference check of
-potential derivatives, and a coupled potential that is not separable."""
+potential derivatives, a coupled potential that is not separable, the
+Hamiltonian of a potential with dense derivatives, the d-dimensional grid
+propagation, and the Gauss-Hermite rule of a packet's Wigner Gaussian."""
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
+import egorov.reference as reference
 from egorov import harmonic_potential, torsional_potential
+from egorov.flow import split_snapshots
 from egorov.oracle import Hamiltonian
 from egorov.potentials import Potential
+from egorov.reference import WaveFunctionGrid, expectation, init_packet
 
 
 def symplectic_j(d: int) -> np.ndarray:
@@ -70,6 +78,65 @@ class CoupledPotential(Potential):
 
     def gradient(self, q):
         return np.asarray(q)[..., ::-1]
+
+
+class DenseHamiltonian(Hamiltonian):
+    """h = |p|^2 / 2 + V(q) for a potential that states its dense
+    derivatives DV to D4V, (..., d, ..., d), through ``dense(q)``: the
+    flat-form oracle on a potential whose derivatives couple coordinates,
+    which ``Hamiltonian.derivatives`` cannot read from ``diagonals``."""
+
+    def derivatives(self, z):
+        z = np.asarray(z)
+        d = self.d
+        out = []
+        for order, tensor in enumerate(self.potential.dense(z[..., :d]), 1):
+            full = np.zeros(z.shape[:-1] + (2 * d,) * order)
+            full[(...,) + (slice(0, d),) * order] = tensor
+            out.append(full)
+        out[0][..., d:] = z[..., d:]
+        out[1][..., d:, d:] += np.eye(d)
+        return tuple(out)
+
+
+def grid_oracle(spec, packet, potential, times, tau, observable_names):
+    """The d-dimensional propagation that :func:`reference_expectations`
+    factorizes: one order-4 split-step run on the full tensor grid, with the
+    monitors read on the d-dimensional state at every snapshot."""
+    grid = init_packet(spec, packet)
+    eps = grid.epsilon
+    v = spec.mesh_value(potential)
+    flows = reference._grid_flows(spec, v, eps)
+    table = {name: np.empty(len(times)) for name in observable_names}
+    snaps = split_snapshots(grid.psi, times, tau, reference._ORDER, *flows)
+    for i, (t_snap, psi) in enumerate(zip(times, snaps)):
+        grid = WaveFunctionGrid(psi=psi, spec=spec, epsilon=eps, t=t_snap)
+        drift = abs(grid.norm() - 1.0)
+        if drift > 1e-10:
+            raise RuntimeError(f"unitarity lost: norm drift {drift:.3e} at t={t_snap}")
+        shell = grid.boundary_mass()
+        if shell > reference._BOUNDARY_RUN_TOL:
+            raise RuntimeError(
+                f"boundary mass {shell:.3e} at t={t_snap}: packet reached the domain edge"
+            )
+        readings = reference._Readings(grid, potential, v)
+        for name in observable_names:
+            table[name][i] = expectation(grid, name, potential, readings)
+    return table
+
+
+def gauss_hermite_rule(center, epsilon: float, n: int):
+    """Tensor Gauss-Hermite rule with n nodes per axis for the packet's
+    Wigner Gaussian, the normal density N(center, (eps/2) Id) on R^(2d):
+    nodes center + sqrt(eps) x, weights prod(w) / pi^d."""
+    x, w = hermgauss(n)
+    dim = len(center)
+    axes = np.meshgrid(*([x] * dim), indexing="ij")
+    nodes = np.asarray(center) + np.sqrt(epsilon) * np.stack(
+        [a.ravel() for a in axes], axis=-1
+    )
+    weights = reduce(np.multiply.outer, [w] * dim).ravel() / np.pi ** (dim // 2)
+    return nodes, weights
 
 
 def finite_difference_check(

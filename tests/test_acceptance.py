@@ -25,10 +25,8 @@ would swamp, and are set up so that they resolve them:
 """
 
 import time
-from functools import reduce
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from egorov import checks
 from egorov.correction import a2_eval, evolve_correction_snapshots
@@ -49,6 +47,8 @@ from egorov.potentials import (
 )
 from egorov.reference import GridSpec, expectation, init_packet, schrodinger_propagate
 from egorov.sampling import GaussianPacket, sample_points
+
+from conftest import gauss_hermite_rule
 
 Z0 = np.array([1.0, 0.5, 0.0, 0.0])
 OBS6 = ("q1", "q2", "p1", "p2", "kinetic", "potential")
@@ -123,20 +123,6 @@ def test_criterion_2_harmonic_exactness(capsys):
     assert elapsed <= 10.0, f"runtime {elapsed:.1f}s over 10s budget"
 
 
-def _gauss_hermite_rule(cfg, n):
-    """Tensor Gauss-Hermite rule with n nodes per axis for the packet's
-    Wigner Gaussian, the normal density N(center, (eps/2) Id) on R^(2d):
-    nodes center + sqrt(eps) x, weights prod(w) / pi^d."""
-    x, w = hermgauss(n)
-    dim = len(cfg.center)
-    axes = np.meshgrid(*([x] * dim), indexing="ij")
-    nodes = np.asarray(cfg.center) + np.sqrt(cfg.epsilon) * np.stack(
-        [a.ravel() for a in axes], axis=-1
-    )
-    weights = reduce(np.multiply.outer, [w] * dim).ravel() / np.pi**cfg.dimension
-    return nodes, weights
-
-
 def _quadrature_rows(cfg, n_transport, n_correction):
     """Corrected-method rows for cfg with both phase-space means (transport
     term and correction term) taken by Gauss-Hermite quadrature instead of
@@ -145,9 +131,9 @@ def _quadrature_rows(cfg, n_transport, n_correction):
     pot = build_potential(cfg)
     observables = [make_observable(name, pot) for name in cfg.observables]
     times = snapshot_times(cfg)
-    nodes, weights = _gauss_hermite_rule(cfg, n_transport)
+    nodes, weights = gauss_hermite_rule(cfg.center, cfg.epsilon, n_transport)
     snaps = propagate_snapshots(nodes, times, cfg.tau_flow, cfg.flow_order, pot)
-    nodes2, weights2 = _gauss_hermite_rule(cfg, n_correction)
+    nodes2, weights2 = gauss_hermite_rule(cfg.center, cfg.epsilon, n_correction)
     states = evolve_correction_snapshots(nodes2, times, cfg.tau_correction, pot)
     rows = []
     for t, z, state in zip(times, snaps, states):

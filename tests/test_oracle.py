@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from egorov.correction import a2_eval, evolve_correction
-from egorov.flow import propagate
+from egorov.flow import propagate, propagate_snapshots
 from egorov.observables import make_observable
 from egorov.oracle import (
     GeneralCorrectionState,
@@ -19,6 +19,7 @@ from egorov.oracle import (
     VariationalState,
     a2_quadrature,
     composed_third_derivative,
+    evolve_general,
     flow_integral,
     general_rhs,
     multi_indices,
@@ -27,14 +28,17 @@ from egorov.oracle import (
     variational_flow,
 )
 from egorov.potentials import (
+    Potential,
     TorsionalPotential,
     free_potential,
     harmonic_potential,
     torsional_potential,
 )
+from egorov.reference import GridSpec
+from egorov.sampling import GaussianPacket
 from egorov.tensor_ops import apply_J_triple, tilde_d3
 
-from conftest import symplectic_j
+from conftest import DenseHamiltonian, gauss_hermite_rule, grid_oracle, symplectic_j
 
 
 def quadratic_jet(rng, n=4):
@@ -433,3 +437,100 @@ class TestBracketIntegrandEquivalence:
         val = -0.25 * flow_integral(integrand, z0, 1.0, 16, torsional_2d, tau_flow=1e-2)
         blk = evolve_correction(z0, 1.0, 1e-3, torsional_2d)
         assert val == pytest.approx(float(a2_eval(a, blk)), abs=1e-6)
+
+
+class CoupledTorsionalPotential(Potential):
+    """V = sum_j (1 - cos q_j) + kappa (1 - cos(q1 - q2)) at d = 2.  Its
+    derivatives couple the coordinates, so it states them densely, through
+    ``dense``, and has no ``diagonals``."""
+
+    d = 2
+    # The k-th derivative of 1 - cos, k = 1..4.
+    _DERIVATIVES = (np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
+
+    def __init__(self, kappa: float):
+        self.kappa = kappa
+
+    def value(self, q):
+        q = np.asarray(q)
+        coupling = 1.0 - np.cos(q[..., 0] - q[..., 1])
+        return np.sum(1.0 - np.cos(q), axis=-1) + self.kappa * coupling
+
+    def gradient(self, q):
+        return self.dense(q)[0]
+
+    def dense(self, q):
+        """DV to D4V: the separable part on the main diagonal, plus kappa
+        f_k(q1 - q2) e^(k) for e = (1, -1)."""
+        q = np.asarray(q, dtype=float)
+        u, e, j = q[..., 0] - q[..., 1], np.array([1.0, -1.0]), np.arange(2)
+        out = []
+        for k, f in enumerate(self._DERIVATIVES, 1):
+            outer = e
+            for _ in range(k - 1):
+                outer = np.multiply.outer(outer, e)
+            tensor = self.kappa * f(u)[(...,) + (None,) * k] * outer
+            tensor[(...,) + (j,) * k] += f(q)
+            out.append(tensor)
+        return out
+
+
+class TestCoupledPotential:
+    """The flat-form correction on a potential that couples its coordinates,
+    against the 2-D grid."""
+
+    def test_dense_derivatives_match_finite_differences(self):
+        pot = CoupledTorsionalPotential(0.5)
+        q = np.random.default_rng(23).uniform(-2.0, 2.0, (5, 2))
+        step = 1e-5
+
+        def jet(q):
+            return [pot.value(q), *pot.dense(q)]
+
+        for order in range(1, 5):
+            fd = np.stack(
+                [(jet(q + dq)[order - 1] - jet(q - dq)[order - 1]) / (2.0 * step)
+                 for dq in step * np.eye(2)],
+                axis=-1,
+            )
+            np.testing.assert_allclose(jet(q)[order], fd, rtol=0.0, atol=1e-8)
+
+    def test_corrected_error_is_fourth_order_in_eps(self):
+        # kappa = 0.5 from the packet centre (1, 0.5, 0, 0) to T = 1.  The
+        # transport means come from the production order-8 flow on 8^4
+        # Gauss-Hermite nodes, the correction means from the flat form by
+        # RK4 at 2^-5 on 5^4 nodes, with a2 contracted from the dense
+        # tensors, since the block layout holds no coupled entry.  The
+        # reference is the 2-D grid, 128^2 on [-3, 3], at order 4 and step
+        # eps/16.  Halving eps divides the uncorrected error by about 4.6
+        # and the corrected one by about 18; 12^4 and 7^4 nodes and a 256^2
+        # grid move each error by under 1 %.
+        pot = CoupledTorsionalPotential(0.5)
+        h = DenseHamiltonian(pot)
+        center = np.array([1.0, 0.5, 0.0, 0.0])
+        names = ("q1", "p1", "q2", "kinetic")
+        observables = [make_observable(name, pot) for name in names]
+        t_final = 1.0
+        errors = {}
+        for eps in (0.1, 0.05):
+            nodes, weights = gauss_hermite_rule(center, eps, 8)
+            (z,) = propagate_snapshots(nodes, [t_final], 0.1, 8, pot)
+            nodes2, weights2 = gauss_hermite_rule(center, eps, 5)
+            state = evolve_general(nodes2, t_final, 2.0**-5, h)
+            ref = grid_oracle(
+                GridSpec(2, 128), GaussianPacket(center, eps), pot, [t_final], eps / 16, names
+            )
+            zc = state.z
+            gaps = []
+            for obs in observables:
+                a2 = -0.25 * (
+                    np.einsum("...ijk,...kji->...", obs.third(zc), state.lam)
+                    + 3.0 * np.einsum("...ij,...ji->...", obs.hess(zc), state.gam)
+                    + np.einsum("...i,...i->...", obs.grad(zc), state.xi)
+                )
+                egorov = float(weights @ obs.value(z)) - ref[obs.name][0]
+                gaps.append((egorov, egorov + eps**2 * float(weights2 @ a2)))
+            errors[eps] = np.max(np.abs(gaps), axis=0)
+        ratio_egorov, ratio_corrected = errors[0.1] / errors[0.05]
+        assert 2.0 <= ratio_egorov <= 8.0, f"uncorrected ratio {ratio_egorov:.2f}"
+        assert 8.0 <= ratio_corrected <= 32.0, f"corrected ratio {ratio_corrected:.2f}"

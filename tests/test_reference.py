@@ -9,12 +9,10 @@ import pytest
 import egorov.cli as cli
 import egorov.reference as reference
 from egorov.experiments import run_reference, table_row_config
-from egorov.flow import split_snapshots
 from egorov.observables import OBSERVABLE_NAMES, default_names, make_observable
 from egorov.potentials import free_potential, harmonic_potential, torsional_potential
 from egorov.reference import (
     GridSpec,
-    WaveFunctionGrid,
     expectation,
     init_packet,
     reference_expectations,
@@ -22,35 +20,9 @@ from egorov.reference import (
 )
 from egorov.sampling import GaussianPacket
 
-from conftest import CoupledPotential
+from conftest import CoupledPotential, grid_oracle
 
 EPS = 0.1
-
-
-def grid_oracle(spec, packet, potential, times, tau, observable_names):
-    """The d-dimensional propagation that :func:`reference_expectations`
-    factorizes: one order-4 split-step run on the full tensor grid, with the
-    monitors read on the d-dimensional state at every snapshot."""
-    grid = init_packet(spec, packet)
-    eps = grid.epsilon
-    v = spec.mesh_value(potential)
-    flows = reference._grid_flows(spec, v, eps)
-    table = {name: np.empty(len(times)) for name in observable_names}
-    snaps = split_snapshots(grid.psi, times, tau, reference._ORDER, *flows)
-    for i, (t_snap, psi) in enumerate(zip(times, snaps)):
-        grid = WaveFunctionGrid(psi=psi, spec=spec, epsilon=eps, t=t_snap)
-        drift = abs(grid.norm() - 1.0)
-        if drift > 1e-10:
-            raise RuntimeError(f"unitarity lost: norm drift {drift:.3e} at t={t_snap}")
-        shell = grid.boundary_mass()
-        if shell > reference._BOUNDARY_RUN_TOL:
-            raise RuntimeError(
-                f"boundary mass {shell:.3e} at t={t_snap}: packet reached the domain edge"
-            )
-        readings = reference._Readings(grid, potential, v)
-        for name in observable_names:
-            table[name][i] = expectation(grid, name, potential, readings)
-    return table
 
 
 @pytest.fixture

@@ -4,13 +4,16 @@ mode products, each checked against brute-force loop oracles."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from egorov.potentials import scatter_diagonals, torsional_potential
-from egorov.tensor_ops import apply_J_triple, j_contract_axis, tilde_d3, tilde_weights
+from egorov.oracle import GeneralCorrectionState, _factorial_mi, general_rhs, multi_indices
+from egorov.potentials import Potential, scatter_diagonals, torsional_potential
+from egorov.tensor_ops import apply_J_triple, j_contract_axis, tilde_d3
 
-from conftest import symplectic_j
+from conftest import DenseHamiltonian, symplectic_j
 
 
 def mode_multiply_loops(a: np.ndarray, b: np.ndarray, mode: int) -> np.ndarray:
@@ -63,22 +66,68 @@ class TestModeMultiply:
                 )
 
 
-class TestTildeWeights:
-    def test_values_by_index_pattern(self):
-        w = tilde_weights(3)
-        assert w[0, 0, 0] == pytest.approx(1.0 / 6.0)
-        assert w[0, 0, 1] == 0.5
-        assert w[0, 1, 0] == 0.5
-        assert w[1, 0, 0] == 0.5
-        assert w[0, 1, 2] == 1.0
+def random_symmetric(rng, d: int) -> np.ndarray:
+    """A random symmetric (d, d, d) tensor: the sum of a normal draw over
+    the six orderings of its indices."""
+    raw = rng.standard_normal((d, d, d))
+    return sum(raw.transpose(perm) for perm in itertools.permutations(range(3)))
 
-    def test_census(self):
-        # n=3: 3 fully-equal triples, 6 all-distinct, the remaining 18 have
-        # exactly two equal indices.
-        w = tilde_weights(3)
-        assert np.sum(w == 1.0 / 6.0) == 3
-        assert np.sum(w == 1.0) == 6
-        assert np.sum(w == 0.5) == 18
+
+def multi_index_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum over the multi-indices alpha with |alpha| = 3 of a_alpha b_alpha
+    / alpha!, the weighting of the third-order bracket; a_alpha is the entry
+    of a at the sorted index triple of alpha."""
+    d = a.shape[0]
+    total = 0.0
+    for alpha in multi_indices(d, 3):
+        index = tuple(np.repeat(np.arange(d), alpha))
+        total += a[index] * b[index] / _factorial_mi(alpha)
+    return total
+
+
+class CubicPotential(Potential):
+    """V = (1/6) a_ijk q_i q_j q_k for a symmetric a: its third derivative is
+    a everywhere, and its dense derivatives couple the coordinates."""
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self.d = a.shape[0]
+
+    def dense(self, q):
+        hessian = np.einsum("ijk,...k->...ij", self.a, q)
+        gradient = 0.5 * np.einsum("...ij,...j->...i", hessian, q)
+        batch = np.shape(q)[:-1]
+        third = np.broadcast_to(self.a, batch + self.a.shape)
+        return gradient, hessian, third, np.zeros(batch + (self.d,) * 4)
+
+
+class TestD3Weight:
+    """Summed over every index triple, the weighted D3h against a symmetric
+    b is the third-order bracket's sum over multi-indices: each alpha occurs
+    in 3!/alpha! orderings and the bracket weights it by 1/alpha!, so every
+    entry carries 1/6.  At d = 1 only the main diagonal exists."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tilde_d3_matches_multi_index_sum(self, d):
+        rng = np.random.default_rng(60 + d)
+        a, b = random_symmetric(rng, d), random_symmetric(rng, d)
+        got = float(np.sum(tilde_d3(a) * b))
+        assert got == pytest.approx(multi_index_sum(a, b), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_general_rhs_source_matches_multi_index_sum(self, d):
+        # From zero tensors, dlam is Lambda's source alone, the J-contracted
+        # weighted D3h.  J is orthogonal, so contracting dlam with the
+        # J-contracted b undoes the three contractions.
+        rng = np.random.default_rng(70 + d)
+        a, b = random_symmetric(rng, d), random_symmetric(rng, d)
+        z = rng.standard_normal(2 * d)
+        h = DenseHamiltonian(CubicPotential(a))
+        _, dlam, _, _ = general_rhs(GeneralCorrectionState.initial(z), h)
+        b_full = np.zeros((2 * d,) * 3)
+        b_full[:d, :d, :d] = b
+        got = float(np.sum(dlam * apply_J_triple(b_full)))
+        assert got == pytest.approx(multi_index_sum(a, b), rel=1e-12, abs=0.0)
 
 
 class TestTildeD3:
@@ -130,6 +179,17 @@ class TestSymplectic:
         j = symplectic_j(2)
         np.testing.assert_allclose(j_contract_axis(t, 0), j @ t, atol=1e-14)
         np.testing.assert_allclose(j_contract_axis(t, 1), t @ j.T, atol=1e-14)
+
+    def test_contract_axis_batched_and_negative_axes(self):
+        # J contracted into each phase axis of a batched tensor, named from
+        # either end, is the matrix product on that axis.
+        rng = np.random.default_rng(11)
+        t = rng.standard_normal((3, 4, 4, 4))
+        j = symplectic_j(2)
+        for axis in (1, 2, 3):
+            want = np.moveaxis(np.tensordot(j, t, axes=(1, axis)), 0, axis)
+            np.testing.assert_array_equal(j_contract_axis(t, axis), want)
+            np.testing.assert_array_equal(j_contract_axis(t, axis - 4), want)
 
     def test_contract_axis_rejects_odd_extent(self):
         with pytest.raises(ValueError):
