@@ -17,7 +17,6 @@ for the random tensors of the identity checks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 
@@ -98,11 +97,11 @@ def _identity_inputs():
 
 def symmetry_preservation() -> dict[str, float]:
     """Largest asymmetry left by tilde_d3 and by apply_J_triple o tilde_d3 on
-    200 random symmetric 3-tensors."""
+    200 random symmetric 3-tensors.  Entry (i, j, k) of each is the raw
+    tensor's entry at the sorted indices, so the input is exactly symmetric
+    and any gap is the maps' own."""
     raw, _ = _identity_inputs()
-    sym = sum(
-        raw.transpose((0,) + perm) for perm in itertools.permutations((1, 2, 3))
-    )
+    sym = raw[(slice(None), *np.sort(np.indices((4, 4, 4)), axis=0))]
     weighted = tilde_d3(sym)
     gap = _peak(*(
         tensor - tensor.transpose(perm)

@@ -53,19 +53,19 @@ The 12 per-coordinate fields are the rows of one (12, ..., d) array, in the
 order of :data:`FIELDS`: q, then the rows psi2 advances (p, lam2, lam4,
 gam21, gam22, xi2), then the rows psi3 advances (lam1, lam3, gam1, gam3,
 xi1).  Each sub-flow updates its own rows in place: it writes the group's
-increments into one scratch block of the state's shape, scales them by t
-and adds them to the group's rows, in the rounding order of the expression
-x + t * (increment).  Each state binds its row groups to views once, when
-it is made; the potential's diagonals go into three more rows of the
-scratch block's allocation, and psi1's t p into its q row, so a sub-flow
-allocates no array.  The scratch block is
-made on the state's first sub-flow and kept with it
-(:meth:`CorrectionState.scratch`), so a live state stepped through a run
-makes one, and drops it at the run's last snapshot; a copy or a snapshot
-makes its own, so chunks of an ensemble stepped in different threads share
-nothing.  The live rows and the scratch rows each start on a 64-byte
-boundary (:func:`egorov.flow.aligned_rows`), so each of the sub-flows'
-row writes stores whole AVX-512 vectors into memory the chunk owns.
+increments into a scratch state of the same shape, scales them by t and
+adds them to the group's rows, in the rounding order of the expression
+x + t * (increment).  It takes that working memory as a trailing argument,
+as the transport's ``drift`` and ``kick`` do: a :func:`scratch_block`, one
+allocation of the 12 increment rows and 3 rows for ``Potential.diagonals``.
+The run makes the block and every stage takes it: one per run of
+:func:`evolve_correction_snapshots`, so chunks of an ensemble stepped in
+different threads share nothing, and one per :func:`f2_step`.  Each state
+binds its row groups to views once, when it is made, so a sub-flow given a
+block allocates no array; given none, it makes its own.  The live rows and
+the block's rows each start on a 64-byte boundary
+(:func:`egorov.flow.aligned_rows`), so each of the sub-flows' row writes
+stores whole AVX-512 vectors into memory the chunk owns.
 :func:`evolve_correction_snapshots` can hand each snapshot to an observer
 as the run reaches it, so an ensemble chunk that reduces its snapshots
 holds the live state alone, not a copy per snapshot time.
@@ -99,6 +99,7 @@ __all__ = [
     "FIELDS",
     "BLOCK_PATTERNS",
     "CorrectionState",
+    "scratch_block",
     "sub_flow_psi1",
     "sub_flow_psi2",
     "sub_flow_psi3",
@@ -170,21 +171,20 @@ class CorrectionState:
     time ``t``; it shares the array's memory, and each name in
     :data:`FIELDS` is bound to its row, a view, and each row group the
     sub-flows take whole (``psi2_rows``, ``psi3_rows``, ``lam2_to_gam22``)
-    to its view of the rows.  :meth:`initial` and
-    :meth:`scratch` take their rows from :func:`egorov.flow.aligned_rows`,
-    each starting on a 64-byte boundary, so the sub-flows' AVX-512 loops
-    store whole cache lines; :meth:`copy`, which only snapshots without an
+    to its view of the rows.  It holds nothing else: the sub-flows take
+    their working memory as an argument (:func:`scratch_block`).
+    :meth:`initial` takes its rows from :func:`egorov.flow.aligned_rows`,
+    starting on a 64-byte boundary, so the sub-flows' AVX-512 loops store
+    whole cache lines; :meth:`copy`, which only snapshots without an
     observer use, makes plain contiguous rows.
     """
 
     def __init__(self, rows: np.ndarray, t: float = 0.0):
-        self.rows, self.t, self._scratch = rows, t, None
+        self.rows, self.t = rows, t
         for name, row in zip(FIELDS, rows):
             setattr(self, name, row)
         for name, group in _ROW_GROUPS.items():
             setattr(self, name, rows[group])
-        # A scratch state's rows for Potential.diagonals; None on any other.
-        self.diagonal_rows = None
 
     @classmethod
     def initial(cls, z0: np.ndarray) -> "CorrectionState":
@@ -198,26 +198,8 @@ class CorrectionState:
         return cls(rows)
 
     def copy(self) -> "CorrectionState":
-        """A state with its own copy of the rows, and no scratch block."""
+        """A state with its own copy of the rows."""
         return CorrectionState(self.rows.copy(), self.t)
-
-    def scratch(self) -> "CorrectionState":
-        """A state of this one's shape, with aligned rows, whose rows the
-        sub-flows overwrite with their increments: made on first use and kept
-        with this state, so a live state stepped through a chunk's run makes
-        one.  A state made by :meth:`copy` or by the constructor, such as a
-        snapshot, has its own.  The same allocation holds its
-        ``diagonal_rows``, three more aligned rows of one field's shape, for
-        ``Potential.diagonals`` to write into."""
-        if self._scratch is None:
-            block = aligned_rows(len(FIELDS) + 3, self.rows.shape[1:])
-            self._scratch = CorrectionState(block[:len(FIELDS)])
-            self._scratch.diagonal_rows = block[len(FIELDS):]
-        return self._scratch
-
-    def drop_scratch(self) -> None:
-        """Let go of the kept scratch block; the next sub-flow makes a new one."""
-        self._scratch = None
 
     @property
     def d(self) -> int:
@@ -229,17 +211,29 @@ class CorrectionState:
         return np.concatenate((self.q, self.p), axis=-1)
 
 
-def sub_flow_psi1(t: float, state: CorrectionState) -> CorrectionState:
+def scratch_block(shape: tuple):
+    """The sub-flows' working memory for states whose fields have ``shape``
+    (..., d): one :func:`egorov.flow.aligned_rows` allocation of 15 rows,
+    as a pair.  First a state on its first 12 rows, which the sub-flows
+    overwrite with their increments; then its last 3 rows, which
+    ``Potential.diagonals`` writes into."""
+    block = aligned_rows(len(FIELDS) + 3, shape)
+    return CorrectionState(block[:len(FIELDS)]), block[len(FIELDS):]
+
+
+def sub_flow_psi1(t: float, state: CorrectionState, scratch=None) -> CorrectionState:
     """Exact drift: q += t p, in place; everything else untouched.  t p is
-    written into the q row of the scratch block, which no other sub-flow
-    keeps between calls."""
-    x, dx = state, state.scratch()
+    written into the q row of the :func:`scratch_block`, or of a fresh one
+    when ``scratch`` is None."""
+    x, (dx, _) = state, scratch or scratch_block(state.q.shape)
     np.multiply(t, x.p, out=dx.q)
     x.q += dx.q
     return state
 
 
-def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> CorrectionState:
+def sub_flow_psi2(
+    t: float, state: CorrectionState, potential: Potential, scratch=None
+) -> CorrectionState:
     """Exact sub-flow updating the momentum-type blocks from the frozen
     position-type blocks (plus the inhomogeneity at q), in place.
 
@@ -259,8 +253,8 @@ def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> Cor
     negation pass.  Block by block, dlam4 is ((-y) - y) - y for y = c2 lam3: bitwise
     -3 y, because -y - y is exact.  m3 / 6 stands for m3 times D3_WEIGHT.
     """
-    x, dx = state, state.scratch()
-    g, c2, m3, m4 = potential.diagonals(x.q, dx.diagonal_rows)
+    x, (dx, diagonal_rows) = state, scratch or scratch_block(state.q.shape)
+    g, c2, m3, m4 = potential.diagonals(x.q, diagonal_rows)
     # dx holds the increments of the psi2 rows; its psi3 rows hold c2 times
     # the matching rows of x, and its q row a product in passing.
     np.multiply(c2, x.psi3_rows, out=dx.psi3_rows)
@@ -284,7 +278,9 @@ def sub_flow_psi2(t: float, state: CorrectionState, potential: Potential) -> Cor
     return state
 
 
-def sub_flow_psi3(t: float, state: CorrectionState, potential: Potential) -> CorrectionState:
+def sub_flow_psi3(
+    t: float, state: CorrectionState, potential: Potential, scratch=None
+) -> CorrectionState:
     """Exact sub-flow updating the position-type blocks from the frozen
     momentum-type blocks, in place.
 
@@ -302,8 +298,8 @@ def sub_flow_psi3(t: float, state: CorrectionState, potential: Potential) -> Cor
     bitwise 3 y, because y + y is exact.  dlam3's (x - y) - y does not round
     as x - 2 y does.
     """
-    x, dx = state, state.scratch()
-    _, c2, m3, _ = potential.diagonals(x.q, dx.diagonal_rows)
+    x, (dx, diagonal_rows) = state, scratch or scratch_block(state.q.shape)
+    _, c2, m3, _ = potential.diagonals(x.q, diagonal_rows)
     # dx holds the increments of the psi3 rows; its rows lam2 .. gam22 hold
     # c2 times the matching rows of x.
     np.multiply(c2, x.lam2_to_gam22, out=dx.lam2_to_gam22)
@@ -322,28 +318,30 @@ def sub_flow_psi3(t: float, state: CorrectionState, potential: Potential) -> Cor
 
 def f2_step(tau: float, state: CorrectionState, potential: Potential) -> CorrectionState:
     """Symmetric second-order step (Strang composition of the sub-flows), on
-    a copy of the state."""
-    t = state.t + tau
-    state = sub_flow_psi2(0.5 * tau, state.copy(), potential)
-    state = sub_flow_psi1(0.5 * tau, state)
-    state = sub_flow_psi3(tau, state, potential)
-    state = sub_flow_psi1(0.5 * tau, state)
-    state = sub_flow_psi2(0.5 * tau, state, potential)
+    a copy of the state, with one :func:`scratch_block` for its sub-flows."""
+    t, scratch = state.t + tau, scratch_block(state.q.shape)
+    state = sub_flow_psi2(0.5 * tau, state.copy(), potential, scratch)
+    state = sub_flow_psi1(0.5 * tau, state, scratch)
+    state = sub_flow_psi3(tau, state, potential, scratch)
+    state = sub_flow_psi1(0.5 * tau, state, scratch)
+    state = sub_flow_psi2(0.5 * tau, state, potential, scratch)
     return CorrectionState(state.rows, t)
 
 
 def _snapshots(state: CorrectionState, times, tau: float, potential: Potential):
     """The live state at each snapshot time, stepped in place by the shared
     driver at order 4, A = psi2 (which freezes its own right-hand side),
-    B = psi1 psi3 psi1."""
+    B = psi1 psi3 psi1, every sub-flow on one :func:`scratch_block` made
+    here.  The sub-flows are looked up on the module at each call."""
+    scratch = scratch_block(state.q.shape)
 
     def psi2(t, state):
-        return sub_flow_psi2(t, state, potential)
+        return sub_flow_psi2(t, state, potential, scratch)
 
     def psi1_psi3_psi1(s, state):
-        state = sub_flow_psi1(0.5 * s, state)
-        state = sub_flow_psi3(s, state, potential)
-        return sub_flow_psi1(0.5 * s, state)
+        state = sub_flow_psi1(0.5 * s, state, scratch)
+        state = sub_flow_psi3(s, state, potential, scratch)
+        return sub_flow_psi1(0.5 * s, state, scratch)
 
     return split_snapshots(state, times, tau, 4, psi2, psi1_psi3_psi1)
 
@@ -369,22 +367,23 @@ def evolve_correction_snapshots(
     """Correction states at each snapshot time, from one continuous run, or
     what ``observe`` returns for each of them.
 
-    One state is stepped in place.  Without ``observe`` each snapshot is a
-    copy of its rows, and the list holds them all.  With it, each snapshot
-    goes to ``observe`` as soon as it is reached, as a state at its time
-    whose rows are the live rows themselves: nothing is copied, only the
-    results are kept, and the observer must not keep the state, which the
-    next step overwrites.  The live state's scratch block is dropped before
-    the last snapshot is observed or copied, since no step follows it."""
-    if observe is None:
-        observe = CorrectionState.copy
+    One state is stepped in place.  Without ``observe`` each snapshot but
+    the last is a copy of its rows, and the list holds them all; the last
+    is the live state itself, since no step follows it.  With ``observe``,
+    each snapshot goes to it as soon as it is reached, as a state at its
+    time whose rows are the live rows themselves: nothing is copied, only
+    the results are kept, and the observer must not keep the state, which
+    the next step overwrites."""
     states = _snapshots(CorrectionState.initial(z0), times, tau, potential)
     last = len(times) - 1
     out = []
     for i, (t, state) in enumerate(zip(times, states)):
-        if i == last:
-            state.drop_scratch()
-        out.append(observe(CorrectionState(state.rows, float(t))))
+        snap = CorrectionState(state.rows, float(t))
+        if observe is not None:
+            snap = observe(snap)
+        elif i < last:
+            snap = snap.copy()
+        out.append(snap)
     return out
 
 

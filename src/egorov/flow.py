@@ -186,14 +186,17 @@ def split_snapshots(state, times, tau: float, order: int, a_flow, b_flow):
     Each trailing A half-flow merges with the next leading one, across steps
     too, and is flushed only at a snapshot: exact when A leaves its own
     right-hand side frozen, A(a) A(b) = A(a + b), up to rounding.  The flows
-    return the new state and may update it in place.
+    return the new state and may update it in place.  ``times`` must start
+    at >= 0 and be nondecreasing.
     """
     coeffs = yoshida_coefficients(order).tolist()
     t_prev = 0.0
-    for t_snap in times:
+    for i, t_snap in enumerate(times):
         seg = t_snap - t_prev
         if seg < 0:
-            raise ValueError("snapshot times must be nondecreasing")
+            raise ValueError(
+                f"snapshot times must {'be nondecreasing' if i else 'start at >= 0'}"
+            )
         n = step_count(seg, tau)
         if n:
             subs = [c * (seg / n) for c in coeffs]

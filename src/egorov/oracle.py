@@ -56,7 +56,6 @@ __all__ = [
     "quadrature_tensors",
     "a2_quadrature",
     "flow_integral",
-    "composed_third_derivative",
     "general_rhs",
     "evolve_general",
 ]
@@ -499,28 +498,6 @@ def flow_integral(
         [func(s * delta, snaps[n_quad - s]) for s in range(n_quad + 1)]
     )
     return float(_simpson_weights(n_quad, delta) @ vals)
-
-
-def composed_third_derivative(
-    a: Observable, var: VariationalState
-) -> np.ndarray:
-    """Third derivative tensor of (a o flow) at the variational base point,
-    by the chain rule through the stored flow derivatives.
-
-    Jets of a are taken at the transported point var.z composed through the
-    derivatives; intended for single (unbatched) states.
-    """
-    da = a.grad(var.z)
-    d2a = a.hess(var.z)
-    d3a = a.third(var.z)
-    dphi, d2phi, d3phi = var.dphi, var.d2phi, var.d3phi
-    return (
-        np.einsum("ijk,il,jm,kn->lmn", d3a, dphi, dphi, dphi)
-        + np.einsum("ij,ilm,jn->lmn", d2a, d2phi, dphi)
-        + np.einsum("ij,iln,jm->lmn", d2a, d2phi, dphi)
-        + np.einsum("ij,imn,jl->lmn", d2a, d2phi, dphi)
-        + np.einsum("i,ilmn->lmn", da, d3phi)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from egorov.correction import (
     evolve_correction_snapshots,
     f2_step,
     f4_step,
+    scratch_block,
     sub_flow_psi1,
     sub_flow_psi2,
     sub_flow_psi3,
@@ -538,57 +539,78 @@ class TestInPlaceStepper:
     @pytest.mark.parametrize("name", sorted(POTENTIALS))
     def test_snapshots_own_their_memory(self, name, d, n, monkeypatch):
         # One state is stepped in place: z0 stays as it was, every snapshot
-        # (repeated times too) is a copy apart from the others and from the
-        # live state, and a second run gives the same arrays.  The live state
-        # makes one scratch block for all its sub-flow calls and lets it go
-        # at the last snapshot; no snapshot, copy or second evolution shares
-        # it.
+        # but the last (repeated times too) is a copy apart from the others
+        # and from the live state, the last is the live rows, and a second
+        # run gives the same arrays.  Each evolution makes one scratch block
+        # and hands it to every sub-flow call; no snapshot, copy or second
+        # evolution shares it.
         pot = POTENTIALS[name](d)
         z0 = np.random.default_rng(40 + d).uniform(-1.5, 1.5, (n, 2 * d))
         kept = z0.copy()
         times = [0.0, 0.25, 0.25, 0.75]
-        live, blocks = [], []
-        scratch = CorrectionState.scratch
+        live, blocks, made = [], [], []
+        make_block = correction_mod.scratch_block
 
-        def recording_psi2(t, state, potential):
-            live.append(state)
-            return sub_flow_psi2(t, state, potential)
+        def recording(flow):
+            def recorded(*args):
+                live.append(args[1])
+                blocks.append(args[-1])
+                return flow(*args)
 
-        def recording_scratch(state):
-            block = scratch(state)
-            blocks.append(block.rows)
-            return block
+            return recorded
 
-        monkeypatch.setattr(correction_mod, "sub_flow_psi2", recording_psi2)
-        monkeypatch.setattr(CorrectionState, "scratch", recording_scratch)
+        def recording_block(shape):
+            made.append(make_block(shape))
+            return made[-1]
+
+        for flow in (sub_flow_psi1, sub_flow_psi2, sub_flow_psi3):
+            monkeypatch.setattr(correction_mod, flow.__name__, recording(flow))
+        monkeypatch.setattr(correction_mod, "scratch_block", recording_block)
         snaps = evolve_correction_snapshots(z0, times, 0.125, pot)
         assert z0.tobytes() == kept.tobytes()
         assert live and all(state.rows is live[0].rows for state in live)
-        # psi2 and psi3 each ask for the scratch block on every call.
-        assert len(blocks) > len(live)
-        assert all(block is blocks[0] for block in blocks)
-        block = blocks[0]
-        assert block.shape == live[0].rows.shape
-        assert not np.shares_memory(block, live[0].rows)
+        assert len(made) == 1 and all(block is made[0] for block in blocks)
+        dx, diagonal_rows = made[0]
+        assert dx.rows.shape == live[0].rows.shape
+        assert not np.shares_memory(dx.rows.base, live[0].rows)
         for i, snap in enumerate(snaps):
             assert snap.t == times[i]
-            assert not np.shares_memory(snap.rows, live[0].rows)
             assert not np.shares_memory(snap.rows, z0)
-            assert not np.shares_memory(snap.rows, block)
-            assert not np.shares_memory(scratch(snap).rows, block)
+            assert not np.shares_memory(snap.rows, dx.rows.base)
             for other in snaps[i + 1:]:
                 assert not np.shares_memory(snap.rows, other.rows)
+            if i < len(snaps) - 1:
+                assert not np.shares_memory(snap.rows, live[0].rows)
+        assert snaps[-1].rows is live[0].rows
         copied = live[0].copy()
-        assert not np.shares_memory(copied.rows, block)
-        assert not np.shares_memory(scratch(copied).rows, block)
-        assert scratch(live[0]).rows is not block
+        assert not np.shares_memory(copied.rows, dx.rows.base)
         blocks.clear()
         again = evolve_correction_snapshots(z0, times, 0.125, pot)
-        assert blocks and all(repeat is blocks[0] for repeat in blocks)
-        assert not np.shares_memory(blocks[0], block)
+        assert len(made) == 2 and all(block is made[1] for block in blocks)
+        assert not np.shares_memory(made[1][0].rows.base, dx.rows.base)
         for snap, repeat in zip(snaps, again, strict=True):
             assert snap.t == repeat.t
             assert snap.rows.tobytes() == repeat.rows.tobytes()
+
+    def test_f2_step_hands_one_block_to_its_sub_flows(self, monkeypatch):
+        # f2_step makes one scratch block and passes it to all five of its
+        # sub-flow calls.
+        pot = torsional_potential(2)
+        state = random_state(np.random.default_rng(46), 2)
+        blocks = []
+
+        def recording(flow):
+            def recorded(*args):
+                blocks.append(args[-1])
+                return flow(*args)
+
+            return recorded
+
+        for flow in (sub_flow_psi1, sub_flow_psi2, sub_flow_psi3):
+            monkeypatch.setattr(correction_mod, flow.__name__, recording(flow))
+        f2_step(0.1, state, pot)
+        assert len(blocks) == 5 and blocks[0] is not None
+        assert all(block is blocks[0] for block in blocks)
 
     @pytest.mark.parametrize("name, d", [("torsional", 2), ("harmonic", 3), ("free", 1)])
     def test_observer_sees_each_snapshot_in_time_order(self, name, d):
@@ -618,29 +640,39 @@ class TestInPlaceStepper:
             assert result.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("observed", [False, True])
-    def test_scratch_dropped_before_last_snapshot(self, observed, monkeypatch):
-        # The live state lets its scratch block go before the last snapshot
-        # is copied or observed, and only then: no step follows it.
+    def test_last_snapshot_is_not_copied(self, observed, monkeypatch):
+        # Without an observer every snapshot but the last is copied, and the
+        # last is the live state's rows, since no step follows it; with one,
+        # nothing is copied and each snapshot is observed on the live rows.
         pot = torsional_potential(2)
         z0 = np.random.default_rng(45).uniform(-1.5, 1.5, (8, 4))
-        events = []
-        copy, drop = CorrectionState.copy, CorrectionState.drop_scratch
+        events, live = [], []
+        copy = CorrectionState.copy
+        psi2 = correction_mod.sub_flow_psi2
+
+        def recording_psi2(t, state, potential, scratch=None):
+            live.append(state.rows)
+            return psi2(t, state, potential, scratch)
 
         def recording_copy(state):
-            events.append(("snapshot", state.t))
+            events.append(("copy", state.t))
             return copy(state)
 
-        def recording_drop(state):
-            events.append(("drop",))
-            drop(state)
+        def observe(state):
+            events.append(("observe", state.t, state.rows))
+            return state.t
 
+        monkeypatch.setattr(correction_mod, "sub_flow_psi2", recording_psi2)
         monkeypatch.setattr(CorrectionState, "copy", recording_copy)
-        monkeypatch.setattr(CorrectionState, "drop_scratch", recording_drop)
-        observe = recording_copy if observed else None
-        evolve_correction_snapshots(z0, [0.0, 0.25, 0.5], 0.125, pot, observe)
-        assert events == [
-            ("snapshot", 0.0), ("snapshot", 0.25), ("drop",), ("snapshot", 0.5),
-        ]
+        times = [0.0, 0.25, 0.5]
+        got = evolve_correction_snapshots(z0, times, 0.125, pot, observe if observed else None)
+        if observed:
+            assert got == times
+            assert [event[:2] for event in events] == [("observe", t) for t in times]
+            assert all(event[2] is live[0] for event in events)
+        else:
+            assert events == [("copy", 0.0), ("copy", 0.25)]
+            assert got[-1].rows is live[0] and got[-1].t == 0.5
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(POTENTIALS))
@@ -680,10 +712,11 @@ class TestAlignedRows:
     def test_rows_and_scratch_start_on_cache_lines(self, n, d):
         z0 = np.random.default_rng(n).uniform(-1.5, 1.5, (n, 2 * d))
         state = CorrectionState.initial(z0)
-        assert state.rows.shape == state.scratch().rows.shape == (12, n, d)
+        dx, _ = scratch_block(state.q.shape)
+        assert state.rows.shape == dx.rows.shape == (12, n, d)
         assert starts_on_cache_lines(state.rows)
-        assert starts_on_cache_lines(state.scratch().rows)
-        assert not np.shares_memory(state.rows, state.scratch().rows)
+        assert starts_on_cache_lines(dx.rows)
+        assert not np.shares_memory(state.rows, dx.rows)
         np.testing.assert_array_equal(state.z, z0)
         assert not np.any(state.rows[2:])
 
@@ -720,14 +753,19 @@ class TestAlignedRows:
     @pytest.mark.parametrize("n, d", ALIGNMENT_SHAPES)
     def test_diagonal_rows_come_from_the_scratch_allocation(self, n, d):
         # Potential.diagonals writes into three more rows of the scratch
-        # block's allocation, aligned, beside the twelve state rows.
+        # block's allocation, aligned, beside the twelve increment rows.  A
+        # state holds no scratch: only its rows, its time and views of them.
+        dx, diagonal_rows = scratch_block((n, d))
+        assert diagonal_rows.shape == (3, n, d)
+        assert starts_on_cache_lines(diagonal_rows)
+        assert diagonal_rows.base is dx.rows.base
+        assert not np.shares_memory(diagonal_rows, dx.rows)
         state = CorrectionState.initial(np.zeros((n, 2 * d)))
-        scratch = state.scratch()
-        assert scratch.diagonal_rows.shape == (3, n, d)
-        assert starts_on_cache_lines(scratch.diagonal_rows)
-        assert scratch.diagonal_rows.base is scratch.rows.base
-        assert not np.shares_memory(scratch.diagonal_rows, scratch.rows)
-        assert state.diagonal_rows is None
+        assert set(vars(state)) == {"rows", "t", *FIELDS, "psi2_rows", "psi3_rows", "lam2_to_gam22"}
+        assert all(
+            np.shares_memory(value, state.rows)
+            for name, value in vars(state).items() if name not in ("rows", "t")
+        )
 
     @pytest.mark.parametrize(
         "make", [lambda: torsional_potential(2), lambda: harmonic_potential(2, (1.0, 2.0)),
@@ -735,20 +773,26 @@ class TestAlignedRows:
         ids=["torsional", "harmonic", "free"],
     )
     def test_sub_flows_allocate_no_array(self, make):
-        # After the first sub-flow made the scratch block, the sub-flows write
-        # into the state's own rows: no call allocates as much as one row.
+        # Given a scratch block, the sub-flows write into it and the state's
+        # own rows: no call allocates as much as one row, and the state moves
+        # as it does on a block each sub-flow makes for itself.
         pot = make()
-        state = CorrectionState.initial(np.random.default_rng(3).uniform(-1.5, 1.5, (5000, 4)))
-        flows = [lambda: sub_flow_psi1(0.1, state), lambda: sub_flow_psi2(0.1, state, pot),
-                 lambda: sub_flow_psi3(0.1, state, pot)]
+        z0 = np.random.default_rng(3).uniform(-1.5, 1.5, (5000, 4))
+        state, fresh = CorrectionState.initial(z0), CorrectionState.initial(z0)
+        scratch = scratch_block(state.q.shape)
+        flows = [lambda s, *block: sub_flow_psi1(0.1, s, *block),
+                 lambda s, *block: sub_flow_psi2(0.1, s, pot, *block),
+                 lambda s, *block: sub_flow_psi3(0.1, s, pot, *block)]
         for flow in flows:
-            flow()
+            flow(state, scratch)
+            flow(fresh)
+        assert state.rows.tobytes() == fresh.rows.tobytes()
         tracemalloc.start()
         try:
             for flow in flows:
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                flow()
+                flow(state, scratch)
                 assert tracemalloc.get_traced_memory()[1] - before < state.q.nbytes
         finally:
             tracemalloc.stop()

@@ -915,14 +915,19 @@ class TestSelftest:
         # first, and the flip is written into the live row.
         original = correction_mod.sub_flow_psi3
 
-        def flipped(t, state, potential):
+        def flipped(t, state, potential, scratch=None):
             before = state.copy()
-            out = original(t, state, potential)
+            out = original(t, state, potential, scratch)
             out.gam3[...] = 2.0 * before.gam3 - out.gam3
             return out
 
         monkeypatch.setattr(correction_mod, "sub_flow_psi3", flipped)
         assert not checks.run_check("block-general-equivalence").passed
+
+    def test_symmetry_input_is_exactly_symmetric(self):
+        # The check's input tensors are symmetric to the bit, and tilde_d3
+        # and apply_J_triple keep them so: the gap is the maps' own, zero.
+        assert checks.symmetry_preservation() == {"gap": 0.0}
 
     def test_mode_product_mutation_detected(self, monkeypatch):
         # Write the diagonal one index off in the scatter that builds every

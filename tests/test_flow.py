@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import egorov.flow as flow_mod
+from egorov.correction import evolve_correction_snapshots
 from egorov.flow import (
     aligned_rows,
     drift,
@@ -279,6 +280,18 @@ class TestPropagateSnapshots:
     def test_rejects_decreasing_times(self, torsional_2d, z0):
         with pytest.raises(ValueError, match="nondecreasing"):
             propagate_snapshots(z0, np.array([1.0, 0.5]), 0.05, 4, torsional_2d)
+
+    @pytest.mark.parametrize("stepper", ["transport", "correction"])
+    def test_rejects_negative_first_time(self, stepper, torsional_2d, z0):
+        # Both steppers name the broken rule: the times start at >= 0.
+        run = {
+            "transport": lambda times: propagate_snapshots(z0, times, 0.05, 4, torsional_2d),
+            "correction": lambda times: evolve_correction_snapshots(z0, times, 0.05, torsional_2d),
+        }[stepper]
+        with pytest.raises(ValueError, match="start at >= 0"):
+            run([-0.5])
+        with pytest.raises(ValueError, match="nondecreasing"):
+            run([0.0, -0.5])
 
     def test_first_snapshot_can_be_zero(self, torsional_2d, z0):
         snaps = propagate_snapshots(z0, np.array([0.0]), 0.05, 4, torsional_2d)

@@ -11,14 +11,13 @@ import pytest
 
 from egorov.correction import a2_eval, evolve_correction
 from egorov.flow import propagate, propagate_snapshots
-from egorov.observables import make_observable
+from egorov.observables import Observable, make_observable
 from egorov.oracle import (
     GeneralCorrectionState,
     Hamiltonian,
     JetFunction,
     VariationalState,
     a2_quadrature,
-    composed_third_derivative,
     evolve_general,
     flow_integral,
     general_rhs,
@@ -386,6 +385,26 @@ class TestFlowIntegral:
             lambda s, y: b(y) * -np.sin(s), z0, 1.0, 32, torsional_2d, tau_flow=1e-3
         ) + b(propagate(z0, 1.0, 1e-3, 8, torsional_2d)) * np.cos(0.0)
         assert lhs == pytest.approx(rhs, abs=1e-4)
+
+
+def composed_third_derivative(a: Observable, var: VariationalState) -> np.ndarray:
+    """Third derivative tensor of (a o flow) at the variational base point,
+    by the chain rule through the stored flow derivatives.
+
+    Jets of a are taken at the transported point var.z composed through the
+    derivatives; intended for single (unbatched) states.
+    """
+    da = a.grad(var.z)
+    d2a = a.hess(var.z)
+    d3a = a.third(var.z)
+    dphi, d2phi, d3phi = var.dphi, var.d2phi, var.d3phi
+    return (
+        np.einsum("ijk,il,jm,kn->lmn", d3a, dphi, dphi, dphi)
+        + np.einsum("ij,ilm,jn->lmn", d2a, d2phi, dphi)
+        + np.einsum("ij,iln,jm->lmn", d2a, d2phi, dphi)
+        + np.einsum("ij,imn,jl->lmn", d2a, d2phi, dphi)
+        + np.einsum("i,ilmn->lmn", da, d3phi)
+    )
 
 
 class TestBracketIntegrandEquivalence:
