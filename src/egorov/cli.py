@@ -54,11 +54,13 @@ def _cmd_reference(args) -> int:
     config = load_config(args.config)
     out = Path(args.out)
     start = time.perf_counter()
-    rows = run_reference(config)
+    monitors = {}
+    rows = run_reference(config, monitors=monitors)
     elapsed = time.perf_counter() - start
     write_rows_csv(rows, out / "reference.csv")
     write_metadata(
-        out, config, {"reference": elapsed}, reference=reference_metadata(config)
+        out, config, {"reference": elapsed},
+        reference={**reference_metadata(config), **monitors},
     )
     print(f"wrote {out / 'reference.csv'} ({len(rows)} rows, {elapsed:.1f}s)")
     return 0

@@ -593,8 +593,10 @@ def _run_corrected(config: RunConfig, threads, egorov_mean=None, elapsed=None):
     return rows, egorov_mean
 
 
-def run_reference(config: RunConfig) -> list[ResultRow]:
-    """Grid-solver expectations on the config's snapshot grid."""
+def run_reference(config: RunConfig, monitors=None) -> list[ResultRow]:
+    """Grid-solver expectations on the config's snapshot grid.  With a dict
+    ``monitors``, the largest monitor readings are stored in it
+    (:func:`reference.reference_expectations`)."""
     potential = build_potential(config)
     spec = GridSpec(
         d=config.dimension,
@@ -606,7 +608,7 @@ def run_reference(config: RunConfig) -> list[ResultRow]:
     times = snapshot_times(config)
     tau = config.tau_reference_effective
     names = config.observables
-    table = reference_expectations(spec, packet, potential, times, tau, names)
+    table = reference_expectations(spec, packet, potential, times, tau, names, monitors=monitors)
     return [
         ResultRow(time=t, observable=name, reference=float(table[name][i]))
         for i, t in enumerate(times)

@@ -17,12 +17,13 @@ potential is separable, V = sum_j V_j(q_j) (:meth:`Potential.coordinate`),
 and the packet is a product of one Gaussian per coordinate, so the wave
 function stays a product of d one-dimensional ones: the potential phase and
 the FFT both factorize on a tensor grid, and the d line solves equal the
-d-dimensional solve up to rounding.  The d line solves step as one stacked
-(d, n) array whose row j is coordinate j's, so each kinetic step is one
-batched FFT pair over the rows; every row keeps the bits of its own 1-D
-solve.
-Positions and momenta are read on their own row, the energies are sums over
-the rows.  A potential that is not separable raises NotImplementedError.
+d-dimensional solve up to rounding.  They step as one stacked (d, n) array
+whose row j is coordinate j's: each kinetic step is one batched FFT pair
+over the rows, run in place, and a snapshot is read once for the whole
+stack, as every reading reduces over the trailing ``spec.d`` axes.  Every
+row keeps the bits of its own 1-D solve.  Positions and momenta are read on
+their own row, the energies are sums over the rows.  A potential that is not
+separable raises NotImplementedError.
 
 Steps are unitary, so the discrete norm is conserved to roundoff; the
 boundary shell of the (formally periodic) domain is monitored because the
@@ -32,6 +33,7 @@ product of the axes' norms, and the mass inside the shell the product of
 theirs.  A third monitor reads the Fourier weights the expectations use: the
 weight in the wavenumbers around Nyquist, combined over the axes as the
 boundary mass is, stays small while the grid resolves the packet's momenta.
+Each monitor's largest reading over the snapshots is kept for the caller;
 :func:`schrodinger_propagate` runs no monitor.
 
 The module does no I/O; :func:`experiments.run_reference` makes its rows.
@@ -72,6 +74,14 @@ _FOURIER_RUN_TOL = 1e-6
 # propagated state at every snapshot.
 _NORM_TOL = 1e-10
 _SHELL_WIDTH = 2
+# Each monitor's tolerance and message, in the order they are checked.
+_MONITORS = {
+    "max_norm_drift": (_NORM_TOL, "unitarity lost: norm drift {:.3e} at t={}"),
+    "max_boundary_mass": (_BOUNDARY_RUN_TOL,
+                          "boundary mass {:.3e} at t={}: packet reached the domain edge"),
+    "max_fourier_shell": (_FOURIER_RUN_TOL, "Fourier weight {:.3e} near Nyquist at t={}: "
+                          "the grid does not resolve the packet's momenta"),
+}
 
 # The reference propagation's splitting order, and its scheme's name and
 # version, which ``egorov reference`` reports in metadata.json.
@@ -111,6 +121,15 @@ class GridSpec:
     def wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
+    @property
+    def axes(self) -> tuple:
+        """A state's grid axes, from the end; leading axes stack solves."""
+        return tuple(range(-self.d, 0))
+
+    def along(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """The 1-D ``values`` shaped to lie along grid axis ``axis``."""
+        return values.reshape((-1,) + (1,) * (self.d - 1 - axis))
+
     def mesh_value(self, potential: Potential) -> np.ndarray:
         if potential.d != self.d:
             raise ValueError("potential dimension does not match the grid")
@@ -120,24 +139,28 @@ class GridSpec:
 
 @dataclass
 class WaveFunctionGrid:
+    """A state on ``spec``; leading axes of ``psi`` stack independent solves."""
+
     psi: np.ndarray
     spec: GridSpec
     epsilon: float
     t: float = 0.0
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.psi) ** 2) * self.spec.dx**self.spec.d))
+    def norm(self):
+        mass = (np.abs(self.psi) ** 2).sum(axis=self.spec.axes)
+        return _reading(np.sqrt(mass * self.spec.dx**self.spec.d))
 
-    def boundary_mass(self) -> float:
+    def boundary_mass(self):
         """Fraction of discrete mass in the outer shell of the domain."""
         density = np.abs(self.psi) ** 2
-        total = density.sum()
-        inner = density
-        for axis in range(self.spec.d):
-            sl = [slice(None)] * self.spec.d
-            sl[axis] = slice(_SHELL_WIDTH, self.spec.n - _SHELL_WIDTH)
-            inner = inner[tuple(sl)]
-        return float((total - inner.sum()) / total)
+        inner = (slice(_SHELL_WIDTH, self.spec.n - _SHELL_WIDTH),) * self.spec.d
+        total = density.sum(axis=self.spec.axes)
+        return _reading((total - density[(..., *inner)].sum(axis=self.spec.axes)) / total)
+
+
+def _reading(value):
+    """A float for one solve, or the array of one value per stacked solve."""
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
 def _outside_mass(spec: GridSpec, packet: GaussianPacket) -> float:
@@ -178,10 +201,7 @@ def init_packet(spec: GridSpec, packet: GaussianPacket) -> WaveFunctionGrid:
     psi = np.array((np.pi * eps) ** (-spec.d / 4.0), dtype=complex)
     for j in range(spec.d):
         dq = x - q0[j]
-        factor = np.exp(-(dq**2) / (2.0 * eps) + 1j * p0[j] * dq / eps)
-        shape = [1] * spec.d
-        shape[j] = spec.n
-        psi = psi * factor.reshape(shape)
+        psi = psi * spec.along(np.exp(-(dq**2) / (2.0 * eps) + 1j * p0[j] * dq / eps), j)
     grid = WaveFunctionGrid(psi=psi, spec=spec, epsilon=eps)
     norm = grid.norm()
     # An eps below the grid spacing misses the norm, and one far below it
@@ -201,16 +221,14 @@ def _grid_flows(spec: GridSpec, v: np.ndarray, eps: float):
 
     A is the potential phase ``psi *= exp(-i V a / eps)``, applied in place.
     B is the kinetic step ``ifftn(phase * fftn(psi))`` over the trailing
-    ``spec.d`` axes, with the kinetic phase applied as one 1-D factor per
-    axis in place into ``psi_hat``.  Leading axes of ``psi`` and ``v`` stack
+    ``spec.d`` axes, run in place in ``psi``, with the kinetic phase applied
+    as one 1-D factor per axis.  Leading axes of ``psi`` and ``v`` stack
     independent solves: row by row, the bits are those of a solve alone.
     """
     k2 = spec.wavenumbers() ** 2
-    axis_shapes = [(-1,) + (1,) * (spec.d - 1 - j) for j in range(spec.d)]
     # With the lengths given, numpy's fftn skips the axis bookkeeping that
     # costs more than a 256-point transform.
-    lengths = (spec.n,) * spec.d
-    axes = tuple(range(-spec.d, 0))
+    lengths, axes = (spec.n,) * spec.d, spec.axes
 
     # An order-4 step has three distinct merged A lengths and two B lengths.
     # The caches are bounded because segment lengths that differ in the last
@@ -221,18 +239,18 @@ def _grid_flows(spec: GridSpec, v: np.ndarray, eps: float):
 
     @functools.lru_cache(maxsize=2)
     def kinetic_phase(s):
-        return np.exp((-0.5j * eps * s) * k2)
+        factor = np.exp((-0.5j * eps * s) * k2)
+        return [spec.along(factor, axis) for axis in range(spec.d)]
 
     def potential_flow(a, psi):
         psi *= potential_phase(a)
         return psi
 
     def kinetic_flow(s, psi):
-        psi_hat = fftn(psi, lengths, axes)
-        factor = kinetic_phase(s)
-        for shape in axis_shapes:
-            psi_hat *= factor.reshape(shape)
-        return ifftn(psi_hat, lengths, axes)
+        psi = fftn(psi, lengths, axes, out=psi)
+        for factor in kinetic_phase(s):
+            psi *= factor
+        return ifftn(psi, lengths, axes, out=psi)
 
     return potential_flow, kinetic_flow
 
@@ -263,69 +281,57 @@ class _Readings:
     @functools.cached_property
     def density(self) -> np.ndarray:
         density = np.abs(self.grid.psi) ** 2
-        return density / density.sum()
+        return density / density.sum(axis=self.grid.spec.axes, keepdims=True)
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
-        w = np.abs(fftn(self.grid.psi)) ** 2
-        return w / w.sum()
+        w = np.abs(fftn(self.grid.psi, axes=self.grid.spec.axes)) ** 2
+        return w / w.sum(axis=self.grid.spec.axes, keepdims=True)
 
     @functools.cached_property
     def v(self) -> np.ndarray:
         return self.grid.spec.mesh_value(self.potential)
 
 
-def expectation(
-    grid: WaveFunctionGrid, obs_name: str, potential: Potential, readings=None
-) -> float:
-    """Expectation value of a built-in observable in the current state.
-
-    The readings of one snapshot share ``readings``, a ``_Readings`` of this
-    grid and potential; without it they are computed for this call alone.
-    """
+def expectation(grid: WaveFunctionGrid, obs_name: str, potential: Potential, readings=None):
+    """Expectation of a built-in observable: a float, or one value per solve
+    on a stacked grid.  The readings of one snapshot share ``readings``, a
+    ``_Readings`` of this grid and potential, made for this call if None."""
     spec = grid.spec
     kind, j = parse_name(obs_name, spec.d)
     if readings is None:
         readings = _Readings(grid, potential)
 
-    def along(axis_values, axis):
-        shape = [1] * spec.d
-        shape[axis] = spec.n
-        return axis_values.reshape(shape)
+    def mean(axis_values, axis, weights):
+        return _reading((spec.along(axis_values, axis) * weights).sum(axis=spec.axes))
 
     if kind == "q":
-        return float(np.sum(along(spec.axis(), j - 1) * readings.density))
+        return mean(spec.axis(), j - 1, readings.density)
     if kind == "potential":
-        return float(np.sum(readings.v * readings.density))
+        return _reading((readings.v * readings.density).sum(axis=spec.axes))
     w = readings.weights
     k = spec.wavenumbers()
     if kind == "p":
-        return grid.epsilon * float(np.sum(along(k, j - 1) * w))
-    kinetic = 0.5 * grid.epsilon**2 * sum(
-        float(np.sum(along(k**2, axis) * w)) for axis in range(spec.d)
-    )
+        return grid.epsilon * mean(k, j - 1, w)
+    kinetic = 0.5 * grid.epsilon**2 * sum(mean(k**2, axis, w) for axis in range(spec.d))
     if kind == "kinetic":
         return kinetic
     return kinetic + expectation(grid, "potential", potential, readings)
 
 
 def reference_expectations(
-    spec: GridSpec,
-    packet: GaussianPacket,
-    potential: Potential,
-    times,
-    tau: float,
-    observable_names,
+    spec: GridSpec, packet: GaussianPacket, potential: Potential, times, tau: float,
+    observable_names, monitors=None,
 ):
-    """Expectation table {name: values over `times`} from one propagation
-    per coordinate.
+    """Expectation table {name: values over `times`}, one propagation per coordinate.
 
     Coordinate j's packet (q0_j, p0_j) steps on the line of ``spec`` under
     V_j through :func:`flow.split_snapshots`, with the order-4 composition of
     the Strang step: A is the potential phase, B the kinetic step in Fourier
     space.  The d packets and meshes stack into (d, n) arrays that step
     together.  Snapshot times must be nondecreasing and commensurate with
-    tau.
+    tau.  A dict ``monitors`` receives the largest of each monitor reading
+    over the snapshots, under the keys of ``_MONITORS``.
     """
     times = [float(t) for t in times]
     names = list(observable_names)
@@ -334,48 +340,42 @@ def reference_expectations(
     _check_packet(spec, packet)
     if potential.d != spec.d:
         raise ValueError("potential dimension does not match the grid")
-    potentials = [potential.coordinate(j) for j in range(spec.d)]
+    line = GridSpec(1, spec.n, spec.x_min, spec.x_max)
+    v = np.stack([line.mesh_value(potential.coordinate(j)) for j in range(spec.d)])
     kinds = [parse_name(name, spec.d) for name in names]
 
-    line = GridSpec(1, spec.n, spec.x_min, spec.x_max)
     eps = packet.epsilon
     psi = np.stack([
         init_packet(line, GaussianPacket(packet.center[j :: spec.d], eps)).psi
         for j in range(spec.d)
     ])
-    v = np.stack([line.mesh_value(axis_potential) for axis_potential in potentials])
     snaps = split_snapshots(psi, times, tau, _ORDER, *_grid_flows(line, v, eps))
     nyquist = slice(spec.n // 2 - _SHELL_WIDTH, spec.n // 2 + _SHELL_WIDTH)
 
     table = {name: np.empty(len(times)) for name in names}
+    peaks = dict.fromkeys(_MONITORS, 0.0)
     for i, (t_snap, psi) in enumerate(zip(times, snaps)):
-        grids = [WaveFunctionGrid(psi=row, spec=line, epsilon=eps, t=t_snap) for row in psi]
-        # Written so that a NaN state trips them too.
-        drift = abs(math.prod(grid.norm() for grid in grids) - 1.0)
-        if not drift <= _NORM_TOL:
-            raise RuntimeError(f"unitarity lost: norm drift {drift:.3e} at t={t_snap}")
-        shell = 1.0 - math.prod(1.0 - grid.boundary_mass() for grid in grids)
-        if not shell <= _BOUNDARY_RUN_TOL:
-            raise RuntimeError(
-                f"boundary mass {shell:.3e} at t={t_snap}: packet reached the domain edge"
-            )
-        readings = [_Readings(*axis) for axis in zip(grids, potentials, v)]
-        shell = 1.0 - math.prod(1.0 - float(r.weights[nyquist].sum()) for r in readings)
-        if not shell <= _FOURIER_RUN_TOL:
-            raise RuntimeError(
-                f"Fourier weight {shell:.3e} near Nyquist at t={t_snap}: "
-                "the grid does not resolve the packet's momenta"
-            )
+        grid = WaveFunctionGrid(psi=psi, spec=line, epsilon=eps, t=t_snap)
+        readings = _Readings(grid, potential, v)
+        # The d-dimensional monitors, from the lines' factors.
+        found = dict(zip(_MONITORS, (
+            abs(math.prod(grid.norm().tolist()) - 1.0),
+            1.0 - math.prod((1.0 - grid.boundary_mass()).tolist()),
+            1.0 - math.prod((1.0 - readings.weights[:, nyquist].sum(axis=-1)).tolist()),
+        )))
+        for key, (tol, message) in _MONITORS.items():
+            if not found[key] <= tol:  # so that a NaN state trips it too
+                raise RuntimeError(message.format(found[key], t_snap))
+            peaks[key] = max(peaks[key], found[key])
+        # Each line's reading of a kind, for the whole stack at once.
+        read = functools.cache(lambda kind: expectation(grid, kind, potential, readings).tolist())
         for name, (kind, j) in zip(names, kinds):
             if j:
-                table[name][i] = _axis_sum(kind + "1", readings[j - 1 : j])
+                table[name][i] = read(kind + "1")[j - 1]
             elif kind == "total":
-                table[name][i] = _axis_sum("kinetic", readings) + _axis_sum("potential", readings)
+                table[name][i] = sum(read("kinetic")) + sum(read("potential"))
             else:
-                table[name][i] = _axis_sum(kind, readings)
+                table[name][i] = sum(read(kind))
+    if monitors is not None:
+        monitors.update(peaks)
     return table
-
-
-def _axis_sum(kind: str, readings) -> float:
-    """The sum over the axes of ``readings`` of their 1-D ``kind`` reading."""
-    return sum(expectation(r.grid, kind, r.potential, r) for r in readings)

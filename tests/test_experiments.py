@@ -1243,9 +1243,29 @@ class TestCli:
     def test_reference_metadata_names_scheme_and_step(self, config_file, tmp_path):
         out = tmp_path / "ref"
         assert cli.main(["reference", "--config", str(config_file), "--out", str(out)]) == 0
-        payload = json.loads((out / "metadata.json").read_text())
-        assert payload["reference"] == {"scheme": reference.SCHEME, "tau": 0.01, "steps": 20}
+        entry = json.loads((out / "metadata.json").read_text())["reference"]
+        scheme = {key: entry[key] for key in ("scheme", "tau", "steps")}
+        assert scheme == {"scheme": reference.SCHEME, "tau": 0.01, "steps": 20}
         # The metadata goes beside the table, never into it.
+        write_rows_csv(run_reference(load_config(config_file)), tmp_path / "direct.csv")
+        assert (out / "reference.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+    def test_reference_metadata_records_the_monitor_maxima(self, config_file, tmp_path):
+        # The largest norm drift, boundary mass and Fourier-shell weight seen
+        # over the snapshots, each finite and inside the tolerance it is
+        # checked against, on a 2-D torsional packet.
+        config_file.write_text(
+            self.CONFIG.replace("dimension = 1", "dimension = 2")
+            .replace("center = 1.0, 0.0", "center = 1.0, 0.5, 0.0, 0.0")
+        )
+        out = tmp_path / "ref"
+        assert cli.main(["reference", "--config", str(config_file), "--out", str(out)]) == 0
+        entry = json.loads((out / "metadata.json").read_text())["reference"]
+        tolerances = {"max_norm_drift": 1e-10, "max_boundary_mass": 1e-8,
+                      "max_fourier_shell": 1e-6}
+        for key, tol in tolerances.items():
+            assert np.isfinite(entry[key]) and 0.0 <= entry[key] <= tol, key
+        # Nothing of them goes into the table.
         write_rows_csv(run_reference(load_config(config_file)), tmp_path / "direct.csv")
         assert (out / "reference.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
@@ -1255,7 +1275,7 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_numerical_failure_exits_two(self, config_file, tmp_path, monkeypatch, capsys):
-        def tripped(config):
+        def tripped(config, monitors=None):
             raise RuntimeError("boundary mass 3.1e-07 at t=0.2")
 
         monkeypatch.setattr(cli, "run_reference", tripped)

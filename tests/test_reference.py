@@ -1,6 +1,7 @@
 """Split-step Fourier reference solver on a periodic tensor grid."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import egorov.cli as cli
 import egorov.reference as reference
 from egorov.experiments import run_reference, table_row_config
+from egorov.flow import split_snapshots
 from egorov.observables import OBSERVABLE_NAMES, default_names, make_observable
 from egorov.potentials import free_potential, harmonic_potential, torsional_potential
 from egorov.reference import (
@@ -153,6 +155,23 @@ class TestSchrodingerStep:
         schrodinger_propagate(grid, 0.1, 0.01, torsional_potential(2))
         assert grid.psi.tobytes() == before
         assert grid.t == 0.0
+
+    @pytest.mark.parametrize("spec, shape", [(GridSpec(1, 64), (2, 64)),
+                                             (GridSpec(2, 64), (64, 64))],
+                             ids=["stack-2x64", "grid-64^2"])
+    def test_kinetic_step_runs_in_place(self, spec, shape):
+        # The kinetic flow transforms, multiplies and transforms back in the
+        # array it is given, with the bits of the out-of-place step.
+        rng = np.random.default_rng(7)
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        _, kinetic_flow = reference._grid_flows(spec, np.zeros(shape), EPS)
+        factor = np.exp((-0.5j * EPS * 0.01) * spec.wavenumbers() ** 2)
+        expected = np.fft.fftn(psi, axes=spec.axes)
+        for axis in spec.axes:
+            expected *= factor.reshape((-1,) + (1,) * (-1 - axis))
+        expected = np.fft.ifftn(expected, axes=spec.axes)
+        assert kinetic_flow(0.01, psi) is psi
+        assert psi.tobytes() == expected.tobytes()
 
     def test_rejects_a_duration_not_commensurate_with_the_step(self, packet_2d):
         grid = init_packet(GridSpec(2, 64), packet_2d)
@@ -329,12 +348,83 @@ class TestReferenceExpectations:
         counted(reference, "fftn")
         counted(GridSpec, "mesh_value")
         together = reference_expectations(*args, OBSERVABLE_NAMES)
-        # 4 order-4 steps of 3 FFT pairs on the stacked lines, then on each
-        # of the d axes one transform per snapshot and one potential mesh.
+        # 4 order-4 steps of 3 FFT pairs on the stacked lines, then one
+        # transform of the whole stack per snapshot, and one potential mesh
+        # per axis.
         d = spec.d
-        assert counts == {"fftn": 4 * 3 + 3 * d, "mesh_value": d}
+        assert counts == {"fftn": 4 * 3 + 3, "mesh_value": d}
         for name in OBSERVABLE_NAMES:
             assert together[name].tobytes() == alone[name].tobytes(), name
+
+    @pytest.mark.parametrize(
+        "center, potential, n",
+        [
+            ((1.0, 0.5, 0.0, 0.0), torsional_potential(2), 128),
+            ((0.3, -0.2, 0.1, 0.0, 0.2, -0.1), harmonic_potential(3, (1.0, 2.0, 0.5)), 64),
+        ],
+        ids=["torsional-2x128", "harmonic-3x64"],
+    )
+    def test_stacked_readings_are_each_rows_own(self, center, potential, n):
+        # One propagated (d, n) stack read once gives, row by row, the bits
+        # of that row read alone as a GridSpec(1, n) state under V_j.
+        d = potential.d
+        line = GridSpec(1, n)
+        packet = GaussianPacket(np.array(center), EPS)
+        potentials = [potential.coordinate(j) for j in range(d)]
+        psi = np.stack([
+            init_packet(line, GaussianPacket(packet.center[j::d], EPS)).psi for j in range(d)
+        ])
+        v = np.stack([line.mesh_value(pot) for pot in potentials])
+        flows = reference._grid_flows(line, v, EPS)
+        (psi,) = split_snapshots(psi, [0.25], EPS / 16, reference._ORDER, *flows)
+        stack = reference.WaveFunctionGrid(psi=psi, spec=line, epsilon=EPS)
+        readings = reference._Readings(stack, potential, v)
+        kinds = ["q1", "p1", "kinetic", "potential", "total"]
+        stacked = [stack.norm(), stack.boundary_mass()] + [
+            expectation(stack, kind, potential, readings) for kind in kinds
+        ]
+        for j in range(d):
+            row = reference.WaveFunctionGrid(psi=psi[j], spec=line, epsilon=EPS)
+            row_readings = reference._Readings(row, potentials[j])
+            alone = [row.norm(), row.boundary_mass()] + [
+                expectation(row, kind, potentials[j], row_readings) for kind in kinds
+            ]
+            assert all(type(value) is float for value in alone)
+            assert [float(value[j]).hex() for value in stacked] == [a.hex() for a in alone]
+            assert readings.weights[j].tobytes() == row_readings.weights.tobytes()
+            assert readings.density[j].tobytes() == row_readings.density.tobytes()
+
+    def test_monitors_hold_the_largest_reading_over_the_snapshots(self, monkeypatch):
+        # The norm drift and boundary mass of each snapshot combine the
+        # lines' readings; the monitors keep the largest over the snapshots.
+        # The packet starts near the edge and moves in, so its boundary mass
+        # is largest at the first snapshot, not the last.
+        packet = GaussianPacket(np.array([1.4, 0.5, -0.5, 0.0]), EPS)
+        seen = {"norm": [], "boundary_mass": []}
+
+        def record(name):
+            original = getattr(reference.WaveFunctionGrid, name)
+
+            def reading(grid):
+                seen[name].append(original(grid))
+                return seen[name][-1]
+
+            monkeypatch.setattr(reference.WaveFunctionGrid, name, reading)
+
+        record("norm")
+        record("boundary_mass")
+        monitors = {}
+        reference_expectations(GridSpec(2, 64), packet, torsional_potential(2),
+                               [0.0, 0.25, 0.5], EPS / 16, ["q1"], monitors=monitors)
+        # init_packet reads each line's norm before the three snapshots.
+        norms, masses = seen["norm"][2:], seen["boundary_mass"]
+        assert len(norms) == len(masses) == 3
+        drifts = [abs(math.prod(norm.tolist()) - 1.0) for norm in norms]
+        shells = [1.0 - math.prod((1.0 - mass).tolist()) for mass in masses]
+        assert monitors["max_norm_drift"] == max(drifts) > 0.0
+        assert monitors["max_boundary_mass"] == max(shells) > shells[-1]
+        assert 0.0 <= monitors["max_fourier_shell"] <= 1e-6
+        assert sorted(monitors) == ["max_boundary_mass", "max_fourier_shell", "max_norm_drift"]
 
 
 class TestFactorizedReference:
