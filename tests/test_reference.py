@@ -85,6 +85,42 @@ class TestGridSpec:
             GridSpec(1, 64, x_min=1.0, x_max=1.0)
 
 
+# The n-d shapes of the transform test, each for n in 2, 8, 64 and 256;
+# (256, 256, 256) is left out, as it holds 268 MB.
+_TRANSFORM_SHAPES = [
+    shape
+    for n in (2, 8, 64, 256)
+    for shape in [(n,), (3, n), (n, n), (2, n, n), (n, n, n)]
+    if math.prod(shape) <= 2**18
+]
+
+
+class TestTransforms:
+    @pytest.mark.parametrize("special", ["signed-zeros", "nan"])
+    @pytest.mark.parametrize("name", ["fftn", "ifftn"])
+    @pytest.mark.parametrize("shape", _TRANSFORM_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_are_numpys_bitwise(self, shape, name, special):
+        # The module's per-axis loops return numpy's n-d transforms bit for
+        # bit over the trailing 1-3 axes, out of place and in place.
+        ours, numpys = getattr(reference, name), getattr(np.fft, name)
+        rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        flat = a.reshape(-1)
+        flat[0], flat[-1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        if special == "nan":
+            flat[1] = complex(np.nan, 1.0)
+        for k in range(1, len(shape) + 1):
+            axes = tuple(range(-k, 0))
+            expected = numpys(a, axes=axes).tobytes()
+            before = a.tobytes()
+            b = ours(a, axes)
+            assert b is not a and b.tobytes() == expected
+            assert a.tobytes() == before
+            c = a.copy()
+            assert ours(c, axes, out=c) is c
+            assert c.tobytes() == expected
+
+
 class TestInitPacket:
     def test_norm_is_one(self, packet_2d):
         grid = init_packet(GridSpec(2, 64), packet_2d)
