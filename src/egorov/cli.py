@@ -89,10 +89,10 @@ def _cmd_sweep(args) -> int:
         raise ValueError("sweep needs sweep_axis and sweep_values in the config")
     out = Path(args.out)
     start = time.perf_counter()
-    result = sweep(config, config.sweep_axis, config.sweep_values, threads=args.threads)
+    result = sweep(config, config.sweep_axis, config.sweep_values)
     elapsed = time.perf_counter() - start
     write_sweep_csv(result, out / "sweep.csv")
-    write_metadata(out, config, {"sweep": elapsed}, transport=transport_metadata(config))
+    write_metadata(out, config, {"sweep": elapsed}, runs=result.runs)
     for slope in result.slopes:
         print(
             f"{slope['observable']}: log-log slope "
@@ -131,22 +131,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=True):
+    def common(p):
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", default="results", help="output directory (default: results)")
-        if threads:
-            p.add_argument(
-                "--threads", type=int, default=1,
-                help="worker threads for each ensemble's chunks; the correction "
-                "ensemble runs before the transport",
-            )
 
     run_p = sub.add_parser("run", help="transport + correction ensemble run")
     common(run_p)
+    run_p.add_argument(
+        "--threads", type=int, default=1,
+        help="worker threads for each ensemble's chunks; the correction "
+        "ensemble runs before the transport",
+    )
     run_p.set_defaults(handler=_cmd_run)
 
     ref_p = sub.add_parser("reference", help="grid reference expectations")
-    common(ref_p, threads=False)
+    common(ref_p)
     ref_p.set_defaults(handler=_cmd_reference)
 
     cmp_p = sub.add_parser("compare", help="error table from two result files")

@@ -21,11 +21,12 @@ chunk order.  A chunk reduces each snapshot as its run reaches it: a
 transport chunk keeps its live (x, p) pair and one snapshot, which
 :func:`egorov.observables.snapshot_sums` reduces in one pass, with the bits
 of summing each observable's value; a correction chunk keeps its live state
-and no copy, reduced by ``a2_eval``; neither keeps the whole time series.  One thread,
-the default, maps the chunks inline; with more, the correction and the
-transport ensembles share one thread pool of that many workers, and run one
-after the other: the correction's chunks are mapped and collected before the
-transport's start.  The correction stepper makes many small numpy calls,
+and no copy, reduced by ``a2_eval``; neither keeps the whole time series.
+Only :func:`run_corrected` takes a thread count.  One thread, the default,
+and every :func:`sweep` map the chunks inline; with more, the correction and
+the transport ensembles share one thread pool of that many workers, and run
+one after the other: the correction's chunks are mapped and collected before
+the transport's start.  The correction stepper makes many small numpy calls,
 each of which releases and retakes the interpreter lock, so beside a
 transport chunk it would wait on every call; an ensemble of several chunks
 still uses every worker.  Two runs with the
@@ -507,43 +508,18 @@ def _correction_chunk_sums(config, potential, observables, times, start, stop):
     ))
 
 
-def _ensemble_means(config, potential, observables, times, jobs, threads, elapsed=None):
-    """The mean of each job's ensemble, for ``jobs`` of (name, n, chunk_fn).
+def _ensemble_mean(config, potential, observables, times, mapper, n, chunk_fn):
+    """The mean over an ensemble of n samples: ``mapper`` maps ``chunk_fn``
+    over the chunks, and their sums are combined pairwise in chunk order,
+    whichever mapper runs them."""
 
-    The jobs run one after another, each mapping its chunks and collecting
-    their sums before the next job starts, so no job's chunks run beside
-    another's; each job's chunk sums are reduced on their own, whatever the
-    thread count.  With a dict ``elapsed``, each job's wall seconds are
-    stored under its name."""
+    def chunk(bounds):
+        return chunk_fn(config, potential, observables, times, *bounds)
 
-    def run(task):
-        chunk_fn, (start, stop) = task
-        return chunk_fn(config, potential, observables, times, start, stop)
-
-    means = []
-    with contextlib.ExitStack() as stack:
-        # One thread maps the chunks inline, where profilers see the work;
-        # more share one pool across the jobs.  The reduction order is the
-        # same either way.
-        if threads == 1:
-            mapper = map
-        else:
-            mapper = stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map
-        for name, n, chunk_fn in jobs:
-            start = time.perf_counter()
-            sums = list(mapper(run, [(chunk_fn, rng) for rng in _chunk_ranges(n)]))
-            if sums:
-                means.append(_pairwise_combine(np.stack(sums)) / n)
-            else:
-                means.append(np.zeros((len(times), len(observables))))
-            if elapsed is not None:
-                elapsed[name] = time.perf_counter() - start
-    return means
-
-
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {threads}")
+    sums = list(mapper(chunk, _chunk_ranges(n)))
+    if not sums:
+        return np.zeros((len(times), len(observables)))
+    return _pairwise_combine(np.stack(sums)) / n
 
 
 def run_corrected(config: RunConfig, threads: int = 1, elapsed=None) -> list[ResultRow]:
@@ -555,26 +531,36 @@ def run_corrected(config: RunConfig, threads: int = 1, elapsed=None) -> list[Res
     dict ``elapsed``, the wall seconds of the two ensembles are stored under
     ``correction`` and ``transport``.
     """
-    _check_threads(threads)
+    if threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {threads}")
     return _run_corrected(config, threads, elapsed=elapsed)[0]
 
 
-def _run_corrected(config: RunConfig, threads, egorov_mean=None, elapsed=None):
+def _run_corrected(config: RunConfig, threads=1, egorov_mean=None, elapsed=None):
     """run_corrected's rows and its transport mean; a given ``egorov_mean``
     is reused, which holds while the packet, potential, N0 and tau0 do."""
     potential = build_potential(config)
     observables = [make_observable(name, potential) for name in config.observables]
     times = snapshot_times(config)
-    # The correction job goes first, so its mean comes back first; the
-    # transport job is left out when its mean is reused.
-    jobs = [("correction", config.n_correction, _correction_chunk_sums)]
-    if egorov_mean is None:
-        jobs.append(("transport", config.n_samples, _egorov_chunk_sums))
-    correction_mean, *transport = _ensemble_means(
-        config, potential, observables, times, jobs, threads, elapsed
-    )
-    if transport:
-        egorov_mean = transport[0]
+    ensemble = (config, potential, observables, times)
+    elapsed = {} if elapsed is None else elapsed
+    with contextlib.ExitStack() as stack:
+        # One thread maps the chunks inline, where profilers see the work;
+        # more share one pool across both ensembles.  The correction's
+        # chunks are collected before the transport's start.
+        if threads == 1:
+            mapper = map
+        else:
+            mapper = stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map
+        start = time.perf_counter()
+        correction_mean = _ensemble_mean(
+            *ensemble, mapper, config.n_correction, _correction_chunk_sums
+        )
+        elapsed["correction"] = time.perf_counter() - start
+        if egorov_mean is None:
+            start = time.perf_counter()
+            egorov_mean = _ensemble_mean(*ensemble, mapper, config.n_samples, _egorov_chunk_sums)
+            elapsed["transport"] = time.perf_counter() - start
     eps2 = config.epsilon**2
     rows = []
     for i, t in enumerate(times):
@@ -629,10 +615,7 @@ def reference_metadata(config: RunConfig) -> dict:
 
 def transport_metadata(config: RunConfig) -> dict:
     """The splitting order, Strang stages per step, step count, force
-    evaluations (N0 x steps x stages) and chunks behind the transport column.
-    A sweep reuses its config's transport on every value except along
-    epsilon, where each value runs its own with N0 scaled by
-    (epsilon / value)^2."""
+    evaluations (N0 x steps x stages) and chunks behind the transport column."""
     stages = len(yoshida_coefficients(config.flow_order))
     steps = _total_steps(config, config.tau_flow)
     return {
@@ -745,10 +728,16 @@ def _config_for_value(config: RunConfig, axis: str, value: float) -> RunConfig:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's summary rows and slopes, and ``runs``: per value, in value
+    order, the value and the work behind its ``correction`` column, and
+    behind its ``transport`` column where a transport ran (every value along
+    epsilon, the first value on the other axes, which reuse its mean)."""
+
     axis: str
     values: tuple[float, ...]
     rows: tuple[dict, ...]
     slopes: tuple[dict, ...]
+    runs: tuple[dict, ...]
 
 
 def _loglog_slope(xs, ys) -> float | None:
@@ -766,18 +755,17 @@ def sweep(
     config: RunConfig,
     axis: str,
     values,
-    threads: int = 1,
     baseline_rows=None,
 ) -> SweepResult:
     """Corrected runs across one axis, each compared to a baseline.
 
     The baseline defaults to the grid reference (recomputed per value for the
-    epsilon axis, shared otherwise); pass ``baseline_rows`` to compare against
-    a fixed run instead, e.g. a high-resolution correction run.  Summary rows
+    epsilon axis, shared otherwise), and every reference is computed before
+    the first ensemble runs; pass ``baseline_rows`` to compare against a
+    fixed run instead, e.g. a high-resolution correction run.  Summary rows
     carry mean/max errors per (value, observable); slopes are least-squares
     log-log fits of the errors against the axis values.
     """
-    _check_threads(threads)
     if axis not in _SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
     values = [float(v) for v in values]
@@ -787,18 +775,23 @@ def sweep(
         raise ValueError("sweep values must be sorted strictly ascending")
     # Every value's config is validated before anything runs.
     configs = [_config_for_value(config, axis, value) for value in values]
-    shared_baseline = baseline_rows
-    if shared_baseline is None and axis != "epsilon":
-        shared_baseline = run_reference(config)
+    if baseline_rows is not None:
+        baselines = [baseline_rows] * len(configs)
+    elif axis == "epsilon":
+        baselines = [run_reference(cfg) for cfg in configs]
+    else:
+        baselines = [run_reference(config)] * len(configs)
     summary_rows = []
+    runs = []
     transport = None
-    for value, cfg in zip(values, configs):
+    for value, cfg, baseline in zip(values, configs, baselines):
         # Only the epsilon axis changes the transport term (packet and N0).
         reuse = None if axis == "epsilon" else transport
-        rows, transport = _run_corrected(cfg, threads, reuse)
-        baseline = shared_baseline
-        if baseline is None:
-            baseline = run_reference(cfg)
+        run = {"value": value, "correction": correction_metadata(cfg)}
+        if reuse is None:
+            run["transport"] = transport_metadata(cfg)
+        runs.append(run)
+        rows, transport = _run_corrected(cfg, egorov_mean=reuse)
         _, summaries = compare(rows, baseline)
         for summary in summaries:
             summary_rows.append({"axis": axis, "value": value, **summary})
@@ -824,6 +817,7 @@ def sweep(
         values=tuple(values),
         rows=tuple(summary_rows),
         slopes=tuple(slopes),
+        runs=tuple(runs),
     )
 
 

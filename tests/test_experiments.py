@@ -66,7 +66,7 @@ def tiny_config(**overrides):
 
 def _recording_pool(pools):
     """A ThreadPoolExecutor class that appends each instance to ``pools`` and
-    records, in order, the chunk function of every task it maps."""
+    records, in order, the number of tasks in every map it is given."""
 
     class RecordingPool(experiments.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
@@ -76,10 +76,23 @@ def _recording_pool(pools):
 
         def map(self, fn, tasks):
             tasks = list(tasks)
-            self.mapped += [chunk_fn for chunk_fn, _ in tasks]
+            self.mapped.append(len(tasks))
             return super().map(fn, tasks)
 
     return RecordingPool
+
+
+def _recording_chunks(monkeypatch, calls):
+    """Replace both chunk functions by ones that append their ensemble's
+    name to ``calls`` as they start."""
+    for kind, name in (("correction", "_correction_chunk_sums"),
+                       ("transport", "_egorov_chunk_sums")):
+
+        def recorded(*args, _kind=kind, _original=getattr(experiments, name)):
+            calls.append(_kind)
+            return _original(*args)
+
+        monkeypatch.setattr(experiments, name, recorded)
 
 
 def rows_by_key(rows):
@@ -551,14 +564,14 @@ class TestRunCorrected:
     def test_one_pool_maps_correction_chunks_first(self, monkeypatch):
         # Both ensembles share one pool, the correction's chunks mapped
         # first and on their own, then the transport's.
-        pools = []
+        pools, calls = [], []
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", _recording_pool(pools))
+        _recording_chunks(monkeypatch, calls)
         monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
         run_corrected(tiny_config(n_samples=64, n_correction=16), threads=2)
         assert len(pools) == 1
-        assert pools[0].mapped == (
-            [experiments._correction_chunk_sums] * 3 + [experiments._egorov_chunk_sums] * 10
-        )
+        assert pools[0].mapped == [3, 10]
+        assert calls == ["correction"] * 3 + ["transport"] * 10
 
     def test_transport_chunks_start_after_every_correction_chunk(self, monkeypatch):
         # With two threads, no transport chunk starts before the last
@@ -674,8 +687,6 @@ class TestRunCorrected:
         monkeypatch.setattr(experiments, "sample_points", no_sampling)
         with pytest.raises(ValueError, match="--threads"):
             run_corrected(tiny_config(), threads=threads)
-        with pytest.raises(ValueError, match="--threads"):
-            sweep(tiny_config(), "tau2", [0.125], threads=threads)
 
 
 class TestRunReference:
@@ -859,15 +870,29 @@ class TestSweep:
         ] == expected
 
     def test_reused_transport_maps_only_correction_chunks(self, monkeypatch):
-        pools = []
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", _recording_pool(pools))
-        config = tiny_config()
-        baseline = run_corrected(tiny_config(tau_correction=0.0625), threads=1)
-        sweep(config, "tau2", [0.0625, 0.125, 0.25], threads=2, baseline_rows=baseline)
-        correction, transport = experiments._correction_chunk_sums, experiments._egorov_chunk_sums
-        assert [pool.mapped for pool in pools] == [
-            [correction, transport], [correction], [correction],
-        ]
+        # The first value runs both ensembles, the others only the
+        # correction; a sweep maps its chunks inline, starting no pool.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        baseline = run_corrected(tiny_config(tau_correction=0.0625))
+        calls = []
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+        _recording_chunks(monkeypatch, calls)
+        sweep(tiny_config(), "tau2", [0.0625, 0.125, 0.25], baseline_rows=baseline)
+        assert calls == ["correction", "transport", "correction", "correction"]
+
+    def test_epsilon_references_computed_before_any_sampling(self, monkeypatch):
+        # Along epsilon each value has its own reference, and every one is
+        # computed before the first ensemble: a value the grid cannot
+        # resolve fails the sweep before a single point is sampled.
+        def no_sampling(*args):
+            raise AssertionError("sampled before every reference was computed")
+
+        monkeypatch.setattr(experiments, "sample_points", no_sampling)
+        config = tiny_config(dimension=1, center=(1.0, 0.0), grid_points=64)
+        with pytest.raises(ValueError, match="not resolved by the grid"):
+            sweep(config, "epsilon", [0.001, 0.1])
 
     def test_sweep_csv_layout(self, tmp_path):
         config = tiny_config(observables=("q1",))
@@ -1063,8 +1088,34 @@ class TestCli:
         assert code == 0
         assert (out / "sweep.csv").exists()
         assert "slope" in capsys.readouterr().out
-        transport = json.loads((out / "metadata.json").read_text())["transport"]
-        assert transport == experiments.transport_metadata(load_config(config_file))
+        # One run entry per value; the second reuses the first's transport.
+        metadata = json.loads((out / "metadata.json").read_text())
+        assert "transport" not in metadata
+        first, second = (
+            _config_for_value(load_config(config_file), "tau2", value) for value in (0.025, 0.05)
+        )
+        assert metadata["runs"] == [
+            {"value": 0.025, "correction": experiments.correction_metadata(first),
+             "transport": experiments.transport_metadata(first)},
+            {"value": 0.05, "correction": experiments.correction_metadata(second)},
+        ]
+
+    def test_sweep_command_metadata_along_epsilon(self, config_file, tmp_path):
+        # Along epsilon every value runs its own transport, with N0 and N2
+        # scaled by (0.1 / value)^2, and its run entry counts that work.
+        config_file.write_text(self.CONFIG + "sweep_axis = epsilon\nsweep_values = 0.05, 0.1\n")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
+        runs = json.loads((out / "metadata.json").read_text())["runs"]
+        assert [run["value"] for run in runs] == [0.05, 0.1]
+        for run in runs:
+            config = _config_for_value(load_config(config_file), "epsilon", run["value"])
+            assert run["correction"] == experiments.correction_metadata(config)
+            assert run["transport"] == experiments.transport_metadata(config)
+        assert [run["correction"]["samples"] for run in runs] == [64, 16]
+        assert runs[0]["transport"]["force_evaluations"] == 4 * runs[1]["transport"][
+            "force_evaluations"
+        ]
 
     def test_sweep_along_n2_through_zero(self, config_file, tmp_path):
         # N2 = 0 is plain transport; the slope fit skips it instead of
@@ -1331,11 +1382,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("reference", ["--threads", "2"]), ("run", ["--long-run"])],
+        [("reference", ["--threads", "2"]), ("run", ["--long-run"]),
+         ("sweep", ["--threads", "2"])],
     )
     def test_flag_without_effect_is_rejected(self, command, flag, config_file, tmp_path, capsys):
-        # `reference` runs no ensemble and `run` builds no grid, so neither
-        # accepts the flag that would only be echoed.
+        # `reference` runs no ensemble, `run` builds no grid and `sweep`
+        # maps its ensembles inline, so none accepts the flag that would
+        # only be echoed.
         with pytest.raises(SystemExit) as exit_info:
             cli.main([command, "--config", str(config_file), "--out", str(tmp_path / "o"), *flag])
         assert exit_info.value.code == 2
