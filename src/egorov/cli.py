@@ -139,8 +139,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(run_p)
     run_p.add_argument(
         "--threads", type=int, default=1,
-        help="worker threads for each ensemble's chunks; the correction "
-        "ensemble runs before the transport",
+        help="workers for each ensemble's chunks: this process and up to N-1 "
+        "forked ones, at most one per usable CPU and chunk (POSIX only; "
+        "elsewhere the chunks run inline); the output does not depend on N",
     )
     run_p.set_defaults(handler=_cmd_run)
 

@@ -23,13 +23,15 @@ transport chunk keeps its live (x, p) pair and one snapshot, which
 of summing each observable's value; a correction chunk keeps its live state
 and no copy, reduced by ``a2_eval``; neither keeps the whole time series.
 Only :func:`run_corrected` takes a thread count.  One thread, the default,
-and every :func:`sweep` map the chunks inline; with more, the correction and
-the transport ensembles share one thread pool of that many workers, and run
-one after the other: the correction's chunks are mapped and collected before
-the transport's start.  The correction stepper makes many small numpy calls,
-each of which releases and retakes the interpreter lock, so beside a
-transport chunk it would wait on every call; an ensemble of several chunks
-still uses every worker.  Two runs with the
+and every :func:`sweep` map the chunks inline.  With more, each ensemble's
+chunk i runs on worker i mod W, W = min(threads, chunks, usable CPUs):
+worker 0 is the calling process, which always runs chunk 0, and the others
+are forked processes that send their chunk sums back through a pipe.  The
+correction ensemble runs, and its children are reaped, before the
+transport's first fork.  Processes, not threads: the chunks' short numpy
+calls would convoy on the interpreter lock.  Without ``os.fork`` every
+chunk runs inline.  The sums are the same whichever process made them, so
+the thread count moves no output byte.  Two runs with the
 same config produce byte-identical CSV; wall-clock data, including each
 ensemble's wall time, lives only in the metadata file.
 """
@@ -41,9 +43,11 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
+# Not called: benchmark/tracing.py patches this name on the module.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -465,7 +469,7 @@ def _chunk_ranges(n: int) -> list[tuple[int, int]]:
 
 
 def _pairwise_combine(stack: np.ndarray) -> np.ndarray:
-    """Reduce axis 0 by adjacent pairing; order-stable, thread-independent."""
+    """Reduce axis 0 by adjacent pairing; order-stable, whichever worker made each row."""
     while stack.shape[0] > 1:
         even = stack.shape[0] // 2 * 2
         stack = np.concatenate(
@@ -508,15 +512,96 @@ def _correction_chunk_sums(config, potential, observables, times, start, stop):
     ))
 
 
-def _ensemble_mean(config, potential, observables, times, mapper, n, chunk_fn):
-    """The mean over an ensemble of n samples: ``mapper`` maps ``chunk_fn``
-    over the chunks, and their sums are combined pairwise in chunk order,
-    whichever mapper runs them."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _child_exit(fn, tasks, write_fd):
+    """The body of a forked worker: pickle ``(True, [fn(task) ...])``, or
+    ``(False, exception)`` when one raises, into ``write_fd``, and leave by
+    ``os._exit``, so that no ``finally`` or atexit handler of the parent runs
+    here.  A worker that dies first sends nothing."""
+    code = 1
+    try:
+        try:
+            payload = True, [fn(task) for task in tasks]
+        except Exception as exc:
+            payload = False, exc
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _map_chunks(fn, tasks, threads):
+    """``[fn(task) for task in tasks]``, with task i run by worker i mod W,
+    W = min(threads, len(tasks), usable CPUs).  Worker 0 is this process and
+    workers 1 .. W-1 are forked children, so task 0 always runs here; with
+    W <= 1, or without ``os.fork``, every task does.  A child's exception is
+    raised here with its own type, and a child that ends without a result
+    raises RuntimeError.  Every child is reaped before this returns or
+    raises."""
+    workers = min(threads, len(tasks), _usable_cpus()) if hasattr(os, "fork") else 1
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    children = []  # (pid, read end of its pipe) until reaped
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _child_exit(fn, tasks[worker::workers], write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        results = [None] * len(tasks)
+        results[0::workers] = [fn(task) for task in tasks[0::workers]]
+        for worker in range(1, workers):
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if not data:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise RuntimeError(f"ensemble worker {pid} ended without a result ({how})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results[worker::workers] = value
+        return results
+    finally:
+        if children:
+            import signal
+
+            for pid, pipe in children:
+                pipe.close()
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _ensemble_mean(config, potential, observables, times, threads, n, chunk_fn):
+    """The mean over an ensemble of n samples: ``chunk_fn`` runs on each
+    chunk, in this process or a forked one (:func:`_map_chunks`), and the
+    chunk sums are combined pairwise in chunk order, whichever process made
+    them."""
 
     def chunk(bounds):
         return chunk_fn(config, potential, observables, times, *bounds)
 
-    sums = list(mapper(chunk, _chunk_ranges(n)))
+    sums = _map_chunks(chunk, _chunk_ranges(n), threads)
     if not sums:
         return np.zeros((len(times), len(observables)))
     return _pairwise_combine(np.stack(sums)) / n
@@ -527,9 +612,13 @@ def run_corrected(config: RunConfig, threads: int = 1, elapsed=None) -> list[Res
 
     The correction samples are the leading N2 points of the same Halton
     stream, so shrinking N2 never perturbs the transport term.  Row identity:
-    corrected = egorov + epsilon^2 * correction, exactly as stored.  With a
-    dict ``elapsed``, the wall seconds of the two ensembles are stored under
-    ``correction`` and ``transport``.
+    corrected = egorov + epsilon^2 * correction, exactly as stored.  With
+    ``threads`` above one, each ensemble's chunks are spread over this
+    process and up to ``threads - 1`` forked ones, at most one per usable
+    CPU and chunk; the correction ensemble finishes before the transport
+    starts, and the rows keep their bytes.  With a dict ``elapsed``, the
+    wall seconds of the two ensembles are stored under ``correction`` and
+    ``transport``.
     """
     if threads < 1:
         raise ValueError(f"--threads must be at least 1, got {threads}")
@@ -542,25 +631,15 @@ def _run_corrected(config: RunConfig, threads=1, egorov_mean=None, elapsed=None)
     potential = build_potential(config)
     observables = [make_observable(name, potential) for name in config.observables]
     times = snapshot_times(config)
-    ensemble = (config, potential, observables, times)
+    ensemble = (config, potential, observables, times, threads)
     elapsed = {} if elapsed is None else elapsed
-    with contextlib.ExitStack() as stack:
-        # One thread maps the chunks inline, where profilers see the work;
-        # more share one pool across both ensembles.  The correction's
-        # chunks are collected before the transport's start.
-        if threads == 1:
-            mapper = map
-        else:
-            mapper = stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map
+    start = time.perf_counter()
+    correction_mean = _ensemble_mean(*ensemble, config.n_correction, _correction_chunk_sums)
+    elapsed["correction"] = time.perf_counter() - start
+    if egorov_mean is None:
         start = time.perf_counter()
-        correction_mean = _ensemble_mean(
-            *ensemble, mapper, config.n_correction, _correction_chunk_sums
-        )
-        elapsed["correction"] = time.perf_counter() - start
-        if egorov_mean is None:
-            start = time.perf_counter()
-            egorov_mean = _ensemble_mean(*ensemble, mapper, config.n_samples, _egorov_chunk_sums)
-            elapsed["transport"] = time.perf_counter() - start
+        egorov_mean = _ensemble_mean(*ensemble, config.n_samples, _egorov_chunk_sums)
+        elapsed["transport"] = time.perf_counter() - start
     eps2 = config.epsilon**2
     rows = []
     for i, t in enumerate(times):
@@ -731,7 +810,8 @@ class SweepResult:
     """A sweep's summary rows and slopes, and ``runs``: per value, in value
     order, the value and the work behind its ``correction`` column, and
     behind its ``transport`` column where a transport ran (every value along
-    epsilon, the first value on the other axes, which reuse its mean)."""
+    epsilon, the first value on the other axes, which reuse its mean), with
+    the wall seconds of each ensemble that ran under ``elapsed_seconds``."""
 
     axis: str
     values: tuple[float, ...]
@@ -787,11 +867,11 @@ def sweep(
     for value, cfg, baseline in zip(values, configs, baselines):
         # Only the epsilon axis changes the transport term (packet and N0).
         reuse = None if axis == "epsilon" else transport
-        run = {"value": value, "correction": correction_metadata(cfg)}
+        run = {"value": value, "correction": correction_metadata(cfg), "elapsed_seconds": {}}
         if reuse is None:
             run["transport"] = transport_metadata(cfg)
         runs.append(run)
-        rows, transport = _run_corrected(cfg, egorov_mean=reuse)
+        rows, transport = _run_corrected(cfg, egorov_mean=reuse, elapsed=run["elapsed_seconds"])
         _, summaries = compare(rows, baseline)
         for summary in summaries:
             summary_rows.append({"axis": axis, "value": value, **summary})

@@ -3,10 +3,10 @@
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -64,22 +64,38 @@ def tiny_config(**overrides):
     return RunConfig(**base)
 
 
-def _recording_pool(pools):
-    """A ThreadPoolExecutor class that appends each instance to ``pools`` and
-    records, in order, the number of tasks in every map it is given."""
+def _recording_forks(monkeypatch, events, cpus):
+    """Let the mappers see ``cpus`` usable CPUs, and wrap ``os.fork`` and
+    ``os.waitpid`` so that the parent appends ("fork", pid) and ("reap",
+    pid) to ``events``."""
+    fork, waitpid = os.fork, os.waitpid
 
-    class RecordingPool(experiments.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.mapped = []
-            pools.append(self)
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            events.append(("fork", pid))
+        return pid
 
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            self.mapped.append(len(tasks))
-            return super().map(fn, tasks)
+    def recorded_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        events.append(("reap", pid))
+        return reaped
 
-    return RecordingPool
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+
+
+def _refuse_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("a worker process was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _recording_chunks(monkeypatch, calls):
@@ -522,11 +538,9 @@ class TestRunCorrected:
 
     def test_one_thread_runs_inline(self, monkeypatch):
         # With one thread, the default, the chunks run in the caller, where
-        # profilers see them, not in a one-worker pool.
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
-
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+        # profilers see them; no worker process is forked.
+        _refuse_fork(monkeypatch)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
         assert run_corrected(tiny_config(), threads=1)
         assert run_corrected(tiny_config())
@@ -561,53 +575,127 @@ class TestRunCorrected:
         sizes = [stop - start for start, stop in ranges]
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
-    def test_one_pool_maps_correction_chunks_first(self, monkeypatch):
-        # Both ensembles share one pool, the correction's chunks mapped
-        # first and on their own, then the transport's.
-        pools, calls = [], []
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", _recording_pool(pools))
-        _recording_chunks(monkeypatch, calls)
-        monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
-        run_corrected(tiny_config(n_samples=64, n_correction=16), threads=2)
-        assert len(pools) == 1
-        assert pools[0].mapped == [3, 10]
-        assert calls == ["correction"] * 3 + ["transport"] * 10
-
-    def test_transport_chunks_start_after_every_correction_chunk(self, monkeypatch):
-        # With two threads, no transport chunk starts before the last
-        # correction chunk has returned: the correction stepper never
-        # contends with the transport for the interpreter lock.  The
-        # correction chunks dawdle, so a transport chunk mapped beside them
-        # would start first.
+    def test_correction_children_reaped_before_transport_forks(self, monkeypatch):
+        # At two workers each ensemble forks one child, which runs its odd
+        # chunks while this process runs the even ones, from chunk 0.  The
+        # correction's child is reaped before the transport's is forked, so
+        # the two ensembles never run side by side.
         events = []
-
-        def recorded(kind, chunk_fn, pause):
-            def chunk(*args):
-                events.append(("start", kind))
-                sums = chunk_fn(*args)
-                time.sleep(pause)
-                events.append(("end", kind))
-                return sums
-
-            return chunk
-
-        monkeypatch.setattr(
-            experiments, "_correction_chunk_sums",
-            recorded("correction", experiments._correction_chunk_sums, 0.02),
-        )
-        monkeypatch.setattr(
-            experiments, "_egorov_chunk_sums",
-            recorded("transport", experiments._egorov_chunk_sums, 0.0),
-        )
+        _recording_forks(monkeypatch, events, cpus=2)
+        _recording_chunks(monkeypatch, events)
         monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
-        run_corrected(tiny_config(n_samples=64, n_correction=16), threads=2)
-        assert events.count(("end", "correction")) == 3
-        assert events.count(("end", "transport")) == 10
-        last_correction = max(
-            i for i, event in enumerate(events) if event == ("end", "correction")
+        config = tiny_config(n_samples=64, n_correction=16)
+        expected = _csv_bytes(run_corrected(config, threads=1))
+        del events[:]
+        assert _csv_bytes(run_corrected(config, threads=2)) == expected
+        kinds = [event if isinstance(event, str) else event[0] for event in events]
+        assert kinds == ["fork", *["correction"] * 2, "reap", "fork", *["transport"] * 5, "reap"]
+        pids = [event for event in events if isinstance(event, tuple)]
+        assert [pid for kind, pid in pids if kind == "fork"] == [
+            pid for kind, pid in pids if kind == "reap"
+        ]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "cpus, threads, n_samples, n_correction, forks",
+        [(8, 4, 7, 0, 0), (8, 5, 21, 0, 2), (2, 4, 64, 0, 1), (8, 3, 21, 14, 3)],
+        ids=["no-correction-chunks", "threads-above-chunks", "threads-above-cpus",
+             "both-ensembles"],
+    )
+    def test_children_per_ensemble(
+        self, monkeypatch, cpus, threads, n_samples, n_correction, forks
+    ):
+        # Each ensemble forks min(threads, chunks, usable CPUs) - 1 children:
+        # an ensemble of no chunks (N2 = 0) or of one forks none.  The rows
+        # keep the inline run's bytes.
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
+        config = tiny_config(n_samples=n_samples, n_correction=n_correction)
+        expected = _csv_bytes(run_corrected(config, threads=1))
+        events = []
+        _recording_forks(monkeypatch, events, cpus)
+        assert _csv_bytes(run_corrected(config, threads=threads)) == expected
+        assert sum(event[0] == "fork" for event in events) == forks
+        _assert_no_child_left()
+
+    def test_without_fork_maps_inline(self, monkeypatch):
+        # A platform without os.fork runs every chunk in the caller, with the
+        # same bytes.
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
+        config = tiny_config(n_samples=64, n_correction=16)
+        expected = _csv_bytes(run_corrected(config, threads=1))
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+        monkeypatch.delattr(os, "fork")
+        assert _csv_bytes(run_corrected(config, threads=4)) == expected
+
+    @pytest.mark.parametrize("error, code", [(ValueError, 1), (RuntimeError, 2)])
+    def test_child_exception_keeps_its_type(self, monkeypatch, tmp_path, capsys, error, code):
+        # A transport chunk that raises in a child raises the same type in
+        # run_corrected, so `egorov run` exits as if it had raised inline, and
+        # no child is left behind.
+        parent = os.getpid()
+        original = experiments._egorov_chunk_sums
+
+        def refused_in_child(*args):
+            if os.getpid() != parent:
+                raise error("chunk refused in a worker")
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "_egorov_chunk_sums", refused_in_child)
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
+        config = tiny_config(n_samples=14, n_correction=0)
+        with pytest.raises(error, match="chunk refused in a worker"):
+            run_corrected(config, threads=2)
+        _assert_no_child_left()
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "epsilon = 0.1\ndimension = 2\npotential = torsional\n"
+            "center = 1.0, 0.5, 0.0, 0.0\nn_samples = 14\ntau_flow = 0.05\n"
+            "n_correction = 0\ntau_correction = 0.125\nt_final = 0.5\n"
+            "snapshot_stride = 0.25\n"
         )
-        first_transport = events.index(("start", "transport"))
-        assert last_correction < first_transport
+        assert load_config(path) == config
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out), "--threads", "2"]) == code
+        assert "chunk refused in a worker" in capsys.readouterr().err
+        assert not out.exists()
+        _assert_no_child_left()
+
+    def test_child_killed_without_result_raises(self, monkeypatch):
+        # A child that dies before it sends its sums, here by SIGKILL, is a
+        # RuntimeError that names the signal.
+        parent = os.getpid()
+        original = experiments._egorov_chunk_sums
+
+        def killed_in_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "_egorov_chunk_sums", killed_in_child)
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
+        with pytest.raises(RuntimeError, match=f"killed by signal {int(signal.SIGKILL)}"):
+            run_corrected(tiny_config(n_samples=14, n_correction=0), threads=2)
+        _assert_no_child_left()
+
+    def test_children_reaped_when_this_process_raises(self, monkeypatch):
+        # When the caller's own share raises, its children are reaped before
+        # the exception leaves run_corrected.
+        parent = os.getpid()
+        original = experiments._egorov_chunk_sums
+
+        def refused_here(*args):
+            if os.getpid() == parent:
+                raise ValueError("chunk refused in the caller")
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(experiments, "_egorov_chunk_sums", refused_here)
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
+        with pytest.raises(ValueError, match="chunk refused in the caller"):
+            run_corrected(tiny_config(n_samples=21, n_correction=0), threads=3)
+        _assert_no_child_left()
 
     def test_chunks_pass_observers_positionally(self, monkeypatch):
         # Wrappers that forward positional arguments alone, as the sweep
@@ -871,16 +959,15 @@ class TestSweep:
 
     def test_reused_transport_maps_only_correction_chunks(self, monkeypatch):
         # The first value runs both ensembles, the others only the
-        # correction; a sweep maps its chunks inline, starting no pool.
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
-
+        # correction; a sweep maps its chunks inline, forking no worker.
         baseline = run_corrected(tiny_config(tau_correction=0.0625))
         calls = []
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+        _refuse_fork(monkeypatch)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(experiments, "CHUNK_SIZE", 7)
         _recording_chunks(monkeypatch, calls)
         sweep(tiny_config(), "tau2", [0.0625, 0.125, 0.25], baseline_rows=baseline)
-        assert calls == ["correction", "transport", "correction", "correction"]
+        assert calls == [*["correction"] * 3, *["transport"] * 10, *["correction"] * 6]
 
     def test_epsilon_references_computed_before_any_sampling(self, monkeypatch):
         # Along epsilon each value has its own reference, and every one is
@@ -1088,9 +1175,16 @@ class TestCli:
         assert code == 0
         assert (out / "sweep.csv").exists()
         assert "slope" in capsys.readouterr().out
-        # One run entry per value; the second reuses the first's transport.
+        # One run entry per value; the second reuses the first's transport,
+        # so it times the correction alone.
         metadata = json.loads((out / "metadata.json").read_text())
         assert "transport" not in metadata
+        seconds = [run.pop("elapsed_seconds") for run in metadata["runs"]]
+        assert [sorted(entry) for entry in seconds] == [["correction", "transport"], ["correction"]]
+        assert all(value > 0.0 for entry in seconds for value in entry.values())
+        assert sum(value for entry in seconds for value in entry.values()) <= (
+            metadata["elapsed_seconds"]["sweep"]
+        )
         first, second = (
             _config_for_value(load_config(config_file), "tau2", value) for value in (0.025, 0.05)
         )
@@ -1109,6 +1203,7 @@ class TestCli:
         runs = json.loads((out / "metadata.json").read_text())["runs"]
         assert [run["value"] for run in runs] == [0.05, 0.1]
         for run in runs:
+            assert sorted(run["elapsed_seconds"]) == ["correction", "transport"]
             config = _config_for_value(load_config(config_file), "epsilon", run["value"])
             assert run["correction"] == experiments.correction_metadata(config)
             assert run["transport"] == experiments.transport_metadata(config)
